@@ -9,7 +9,6 @@ outside-hypotheses warning, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -32,20 +31,11 @@ from .geometry import (
     norm_sq,
 )
 from .limits import (
-    C0_SWEEP,
-    C_SWEEP,
-    M_SWEEP,
-    T_SWEEP,
-    c_special_family,
-    family_label,
+    e0_limit,
+    e_limit,
     jwc_check,
-    koranyi_family,
+    k_limit,
     left_inverse_ratio_check,
-    probe_family,
-    projection_gap_fn,
-    projection_ratio_fn,
-    verdict_from_traces,
-    zero_special_family,
 )
 from .maps import (
     HoloMap,
@@ -209,7 +199,7 @@ def _classification_lines(cls) -> list:
     return lines
 
 
-def _cmd_orbit(cfg, m, out_dir, seed, verbose) -> tuple:
+def _cmd_orbit(cfg, m, out_dir, seed) -> tuple:
     start = _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
     orbit = compute_orbit(m, start, cfg.n_max)
     path = os.path.join(out_dir, "orbit.csv")
@@ -235,7 +225,7 @@ def _cmd_orbit(cfg, m, out_dir, seed, verbose) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_classify(cfg, m, out_dir, seed, verbose) -> tuple:
+def _cmd_classify(cfg, m, out_dir, seed) -> tuple:
     if cfg.points:
         points = read_points_csv(cfg.points)
         x = np.array([p.z.real for p in points])
@@ -267,7 +257,7 @@ def _arg_sigma_diagnostic(result) -> list:
     return lines
 
 
-def _cmd_valiron(cfg, m, out_dir, seed, verbose) -> tuple:
+def _cmd_valiron(cfg, m, out_dir, seed) -> tuple:
     grid = build_grid(cfg, m.dim)
     result = run_valiron(m, grid=grid, tol=cfg.tol, n_max=cfg.n_max)
     path = os.path.join(out_dir, "valiron.csv")
@@ -307,33 +297,16 @@ def _verdict_line(label: str, verdict) -> str:
     return f"{label}: inconclusive (spread {format_float(verdict.spread)})"
 
 
-def _cmd_limits(cfg, m, out_dir, seed, verbose) -> tuple:
+def _cmd_limits(cfg, m, out_dir, seed) -> tuple:
     def h(q: SiegelPoint) -> complex:
         return m.evaluator(q).z / q.z
 
     ladder = _ladder(cfg)
-    rows = []
-
-    def sweep(families, extra):
-        all_traces = []
-        for fam in families:
-            traces = probe_family(h, fam, count=len(fam.seeds) + extra, seed=seed)
-            label = family_label(fam)
-            for si, trace in enumerate(traces):
-                for k, value in enumerate(trace, start=1):
-                    rows.append((label, si, k, complex(value)))
-            all_traces.extend(traces)
-        return verdict_from_traces(all_traces, cfg.limit_tol)
-
-    vk = sweep([koranyi_family(amp, m.dim, ladder) for amp in M_SWEEP], 2)
-    ve = sweep(
-        [c_special_family(c, t, m.dim, ladder) for c in C_SWEEP for t in T_SWEEP], 1
-    )
-    v0 = sweep(
-        [zero_special_family(c, t, m.dim, ladder) for c in C0_SWEEP for t in T_SWEEP], 1
-    )
+    vk = k_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=2, seed=seed)
+    ve = e_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=1, seed=seed)
+    v0 = e0_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=1, seed=seed)
     path = os.path.join(out_dir, "limits.csv")
-    write_limits_csv(path, rows)
+    write_limits_csv(path, vk.traces + ve.traces + v0.traces)
     lines = [
         "command = limits",
         f"map = {_describe_map(m)}",
@@ -345,24 +318,19 @@ def _cmd_limits(cfg, m, out_dir, seed, verbose) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_jwc(cfg, m, out_dir, seed, verbose) -> tuple:
+def _cmd_jwc(cfg, m, out_dir, seed) -> tuple:
     a = _projection_vector(cfg, m.dim)
     rho = LinearProjectionAtInfinity(a)
     ladder = _ladder(cfg)
     report = jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder, seed=seed)
     li = left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder, seed=seed)
 
-    rows = []
-    for tag, fn in (("part1", projection_ratio_fn(m, rho)), ("part2", projection_gap_fn(m, rho))):
-        for c in C0_SWEEP:
-            for t in T_SWEEP:
-                fam = zero_special_family(c, t, m.dim, ladder)
-                for si, trace in enumerate(probe_family(fn, fam, seed=seed)):
-                    label = f"{tag}:{family_label(fam)}"
-                    for k, value in enumerate(trace, start=1):
-                        rows.append((label, si, k, complex(value)))
     path = os.path.join(out_dir, "jwc.csv")
-    write_limits_csv(path, rows)
+    write_limits_csv(path, [
+        (f"{tag}:{label}", si, values)
+        for tag, verdict in (("part1", report.part1), ("part2", report.part2))
+        for label, si, values in verdict.traces
+    ])
 
     lines = [
         "command = jwc",
@@ -407,14 +375,14 @@ def run_command(
     paths: list = []
     if cfg.command == "report-all":
         for name in ("valiron", "limits", "jwc", "orbit"):
-            sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, seed, verbose)
+            sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, seed)
             code = max(code, sub_code)
             if lines:
                 lines.append("")
             lines += sub_lines
             paths += sub_paths
     else:
-        code, lines, paths = _COMMANDS[cfg.command](cfg, m, out_dir, seed, verbose)
+        code, lines, paths = _COMMANDS[cfg.command](cfg, m, out_dir, seed)
 
     summary_path = os.path.join(out_dir, "summary.txt")
     write_summary(summary_path, lines)

@@ -14,7 +14,6 @@ from typing import Optional
 
 COMMANDS = ("orbit", "classify", "valiron", "limits", "jwc", "report-all")
 MAP_NAMES = ("siegel_linear", "halfplane_affine", "valiron_example")
-FORMATS = ("csv",)
 
 
 class ConfigError(ValueError):
@@ -42,7 +41,6 @@ class ExperimentConfig:
     ladder_max: int = 7
     limit_tol: float = 1e-3
     out: Optional[str] = None
-    fmt: str = "csv"
 
 
 # config key -> (field name, type tag)
@@ -66,14 +64,12 @@ _KEYS = {
     "ladder_max": ("ladder_max", "int"),
     "limit_tol": ("limit_tol", "float"),
     "out": ("out", "str"),
-    "format": ("fmt", "format"),
 }
-_FIELD_TO_KEY = {name: key for key, (name, _) in _KEYS.items()}
 # canonical emission order
 _EMIT_ORDER = (
     "command", "map", "lambda", "b", "A", "N", "psi", "conjugate", "start",
     "points", "grid_z", "grid_w", "a", "n_max", "tol", "seed", "ladder_max",
-    "limit_tol", "out", "format",
+    "limit_tol", "out",
 )
 
 
@@ -90,10 +86,6 @@ def _convert(key: str, raw: str, lineno: int):
             raise ConfigError(
                 f"line {lineno}: map must be one of {', '.join(MAP_NAMES)}, got {raw!r}"
             )
-        return raw
-    if tag == "format":
-        if raw not in FORMATS:
-            raise ConfigError(f"line {lineno}: unsupported format {raw!r}")
         return raw
     if tag == "int":
         try:

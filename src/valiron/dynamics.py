@@ -120,10 +120,6 @@ def compute_orbit(m: HoloMap, start: SiegelPoint, n_steps: int) -> Orbit:
         except (ScaleOverflowError, OverflowError):
             cutoff = f"scale overflow at step {k}"
             break
-        if not (math.isfinite(cur.z.real) and math.isfinite(cur.z.imag)):
-            cutoff = f"non-finite value at step {k}"
-            pts.append(cur)
-            break
         pts.append(cur)
     x = np.array([p.z.real for p in pts])
     y = np.array([p.z.imag for p in pts])
@@ -294,17 +290,15 @@ def estimate_multiplier(orbit: Orbit) -> EstimateWithUncertainty:
 def estimate_drift(orbit: Orbit) -> DriftEstimate:
     """Median of y_n/x_n over the tail, with the q_n diagnostics.
 
-    Precondition: the orbit classifies as restricted (it always carries a
-    finite witness at finite length; classification failures propagate).
+    Precondition: the orbit tends to infinity, as classify_sequence checks;
+    callers classify the orbit themselves.  No restriction check is needed,
+    since a finite orbit always has a finite witness |y_n| <= T x_n.
     """
     n = len(orbit)
     if n < MIN_ORBIT_FOR_ESTIMATES:
         raise OrbitTooShortError(
             f"drift estimation needs >= {MIN_ORBIT_FOR_ESTIMATES} points, got {n}"
         )
-    cls = classify_sequence(orbit.points)
-    if not cls.restricted:
-        raise DomainError("drift estimate requires a restricted orbit")
     ratios = orbit.y / orbit.x
     t0 = tail_start(ratios.size)
     window = ratios[t0:]

@@ -68,7 +68,7 @@ def norm_sq(u: np.ndarray) -> float:
 class BallPoint:
     """Point of the open unit ball B^N.
 
-    Rejects inputs with ``1 - ||coords||^2 <= BOUNDARY_SLACK``.
+    Rejects NaN coordinates and inputs with ``1 - ||coords||^2 <= BOUNDARY_SLACK``.
     """
 
     coords: np.ndarray
@@ -77,10 +77,11 @@ class BallPoint:
         arr = _as_complex_vector(coords)
         if arr.size < 1:
             raise DomainError("ball point needs at least one coordinate")
-        if 1.0 - norm_sq(arr) <= BOUNDARY_SLACK:
-            raise DomainError(
-                f"not strictly inside the unit ball: ||p||^2 = {norm_sq(arr)!r}"
-            )
+        nsq = norm_sq(arr)
+        if math.isnan(nsq):
+            raise DomainError("non-finite coordinates")
+        if 1.0 - nsq <= BOUNDARY_SLACK:
+            raise DomainError(f"not strictly inside the unit ball: ||p||^2 = {nsq!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
@@ -131,7 +132,8 @@ class SiegelPoint:
     """Point of the Siegel domain H^N: Re z > ||w||^2, strictly.
 
     ``z`` is the distinguished first coordinate, ``w`` the remaining N-1
-    coordinates.  ``N = 1`` is allowed; ``w`` is then empty.
+    coordinates.  ``N = 1`` is allowed; ``w`` is then empty.  A non-finite
+    ``z`` or a NaN in ``w`` is rejected.
     """
 
     z: complex
@@ -140,8 +142,11 @@ class SiegelPoint:
     def __init__(self, z: complex, w: Iterable[complex] = ()):
         zc = complex(z)
         arr = _as_complex_vector(w)
-        height = zc.real - norm_sq(arr)
-        scale = max(1.0, abs(zc), norm_sq(arr))
+        nsq = norm_sq(arr)
+        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or math.isnan(nsq):
+            raise DomainError("non-finite coordinates")
+        height = zc.real - nsq
+        scale = max(1.0, abs(zc), nsq)
         if height <= BOUNDARY_SLACK * scale:
             raise DomainError(
                 f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}"

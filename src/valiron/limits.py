@@ -218,7 +218,10 @@ class LimitVerdict:
     status 'limit-exists' carries the mean tail value; 'no-limit' carries a
     witness pair taken from two distinct sequences whose tail values are
     separated by more than NO_LIMIT_FACTOR * tol; anything in between is
-    'inconclusive'.
+    'inconclusive'.  ``traces`` holds the probed values as labelled
+    ``(family_label, seq_index, values)`` triples in probe order; the
+    verdict reads the last TAIL_VALUES of each, and the witness indices
+    ``(i, j, v_i, v_j, separation)`` count positions in ``traces``.
     """
 
     status: str
@@ -226,54 +229,11 @@ class LimitVerdict:
     spread: float
     tol: float
     witness: Optional[tuple]
-    tails: tuple
+    traces: tuple
 
     @property
     def exists(self) -> bool:
         return self.status == "limit-exists"
-
-
-def _verdict_from_tails(tails: Sequence[np.ndarray], tol: float) -> LimitVerdict:
-    flat = np.concatenate([np.asarray(t) for t in tails])
-    spread = 0.0
-    for i in range(flat.size):
-        spread = max(spread, float(np.max(np.abs(flat - flat[i]))))
-    witness = None
-    separation = 0.0
-    for i in range(len(tails)):
-        for j in range(i + 1, len(tails)):
-            for vi in tails[i]:
-                for vj in tails[j]:
-                    d = abs(vi - vj)
-                    if d > separation:
-                        separation = d
-                        witness = (i, j, complex(vi), complex(vj), float(d))
-    if spread < tol:
-        return LimitVerdict(
-            status="limit-exists",
-            value=complex(np.mean(flat)),
-            spread=spread,
-            tol=tol,
-            witness=None,
-            tails=tuple(np.asarray(t) for t in tails),
-        )
-    if witness is not None and separation > NO_LIMIT_FACTOR * tol:
-        return LimitVerdict(
-            status="no-limit",
-            value=None,
-            spread=spread,
-            tol=tol,
-            witness=witness,
-            tails=tuple(np.asarray(t) for t in tails),
-        )
-    return LimitVerdict(
-        status="inconclusive",
-        value=None,
-        spread=spread,
-        tol=tol,
-        witness=witness,
-        tails=tuple(np.asarray(t) for t in tails),
-    )
 
 
 def family_label(family: ApproachFamily) -> str:
@@ -291,16 +251,43 @@ def probe_family(
     count: Optional[int] = None,
     seed: int = 0,
 ) -> list:
-    """Full value traces of h, one array per generated sequence."""
+    """Full value traces of h, one labelled ``(family_label, seq_index, values)`` per sequence."""
+    label = family_label(family)
     return [
-        np.array([h(p) for p in seq], dtype=np.complex128)
-        for seq in generate_sequences(family, count=count, seed=seed)
+        (label, i, np.array([h(p) for p in seq], dtype=np.complex128))
+        for i, seq in enumerate(generate_sequences(family, count=count, seed=seed))
     ]
 
 
-def verdict_from_traces(traces: Sequence[np.ndarray], tol: float) -> LimitVerdict:
-    tails = [t[-min(TAIL_VALUES, t.size):] for t in traces]
-    return _verdict_from_tails(tails, tol)
+def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
+    """Verdict from the last TAIL_VALUES values of each labelled trace."""
+    traces = tuple(traces)
+    tails = [values[-min(TAIL_VALUES, values.size):] for _, _, values in traces]
+    flat = np.concatenate(tails)
+    owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
+    diff = flat[None, :] - flat[:, None]
+    spread = float(np.max(np.abs(diff)))
+    # np.hypot matches the scalar abs() of each difference bit for bit, which
+    # np.abs on complex arrays does not; the witness reports that value
+    sep = np.hypot(diff.real, diff.imag)
+    sep[owner[:, None] >= owner[None, :]] = 0.0
+    separation = float(np.max(sep))
+    witness = None
+    if separation > 0.0:
+        # the first maximal pair in (sequence i, sequence j, value in i, value in j) order
+        ps, qs = np.nonzero(sep == separation)
+        k = np.lexsort((qs, ps, owner[qs], owner[ps]))[0]
+        p, q = ps[k], qs[k]
+        witness = (int(owner[p]), int(owner[q]), complex(flat[p]), complex(flat[q]), separation)
+    if spread < tol:
+        status, value, witness = "limit-exists", complex(np.mean(flat)), None
+    elif witness is not None and separation > NO_LIMIT_FACTOR * tol:
+        status, value = "no-limit", None
+    else:
+        status, value = "inconclusive", None
+    return LimitVerdict(
+        status=status, value=value, spread=spread, tol=tol, witness=witness, traces=traces
+    )
 
 
 def estimate_limit(
@@ -314,40 +301,42 @@ def estimate_limit(
     return verdict_from_traces(probe_family(h, family, count=count, seed=seed), tol)
 
 
-def _sweep_verdict(h, families, tol, count, seed) -> LimitVerdict:
+def _sweep_verdict(h, families, tol, extra, seed) -> LimitVerdict:
+    """One verdict over every family, each probed along its canonical seeds
+    plus ``extra`` sequences drawn from ``seed``."""
     traces = []
     for fam in families:
-        traces.extend(probe_family(h, fam, count=count, seed=seed))
+        traces += probe_family(h, fam, count=len(fam.seeds) + extra, seed=seed)
     return verdict_from_traces(traces, tol)
 
 
 def k_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
-            count: Optional[int] = None, seed: int = 0) -> LimitVerdict:
+            extra: int = 0, seed: int = 0) -> LimitVerdict:
     """K-limit surrogate: sweep Koranyi amplitudes M in M_SWEEP."""
     fams = [koranyi_family(m_amp, n_dim, ladder) for m_amp in M_SWEEP]
-    return _sweep_verdict(h, fams, tol, count, seed)
+    return _sweep_verdict(h, fams, tol, extra, seed)
 
 
 def e_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
-            count: Optional[int] = None, seed: int = 0) -> LimitVerdict:
+            extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E-limit surrogate: sweep C-special restricted families over C x T."""
     fams = [
         c_special_family(c, t, n_dim, ladder)
         for c in C_SWEEP
         for t in T_SWEEP
     ]
-    return _sweep_verdict(h, fams, tol, count, seed)
+    return _sweep_verdict(h, fams, tol, extra, seed)
 
 
 def e0_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
-             count: Optional[int] = None, seed: int = 0) -> LimitVerdict:
+             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E0-limit surrogate: sweep zero-special families (small strengths)."""
     fams = [
         zero_special_family(c, t, n_dim, ladder)
         for c in C0_SWEEP
         for t in T_SWEEP
     ]
-    return _sweep_verdict(h, fams, tol, count, seed)
+    return _sweep_verdict(h, fams, tol, extra, seed)
 
 
 # -- Boundary behavior checks --------------------------------------------------

@@ -14,6 +14,12 @@ renormalized state
 one step at a time via S_{n+1} = (L_{n+1} o phi o L_n^{-1})(S_n), which keeps
 every stored quantity O(1); the base scale itself is stored in log-space.
 The update is algebraically identical to direct iteration.
+
+Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
+run_valiron stores the pairs it used on the result, and
+ValironResult.sigma_at replays the same step over the stored pairs for new
+points, so off-grid values come from the very recursion that produced the
+grid values, without evaluating the base orbit again.
 """
 
 from __future__ import annotations
@@ -112,7 +118,8 @@ class RenormalizedState:
     ``sigma``/``v`` hold S_n at the grid points, ``sigma_img``/``v_img`` hold
     S_n at the phi-images of the grid (so sigma_n(phi(Z)) is always on hand),
     and ``base_sigma``/``base_v`` track the normalizing orbit.  ``log_x`` is
-    the base scale in log-space; ``ratios`` records x_{k+1}/x_k.
+    the base scale in log-space; ``scales`` is the pair (x_{n-1}, x_n) of the
+    step that produced this state (empty for n = 0).
     """
 
     n: int
@@ -123,7 +130,7 @@ class RenormalizedState:
     v_img: np.ndarray
     base_sigma: complex
     base_v: np.ndarray
-    ratios: tuple = ()
+    scales: tuple = ()
 
     @property
     def x(self) -> float:
@@ -138,22 +145,22 @@ class RenormalizedState:
         return float(max(parts))
 
 
+def _pack(points: Sequence[SiegelPoint], x0: float):
+    """S_0 = (z / x0, w / sqrt(x0)) at each point, as arrays."""
+    root = math.sqrt(x0)
+    sigma = np.array([p.z / x0 for p in points], dtype=np.complex128)
+    if points[0].w.size:
+        v = np.array([p.w / root for p in points], dtype=np.complex128)
+    else:
+        v = np.zeros((len(points), 0), dtype=np.complex128)
+    return sigma, v
+
+
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
     x0 = base.z.real
-    pts = grid.points
-    imgs = [m.evaluator(p) for p in pts]
     root = math.sqrt(x0)
-
-    def pack(points):
-        sig = np.array([p.z / x0 for p in points], dtype=np.complex128)
-        if points[0].w.size:
-            vv = np.array([p.w / root for p in points], dtype=np.complex128)
-        else:
-            vv = np.zeros((len(points), 0), dtype=np.complex128)
-        return sig, vv
-
-    sigma, v = pack(pts)
-    sigma_img, v_img = pack(imgs)
+    sigma, v = _pack(grid.points, x0)
+    sigma_img, v_img = _pack([m.evaluator(p) for p in grid.points], x0)
     return RenormalizedState(
         n=0,
         log_x=math.log(x0),
@@ -213,7 +220,7 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
         v_img=v_img,
         base_sigma=base_image.z / x_next,
         base_v=base_image.w / root_next,
-        ratios=state.ratios + (ratio,),
+        scales=(x_n, x_next),
     )
 
 
@@ -224,7 +231,8 @@ def intertwining_identity_check(state: RenormalizedState, m: HoloMap) -> float:
     mis-cached scale breaks it immediately, which is what this guards.
     """
     nxt = advance(state, m)
-    ratio = nxt.ratios[-1]
+    x_n, x_next = nxt.scales
+    ratio = x_next / x_n
     lhs = state.sigma_img
     rhs = ratio * nxt.sigma
     scale = np.maximum(1.0, np.abs(rhs))
@@ -253,14 +261,15 @@ class ValironResult:
     outside_hypotheses: bool
     warnings: tuple
     base_orbit: Orbit
+    scale_pairs: tuple
     trace: tuple = ()
     _sigma_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def sigma_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Evaluate the converged sigma at arbitrary points.
 
-        Re-runs the renormalized recursion for n_stop steps with the given
-        points riding along the same base orbit, so off-grid probes use
+        Replays the renormalized step over the stored scale pairs, so the
+        points ride along the same base orbit and off-grid probes use
         exactly the pipeline that produced the grid samples.
         """
         points = list(points)
@@ -268,26 +277,11 @@ class ValironResult:
             return np.zeros(0, dtype=np.complex128)
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
-        x0 = self.base.z.real
-        root0 = math.sqrt(x0)
-        sigma = np.array([p.z / x0 for p in points], dtype=np.complex128)
-        if points[0].w.size:
-            v = np.array([p.w / root0 for p in points], dtype=np.complex128)
-        else:
-            v = np.zeros((len(points), 0), dtype=np.complex128)
-        base_sigma = self.base.z / x0
-        base_v = self.base.w / root0
-        log_x = math.log(x0)
-        for _ in range(self.n_stop):
-            x_n = math.exp(log_x)
-            root_n = math.sqrt(x_n)
-            base_image = self.map.evaluator(SiegelPoint(x_n * base_sigma, root_n * base_v))
-            x_next = base_image.z.real
-            root_next = math.sqrt(x_next)
-            sigma, v = _advance_group(self.map, sigma, v, x_n, x_next, root_n, root_next)
-            base_sigma = base_image.z / x_next
-            base_v = base_image.w / root_next
-            log_x += math.log(x_next / x_n)
+        sigma, v = _pack(points, self.base.z.real)
+        for x_n, x_next in self.scale_pairs:
+            sigma, v = _advance_group(
+                self.map, sigma, v, x_n, x_next, math.sqrt(x_n), math.sqrt(x_next)
+            )
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
@@ -379,6 +373,7 @@ def run_valiron(
 
     state = initial_state(m, grid, base)
     trace = [state] if record_trace else []
+    scale_pairs: list = []
     cauchy: list = []
     consecutive = 0
     converged = False
@@ -392,6 +387,7 @@ def run_valiron(
             break
         step = float(np.max(np.abs(nxt.sigma - state.sigma)))
         cauchy.append(step)
+        scale_pairs.append(nxt.scales)
         state = nxt
         if record_trace:
             trace.append(state)
@@ -423,6 +419,7 @@ def run_valiron(
         outside_hypotheses=outside,
         warnings=tuple(warnings),
         base_orbit=probe,
+        scale_pairs=tuple(scale_pairs),
         trace=tuple(trace),
     )
 

@@ -65,19 +65,20 @@ def write_valiron_csv(path, points: Sequence[SiegelPoint], sigma: np.ndarray,
             )
 
 
-def write_limits_csv(path, rows: Iterable[tuple]) -> None:
-    """Rows are (family_label, seq_id, rung_index, complex value)."""
+def write_limits_csv(path, traces: Iterable[tuple]) -> None:
+    """Traces are (family_label, seq_id, values); one row per value, k from 1."""
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(["family", "seq_id", "k", "re_h", "im_h"])
-        for family, seq_id, k, value in rows:
-            writer.writerow([
-                family,
-                str(seq_id),
-                str(k),
-                format_float(value.real),
-                format_float(value.imag),
-            ])
+        for family, seq_id, values in traces:
+            for k, value in enumerate(values, start=1):
+                writer.writerow([
+                    family,
+                    str(seq_id),
+                    str(k),
+                    format_float(value.real),
+                    format_float(value.imag),
+                ])
 
 
 def write_summary(path, lines: Sequence[str]) -> None:

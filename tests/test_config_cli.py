@@ -9,8 +9,9 @@ import pytest
 from valiron.cli import build_map, main, run_command
 from valiron.config import ConfigError, ExperimentConfig, emit_config, parse_config
 from valiron.dynamics import compute_orbit
-from valiron.geometry import SiegelPoint
-from valiron.maps import make_siegel_linear
+from valiron.geometry import LinearProjectionAtInfinity, SiegelPoint
+from valiron.limits import e0_limit, e_limit, jwc_check, k_limit
+from valiron.maps import PsiChoice, make_halfplane_affine, make_siegel_linear, make_valiron_example
 from valiron.reports import format_float, read_points_csv
 
 VALIRON_CONFIG = """\
@@ -71,6 +72,8 @@ class TestConfig:
     def test_unknown_key_reports_its_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'lamda'"):
             parse_config("command = orbit\nlamda = 2\n")
+        with pytest.raises(ConfigError, match="line 2: unknown key 'format'"):
+            parse_config("command = orbit\nformat = csv\n")
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -128,6 +131,19 @@ def _run(tmp_path, text, *extra):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(text)
     return main(["run", str(cfg_path), "--out", str(tmp_path), *extra])
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+def _trace_rows(traces, prefix=""):
+    return [
+        [prefix + label, str(si), str(k), format_float(v.real), format_float(v.imag)]
+        for label, si, values in traces
+        for k, v in enumerate(values, start=1)
+    ]
 
 
 class TestCli:
@@ -227,6 +243,38 @@ class TestCli:
         families = {row[0] for row in rows[1:]}
         assert any(f.startswith("koranyi(") for f in families)
         assert any(f.startswith("c-special(") for f in families)
+
+    def test_limits_csv_holds_the_verdict_traces(self, tmp_path):
+        code = _run(
+            tmp_path,
+            "command = limits\nmap = valiron_example\nA = 2\npsi = oscillating\n"
+            "ladder_max = 5\nseed = 4\n",
+        )
+        assert code == 0
+        m = make_valiron_example(2.0, PsiChoice("oscillating"))
+
+        def h(q):
+            return m.evaluator(q).z / q.z
+
+        ladder = tuple(10.0 ** k for k in range(1, 6))
+        expect = []
+        for sweep, extra in ((k_limit, 2), (e_limit, 1), (e0_limit, 1)):
+            expect += _trace_rows(sweep(h, 2, ladder=ladder, extra=extra, seed=4).traces)
+        assert _csv_rows(tmp_path / "limits.csv") == expect
+
+    def test_jwc_csv_holds_the_check_traces(self, tmp_path):
+        code = _run(
+            tmp_path,
+            "command = jwc\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+            "a = 0.5\nladder_max = 6\nseed = 3\n",
+        )
+        assert code == 0
+        rho = LinearProjectionAtInfinity(np.array([0.5 + 0j]))
+        ladder = tuple(10.0 ** k for k in range(1, 7))
+        report = jwc_check(make_halfplane_affine(2.0, 1.0, 2), rho, ladder=ladder, seed=3)
+        expect = _trace_rows(report.part1.traces, "part1:")
+        expect += _trace_rows(report.part2.traces, "part2:")
+        assert _csv_rows(tmp_path / "jwc.csv") == expect
 
     def test_jwc_command(self, tmp_path):
         code = _run(

@@ -56,6 +56,14 @@ class TestModels:
         q = SiegelPoint(0.26, np.array([0.5 + 0j]))
         assert q.x == 0.26 and q.dim == 2
 
+    def test_points_reject_non_finite_coordinates(self):
+        nan, inf = math.nan, math.inf
+        for z, w in ((nan, [0]), (complex(1, nan), [0]), (2, [nan]), (complex(1, inf), [0])):
+            with pytest.raises(DomainError, match="non-finite coordinates"):
+                SiegelPoint(z, w)
+        with pytest.raises(DomainError, match="non-finite coordinates"):
+            BallPoint([nan, 0])
+
     def test_boundary_direction_needs_unit_norm(self):
         BoundaryDirection([1.0, 0.0])
         with pytest.raises(DomainError):

@@ -21,6 +21,8 @@ from valiron.geometry import (
 from valiron.limits import (
     C0_SWEEP,
     M_SWEEP,
+    NO_LIMIT_FACTOR,
+    TAIL_VALUES,
     ApproachFamily,
     c_special_family,
     e0_limit,
@@ -93,14 +95,42 @@ class TestFamilies:
             assert q.z.imag == 0 and np.all(q.w == 0)
 
 
+def _labelled(*values):
+    return [("f", i, np.asarray(v, dtype=np.complex128)) for i, v in enumerate(values)]
+
+
+def _reference_verdict(tails, tol):
+    """Reference for verdict_from_traces: plain pairwise loops giving
+    (status, value, spread, witness)."""
+    flat = np.concatenate(tails)
+    spread = 0.0
+    for i in range(flat.size):
+        spread = max(spread, float(np.max(np.abs(flat - flat[i]))))
+    witness = None
+    separation = 0.0
+    for i in range(len(tails)):
+        for j in range(i + 1, len(tails)):
+            for vi in tails[i]:
+                for vj in tails[j]:
+                    d = abs(vi - vj)
+                    if d > separation:
+                        separation = d
+                        witness = (i, j, complex(vi), complex(vj), float(d))
+    if spread < tol:
+        return "limit-exists", complex(np.mean(flat)), spread, None
+    if witness is not None and separation > NO_LIMIT_FACTOR * tol:
+        return "no-limit", None, spread, witness
+    return "inconclusive", None, spread, witness
+
+
 class TestVerdicts:
     def test_constant_traces_give_a_limit(self):
-        traces = [np.full(7, 2.0 + 0j), np.full(7, 2.0 + 1e-6j)]
+        traces = _labelled(np.full(7, 2.0 + 0j), np.full(7, 2.0 + 1e-6j))
         v = verdict_from_traces(traces, tol=1e-3)
         assert v.exists and v.value == pytest.approx(2.0, abs=1e-5)
 
     def test_separated_traces_give_a_witness(self):
-        traces = [np.full(7, 2.0 + 0j), np.full(7, 2.5 + 0j)]
+        traces = _labelled(np.full(7, 2.0 + 0j), np.full(7, 2.5 + 0j))
         v = verdict_from_traces(traces, tol=1e-3)
         assert v.status == "no-limit"
         i, j, vi, vj, sep = v.witness
@@ -108,9 +138,33 @@ class TestVerdicts:
         assert sep == pytest.approx(0.5)
 
     def test_mild_spread_is_inconclusive(self):
-        traces = [np.full(7, 2.0 + 0j), np.full(7, 2.003 + 0j)]
+        traces = _labelled(np.full(7, 2.0 + 0j), np.full(7, 2.003 + 0j))
         v = verdict_from_traces(traces, tol=1e-3)
         assert v.status == "inconclusive"
+
+    def test_matches_the_pairwise_loops(self):
+        """Same status, value, spread and witness as the loops, ties included."""
+        rng = np.random.default_rng(5)
+        lattice = np.array([0.0, 1.0, 1j, 1.0 + 1j, -2.0 + 0.5j])
+        for case in range(300):
+            n_traces = int(rng.integers(1, 9))
+            traces = []
+            for i in range(n_traces):
+                size = int(rng.integers(1, 8))
+                if case % 2:
+                    # few distinct values: many pairs tie for the largest separation
+                    values = rng.choice(lattice, size) * 10.0 ** rng.integers(-4, 1)
+                else:
+                    values = 2.0 + 10.0 ** rng.uniform(-6, 0) * (
+                        rng.normal(size=size) + 1j * rng.normal(size=size))
+                traces.append((f"f{i % 3}", i, values.astype(np.complex128)))
+            tails = [v[-min(TAIL_VALUES, v.size):] for _, _, v in traces]
+            for tol in (1e-7, 1e-4, 1e-2, 10.0):
+                got = verdict_from_traces(traces, tol)
+                assert (got.status, got.value, got.spread, got.witness) == _reference_verdict(
+                    tails, tol
+                ), (case, tol)
+                assert got.traces == tuple(traces)
 
     def test_estimate_limit_on_linear_map(self):
         m = make_siegel_linear(2.0, 2)

@@ -1,6 +1,7 @@
 """Renormalization pipeline: states, convergence, transport, ball side."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,9 +104,32 @@ class TestRunValiron:
         assert np.max(np.abs(result.sigma - oracle)) < 1e-6
 
     def test_sigma_at_agrees_with_grid_samples(self):
-        result = run_valiron(make_valiron_example(2.0, PsiChoice("cayley")))
-        again = result.sigma_at(result.grid.points)
-        assert np.max(np.abs(again - result.sigma)) < 1e-12
+        """sigma_at replays the run: bit-equal on the grid and on its images."""
+        maps = (
+            make_valiron_example(2.0, PsiChoice("cayley")),
+            make_valiron_example(2.0, PsiChoice("oscillating")),
+            make_halfplane_affine(2.0, 1.0, 1),
+            conjugate_map(make_siegel_linear(2.0, 2), SiegelAutomorphism.scale(4.0)),
+        )
+        for m in maps:
+            result = run_valiron(m)
+            images = [result.map.evaluator(p) for p in result.grid.points]
+            assert np.array_equal(result.sigma_at(result.grid.points), result.sigma)
+            assert np.array_equal(result.sigma_at(images), result.sigma_image)
+
+    def test_sigma_at_evaluates_only_the_probes(self):
+        result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
+        calls = []
+        evaluator = result.map.evaluator
+
+        def counting(q):
+            calls.append(q)
+            return evaluator(q)
+
+        counted = replace(result, map=replace(result.map, evaluator=counting))
+        pts = [sample_siegel(2, s, 62) for s in range(5)]
+        assert np.array_equal(counted.sigma_at(pts), result.sigma_at(pts))
+        assert len(calls) == len(pts) * result.n_stop
 
     def test_off_grid_evaluation_matches_oracle(self):
         psi = PsiChoice("cayley")
