@@ -133,7 +133,8 @@ class SiegelPoint:
 
     ``z`` is the distinguished first coordinate, ``w`` the remaining N-1
     coordinates.  ``N = 1`` is allowed; ``w`` is then empty.  A non-finite
-    ``z`` or a NaN in ``w`` is rejected.
+    coordinate is rejected as such; a finite ``w`` whose norm overflows is
+    rejected as outside the domain.
     """
 
     z: complex
@@ -143,7 +144,9 @@ class SiegelPoint:
         zc = complex(z)
         arr = _as_complex_vector(w)
         nsq = norm_sq(arr)
-        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or math.isnan(nsq):
+        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or (
+            not math.isfinite(nsq) and (math.isnan(nsq) or not np.isfinite(arr).all())
+        ):
             raise DomainError("non-finite coordinates")
         height = zc.real - nsq
         scale = max(1.0, abs(zc), nsq)
@@ -181,6 +184,40 @@ class SiegelPoint:
 def siegel_height(q: SiegelPoint) -> float:
     """Height Re z - ||w||^2; positive on the domain, 0 on the boundary."""
     return q.z.real - norm_sq(q.w)
+
+
+def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
+    """Apply the checks of ``SiegelPoint`` to every row of ``(z, w)``.
+
+    ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
+    when ``SiegelPoint(z[i], w[i])`` rejects it, and the ``DomainError`` of
+    the first rejected row carries the scalar message.  The test runs on
+    whole arrays; a row that fails it (non-finite rows always do), or passes
+    it by less than the rounding gap between these array norms and
+    ``norm_sq``, is decided by the scalar constructor.
+    """
+    rounding = 16.0 * (w.shape[1] + 1) * np.finfo(np.float64).eps
+    with np.errstate(invalid="ignore", over="ignore"):
+        nsq = (w.real * w.real + w.imag * w.imag).sum(axis=1)
+        scale = np.maximum(np.abs(z), nsq)
+        np.maximum(scale, 1.0, out=scale)
+        margin = (z.real - nsq) - BOUNDARY_SLACK * scale
+        clear = margin > rounding * (nsq + scale)
+    if not clear.all():
+        for i in np.flatnonzero(~clear):
+            SiegelPoint(z[i], w[i])
+
+
+def divide_by_real(z: np.ndarray, x: float) -> np.ndarray:
+    """z / x for a complex array z and a float x > 0, as Python divides.
+
+    The parts follow CPython's ``complex / float``; numpy's complex division
+    multiplies by 1/x instead and differs from it in the last bit.
+    """
+    out = np.empty_like(z)
+    out.real = (z.real + z.imag * 0.0) / x
+    out.imag = (z.imag - z.real * 0.0) / x
+    return out
 
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
@@ -425,6 +462,30 @@ def apply_automorphism(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
     """Apply t to q; the image is again a valid SiegelPoint by construction."""
     z, w = _apply_one(t, q.z, q.w)
     return SiegelPoint(z, w)
+
+
+def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray):
+    """Apply t to every row of ``(z, w)``, bit for bit as ``apply_automorphism``.
+
+    Shapes are (n,) and (n, N-1); rows are not validated.  The Hermitian
+    product of a Heisenberg translation stays a per-row ``herm``, because a
+    batched product rounds differently.
+    """
+    if t.kind == "scale-translate":
+        if not t.x > 0.0:
+            raise DomainError("scale-translate requires x > 0")
+        return divide_by_real(z - 1j * t.y, t.x), w / math.sqrt(t.x)
+    if t.kind == "heisenberg-translate":
+        a = t.a
+        if a.size != w.shape[1]:
+            raise DomainError("translation vector dimension mismatch")
+        cross = np.array([herm(row, a) for row in w], dtype=np.complex128)
+        return z + norm_sq(a) + 2.0 * cross, w + a
+    if t.kind == "composite":
+        for f in t.factors:
+            z, w = apply_automorphism_arrays(f, z, w)
+        return z, w
+    raise DomainError(f"unknown automorphism kind {t.kind!r}")
 
 
 def apply_automorphism_inverse(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:

@@ -1,15 +1,19 @@
 """Holomorphic self-maps of the ball and Siegel domain, with a small catalog.
 
-A map is a black-box evaluator plus metadata (Denjoy-Wolff point, boundary
-multiplier, optional closed-form intertwining function).  The catalog holds
-hyperbolic examples whose Schroder solutions are known, used as oracles:
+A map is a point evaluator plus metadata (Denjoy-Wolff point, boundary
+multiplier, optional closed-form intertwining function), and optionally an
+array evaluator ``batch`` that computes the same map on many points at once.
+The catalog holds hyperbolic examples whose Schroder solutions are known,
+used as oracles; each has a closed-form ``batch``:
 
 * ``make_siegel_linear``      (z, w) -> (lam z, sqrt(lam) w)
 * ``make_halfplane_affine``   (z, w) -> (lam z + i b, sqrt(lam) w)
 * ``make_valiron_example``    (z, w) -> (A z + A w^2 psi(z), 0) on H^2
 
-Evaluators are pure; per-point work is independent, so results never depend
-on evaluation order.
+``evaluate_batch`` runs a Siegel-side map on arrays of points, through
+``batch`` when the map has one and point by point otherwise.  Evaluators are
+pure; per-point work is independent, so results never depend on evaluation
+order.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from .geometry import (
     DomainError,
     INFINITY,
     SiegelPoint,
+    apply_automorphism,
+    apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
+    check_siegel_arrays,
     e1_direction,
     norm_sq,
     siegel_height,
@@ -95,6 +102,14 @@ class HoloMap:
     ball side.  ``intertwiner``, when present, is a closed-form solution of
     the Schroder equation sigma(phi(q)) = lam sigma(q), used only as a test
     oracle.
+
+    ``batch``, when present, is the same map on arrays of Siegel points:
+    ``batch(z, w)`` with ``z`` of shape (n,) and ``w`` of shape (n, N-1)
+    returns the images' ``(z, w)`` in the same shapes, equal bit for bit to
+    the evaluator's images row by row.  It validates neither its input nor
+    its output; ``evaluate_batch`` does both.  ``dataclasses.replace(m,
+    evaluator=f)`` keeps the old ``batch``, so a replaced evaluator must be
+    paired with a matching ``batch`` or with ``batch=None``.
     """
 
     domain: str
@@ -108,6 +123,9 @@ class HoloMap:
     # the same map in the other model, when known; lets Cayley transports
     # round-trip exactly instead of stacking coordinate changes
     twin: Optional["HoloMap"] = field(default=None, repr=False, compare=False)
+    batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.domain not in ("ball", "siegel"):
@@ -127,6 +145,27 @@ class HoloMap:
         return self.evaluator(q)
 
 
+def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
+    """Images under the Siegel-side map ``m`` of the rows of ``(z, w)``.
+
+    ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
+    arrays of the same shapes.  A map with ``batch`` runs on the whole
+    arrays, and every input and output row is checked as ``SiegelPoint``
+    checks it; a map without one is evaluated point by point.  Either way
+    the images equal the evaluator's bit for bit.
+    """
+    if m.domain != "siegel":
+        raise DomainError("evaluate_batch expects a Siegel-side map")
+    if m.batch is None:
+        images = [m.evaluator(SiegelPoint(zi, wi)) for zi, wi in zip(z, w)]
+        z_out = np.array([q.z for q in images], dtype=np.complex128)
+        return z_out, np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
+    check_siegel_arrays(z, w)
+    z, w = m.batch(z, w)
+    check_siegel_arrays(z, w)
+    return z, w
+
+
 def multipliers_consistent(lam: float, c: float) -> bool:
     """Ball and Siegel multipliers describe the same map iff lam * c = 1."""
     return abs(lam * c - 1.0) <= MULTIPLIER_CONSISTENCY * max(1.0, lam)
@@ -141,6 +180,9 @@ def make_siegel_linear(lam: float, n_dim: int) -> HoloMap:
     def ev(q: SiegelPoint) -> SiegelPoint:
         return SiegelPoint(lam * q.z, root * q.w)
 
+    def batch(z: np.ndarray, w: np.ndarray) -> tuple:
+        return lam * z, root * w
+
     return HoloMap(
         domain="siegel",
         dim=n_dim,
@@ -150,6 +192,7 @@ def make_siegel_linear(lam: float, n_dim: int) -> HoloMap:
         intertwiner=lambda q: q.z,
         name="siegel_linear",
         params={"lambda": float(lam), "N": int(n_dim)},
+        batch=batch,
     )
 
 
@@ -166,6 +209,9 @@ def make_halfplane_affine(lam: float, b: float, n_dim: int) -> HoloMap:
     def ev(q: SiegelPoint) -> SiegelPoint:
         return SiegelPoint(lam * q.z + 1j * b, root * q.w)
 
+    def batch(z: np.ndarray, w: np.ndarray) -> tuple:
+        return lam * z + 1j * b, root * w
+
     return HoloMap(
         domain="siegel",
         dim=n_dim,
@@ -175,6 +221,7 @@ def make_halfplane_affine(lam: float, b: float, n_dim: int) -> HoloMap:
         intertwiner=lambda q: q.z + 1j * drift,
         name="halfplane_affine",
         params={"lambda": float(lam), "b": float(b), "N": int(n_dim)},
+        batch=batch,
     )
 
 
@@ -188,9 +235,17 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
     if not a_mult > 1.0:
         raise DomainError("hyperbolicity requires A > 1")
 
+    def image_z(z: complex, w1: complex) -> complex:
+        return a_mult * z + a_mult * w1 * w1 * psi(z)
+
     def ev(q: SiegelPoint) -> SiegelPoint:
-        w1 = complex(q.w[0])
-        return SiegelPoint(a_mult * q.z + a_mult * w1 * w1 * psi(q.z), np.zeros(1, dtype=np.complex128))
+        return SiegelPoint(image_z(q.z, complex(q.w[0])), np.zeros(1, dtype=np.complex128))
+
+    def batch(z: np.ndarray, w: np.ndarray) -> tuple:
+        # Python complex per row: numpy's complex product, log and division
+        # round differently in the last bit
+        images = [image_z(zi, wi) for zi, wi in zip(z.tolist(), w[:, 0].tolist())]
+        return np.array(images, dtype=np.complex128), np.zeros_like(w)
 
     def sigma(q: SiegelPoint) -> complex:
         w1 = complex(q.w[0])
@@ -205,6 +260,7 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
         intertwiner=sigma,
         name="valiron_example",
         params={"A": float(a_mult), "psi": psi.describe()},
+        batch=batch,
     )
 
 
@@ -267,14 +323,23 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 
 
 def conjugate_map(m: HoloMap, t) -> HoloMap:
-    """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity."""
-    from .geometry import apply_automorphism, apply_automorphism_inverse
+    """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
+    It has a ``batch`` when ``m`` has one; that checks the rows of
+    T^-1(q) and of their images, as the evaluator's points do.
+    """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")
+    t_inv = t.inverse()
 
     def ev(q: SiegelPoint) -> SiegelPoint:
-        return apply_automorphism(t, m.evaluator(apply_automorphism_inverse(t, q)))
+        return apply_automorphism(t, m.evaluator(apply_automorphism(t_inv, q)))
+
+    batch = None
+    if m.batch is not None:
+        def batch(z: np.ndarray, w: np.ndarray) -> tuple:
+            pre = apply_automorphism_arrays(t_inv, z, w)
+            return apply_automorphism_arrays(t, *evaluate_batch(m, *pre))
 
     return HoloMap(
         domain="siegel",
@@ -285,6 +350,7 @@ def conjugate_map(m: HoloMap, t) -> HoloMap:
         intertwiner=None,
         name=m.name + "_conj",
         params=dict(m.params),
+        batch=batch,
     )
 
 

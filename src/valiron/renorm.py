@@ -15,6 +15,12 @@ one step at a time via S_{n+1} = (L_{n+1} o phi o L_n^{-1})(S_n), which keeps
 every stored quantity O(1); the base scale itself is stored in log-space.
 The update is algebraically identical to direct iteration.
 
+Every point of a step shares the base scales, so a step is one map
+evaluation on arrays: ``maps.evaluate_batch`` advances the whole grid (and
+the grid images) at once for maps with a closed-form ``batch``, and point
+by point for black-box maps.  Only the base orbit is stepped as a single
+point.
+
 Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
 run_valiron stores the pairs it used on the result, and
 ValironResult.sigma_at replays the same step over the stored pairs for new
@@ -45,12 +51,18 @@ from .geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     apply_automorphism,
-    apply_automorphism_inverse,
     cayley_to_ball,
     cayley_to_siegel,
+    divide_by_real,
     norm_sq,
 )
-from .maps import HoloMap, ScaleOverflowError, conjugate_map, make_siegel_map_from_ball
+from .maps import (
+    HoloMap,
+    ScaleOverflowError,
+    conjugate_map,
+    evaluate_batch,
+    make_siegel_map_from_ball,
+)
 
 MIN_GRID_HEIGHT = 0.1
 HYPERBOLICITY_MARGIN = 1e-6
@@ -145,22 +157,24 @@ class RenormalizedState:
         return float(max(parts))
 
 
-def _pack(points: Sequence[SiegelPoint], x0: float):
-    """S_0 = (z / x0, w / sqrt(x0)) at each point, as arrays."""
-    root = math.sqrt(x0)
-    sigma = np.array([p.z / x0 for p in points], dtype=np.complex128)
-    if points[0].w.size:
-        v = np.array([p.w / root for p in points], dtype=np.complex128)
-    else:
-        v = np.zeros((len(points), 0), dtype=np.complex128)
-    return sigma, v
+def _coords(points: Sequence[SiegelPoint]):
+    """The points' (z, w) as arrays of shapes (n,) and (n, N-1)."""
+    z = np.array([p.z for p in points], dtype=np.complex128)
+    w = np.array([p.w for p in points], dtype=np.complex128)
+    return z, w.reshape(len(points), points[0].dim - 1)
+
+
+def _pack(z: np.ndarray, w: np.ndarray, x: float):
+    """Renormalized coordinates (z / x, w / sqrt(x)) of the rows."""
+    return divide_by_real(z, x), w / math.sqrt(x)
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
     x0 = base.z.real
     root = math.sqrt(x0)
-    sigma, v = _pack(grid.points, x0)
-    sigma_img, v_img = _pack([m.evaluator(p) for p in grid.points], x0)
+    z, w = _coords(grid.points)
+    sigma, v = _pack(z, w, x0)
+    sigma_img, v_img = _pack(*evaluate_batch(m, z, w), x0)
     return RenormalizedState(
         n=0,
         log_x=math.log(x0),
@@ -173,21 +187,14 @@ def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> Renorm
     )
 
 
-def _advance_group(m: HoloMap, sigma, v, x_n, x_next, root_n, root_next):
-    new_sigma = np.empty_like(sigma)
-    new_v = np.empty_like(v)
-    for j in range(sigma.size):
-        big = SiegelPoint(x_n * sigma[j], root_n * v[j])
-        image = m.evaluator(big)
-        new_sigma[j] = image.z / x_next
-        new_v[j] = image.w / root_next
-    return new_sigma, new_v
+def _advance_group(m: HoloMap, sigma, v, x_n, x_next):
+    return _pack(*evaluate_batch(m, x_n * sigma, math.sqrt(x_n) * v), x_next)
 
 
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
-    De-normalizing for the black-box evaluation needs x_n as a float, so a
+    De-normalizing for the map evaluation needs x_n as a float, so a
     scale ceiling still exists; it is checked up-front and raised loudly
     instead of silently producing infinities.
     """
@@ -207,10 +214,8 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
         raise DomainError("base orbit left the Siegel domain")
     root_next = math.sqrt(x_next)
 
-    sigma, v = _advance_group(m, state.sigma, state.v, x_n, x_next, root_n, root_next)
-    sigma_img, v_img = _advance_group(
-        m, state.sigma_img, state.v_img, x_n, x_next, root_n, root_next
-    )
+    sigma, v = _advance_group(m, state.sigma, state.v, x_n, x_next)
+    sigma_img, v_img = _advance_group(m, state.sigma_img, state.v_img, x_n, x_next)
     return RenormalizedState(
         n=state.n + 1,
         log_x=state.log_x + math.log(ratio),
@@ -277,11 +282,9 @@ class ValironResult:
             return np.zeros(0, dtype=np.complex128)
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
-        sigma, v = _pack(points, self.base.z.real)
+        sigma, v = _pack(*_coords(points), self.base.z.real)
         for x_n, x_next in self.scale_pairs:
-            sigma, v = _advance_group(
-                self.map, sigma, v, x_n, x_next, math.sqrt(x_n), math.sqrt(x_next)
-            )
+            sigma, v = _advance_group(self.map, sigma, v, x_n, x_next)
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
@@ -437,7 +440,8 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
     one = SiegelPoint(1.0, np.zeros(result.map.dim - 1, dtype=np.complex128))
     if result.base != one:
         raise DomainError("transport is normalized at base (1, 0)")
-    z0 = apply_automorphism_inverse(t, one)
+    t_inv = t.inverse()
+    z0 = apply_automorphism(t_inv, one)
     sigma_z0 = complex(result.sigma_at([z0])[0])
     if not sigma_z0.real > 0.0:
         raise DomainError("transport normalizer must have positive real part")
@@ -452,7 +456,7 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
     inner = result  # closure over the original pipeline
 
     def transported_sigma(points):
-        pre = [apply_automorphism_inverse(t, p) for p in points]
+        pre = [apply_automorphism(t_inv, p) for p in points]
         return factor * inner.sigma_at(pre)
 
     drift = sigma_z0.imag / sigma_z0.real

@@ -20,6 +20,7 @@ from valiron.geometry import (
     apply_automorphism_inverse,
     cayley_to_ball,
     cayley_to_siegel,
+    check_siegel_arrays,
     e1_direction,
     first_coordinate_projection,
     halfplane_distance,
@@ -63,6 +64,20 @@ class TestModels:
                 SiegelPoint(z, w)
         with pytest.raises(DomainError, match="non-finite coordinates"):
             BallPoint([nan, 0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_w_is_non_finite_but_an_overflowing_norm_is_outside(self):
+        inf = math.inf
+        for w in ([inf], [-inf], [complex(0, inf)], [1.0, inf], [1e200, inf]):
+            with pytest.raises(DomainError, match="non-finite coordinates"):
+                SiegelPoint(2, w)
+            with pytest.raises(DomainError, match="non-finite coordinates"):
+                check_siegel_arrays(np.array([2 + 0j]), np.array([w], dtype=np.complex128))
+        for w in ([1e200], [1e160, 1e160]):
+            with pytest.raises(DomainError, match="not strictly inside"):
+                SiegelPoint(2, w)
+            with pytest.raises(DomainError, match="not strictly inside"):
+                check_siegel_arrays(np.array([2 + 0j]), np.array([w], dtype=np.complex128))
 
     def test_boundary_direction_needs_unit_norm(self):
         BoundaryDirection([1.0, 0.0])

@@ -118,18 +118,52 @@ class TestRunValiron:
             assert np.array_equal(result.sigma_at(images), result.sigma_image)
 
     def test_sigma_at_evaluates_only_the_probes(self):
+        """One batch call of len(pts) rows per stored step, no scalar call."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
-        calls = []
-        evaluator = result.map.evaluator
+        m = result.map
+        scalar_calls, batch_rows = [], []
 
-        def counting(q):
-            calls.append(q)
-            return evaluator(q)
+        def counting_scalar(q):
+            scalar_calls.append(q)
+            return m.evaluator(q)
 
-        counted = replace(result, map=replace(result.map, evaluator=counting))
+        def counting_batch(z, w):
+            batch_rows.append(len(z))
+            return m.batch(z, w)
+
+        counted = replace(result, map=replace(m, evaluator=counting_scalar, batch=counting_batch))
         pts = [sample_siegel(2, s, 62) for s in range(5)]
         assert np.array_equal(counted.sigma_at(pts), result.sigma_at(pts))
-        assert len(calls) == len(pts) * result.n_stop
+        assert batch_rows == [len(pts)] * result.n_stop
+        assert scalar_calls == []
+
+    def test_scalar_cost_does_not_grow_with_the_grid(self, monkeypatch):
+        """A batch map steps the grid on arrays: grid size adds no scalar work."""
+        m = make_halfplane_affine(1.05, 1.0, 2)
+        rng = np.random.default_rng(8)
+
+        def grid(n):
+            w = rng.uniform(0.0, 0.7, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+            z = np.abs(w) ** 2 + rng.uniform(0.5, 4.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+            return EvaluationGrid([SiegelPoint(zi, [wi]) for zi, wi in zip(z, w)])
+
+        def costs(g):
+            evals, points = [], []
+            init = SiegelPoint.__init__
+
+            def counting_init(self, *args):
+                points.append(1)
+                init(self, *args)
+
+            counted = replace(m, evaluator=lambda q: evals.append(q) or m.evaluator(q))
+            monkeypatch.setattr(SiegelPoint, "__init__", counting_init)
+            result = run_valiron(counted, g)
+            monkeypatch.undo()
+            return result.n_stop, len(evals), len(points)
+
+        small, large = costs(grid(10)), costs(grid(1000))
+        assert small == large
+        assert small[0] == 200
 
     def test_off_grid_evaluation_matches_oracle(self):
         psi = PsiChoice("cayley")
