@@ -3,14 +3,19 @@
 A sequence tending to the vertex at infinity is classified three independent
 ways and the verdicts are cross-checked:
 
-(i)   membership of the tail in a Koranyi region K(INFINITY, M), sweeping a
-      fixed M grid;
+(i)   membership of the tail in a Koranyi region K(INFINITY, M), over the
+      whole fixed M grid at once;
 (ii)  boundedness of the Kobayashi distances to the first-coordinate axis,
-      k(Z_n, p_1(Z_n)), computed through the full two-point machinery;
+      k(Z_n, p_1(Z_n)), from the two-point distance formula;
 (iii) raw ratio bounds ||w_n||^2 <= a x_n (a < 1) and |y_n| <= T x_n.
 
 These are equivalent characterizations; a disagreement outside the ambiguity
 band is a defect, not a representable state, and raises.
+
+The tail is packed once into a ``SiegelBatch`` and every route runs on its
+arrays, with the values and errors of the point-by-point computation.
+Orbits stay point by point: ``compute_orbit`` steps the map one point at a
+time.
 """
 
 from __future__ import annotations
@@ -23,14 +28,11 @@ import numpy as np
 
 from .geometry import (
     DomainError,
+    SiegelBatch,
     SiegelPoint,
-    first_coordinate_projection,
     halfplane_distance,
-    kobayashi_distance,
-    koranyi_margin,
-    koranyi_region_at_infinity,
+    max_kobayashi,
     norm_sq,
-    project,
     siegel_height,
 )
 from .maps import HoloMap, ScaleOverflowError, _rng_for
@@ -38,6 +40,7 @@ from .maps import HoloMap, ScaleOverflowError, _rng_for
 SPECIAL_RESIDUAL_TOL = 1e-6
 AMBIGUITY_BAND = 1e-9
 M_GRID = (1.1, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+_M_GRID = np.array(M_GRID)
 MIN_TAIL = 8
 INFINITY_THRESHOLD = 100.0
 MIN_ORBIT_FOR_ESTIMATES = 16
@@ -148,47 +151,48 @@ class SequenceClassification:
     m_predicted: float
 
 
-def _check_tends_to_infinity(points: Sequence[SiegelPoint], t0: int) -> None:
-    mods = [abs(p.z) for p in points[t0:]]
-    increasing = all(b > a * (1.0 - 1e-12) for a, b in zip(mods, mods[1:]))
+def _check_tends_to_infinity(mods: np.ndarray) -> None:
+    increasing = (mods[1:] > mods[:-1] * (1.0 - 1e-12)).all()
     if not increasing or mods[-1] < INFINITY_THRESHOLD:
         raise NotTendingToInfinityError(
             "tail moduli must increase beyond "
-            f"{INFINITY_THRESHOLD:g}; got final |z| = {mods[-1]!r}"
+            f"{INFINITY_THRESHOLD:g}; got final |z| = {float(mods[-1])!r}"
         )
 
 
 def classify_sequence(points: Sequence[SiegelPoint]) -> SequenceClassification:
     """Classify a sequence tending to infinity; see module docstring.
 
+    ``points`` is a ``SiegelBatch`` or any sequence of points; the tail is
+    packed into one batch once, and every route runs on its arrays.
+
     Raises NotTendingToInfinityError when the tail does not escape,
     AmbiguousClassificationError when a witness falls inside the band, and
     ClassificationDisagreementError if the three routes contradict each
     other outside the band (which would indicate a defect, not data).
     """
-    points = tuple(points)
+    if not isinstance(points, SiegelBatch):
+        points = tuple(points)
     if len(points) < 2:
         raise OrbitTooShortError("need at least 2 points to classify")
     t0 = tail_start(len(points))
-    _check_tends_to_infinity(points, t0)
-    tail = points[t0:]
-
-    x = np.array([p.z.real for p in tail])
-    y = np.array([p.z.imag for p in tail])
-    wsq = np.array([norm_sq(p.w) for p in tail])
+    tail = SiegelBatch.from_points(points[t0:])
+    x, y = tail.z.real, tail.z.imag
+    mods = np.hypot(x, y)  # abs(z), bit for bit
+    _check_tends_to_infinity(mods)
 
     # route (iii): raw ratio witnesses
-    residuals = wsq / x
-    a_w = float(np.max(residuals))
-    t_w = float(np.max(np.abs(y) / x))
+    residuals = tail.norm_sq() / x
+    a_w = float(residuals.max())
+    t_w = float((np.abs(y) / x).max())
 
     if abs(a_w - 1.0) <= AMBIGUITY_BAND:
         raise AmbiguousClassificationError("||w||^2/x witness inside the band at 1")
 
-    # route (ii): Kobayashi distance to the axis, through the full pipeline
-    rho = first_coordinate_projection(tail[0].dim)
-    dists = np.array([kobayashi_distance(p, project(rho, p)) for p in tail])
-    c_w = float(np.max(dists)) if np.all(np.isfinite(dists)) else math.inf
+    # route (ii): Kobayashi distance to the axis, from the two-point formula
+    c_w = max_kobayashi(tail.axis_tanh())
+    if not math.isfinite(c_w):
+        c_w = math.inf  # a NaN distance bounds nothing either
 
     c_special_present = a_w < 1.0 and math.isfinite(c_w)
     # routes (ii) and (iii) must agree: max distance == atanh(sqrt(a))
@@ -199,18 +203,11 @@ def classify_sequence(points: Sequence[SiegelPoint]) -> SequenceClassification:
                 f"axis-distance witness {c_w!r} vs ratio witness {expected_c!r}"
             )
 
-    # route (i): least amplitude on the grid containing the whole tail
-    koranyi_m = None
-    for m_amp in M_GRID:
-        region = koranyi_region_at_infinity(m_amp)
-        margins = [koranyi_margin(region, p) for p in tail]
-        scales = [max(1.0, abs(p.z)) for p in tail]
-        if all(mg > AMBIGUITY_BAND * sc for mg, sc in zip(margins, scales)):
-            koranyi_m = m_amp
-            break
-        if any(abs(mg) <= AMBIGUITY_BAND * sc for mg, sc in zip(margins, scales)):
-            # boundary-grazing tail for this amplitude: not a clean witness
-            continue
+    # route (i): least amplitude on the grid whose region holds the whole
+    # tail clear of the band
+    inside = (tail.koranyi_margins(_M_GRID) > AMBIGUITY_BAND * np.maximum(1.0, mods)).all(axis=1)
+    first = int(inside.argmax())
+    koranyi_m = M_GRID[first] if inside[first] else None
 
     m_pred = math.sqrt(1.0 + t_w * t_w) / (1.0 - a_w) if a_w < 1.0 else math.inf
 
@@ -236,7 +233,7 @@ def classify_sequence(points: Sequence[SiegelPoint]) -> SequenceClassification:
                 f"koranyi witness ~ {m_pred!r} beyond the amplitude grid"
             )
 
-    special = bool(np.all(residuals < SPECIAL_RESIDUAL_TOL)) and residuals[-1] <= residuals[0]
+    special = bool((residuals < SPECIAL_RESIDUAL_TOL).all()) and residuals[-1] <= residuals[0]
 
     return SequenceClassification(
         special=special,

@@ -15,9 +15,11 @@ points inside the slack band are rejected, never clamped.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +63,7 @@ def herm(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def norm_sq(u: np.ndarray) -> float:
-    return float(np.real(np.dot(u, np.conjugate(u))))
+    return float(np.dot(u, np.conjugate(u)).real)
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,217 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
     if not clear.all():
         for i in np.flatnonzero(~clear):
             SiegelPoint(z[i], w[i])
+
+
+def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
+    """A SiegelPoint from coordinates that already passed its checks.
+
+    ``w`` must be a read-only row; ``SiegelBatch`` hands out its rows so.
+    """
+    p = object.__new__(SiegelPoint)
+    p.__dict__.update(z=z, w=w)
+    return p
+
+
+def _row_herm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``herm(u[i], v[i])`` for every row, bit for bit.
+
+    ``v`` may be a single vector.  The row-by-row matrix product runs the
+    dot kernel that ``herm`` runs, so it rounds the same; a sum of
+    elementwise products, or ``u @ v.conj()``, does not.
+    """
+    v = v.conj()[..., :, None] if v.ndim == 2 else v.conj()[None, :, None]
+    return (u[:, None, :] @ v)[:, 0, 0]
+
+
+def _python_square(mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
+    """``mod ** 2`` row by row, as Python's float power computes it.
+
+    That is libm's ``pow``, which rounds ``v * v`` differently for about one
+    v in a thousand, and it raises where Python raises, with the error of
+    the first such row: ``** 2`` overflowing from a finite ``mod``, or, when
+    ``mod`` is ``abs`` of the complex ``parts``, ``abs`` overflowing from
+    finite parts.  Call it with overflow warnings off.
+    """
+    sq = np.float_power(mod, 2.0)
+    if not sq.max() < math.inf:
+        pow_over = np.isinf(sq) & np.isfinite(mod)
+        bad = pow_over if parts is None else pow_over | (np.isinf(mod) & np.isfinite(parts))
+        if bad.any():
+            if pow_over[bad.argmax()]:
+                raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+            raise OverflowError("absolute value too large")
+    return sq
+
+
+@dataclass(frozen=True, eq=False)
+class SiegelBatch:
+    """Read-only sequence of points of H^N held as arrays.
+
+    ``z`` has shape (n,) and ``w`` shape (n, N-1).  The rows are checked
+    once, by ``check_siegel_arrays``, when the batch is built; ``len``,
+    integer indexing and iteration then hand out ``SiegelPoint``s without
+    checking them again, and a slice is again a batch.  The array forms
+    below give, row by row, the bits of the scalar functions they name.
+    """
+
+    z: np.ndarray
+    w: np.ndarray
+    # made on first use: norm_sq of the rows, and the rows as points
+    _nsq = None
+    _row_points = None
+
+    def __init__(self, z: Iterable[complex], w: Iterable):
+        z = np.array(z, dtype=np.complex128)
+        w = np.array(w, dtype=np.complex128)
+        if z.ndim != 1 or w.ndim != 2 or w.shape[0] != z.shape[0]:
+            raise DomainError("a batch needs z of shape (n,) and w of shape (n, N-1)")
+        check_siegel_arrays(z, w)
+        z.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "w", w)
+
+    @classmethod
+    def _checked(cls, z: np.ndarray, w: np.ndarray) -> "SiegelBatch":
+        """Batch over read-only rows that already passed the checks of ``SiegelPoint``."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(z=z, w=w)
+        return batch
+
+    @classmethod
+    def from_points(cls, points: Sequence[SiegelPoint]) -> "SiegelBatch":
+        """Pack points into one batch; they were checked when they were made."""
+        if isinstance(points, SiegelBatch):
+            return points
+        points = tuple(points)
+        if not points:
+            raise DomainError("a batch needs at least one point")
+        try:
+            w = np.array([p.w for p in points], dtype=np.complex128)
+        except ValueError:
+            raise DomainError("points of different dimensions") from None
+        z = np.array([p.z for p in points], dtype=np.complex128)
+        w = w.reshape(len(points), points[0].dim - 1)
+        z.setflags(write=False)
+        w.setflags(write=False)
+        return cls._checked(z, w)
+
+    def __len__(self) -> int:
+        return self.z.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            if i.indices(len(self)) == (0, len(self), 1):
+                return self  # as a tuple's whole slice is the tuple
+            part = SiegelBatch._checked(self.z[i], self.w[i])
+            if self._nsq is not None:
+                object.__setattr__(part, "_nsq", self._nsq[i])
+            return part
+        return self._points()[i]
+
+    def __iter__(self):
+        return iter(self._points())
+
+    def _points(self) -> tuple:
+        """The rows as points, made on first use."""
+        if self._row_points is None:
+            points = tuple(map(_checked_point, self.z.tolist(), self.w))
+            object.__setattr__(self, "_row_points", points)
+        return self._row_points
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SiegelBatch)
+            and np.array_equal(self.z, other.z)
+            and np.array_equal(self.w, other.w)
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.w.shape[1] + 1
+
+    def norm_sq(self) -> np.ndarray:
+        """``norm_sq(w)`` of every row, computed once."""
+        if self._nsq is None:
+            nsq = _row_herm(self.w, self.w).real
+            nsq.setflags(write=False)
+            object.__setattr__(self, "_nsq", nsq)
+        return self._nsq
+
+    def height(self) -> np.ndarray:
+        """``siegel_height`` of every row."""
+        return self.z.real - self.norm_sq()
+
+    def koranyi_margins(self, amplitudes: Sequence[float]) -> np.ndarray:
+        """``koranyi_margin(K(INFINITY, M), row)``, shape (len(amplitudes), n)."""
+        x = self.z.real
+        m = np.asarray(amplitudes, dtype=np.float64)[:, None]
+        return (x - np.hypot(x + 1.0, self.z.imag) / m) - self.norm_sq()
+
+    def axis_tanh(self) -> np.ndarray:
+        """tanh of ``kobayashi_distance(row, project(p_1, row))`` for every row.
+
+        The formula of ``kobayashi_tanh`` with the axis image ``(z, 0)`` put
+        in: the cross term vanishes, the image has height ``Re z`` and
+        ``z_Q + conj(z_P)`` is ``2 Re z``, so this rounds, and raises, as
+        the full formula does on the projected rows.
+        """
+        x = self.z.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_x = x + x
+            ratio = 4.0 * self.height() * x / _python_square(two_x)
+            return np.sqrt(np.maximum(1.0 - ratio, 0.0))
+
+    def kobayashi_tanh(self, other: "SiegelBatch") -> np.ndarray:
+        """tanh of ``kobayashi_distance(self[i], other[i])`` for every row.
+
+        Rows where the distance is 0 give 0, rows where it is infinite give
+        values >= 1, and NaN stays NaN; ``max_kobayashi`` turns these into
+        the largest distance.  Raises the ``OverflowError`` that the scalar
+        distance raises on the first row where it overflows.
+        """
+        if self.dim != other.dim:
+            raise DomainError("dimension mismatch")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = other.z + self.z.conj() - 2.0 * _row_herm(other.w, self.w)
+            denom = _python_square(np.hypot(s.real, s.imag), s)
+            ratio = 4.0 * self.height() * other.height() / denom
+            return np.sqrt(np.maximum(1.0 - ratio, 0.0))
+
+    def project(self, rho: "LinearProjectionAtInfinity") -> "SiegelBatch":
+        """``project(rho, row)`` for every row, with its check and message."""
+        a = rho.a
+        if a.size != self.w.shape[1]:
+            raise DomainError("projection vector dimension mismatch")
+        z = self.z + 2.0 * norm_sq(a) + 2.0 * _row_herm(self.w, a)
+        w = np.empty_like(self.w)
+        w[:] = -a
+        try:
+            check_siegel_arrays(z, w)
+        except DomainError as exc:
+            raise DomainError(f"projected image left the Siegel domain: {exc}") from exc
+        z.setflags(write=False)
+        w.setflags(write=False)
+        return SiegelBatch._checked(z, w)
+
+    def left_inverse(self, rho: "LinearProjectionAtInfinity") -> np.ndarray:
+        """``left_inverse_value(rho, row)`` for every row."""
+        a = rho.a
+        if a.size != self.w.shape[1]:
+            raise DomainError("projection vector dimension mismatch")
+        return self.z + norm_sq(a) + 2.0 * _row_herm(self.w, a)
+
+
+def max_kobayashi(tanh: np.ndarray) -> float:
+    """Largest distance ``atanh`` of ``SiegelBatch.kobayashi_tanh`` values.
+
+    As ``np.max`` of the scalar distances: NaN wins, then infinity (tanh
+    >= 1).  ``atanh`` is monotone, so one ``math.atanh`` of the largest
+    value is the largest distance.
+    """
+    top = float(np.max(tanh))
+    return math.inf if top >= 1.0 else math.atanh(top)
 
 
 def divide_by_real(z: np.ndarray, x: float) -> np.ndarray:

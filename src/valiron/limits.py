@@ -12,10 +12,15 @@ E0-limit definitions:
 Every generated sequence re-classifies (dynamics.classify_sequence) as its
 declared kind; verdicts are computed from tail values with an explicit
 no-limit witness requirement.
+
+A family is generated as one array computation over its seeds and ladder
+rungs and checked once; each sequence is a ``SiegelBatch``.  The probed
+functions ``h`` stay scalar: a probe evaluates ``h`` point by point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -26,10 +31,11 @@ from .dynamics import tail_start
 from .geometry import (
     DomainError,
     LinearProjectionAtInfinity,
+    SiegelBatch,
     SiegelPoint,
-    first_coordinate_projection,
-    kobayashi_distance,
+    check_siegel_arrays,
     left_inverse_value,
+    max_kobayashi,
     norm_sq,
     project,
 )
@@ -79,12 +85,11 @@ class ApproachFamily:
             raise DomainError("scale ladder must increase")
 
 
+@functools.lru_cache(maxsize=64)
 def _unit_direction(n_dim: int, phase: float = 0.0) -> tuple:
     if n_dim == 1:
         return ()
-    u = np.zeros(n_dim - 1, dtype=np.complex128)
-    u[0] = np.exp(1j * phase)
-    return tuple(u.tolist())
+    return (complex(np.exp(1j * phase)),) + (0j,) * (n_dim - 2)
 
 
 def radial_family(n_dim: int, ladder: tuple = DEFAULT_LADDER) -> ApproachFamily:
@@ -162,22 +167,33 @@ def koranyi_family(
     )
 
 
-def _point_for(family: ApproachFamily, seed: ApproachSeed, rung: int) -> SiegelPoint:
-    r = family.ladder[rung]
-    z = r * complex(math.cos(seed.theta), math.sin(seed.theta))
+def _family_arrays(family: ApproachFamily, seeds: Sequence[ApproachSeed]):
+    """(z, w) of every (seed, rung) point, shapes (S, R) and (S, R, N-1).
+
+    Each entry has the bits of the point built one at a time: z is
+    ``r * complex(cos theta, sin theta)``, and w is the seed direction
+    scaled by the strength of the family's kind, zero when s = 0.  Both
+    products take the real factor as ``r + 0j``, as Python and numpy do.
+    """
+    zero = (0j,) * (family.n_dim - 1)
+    s = np.array([sd.s for sd in seeds])
+    u = np.array([sd.u if sd.s != 0.0 else zero for sd in seeds], dtype=np.complex128)
+    turn = np.array([complex(math.cos(sd.theta), math.sin(sd.theta)) for sd in seeds])
+    z = turn[:, None] * np.array(family.ladder, dtype=np.complex128)
     x = z.real
-    u = seed.direction()
-    if family.n_dim == 1 or seed.s == 0.0:
-        return SiegelPoint(z, np.zeros(family.n_dim - 1, dtype=np.complex128))
     if family.kind == "koranyi":
-        margin = x - abs(z + 1.0) / family.amplitude
-        wsq = seed.s * seed.s * max(margin, 0.0)
-        return SiegelPoint(z, math.sqrt(wsq) * u)
-    if family.kind == "zero-special-restricted":
-        strength = seed.s / math.sqrt(rung + 1.0)
+        margin = x - np.hypot(x + 1.0, z.imag) / family.amplitude
+        size = np.sqrt((s * s)[:, None] * np.maximum(margin, 0.0))
     else:
-        strength = seed.s
-    return SiegelPoint(z, strength * math.sqrt(x) * u)
+        # a rung <= 0 puts its row outside the domain, and the point check
+        # rejects it; the clamp only keeps the square root quiet
+        size = np.sqrt(np.maximum(x, 0.0))
+        if family.kind == "zero-special-restricted":
+            size *= s[:, None] / np.sqrt(np.arange(1.0, x.shape[1] + 1.0))
+        else:
+            size *= s[:, None]
+    w = size.astype(np.complex128)[:, :, None] * u.reshape(len(seeds), 1, family.n_dim - 1)
+    return z, w
 
 
 def generate_sequences(
@@ -185,8 +201,11 @@ def generate_sequences(
 ) -> list:
     """Deterministic list of sequences: canonical seeds first, then drawn.
 
-    Drawn seeds use per-index counter-based randomness so the output is
-    independent of evaluation order.
+    Each sequence is a ``SiegelBatch`` over the ladder.  The whole family
+    is one array computation, checked once; a point outside the domain
+    raises the ``DomainError`` of the first such point, seed by seed and
+    rung by rung.  Drawn seeds use per-index counter-based randomness so
+    the output is independent of evaluation order.
     """
     seeds = list(family.seeds)
     if count is None:
@@ -206,9 +225,12 @@ def generate_sequences(
         phase = rng.uniform(0.0, 2.0 * math.pi)
         seeds.append(ApproachSeed(theta, s, _unit_direction(family.n_dim, phase)))
     seeds = seeds[:count]
-    return [
-        [_point_for(family, sd, k) for k in range(len(family.ladder))] for sd in seeds
-    ]
+    z, w = _family_arrays(family, seeds)
+    rows, rungs = z.shape
+    check_siegel_arrays(z.reshape(rows * rungs), w.reshape(rows * rungs, family.n_dim - 1))
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return list(map(SiegelBatch._checked, z, w))
 
 
 @dataclass(frozen=True)
@@ -431,27 +453,25 @@ def projection_invariance_check(
     against the projected line, and the restriction witnesses of both
     shadows; the lemma says each pair must agree in the limit.
     """
-    points = list(points)
+    points = SiegelBatch.from_points(points)
     dists = np.array([projection_distance(q, rho) for q in points])
     t0 = tail_start(len(points))
     tail = dists[t0:]
     max_tail = float(np.max(tail))
     monotone = bool(np.all(np.diff(dists) <= 1e-12))
 
-    p1 = first_coordinate_projection(points[0].dim)
-    axis_d = [kobayashi_distance(q, project(p1, q)) for q in points[t0:]]
-    proj_d = [kobayashi_distance(q, project(rho, q)) for q in points[t0:]]
-    xs = np.array([q.z.real for q in points[t0:]])
-    ys = np.array([q.z.imag for q in points[t0:]])
-    lv = np.array([left_inverse_value(rho, q) for q in points[t0:]])
+    shadows = points[t0:]
+    c_axis = max_kobayashi(shadows.axis_tanh())
+    c_projected = max_kobayashi(shadows.kobayashi_tanh(shadows.project(rho)))
+    lv = shadows.left_inverse(rho)
     return ProjectionInvarianceReport(
         distances=dists,
         max_tail=max_tail,
         monotone=monotone,
         passed=max_tail < tol,
-        c_witness_axis=float(np.max(axis_d)),
-        c_witness_projected=float(np.max(proj_d)),
-        restricted_axis_t=float(np.max(np.abs(ys) / xs)),
+        c_witness_axis=c_axis,
+        c_witness_projected=c_projected,
+        restricted_axis_t=float(np.max(np.abs(shadows.z.imag) / shadows.z.real)),
         restricted_projected_t=float(np.max(np.abs(lv.imag) / lv.real)),
     )
 

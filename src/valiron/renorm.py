@@ -49,6 +49,7 @@ from .geometry import (
     BallPoint,
     DomainError,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
     apply_automorphism,
     cayley_to_ball,
@@ -157,13 +158,6 @@ class RenormalizedState:
         return float(max(parts))
 
 
-def _coords(points: Sequence[SiegelPoint]):
-    """The points' (z, w) as arrays of shapes (n,) and (n, N-1)."""
-    z = np.array([p.z for p in points], dtype=np.complex128)
-    w = np.array([p.w for p in points], dtype=np.complex128)
-    return z, w.reshape(len(points), points[0].dim - 1)
-
-
 def _pack(z: np.ndarray, w: np.ndarray, x: float):
     """Renormalized coordinates (z / x, w / sqrt(x)) of the rows."""
     return divide_by_real(z, x), w / math.sqrt(x)
@@ -172,9 +166,9 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
     x0 = base.z.real
     root = math.sqrt(x0)
-    z, w = _coords(grid.points)
-    sigma, v = _pack(z, w, x0)
-    sigma_img, v_img = _pack(*evaluate_batch(m, z, w), x0)
+    points = SiegelBatch.from_points(grid.points)
+    sigma, v = _pack(points.z, points.w, x0)
+    sigma_img, v_img = _pack(*evaluate_batch(m, points.z, points.w), x0)
     return RenormalizedState(
         n=0,
         log_x=math.log(x0),
@@ -282,7 +276,8 @@ class ValironResult:
             return np.zeros(0, dtype=np.complex128)
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
-        sigma, v = _pack(*_coords(points), self.base.z.real)
+        batch = SiegelBatch.from_points(points)
+        sigma, v = _pack(batch.z, batch.w, self.base.z.real)
         for x_n, x_next in self.scale_pairs:
             sigma, v = _advance_group(self.map, sigma, v, x_n, x_next)
         return sigma
