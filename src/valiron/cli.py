@@ -33,6 +33,7 @@ from .geometry import (
 from .limits import (
     e0_limit,
     e_limit,
+    first_coordinate_ratio_fn,
     jwc_check,
     k_limit,
     left_inverse_ratio_check,
@@ -298,9 +299,7 @@ def _verdict_line(label: str, verdict) -> str:
 
 
 def _cmd_limits(cfg, m, out_dir, seed) -> tuple:
-    def h(q: SiegelPoint) -> complex:
-        return m.evaluator(q).z / q.z
-
+    h = first_coordinate_ratio_fn(m)
     ladder = _ladder(cfg)
     vk = k_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=2, seed=seed)
     ve = e_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=1, seed=seed)

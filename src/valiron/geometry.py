@@ -51,6 +51,8 @@ INFINITY = _InfinityVertex()
 
 
 def _as_complex_vector(coords: Iterable[complex]) -> np.ndarray:
+    if isinstance(coords, np.ndarray) and coords.ndim == 1:
+        return coords.astype(np.complex128)  # a copy, a third of the tuple path's cost
     arr = np.asarray(tuple(coords), dtype=np.complex128)
     if arr.ndim != 1:
         raise DomainError("coordinates must form a one-dimensional vector")
@@ -66,6 +68,20 @@ def norm_sq(u: np.ndarray) -> float:
     return float(np.dot(u, np.conjugate(u)).real)
 
 
+def _quiet_norm_sq(u: np.ndarray) -> float:
+    """``norm_sq(u)`` without numpy's overflow and invalid-value warnings.
+
+    An infinite or huge coordinate makes the dot product overflow; the
+    point constructors reject such a point with their own message.  Only
+    such vectors are summed under ``np.errstate``, whose entry costs about
+    as much as the sum, on every point made.
+    """
+    if all(abs(c.real) < 1e100 and abs(c.imag) < 1e100 for c in u.tolist()):
+        return norm_sq(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm_sq(u)
+
+
 @dataclass(frozen=True)
 class BallPoint:
     """Point of the open unit ball B^N.
@@ -79,7 +95,7 @@ class BallPoint:
         arr = _as_complex_vector(coords)
         if arr.size < 1:
             raise DomainError("ball point needs at least one coordinate")
-        nsq = norm_sq(arr)
+        nsq = _quiet_norm_sq(arr)
         if math.isnan(nsq):
             raise DomainError("non-finite coordinates")
         if 1.0 - nsq <= BOUNDARY_SLACK:
@@ -145,7 +161,7 @@ class SiegelPoint:
     def __init__(self, z: complex, w: Iterable[complex] = ()):
         zc = complex(z)
         arr = _as_complex_vector(w)
-        nsq = norm_sq(arr)
+        nsq = _quiet_norm_sq(arr)
         if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or (
             not math.isfinite(nsq) and (math.isnan(nsq) or not np.isfinite(arr).all())
         ):
@@ -681,8 +697,8 @@ def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarra
     """Apply t to every row of ``(z, w)``, bit for bit as ``apply_automorphism``.
 
     Shapes are (n,) and (n, N-1); rows are not validated.  The Hermitian
-    product of a Heisenberg translation stays a per-row ``herm``, because a
-    batched product rounds differently.
+    product of a Heisenberg translation is ``_row_herm``, which runs the
+    dot kernel of ``herm`` row by row.
     """
     if t.kind == "scale-translate":
         if not t.x > 0.0:
@@ -692,8 +708,7 @@ def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarra
         a = t.a
         if a.size != w.shape[1]:
             raise DomainError("translation vector dimension mismatch")
-        cross = np.array([herm(row, a) for row in w], dtype=np.complex128)
-        return z + norm_sq(a) + 2.0 * cross, w + a
+        return z + norm_sq(a) + 2.0 * _row_herm(w, a), w + a
     if t.kind == "composite":
         for f in t.factors:
             z, w = apply_automorphism_arrays(f, z, w)

@@ -14,14 +14,19 @@ declared kind; verdicts are computed from tail values with an explicit
 no-limit witness requirement.
 
 A family is generated as one array computation over its seeds and ladder
-rungs and checked once; each sequence is a ``SiegelBatch``.  The probed
-functions ``h`` stay scalar: a probe evaluates ``h`` point by point.
+rungs and checked once; each sequence is a ``SiegelBatch``.  A sweep stacks
+the sequences of all its families into one batch.  The probed functions of
+the map's images are ``MapProbe``s: the sweep evaluates the map once, with
+``maps.evaluate_batch``, and every probe of that map reads the same images,
+its values bit for bit those of the scalar function it names.  Any other
+function ``h`` of a point is evaluated point by point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,13 +38,12 @@ from .geometry import (
     LinearProjectionAtInfinity,
     SiegelBatch,
     SiegelPoint,
+    _row_herm,
     check_siegel_arrays,
-    left_inverse_value,
     max_kobayashi,
     norm_sq,
-    project,
 )
-from .maps import HoloMap, _rng_for
+from .maps import HoloMap, _rng_for, evaluate_batch
 
 DEFAULT_LADDER = tuple(10.0 ** k for k in range(1, 8))
 DEFAULT_TOL = 1e-3
@@ -267,18 +271,80 @@ def family_label(family: ApproachFamily) -> str:
     return f"{short}(C={family.c_param:g};T={family.t_param:g})"
 
 
+@dataclass(frozen=True, eq=False)
+class MapProbe:
+    """A probed function of the map's images, ``h(q) = f(q, phi(q))``.
+
+    ``f(points, images)`` takes the probed points and their images under
+    ``m`` as two ``SiegelBatch``es and returns the values of ``h`` row by
+    row, with the bits of the scalar function it stands for.  A sweep
+    evaluates ``m`` once for all of its probes of that map; calling a probe
+    on one point evaluates that point alone.
+    """
+
+    m: HoloMap
+    f: Callable[[SiegelBatch, SiegelBatch], np.ndarray]
+
+    def __call__(self, q: SiegelPoint) -> complex:
+        points = SiegelBatch.from_points((q,))
+        return complex(self.f(points, _images(self.m, points))[0])
+
+
+def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
+    """The images of the rows under ``m``, each row checked."""
+    z, w = evaluate_batch(m, points.z, points.w)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return SiegelBatch._checked(z, w)
+
+
+def _rows(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` on the rows of the columns as Python numbers.
+
+    Python's complex division and ``abs`` round, and raise, as the scalar
+    probes do; numpy's can differ in the last bit.
+    """
+    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.complex128)
+
+
 def probe_family(
-    h: Callable[[SiegelPoint], complex],
-    family: ApproachFamily,
-    count: Optional[int] = None,
+    probes: Sequence[Callable[[SiegelPoint], complex]],
+    families: Sequence[ApproachFamily],
+    extra: int = 0,
     seed: int = 0,
 ) -> list:
-    """Full value traces of h, one labelled ``(family_label, seq_index, values)`` per sequence."""
-    label = family_label(family)
-    return [
-        (label, i, np.array([h(p) for p in seq], dtype=np.complex128))
-        for i, seq in enumerate(generate_sequences(family, count=count, seed=seed))
-    ]
+    """Value traces of each probe along every family.
+
+    Each family is probed along its canonical seeds plus ``extra``
+    sequences drawn from ``seed``.  The rows of all the sequences are
+    stacked into one batch; the ``MapProbe``s of one map share a single
+    ``evaluate_batch`` of it, and any other probe is a point function,
+    called point by point.  Returns, for each probe, its labelled
+    ``(family_label, seq_index, values)`` traces, family by family.
+    """
+    seqs, spans = [], []  # spans: (family_label, seq_index, rows of the sequence)
+    for fam in families:
+        label = family_label(fam)
+        for i, seq in enumerate(generate_sequences(fam, count=len(fam.seeds) + extra, seed=seed)):
+            start = spans[-1][2].stop if spans else 0
+            spans.append((label, i, slice(start, start + len(seq))))
+            seqs.append(seq)
+    z = np.concatenate([s.z for s in seqs])
+    w = np.concatenate([s.w for s in seqs])
+    z.setflags(write=False)
+    w.setflags(write=False)
+    points = SiegelBatch._checked(z, w)
+    images = {}  # id(map) -> images of the points
+    out = []
+    for h in probes:
+        if isinstance(h, MapProbe):
+            if id(h.m) not in images:
+                images[id(h.m)] = _images(h.m, points)
+            values = h.f(points, images[id(h.m)])
+        else:
+            values = np.array([h(p) for p in points], dtype=np.complex128)
+        out.append([(label, i, values[rows]) for label, i, rows in spans])
+    return out
 
 
 def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
@@ -316,49 +382,44 @@ def estimate_limit(
     h: Callable[[SiegelPoint], complex],
     family: ApproachFamily,
     tol: float = DEFAULT_TOL,
-    count: Optional[int] = None,
+    extra: int = 0,
     seed: int = 0,
 ) -> LimitVerdict:
     """Probe h along one family; verdict from the last TAIL_VALUES rungs."""
-    return verdict_from_traces(probe_family(h, family, count=count, seed=seed), tol)
-
-
-def _sweep_verdict(h, families, tol, extra, seed) -> LimitVerdict:
-    """One verdict over every family, each probed along its canonical seeds
-    plus ``extra`` sequences drawn from ``seed``."""
-    traces = []
-    for fam in families:
-        traces += probe_family(h, fam, count=len(fam.seeds) + extra, seed=seed)
+    (traces,) = probe_family((h,), (family,), extra, seed)
     return verdict_from_traces(traces, tol)
+
+
+def _sweep_verdicts(probes, families, tol, extra, seed) -> list:
+    """One verdict per probe over every family; see ``probe_family``."""
+    return [verdict_from_traces(t, tol) for t in probe_family(probes, families, extra, seed)]
+
+
+def _e_families(n_dim: int, ladder: tuple) -> list:
+    return [c_special_family(c, t, n_dim, ladder) for c in C_SWEEP for t in T_SWEEP]
+
+
+def _e0_families(n_dim: int, ladder: tuple) -> list:
+    return [zero_special_family(c, t, n_dim, ladder) for c in C0_SWEEP for t in T_SWEEP]
 
 
 def k_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """K-limit surrogate: sweep Koranyi amplitudes M in M_SWEEP."""
     fams = [koranyi_family(m_amp, n_dim, ladder) for m_amp in M_SWEEP]
-    return _sweep_verdict(h, fams, tol, extra, seed)
+    return _sweep_verdicts((h,), fams, tol, extra, seed)[0]
 
 
 def e_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E-limit surrogate: sweep C-special restricted families over C x T."""
-    fams = [
-        c_special_family(c, t, n_dim, ladder)
-        for c in C_SWEEP
-        for t in T_SWEEP
-    ]
-    return _sweep_verdict(h, fams, tol, extra, seed)
+    return _sweep_verdicts((h,), _e_families(n_dim, ladder), tol, extra, seed)[0]
 
 
 def e0_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
              extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E0-limit surrogate: sweep zero-special families (small strengths)."""
-    fams = [
-        zero_special_family(c, t, n_dim, ladder)
-        for c in C0_SWEEP
-        for t in T_SWEEP
-    ]
-    return _sweep_verdict(h, fams, tol, extra, seed)
+    return _sweep_verdicts((h,), _e0_families(n_dim, ladder), tol, extra, seed)[0]
 
 
 # -- Boundary behavior checks --------------------------------------------------
@@ -374,36 +435,58 @@ class JWCReport:
     passed: bool
 
 
-def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity):
+def first_coordinate_ratio_fn(m: HoloMap) -> MapProbe:
+    """h(q) = phi_1(q) / z, the first image coordinate over z."""
+    return MapProbe(m, lambda points, images: _rows(operator.truediv, images.z, points.z))
+
+
+def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
     """h(q) = (rho~ o phi)(q) / rho~(q), the left-inverse comparison ratio."""
 
-    def h(q: SiegelPoint) -> complex:
-        return left_inverse_value(rho, m.evaluator(q)) / left_inverse_value(rho, q)
+    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
+        return _rows(operator.truediv, images.left_inverse(rho), points.left_inverse(rho))
 
-    return h
+    return MapProbe(m, f)
 
 
-def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity):
+def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
     """h(q) = ||phi(q) - rho(phi(q))|| / |rho~(q)|, the off-geodesic gap."""
 
-    def h(q: SiegelPoint) -> complex:
-        image = m.evaluator(q)
-        proj = project(rho, image)
-        dz = image.z - proj.z
-        dw = image.w - proj.w
-        return complex(math.sqrt(abs(dz) ** 2 + norm_sq(dw)) / abs(left_inverse_value(rho, q)))
+    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
+        proj = images.project(rho)
+        dw = images.w - proj.w
+        return _rows(
+            lambda dz, dw_sq, li: complex(math.sqrt(abs(dz) ** 2 + dw_sq) / abs(li)),
+            images.z - proj.z,
+            _row_herm(dw, dw).real,
+            points.left_inverse(rho),
+        )
 
-    return h
+    return MapProbe(m, f)
+
+
+def w_growth_fn(m: HoloMap) -> MapProbe:
+    """h(q) = ||phi_w(q)|| / |z|, the growth of the image's w part."""
+
+    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
+        return _rows(lambda nsq, z: complex(math.sqrt(nsq) / abs(z)), images.norm_sq(), points.z)
+
+    return MapProbe(m, f)
 
 
 def jwc_check(m: HoloMap, rho: LinearProjectionAtInfinity, tol: float = DEFAULT_TOL,
               ladder: tuple = DEFAULT_LADDER, seed: int = 0) -> JWCReport:
-    """Check (1) E0-lim rho~ o phi / rho~ = lam and (2) E0-lim ||phi - rho o phi|| / |rho~| = 0."""
+    """Check (1) E0-lim rho~ o phi / rho~ = lam and (2) E0-lim ||phi - rho o phi|| / |rho~| = 0.
+
+    Both parts read one evaluation of ``m`` along the E0 sweep.
+    """
     if m.domain != "siegel":
         raise DomainError("jwc_check expects a Siegel-side map")
 
-    v1 = e0_limit(projection_ratio_fn(m, rho), m.dim, tol=tol, ladder=ladder, seed=seed)
-    v2 = e0_limit(projection_gap_fn(m, rho), m.dim, tol=tol, ladder=ladder, seed=seed)
+    v1, v2 = _sweep_verdicts(
+        (projection_ratio_fn(m, rho), projection_gap_fn(m, rho)),
+        _e0_families(m.dim, ladder), tol, 0, seed,
+    )
     ok = (
         v1.exists
         and v2.exists
@@ -498,12 +581,17 @@ def left_inverse_ratio_check(
     Returns status 'inconclusive' when the prerequisite E-limit does not
     exist along the sweep (no claim is made); otherwise verifies the ratio
     tends to the multiplier and the w-component growth ||phi_w|| / |z|
-    tends to 0.
+    tends to 0.  The three probes read one evaluation of ``m`` along the
+    E sweep.
     """
     if m.domain != "siegel":
         raise DomainError("left_inverse_ratio_check expects a Siegel-side map")
 
-    prereq = e_limit(lambda q: m.evaluator(q).z / q.z, m.dim, tol=tol, ladder=ladder, seed=seed)
+    probes = (first_coordinate_ratio_fn(m), projection_ratio_fn(m, rho), w_growth_fn(m))
+    prereq_traces, ratio_traces, growth_traces = probe_family(
+        probes, _e_families(m.dim, ladder), 0, seed
+    )
+    prereq = verdict_from_traces(prereq_traces, tol)
     if not prereq.exists:
         return LeftInverseReport(
             status="inconclusive",
@@ -514,11 +602,8 @@ def left_inverse_ratio_check(
             passed=False,
         )
 
-    def wgrowth(q: SiegelPoint) -> complex:
-        return complex(math.sqrt(norm_sq(m.evaluator(q).w)) / abs(q.z))
-
-    rv = e_limit(projection_ratio_fn(m, rho), m.dim, tol=tol, ladder=ladder, seed=seed)
-    dv = e_limit(wgrowth, m.dim, tol=tol, ladder=ladder, seed=seed)
+    rv = verdict_from_traces(ratio_traces, tol)
+    dv = verdict_from_traces(growth_traces, tol)
     ok = (
         rv.exists
         and dv.exists

@@ -71,14 +71,13 @@ def write_limits_csv(path, traces: Iterable[tuple]) -> None:
     with handle:
         writer.writerow(["family", "seq_id", "k", "re_h", "im_h"])
         for family, seq_id, values in traces:
-            for k, value in enumerate(values, start=1):
-                writer.writerow([
-                    family,
-                    str(seq_id),
-                    str(k),
-                    format_float(value.real),
-                    format_float(value.imag),
-                ])
+            seq = str(seq_id)
+            writer.writerows(
+                [family, seq, str(k), format_float(re), format_float(im)]
+                for k, (re, im) in enumerate(
+                    zip(values.real.tolist(), values.imag.tolist()), start=1
+                )
+            )
 
 
 def write_summary(path, lines: Sequence[str]) -> None:

@@ -79,6 +79,28 @@ class TestModels:
             with pytest.raises(DomainError, match="not strictly inside"):
                 check_siegel_arrays(np.array([2 + 0j]), np.array([w], dtype=np.complex128))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_infinite_coordinates_are_rejected_without_a_warning(self):
+        inf = math.inf
+        for w in ([inf], [math.nan, inf], [0.5, complex(inf, math.nan)]):
+            with pytest.raises(DomainError, match="^non-finite coordinates$"):
+                SiegelPoint(2, w)
+        huge = complex(1.5e308, 1.5e308)  # its modulus overflows
+        for w in ([1e200], [huge]):
+            with pytest.raises(DomainError, match=r"Siegel domain: Re z - \|\|w\|\|\^2 = -inf$"):
+                SiegelPoint(2, w)
+        for coords in ([inf], [1e200], [0.5, 1e200], [huge]):
+            with pytest.raises(DomainError, match=r"unit ball: \|\|p\|\|\^2 = inf$"):
+                BallPoint(coords)
+
+    def test_point_coordinates_are_a_read_only_copy_of_any_vector(self):
+        for w in (np.array([1]), np.array([-0.0, 0.5]), np.array([0.5 - 0.0j, 1e-310j]),
+                  [0.5, -0.0j]):
+            want = np.asarray(tuple(w), dtype=np.complex128)
+            q = SiegelPoint(3.0, w)
+            w[0] = 0.75  # the source changes, the point does not
+            assert q.w.tobytes() == want.tobytes() and not q.w.flags.writeable
+
     def test_boundary_direction_needs_unit_norm(self):
         BoundaryDirection([1.0, 0.0])
         with pytest.raises(DomainError):
