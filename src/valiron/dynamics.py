@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -103,18 +103,20 @@ class Orbit:
         return worst
 
 
-def compute_orbit(m: HoloMap, start: SiegelPoint, n_steps: int) -> Orbit:
+def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) -> Orbit:
     """Forward orbit [start, phi(start), ..., phi^n(start)].
 
-    A scale overflow does not raise: the orbit is returned truncated with
-    the cutoff recorded, since the prefix is still valid data.
+    ``start`` may also be a shorter orbit of ``m``; it is then continued
+    from its last point, which gives the orbit of its first point.  A scale
+    overflow does not raise: the orbit is returned truncated with the cutoff
+    recorded, since the prefix is still valid data.
     """
     if m.domain != "siegel":
         raise DomainError("orbits are computed on the Siegel side")
-    pts = [start]
+    pts = list(start.points) if isinstance(start, Orbit) else [start]
     cutoff = None
-    cur = start
-    for k in range(n_steps):
+    cur = pts[-1]
+    for k in range(len(pts) - 1, n_steps):
         if cur.z.real > 1e300:
             cutoff = f"scale overflow at step {k}"
             break

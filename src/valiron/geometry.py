@@ -15,9 +15,7 @@ points inside the slack band are rejected, never clamped.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -247,24 +245,24 @@ def _row_herm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v)[:, 0, 0]
 
 
-def _python_square(mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
-    """``mod ** 2`` row by row, as Python's float power computes it.
+def _height_ratio(h_p, h_q, mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
+    """``4 h_P h_Q / mod ** 2`` row by row, as ``kobayashi_distance`` computes it.
 
-    That is libm's ``pow``, which rounds ``v * v`` differently for about one
-    v in a thousand, and it raises where Python raises, with the error of
-    the first such row: ``** 2`` overflowing from a finite ``mod``, or, when
-    ``mod`` is ``abs`` of the complex ``parts``, ``abs`` overflowing from
-    finite parts.  Call it with overflow warnings off.
+    ``mod ** 2`` is Python's float power, that is libm's ``pow``, which rounds
+    ``v * v`` differently for about one v in a thousand.  Where it overflows
+    from a finite ``mod``, the ratio is taken in the scaled form
+    ``(2 h_P / mod) * (2 h_Q / mod)``, on those rows only.  When ``mod`` is
+    ``abs`` of the complex ``parts``, ``abs`` overflowing from finite parts
+    raises as Python's ``abs`` does.  Call it with overflow warnings off.
     """
     sq = np.float_power(mod, 2.0)
+    ratio = 4.0 * h_p * h_q / sq
     if not sq.max() < math.inf:
-        pow_over = np.isinf(sq) & np.isfinite(mod)
-        bad = pow_over if parts is None else pow_over | (np.isinf(mod) & np.isfinite(parts))
-        if bad.any():
-            if pow_over[bad.argmax()]:
-                raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+        if parts is not None and (np.isinf(mod) & np.isfinite(parts)).any():
             raise OverflowError("absolute value too large")
-    return sq
+        over = np.isinf(sq) & np.isfinite(mod)
+        ratio[over] = ((2.0 * h_p / mod) * (2.0 * h_q / mod))[over]
+    return ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,13 +375,12 @@ class SiegelBatch:
 
         The formula of ``kobayashi_tanh`` with the axis image ``(z, 0)`` put
         in: the cross term vanishes, the image has height ``Re z`` and
-        ``z_Q + conj(z_P)`` is ``2 Re z``, so this rounds, and raises, as
-        the full formula does on the projected rows.
+        ``z_Q + conj(z_P)`` is ``2 Re z``, so this rounds as the full
+        formula does on the projected rows.
         """
         x = self.z.real
         with np.errstate(over="ignore", invalid="ignore"):
-            two_x = x + x
-            ratio = 4.0 * self.height() * x / _python_square(two_x)
+            ratio = _height_ratio(self.height(), x, x + x)
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def kobayashi_tanh(self, other: "SiegelBatch") -> np.ndarray:
@@ -392,14 +389,13 @@ class SiegelBatch:
         Rows where the distance is 0 give 0, rows where it is infinite give
         values >= 1, and NaN stays NaN; ``max_kobayashi`` turns these into
         the largest distance.  Raises the ``OverflowError`` that the scalar
-        distance raises on the first row where it overflows.
+        distance raises where ``abs`` overflows from finite parts.
         """
         if self.dim != other.dim:
             raise DomainError("dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):
             s = other.z + self.z.conj() - 2.0 * _row_herm(other.w, self.w)
-            denom = _python_square(np.hypot(s.real, s.imag), s)
-            ratio = 4.0 * self.height() * other.height() / denom
+            ratio = _height_ratio(self.height(), other.height(), np.hypot(s.real, s.imag), s)
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def project(self, rho: "LinearProjectionAtInfinity") -> "SiegelBatch":
@@ -601,14 +597,20 @@ def kobayashi_distance(
         tanh^2 k(P, Q) = 1 - 4 h(P) h(Q) / |z_Q + conj(z_P) - 2<w_Q, w_P>|^2,
 
     which stays finite at heights where ball coordinates would round onto
-    the sphere.  The one-point special cases ``k(0, z) = tanh^-1 ||z||``
-    and ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
+    the sphere; where the squared modulus |s|^2 overflows, the ratio is
+    taken as ``(2 h(P) / |s|) (2 h(Q) / |s|)`` instead.  The one-point
+    special cases ``k(0, z) = tanh^-1 ||z||`` and
+    ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
     """
     if isinstance(p, SiegelPoint) and isinstance(q, SiegelPoint):
         if p.dim != q.dim:
             raise DomainError("dimension mismatch")
-        denom = abs(q.z + p.z.conjugate() - 2.0 * herm(q.w, p.w)) ** 2
-        ratio = 4.0 * siegel_height(p) * siegel_height(q) / denom
+        mod = abs(q.z + p.z.conjugate() - 2.0 * herm(q.w, p.w))
+        h_p, h_q = siegel_height(p), siegel_height(q)
+        try:
+            ratio = 4.0 * h_p * h_q / mod ** 2
+        except OverflowError:  # |s|^2 past the double range: scale by |s| first
+            ratio = (2.0 * h_p / mod) * (2.0 * h_q / mod)
         if ratio >= 1.0:
             return 0.0
         r = math.sqrt(1.0 - ratio)

@@ -5,21 +5,21 @@ multiplier lam > 1, the normalized first coordinates
 
     sigma_n(Z) = pi_1(phi^n(Z)) / x_n,   x_n = Re pi_1(phi^n(base)),
 
-converge to a solution of sigma o phi = lam sigma.  Directly iterating phi
-overflows once x_n passes ~1e300; this module instead advances the
+converge to a solution of sigma o phi = lam sigma.  This module advances the
 renormalized state
 
     S_n(Z) = (pi_1(phi^n(Z)) / x_n,  pi_w(phi^n(Z)) / sqrt(x_n))
 
 one step at a time via S_{n+1} = (L_{n+1} o phi o L_n^{-1})(S_n), which keeps
-every stored quantity O(1); the base scale itself is stored in log-space.
-The update is algebraically identical to direct iteration.
+every stored quantity O(1) and stores the base scale in log-space.  The
+update is algebraically identical to direct iteration.  It still forms
+x_n S_n to evaluate phi, so it stops at the same scale ceiling (x_n ~ 1e300)
+as direct iteration; the state is checked against it before every step.
 
-Every point of a step shares the base scales, so a step is one map
-evaluation on arrays: ``maps.evaluate_batch`` advances the whole grid (and
-the grid images) at once for maps with a closed-form ``batch``, and point
-by point for black-box maps.  Only the base orbit is stepped as a single
-point.
+The base orbit, the grid and the grid images share the scales, so the state
+is one stack of rows and a step is one map evaluation on arrays:
+``maps.evaluate_batch`` advances every row at once for maps with a
+closed-form ``batch``, and point by point for black-box maps.
 
 Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
 run_valiron stores the pairs it used on the result, and
@@ -126,24 +126,31 @@ def default_grid(n_dim: int) -> EvaluationGrid:
 
 @dataclass(frozen=True)
 class RenormalizedState:
-    """State of the pipeline after n steps.
+    """State of the pipeline after n steps, as one read-only stack of rows.
 
-    ``sigma``/``v`` hold S_n at the grid points, ``sigma_img``/``v_img`` hold
-    S_n at the phi-images of the grid (so sigma_n(phi(Z)) is always on hand),
-    and ``base_sigma``/``base_v`` track the normalizing orbit.  ``log_x`` is
-    the base scale in log-space; ``scales`` is the pair (x_{n-1}, x_n) of the
-    step that produced this state (empty for n = 0).
+    ``z``/``w`` hold S_n on the rows: row 0 is the normalizing base orbit,
+    then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
+    on hand).  ``base_sigma`` (a complex) and the read-only views
+    ``base_v``, ``sigma``/``v`` and ``sigma_img``/``v_img`` are read from
+    these rows when the state is made.  ``log_x`` is the base scale in
+    log-space; ``scales`` is the pair (x_{n-1}, x_n) of the step that
+    produced this state (empty for n = 0).
     """
 
     n: int
     log_x: float
-    sigma: np.ndarray
-    v: np.ndarray
-    sigma_img: np.ndarray
-    v_img: np.ndarray
-    base_sigma: complex
-    base_v: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
     scales: tuple = ()
+
+    def __post_init__(self):
+        self.z.setflags(write=False)
+        self.w.setflags(write=False)
+        g = len(self.z) // 2 + 1
+        self.__dict__.update(
+            base_sigma=complex(self.z[0]), base_v=self.w[0], sigma=self.z[1:g],
+            v=self.w[1:g], sigma_img=self.z[g:], v_img=self.w[g:],
+        )
 
     @property
     def x(self) -> float:
@@ -151,11 +158,8 @@ class RenormalizedState:
 
     def magnitude(self) -> float:
         """Largest stored component magnitude (boundedness diagnostic)."""
-        parts = [np.max(np.abs(self.sigma)), np.max(np.abs(self.sigma_img)), abs(self.base_sigma)]
-        for arr in (self.v, self.v_img, self.base_v):
-            if arr.size:
-                parts.append(np.max(np.abs(arr)))
-        return float(max(parts))
+        mag = np.max(np.abs(self.z))
+        return float(max(mag, np.max(np.abs(self.w))) if self.w.size else mag)
 
 
 def _pack(z: np.ndarray, w: np.ndarray, x: float):
@@ -164,21 +168,11 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
+    points = SiegelBatch.from_points((base, *grid.points))
+    img_z, img_w = evaluate_batch(m, points.z[1:], points.w[1:])
     x0 = base.z.real
-    root = math.sqrt(x0)
-    points = SiegelBatch.from_points(grid.points)
-    sigma, v = _pack(points.z, points.w, x0)
-    sigma_img, v_img = _pack(*evaluate_batch(m, points.z, points.w), x0)
-    return RenormalizedState(
-        n=0,
-        log_x=math.log(x0),
-        sigma=sigma,
-        v=v,
-        sigma_img=sigma_img,
-        v_img=v_img,
-        base_sigma=base.z / x0,
-        base_v=base.w / root,
-    )
+    z, w = _pack(np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w)), x0)
+    return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w)
 
 
 def _advance_group(m: HoloMap, sigma, v, x_n, x_next):
@@ -188,38 +182,24 @@ def _advance_group(m: HoloMap, sigma, v, x_n, x_next):
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
-    De-normalizing for the map evaluation needs x_n as a float, so a
-    scale ceiling still exists; it is checked up-front and raised loudly
-    instead of silently producing infinities.
+    Every row (base, grid and grid images) is de-normalized by x_n and
+    mapped in one ``evaluate_batch`` call; the base image gives x_{n+1},
+    which normalizes them all.  ``evaluate_batch`` checks every input row
+    before any output row, so a step that rejects several rows may name
+    another row than stepping the base first would.  De-normalizing needs
+    x_n as a float, so a scale ceiling still exists; it is checked up-front
+    and raised loudly instead of silently producing infinities.
     """
-    max_mag = state.magnitude()
-    if state.log_x + math.log(max(1.0, max_mag)) > LOG_SCALE_CEILING:
+    if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
         raise ScaleOverflowError(
             "de-normalized evaluation would exceed the double-precision range"
         )
     x_n = state.x
-    root_n = math.sqrt(x_n)
-
-    base_big = SiegelPoint(x_n * state.base_sigma, root_n * state.base_v)
-    base_image = m.evaluator(base_big)
-    x_next = base_image.z.real
-    ratio = x_next / x_n
-    if not ratio > 0.0:
-        raise DomainError("base orbit left the Siegel domain")
-    root_next = math.sqrt(x_next)
-
-    sigma, v = _advance_group(m, state.sigma, state.v, x_n, x_next)
-    sigma_img, v_img = _advance_group(m, state.sigma_img, state.v_img, x_n, x_next)
+    z, w = evaluate_batch(m, x_n * state.z, math.sqrt(x_n) * state.w)
+    x_next = float(z[0].real)  # > 0: evaluate_batch checked the base image
+    z, w = _pack(z, w, x_next)
     return RenormalizedState(
-        n=state.n + 1,
-        log_x=state.log_x + math.log(ratio),
-        sigma=sigma,
-        v=v,
-        sigma_img=sigma_img,
-        v_img=v_img,
-        base_sigma=base_image.z / x_next,
-        base_v=base_image.w / root_next,
-        scales=(x_n, x_next),
+        n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next)
     )
 
 
@@ -351,10 +331,11 @@ def run_valiron(
     warnings: list = []
 
     # probe adaptively: enough growth to classify and estimate, but not so
-    # far that maps wrapped in coordinate changes lose boundary precision
+    # far that maps wrapped in coordinate changes lose boundary precision;
+    # a slow orbit is continued, not recomputed
     probe = compute_orbit(m, base, PROBE_MIN_STEPS)
     if probe.cutoff is None and probe.x[-1] < PROBE_TARGET_HEIGHT:
-        probe = compute_orbit(m, base, PROBE_MAX_STEPS)
+        probe = compute_orbit(m, probe, PROBE_MAX_STEPS)
     classification = classify_sequence(probe.points)
     lam = estimate_multiplier(probe)
     if lam.value <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):

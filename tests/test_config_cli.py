@@ -208,6 +208,14 @@ class TestCli:
         assert rows[0] == ["n", "x_n", "y_n", "w_norm_sq", "height"]
         assert len(rows) == 82  # header + orbit including the start
 
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_orbit_past_the_squared_distance_overflow(self, tmp_path, command):
+        # lambda = 10 takes the orbit past Re z ~ 6.7e153, where the squared
+        # modulus in the Kobayashi distance overflows
+        code = _run(tmp_path, f"command = {command}\nmap = siegel_linear\nlambda = 10\nN = 2\n")
+        assert code == 0
+        assert "classification.special = true" in (tmp_path / "summary.txt").read_text()
+
     def test_classify_from_points_file(self, tmp_path):
         orbit = compute_orbit(
             make_siegel_linear(2.0, 2), SiegelPoint(1.0 + 0.5j, np.array([0.3 + 0j])), 60

@@ -59,6 +59,18 @@ class TestOrbit:
         assert len(orbit) < 1200
         assert np.all(np.isfinite(orbit.x))
 
+    def test_a_continued_orbit_is_the_orbit_of_its_start(self):
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        start = SiegelPoint(1.0 + 0.5j, np.array([0.3 - 0.2j]))
+        # the orbit passes 1e300 at step ~996: the last two are truncated
+        for short, full in ((32, 64), (10, 1200), (1200, 1300)):
+            want = compute_orbit(m, start, full)
+            assert (want.cutoff is None) == (full < 996)
+            got = compute_orbit(m, compute_orbit(m, start, short), full)
+            assert got.points == want.points and got.cutoff == want.cutoff
+            for attr in ("x", "y", "w_norm_sq"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
 
 class TestClassification:
     def test_linear_axis_orbit_is_special(self):

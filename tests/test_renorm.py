@@ -20,15 +20,19 @@ from valiron.maps import (
     PsiChoice,
     catalog,
     conjugate_map,
+    evaluate_batch,
     make_ball_map_from_siegel,
     make_halfplane_affine,
     make_siegel_linear,
     make_valiron_example,
 )
+from valiron import renorm
+from valiron.dynamics import compute_orbit
 from valiron.renorm import (
     DegenerateGridError,
     EvaluationGrid,
     NonHyperbolicError,
+    PROBE_MAX_STEPS,
     advance,
     ball_side_theta,
     conjugation_transport,
@@ -83,6 +87,26 @@ class TestStateAdvance:
             state = advance(state, m)
         assert state.log_x == pytest.approx(150 * math.log(2.0), rel=1e-12)
         assert math.isfinite(state.magnitude())
+
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_a_step_is_one_array_evaluation(self, name, monkeypatch):
+        """Base, grid and grid images go through one evaluate_batch call."""
+        m = catalog()[name]
+        scalar_calls, batch_rows = [], []
+        counted = replace(m, evaluator=lambda q: scalar_calls.append(q) or m.evaluator(q))
+        grid = default_grid(m.dim)
+        state = initial_state(counted, grid, SiegelPoint(1.0, np.zeros(m.dim - 1)))
+
+        def counting_batch(mm, z, w):
+            batch_rows.append(len(z))
+            return evaluate_batch(mm, z, w)
+
+        monkeypatch.setattr(renorm, "evaluate_batch", counting_batch)
+        for _ in range(3):
+            state = advance(state, counted)
+        assert batch_rows == [1 + 2 * len(grid)] * 3
+        assert scalar_calls == []
 
 
 class TestRunValiron:
@@ -164,6 +188,34 @@ class TestRunValiron:
         small, large = costs(grid(10)), costs(grid(1000))
         assert small == large
         assert small[0] == 200
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_array_steps_match_the_point_by_point_steps(self, name):
+        """On a 100-point grid the stacked array step gives the bits of the
+        black-box path, which evaluates the map point by point."""
+        m = catalog()[name]
+        rng = np.random.default_rng(9)
+        w = rng.uniform(-0.3, 0.3, (100, m.dim - 1)) + 1j * rng.uniform(-0.3, 0.3, (100, m.dim - 1))
+        z = (np.abs(w) ** 2).sum(axis=1) + rng.uniform(0.5, 4.0, 100) + 1j * rng.uniform(-2.0, 2.0, 100)
+        grid = EvaluationGrid([SiegelPoint(zi, wi) for zi, wi in zip(z, w)])
+        fast = run_valiron(m, grid)
+        slow = run_valiron(replace(m, batch=None), grid)
+        assert fast.n_stop == slow.n_stop
+        for attr in ("sigma", "sigma_image"):
+            assert np.array_equal(getattr(fast, attr), getattr(slow, attr)), attr
+        assert np.array_equal([fast.normalization], [slow.normalization])
+        assert np.array_equal(fast.scale_pairs, slow.scale_pairs)
+        probes = [sample_siegel(m.dim, s, 63) for s in range(8)]
+        assert np.array_equal(fast.sigma_at(probes), slow.sigma_at(probes))
+
+    def test_slow_probe_orbit_is_continued_not_recomputed(self):
+        m = make_halfplane_affine(1.2, 1.0, 2)  # x_32 ~ 342: the probe goes on to 64 steps
+        evals = []
+        result = run_valiron(replace(m, evaluator=lambda q: evals.append(q) or m.evaluator(q)))
+        want = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), PROBE_MAX_STEPS)
+        assert len(evals) == PROBE_MAX_STEPS
+        assert result.base_orbit.points == want.points
+        assert np.array_equal(result.base_orbit.x, want.x)
 
     def test_off_grid_evaluation_matches_oracle(self):
         psi = PsiChoice("cayley")

@@ -330,8 +330,8 @@ class TestSiegelBatch:
             max_kobayashi(np.array([1.0, np.nan])))
 
     def test_distances_raise_where_the_scalar_distance_raises(self):
-        # (2x)^2 overflows from x ~ 6.7e153 on, and raises; 2x itself from
-        # x ~ 9e307 on, and gives NaN
+        # (2x)^2 overflows from x ~ 6.7e153 on, and is then scaled away;
+        # 2x itself overflows from x ~ 9e307 on, and gives NaN
         for xs in ([1e100, 1e160], [1e100, 1.7e308], [1.7e308, 1e160]):
             pts = _real_ray(xs)
             batch = SiegelBatch.from_points(pts)
@@ -349,6 +349,23 @@ class TestSiegelBatch:
         other = SiegelBatch.from_points([SiegelPoint(1.0), q])
         assert want == (OverflowError, "absolute value too large")
         assert _outcome(batch.kobayashi_tanh, other) == want
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_scaled_distances_past_the_squared_modulus_overflow(self, n_dim):
+        # rescaled as renorm rescales: |s|^2 overflows from scale ~ 1e154 on
+        base = [sample_siegel(n_dim, seed, 13) for seed in range(12)]
+        p1 = first_coordinate_projection(n_dim)
+        for scale in (1e160, 1e250, 1e300):
+            pts = [SiegelPoint(scale * p.z, math.sqrt(scale) * p.w) for p in base]
+            batch = SiegelBatch.from_points(pts)
+            others = SiegelBatch.from_points(pts[1:] + pts[:1])
+            tanh, axis = batch.kobayashi_tanh(others), batch.axis_tanh()
+            for i, (p, q) in enumerate(zip(pts, others)):
+                d = kobayashi_distance(p, q)
+                assert _same(max_kobayashi(tanh[i:i + 1]), d)
+                assert _same(max_kobayashi(axis[i:i + 1]), kobayashi_distance(p, project(p1, p)))
+                # the distance is invariant under the dilation
+                assert d == pytest.approx(kobayashi_distance(base[i], base[(i + 1) % len(base)]), rel=1e-9)
 
 
 # -- generate_sequences ------------------------------------------------------------
@@ -449,8 +466,6 @@ class TestClassifySequence:
             "grid sweep failed": (_real_ray([10.0 ** k for k in range(-4, 4)]), "grid sweep failed"),
             # 2 Re z overflows at 1e308, so the distance there is NaN
             "no axis bound": (_real_ray([1e100, 1e120, 1e150, 1e308]), "without axis bound"),
-            # (2 Re z)^2 overflows from Re z ~ 6.7e153 on
-            "overflow in the distance": (_real_ray([1e150 * 10.0 ** k for k in range(8)]), "out of range"),
         }
         seen = set()
         for label, (points, message) in cases.items():
@@ -460,7 +475,16 @@ class TestClassifySequence:
             assert _outcome(classify_sequence, points) == want, label
             assert _outcome(classify_sequence, SiegelBatch.from_points(points)) == want, label
         assert seen == {OrbitTooShortError, NotTendingToInfinityError, AmbiguousClassificationError,
-                        ClassificationDisagreementError, OverflowError}
+                        ClassificationDisagreementError}
+
+    def test_classifies_past_the_squared_modulus_overflow(self):
+        # (2 Re z)^2 overflows from Re z ~ 6.7e153 on; the distance is then
+        # taken in scaled form, by the array routes as by the scalar one
+        points = _real_ray([1e150 * 10.0 ** k for k in range(8)])
+        want = _reference_classify(points)
+        assert want.special and want.c_special == 0.0
+        _assert_same_classification(classify_sequence(points), want)
+        _assert_same_classification(classify_sequence(SiegelBatch.from_points(points)), want)
 
     def test_makes_no_points_however_long_the_ladder(self, monkeypatch):
         """A criterion-4 draw is generated and classified on arrays: it
