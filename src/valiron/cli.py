@@ -31,12 +31,12 @@ from .geometry import (
     norm_sq,
 )
 from .limits import (
-    e0_limit,
-    e_limit,
+    CHECK_SWEEPS,
+    SweepPlan,
+    e0_families,
+    e_families,
     first_coordinate_ratio_fn,
-    jwc_check,
-    k_limit,
-    left_inverse_ratio_check,
+    k_families,
 )
 from .maps import (
     HoloMap,
@@ -200,7 +200,7 @@ def _classification_lines(cls) -> list:
     return lines
 
 
-def _cmd_orbit(cfg, m, out_dir, seed) -> tuple:
+def _cmd_orbit(cfg, m, out_dir, plan) -> tuple:
     start = _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
     orbit = compute_orbit(m, start, cfg.n_max)
     path = os.path.join(out_dir, "orbit.csv")
@@ -226,9 +226,12 @@ def _cmd_orbit(cfg, m, out_dir, seed) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_classify(cfg, m, out_dir, seed) -> tuple:
+def _cmd_classify(cfg, m, out_dir, plan) -> tuple:
     if cfg.points:
-        points = read_points_csv(cfg.points)
+        try:
+            points = read_points_csv(cfg.points)
+        except OSError as exc:
+            raise CliError(f"cannot read points: {exc}") from None
         x = np.array([p.z.real for p in points])
         y = np.array([p.z.imag for p in points])
         wsq = np.array([norm_sq(p.w) for p in points])
@@ -258,7 +261,7 @@ def _arg_sigma_diagnostic(result) -> list:
     return lines
 
 
-def _cmd_valiron(cfg, m, out_dir, seed) -> tuple:
+def _cmd_valiron(cfg, m, out_dir, plan) -> tuple:
     grid = build_grid(cfg, m.dim)
     result = run_valiron(m, grid=grid, tol=cfg.tol, n_max=cfg.n_max)
     path = os.path.join(out_dir, "valiron.csv")
@@ -298,12 +301,13 @@ def _verdict_line(label: str, verdict) -> str:
     return f"{label}: inconclusive (spread {format_float(verdict.spread)})"
 
 
-def _cmd_limits(cfg, m, out_dir, seed) -> tuple:
+def _cmd_limits(cfg, m, out_dir, plan) -> tuple:
     h = first_coordinate_ratio_fn(m)
     ladder = _ladder(cfg)
-    vk = k_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=2, seed=seed)
-    ve = e_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=1, seed=seed)
-    v0 = e0_limit(h, m.dim, tol=cfg.limit_tol, ladder=ladder, extra=1, seed=seed)
+    vk, ve, v0 = (
+        plan.verdict(h, plan.sweep(families(m.dim, ladder), extra), cfg.limit_tol)
+        for families, extra in _SWEEPS["limits"]
+    )
     path = os.path.join(out_dir, "limits.csv")
     write_limits_csv(path, vk.traces + ve.traces + v0.traces)
     lines = [
@@ -317,12 +321,12 @@ def _cmd_limits(cfg, m, out_dir, seed) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_jwc(cfg, m, out_dir, seed) -> tuple:
+def _cmd_jwc(cfg, m, out_dir, plan) -> tuple:
     a = _projection_vector(cfg, m.dim)
     rho = LinearProjectionAtInfinity(a)
     ladder = _ladder(cfg)
-    report = jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder, seed=seed)
-    li = left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder, seed=seed)
+    report = plan.jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
+    li = plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
 
     path = os.path.join(out_dir, "jwc.csv")
     write_limits_csv(path, [
@@ -355,6 +359,12 @@ _COMMANDS = {
     "limits": _cmd_limits,
     "jwc": _cmd_jwc,
 }
+_REPORT_ALL = ("valiron", "limits", "jwc", "orbit")
+# the limit sweeps each command reads: (families of (N, ladder), drawn sequences per family)
+_SWEEPS = {
+    "limits": ((k_families, 2), (e_families, 1), (e0_families, 1)),
+    "jwc": CHECK_SWEEPS,
+}
 
 
 def run_command(
@@ -369,19 +379,24 @@ def run_command(
     seed = cfg.seed if seed is None else seed
 
     m = build_map(cfg) if cfg.map_name else None
+    names = _REPORT_ALL if cfg.command == "report-all" else (cfg.command,)
+    # one plan for the limit sweeps of every command: each family is generated,
+    # and the map evaluated on it, once, when the first verdict is asked for
+    plan = SweepPlan(seed)
+    ladder = _ladder(cfg)
+    for name in names:
+        for families, extra in _SWEEPS.get(name, ()):
+            plan.sweep(families(m.dim, ladder), extra)
     code = EXIT_OK
     lines: list = []
     paths: list = []
-    if cfg.command == "report-all":
-        for name in ("valiron", "limits", "jwc", "orbit"):
-            sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, seed)
-            code = max(code, sub_code)
-            if lines:
-                lines.append("")
-            lines += sub_lines
-            paths += sub_paths
-    else:
-        code, lines, paths = _COMMANDS[cfg.command](cfg, m, out_dir, seed)
+    for name in names:
+        sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, plan)
+        code = max(code, sub_code)
+        if lines:
+            lines.append("")
+        lines += sub_lines
+        paths += sub_paths
 
     summary_path = os.path.join(out_dir, "summary.txt")
     write_summary(summary_path, lines)
@@ -434,6 +449,9 @@ def main(argv: Optional[list] = None) -> int:
         return run_command(cfg, out_dir=args.out, seed=args.seed, verbose=args.verbose)
     except (ConfigError, CliError, DomainError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -14,12 +14,17 @@ declared kind; verdicts are computed from tail values with an explicit
 no-limit witness requirement.
 
 A family is generated as one array computation over its seeds and ladder
-rungs and checked once; each sequence is a ``SiegelBatch``.  A sweep stacks
-the sequences of all its families into one batch.  The probed functions of
-the map's images are ``MapProbe``s: the sweep evaluates the map once, with
-``maps.evaluate_batch``, and every probe of that map reads the same images,
-its values bit for bit those of the scalar function it names.  Any other
-function ``h`` of a point is evaluated point by point.
+rungs and checked once; each sequence is a ``SiegelBatch``.  A ``SweepPlan``
+holds every sweep of a command set: it generates each distinct family once,
+with the most sequences any sweep asks of it, stacks all of them into one
+batch and evaluates the map once over it, with ``maps.evaluate_batch``.  The
+probed functions of the map's images are ``MapProbe``s, computed only on
+the rows a sweep reads and shared by every sweep that reads them; their
+values are bit for bit those of the scalar functions they name.  Any other
+function ``h`` of a point is evaluated point by point.  ``k_limit``,
+``e_limit``, ``e0_limit``, ``jwc_check`` and ``left_inverse_ratio_check``
+run a plan of their own sweeps; ``valiron run`` builds one plan for all the
+sweeps of its commands.
 """
 
 from __future__ import annotations
@@ -87,6 +92,15 @@ class ApproachFamily:
             raise DomainError("koranyi amplitude must satisfy M > 1")
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise DomainError("scale ladder must increase")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # families key the sweep plans: hash the fields, seeds included, once
+        return hash((self.kind, self.n_dim, self.amplitude, self.c_param, self.t_param,
+                     self.ladder, self.seeds))
 
 
 @functools.lru_cache(maxsize=64)
@@ -307,6 +321,190 @@ def _rows(fn, *columns: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.complex128)
 
 
+def _take(batch: SiegelBatch, rows: np.ndarray) -> SiegelBatch:
+    """The batch of the given distinct rows, in increasing order."""
+    if rows.size == len(batch):
+        return batch
+    z, w = batch.z[rows], batch.w[rows]
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return SiegelBatch._checked(z, w)
+
+
+@functools.lru_cache(maxsize=64)
+def k_families(n_dim: int, ladder: tuple = DEFAULT_LADDER) -> tuple:
+    """The K-limit sweep: one Koranyi family per amplitude M in M_SWEEP."""
+    return tuple(koranyi_family(m_amp, n_dim, ladder) for m_amp in M_SWEEP)
+
+
+@functools.lru_cache(maxsize=64)
+def e_families(n_dim: int, ladder: tuple = DEFAULT_LADDER) -> tuple:
+    """The E-limit sweep: C-special restricted families over C_SWEEP x T_SWEEP."""
+    return tuple(c_special_family(c, t, n_dim, ladder) for c in C_SWEEP for t in T_SWEEP)
+
+
+@functools.lru_cache(maxsize=64)
+def e0_families(n_dim: int, ladder: tuple = DEFAULT_LADDER) -> tuple:
+    """The E0-limit sweep: zero-special families over C0_SWEEP x T_SWEEP."""
+    return tuple(zero_special_family(c, t, n_dim, ladder) for c in C0_SWEEP for t in T_SWEEP)
+
+
+# the sweeps of jwc_check and left_inverse_ratio_check, in that order:
+# (families of (N, ladder), drawn sequences per family)
+CHECK_SWEEPS = ((e0_families, 0), (e_families, 0))
+
+
+class SweepPlan:
+    """The limit sweeps of a command set, generated and evaluated once.
+
+    ``sweep`` declares the families a sweep probes and the drawn sequences
+    it adds to each; every sweep is declared before the first trace is
+    asked for.  That first request generates each declared family once,
+    with the most sequences any sweep asked of it, in declaration order,
+    and stacks all the sequences into one batch.  A canonical sequence is
+    the same rows whatever the count (``_family_arrays`` is row-wise, and
+    each drawn index has its own counter-based stream), so a sweep that
+    reads fewer sequences reads the first ones of the larger generation.
+
+    Each map is evaluated once, with ``evaluate_batch``, over the whole
+    batch.  A probe is computed only on the rows its sweeps read, and only
+    once: ``MapProbe``s of the same map and function share their values.
+    Probes are row-wise, so every value has the bits the sweep gives alone.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self._counts: dict = {}  # family -> sequences to generate, in declaration order
+        self._offsets: dict = {}  # family -> (first row, sequences generated)
+        self._points: Optional[SiegelBatch] = None
+        self._images: dict = {}  # id(map) -> (map, images of every row)
+        self._values: dict = {}  # probe key -> (probe, values, rows computed)
+
+    def sweep(self, families: Sequence[ApproachFamily], extra: int = 0) -> tuple:
+        """Declare a sweep: the canonical seeds plus ``extra`` drawn sequences of each family.
+
+        Returns the sweep that ``traces`` and ``verdict`` take.  Once the
+        plan is generated, a sweep can only be declared again.
+        """
+        families = tuple(families)
+        for fam in families:
+            count = len(fam.seeds) + extra
+            if self._points is None:
+                self._counts[fam] = max(self._counts.get(fam, count), count)
+            elif self._counts.get(fam, -1) < count:
+                raise ValueError("every sweep of a plan is declared before its first trace")
+        return families, extra
+
+    def _stack(self) -> SiegelBatch:
+        if self._points is None:
+            seqs, rows = [], 0
+            for fam, count in self._counts.items():
+                generated = generate_sequences(fam, count=count, seed=self.seed)
+                self._offsets[fam] = (rows, len(generated))
+                rows += len(generated) * len(fam.ladder)
+                seqs += generated
+            z = np.concatenate([s.z for s in seqs])
+            w = np.concatenate([s.w for s in seqs])
+            z.setflags(write=False)
+            w.setflags(write=False)
+            self._points = SiegelBatch._checked(z, w)
+        return self._points
+
+    def _probe_values(self, probe, rows: np.ndarray) -> np.ndarray:
+        """Values of ``probe`` over the batch, computed where ``rows`` need them."""
+        key = (id(probe.m), probe.f) if isinstance(probe, MapProbe) else id(probe)
+        if key not in self._values:
+            n = len(self._points)
+            self._values[key] = (probe, np.empty(n, np.complex128), np.zeros(n, bool))
+        _, values, done = self._values[key]
+        todo = np.unique(rows[~done[rows]])
+        if todo.size:
+            points = _take(self._points, todo)
+            if isinstance(probe, MapProbe):
+                if id(probe.m) not in self._images:
+                    self._images[id(probe.m)] = (probe.m, _images(probe.m, self._points))
+                values[todo] = probe.f(points, _take(self._images[id(probe.m)][1], todo))
+            else:
+                values[todo] = [probe(p) for p in points]
+            done[todo] = True
+        return values
+
+    def traces(self, probe: Callable[[SiegelPoint], complex], sweep: tuple) -> list:
+        """Labelled ``(family_label, seq_index, values)`` traces of ``probe`` along ``sweep``."""
+        families, extra = self.sweep(*sweep)
+        self._stack()
+        spans = []  # (family_label, seq_index, rows of the sequence)
+        for fam in families:
+            start, generated = self._offsets[fam]
+            label, rungs = family_label(fam), len(fam.ladder)
+            for i in range(min(len(fam.seeds) + extra, generated)):
+                row = start + i * rungs
+                spans.append((label, i, slice(row, row + rungs)))
+        rows = np.concatenate([np.arange(r.start, r.stop) for _, _, r in spans])
+        values = self._probe_values(probe, rows)
+        return [(label, i, values[r]) for label, i, r in spans]
+
+    def verdict(self, probe, sweep: tuple, tol: float = DEFAULT_TOL) -> "LimitVerdict":
+        """``verdict_from_traces`` of the traces of ``probe`` along ``sweep``."""
+        return verdict_from_traces(self.traces(probe, sweep), tol)
+
+    def jwc_check(self, m: HoloMap, rho: LinearProjectionAtInfinity,
+                  tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER) -> "JWCReport":
+        """See the function ``jwc_check``; both parts read the canonical E0 sweep."""
+        if m.domain != "siegel":
+            raise DomainError("jwc_check expects a Siegel-side map")
+        sweep = self.sweep(e0_families(m.dim, ladder))
+        t1 = self.traces(projection_ratio_fn(m, rho), sweep)
+        t2 = self.traces(projection_gap_fn(m, rho), sweep)
+        v1, v2 = verdict_from_traces(t1, tol), verdict_from_traces(t2, tol)
+        ok = (
+            v1.exists
+            and v2.exists
+            and abs(v1.value - m.multiplier) <= tol
+            and abs(v2.value) <= tol
+        )
+        return JWCReport(part1=v1, part2=v2, multiplier=m.multiplier, passed=ok)
+
+    def left_inverse_ratio_check(self, m: HoloMap, rho: LinearProjectionAtInfinity,
+                                 tol: float = DEFAULT_TOL,
+                                 ladder: tuple = DEFAULT_LADDER) -> "LeftInverseReport":
+        """See the function ``left_inverse_ratio_check``; its probes read the canonical E sweep."""
+        if m.domain != "siegel":
+            raise DomainError("left_inverse_ratio_check expects a Siegel-side map")
+        sweep = self.sweep(e_families(m.dim, ladder))
+        prereq_traces, ratio_traces, growth_traces = [
+            self.traces(h, sweep)
+            for h in (first_coordinate_ratio_fn(m), projection_ratio_fn(m, rho), w_growth_fn(m))
+        ]
+        prereq = verdict_from_traces(prereq_traces, tol)
+        if not prereq.exists:
+            return LeftInverseReport(
+                status="inconclusive",
+                ratio_verdict=None,
+                derivative_verdict=None,
+                prerequisite=prereq,
+                multiplier=m.multiplier,
+                passed=False,
+            )
+
+        rv = verdict_from_traces(ratio_traces, tol)
+        dv = verdict_from_traces(growth_traces, tol)
+        ok = (
+            rv.exists
+            and dv.exists
+            and abs(rv.value - m.multiplier) <= tol
+            and abs(dv.value) <= tol
+        )
+        return LeftInverseReport(
+            status="confirmed" if ok else "failed",
+            ratio_verdict=rv,
+            derivative_verdict=dv,
+            prerequisite=prereq,
+            multiplier=m.multiplier,
+            passed=ok,
+        )
+
+
 def probe_family(
     probes: Sequence[Callable[[SiegelPoint], complex]],
     families: Sequence[ApproachFamily],
@@ -316,35 +514,15 @@ def probe_family(
     """Value traces of each probe along every family.
 
     Each family is probed along its canonical seeds plus ``extra``
-    sequences drawn from ``seed``.  The rows of all the sequences are
-    stacked into one batch; the ``MapProbe``s of one map share a single
-    ``evaluate_batch`` of it, and any other probe is a point function,
-    called point by point.  Returns, for each probe, its labelled
-    ``(family_label, seq_index, values)`` traces, family by family.
+    sequences drawn from ``seed``, through a plan of this one sweep: the
+    ``MapProbe``s of one map share a single ``evaluate_batch`` of it, and
+    any other probe is a point function, called point by point.  Returns,
+    for each probe, its labelled ``(family_label, seq_index, values)``
+    traces, family by family.
     """
-    seqs, spans = [], []  # spans: (family_label, seq_index, rows of the sequence)
-    for fam in families:
-        label = family_label(fam)
-        for i, seq in enumerate(generate_sequences(fam, count=len(fam.seeds) + extra, seed=seed)):
-            start = spans[-1][2].stop if spans else 0
-            spans.append((label, i, slice(start, start + len(seq))))
-            seqs.append(seq)
-    z = np.concatenate([s.z for s in seqs])
-    w = np.concatenate([s.w for s in seqs])
-    z.setflags(write=False)
-    w.setflags(write=False)
-    points = SiegelBatch._checked(z, w)
-    images = {}  # id(map) -> images of the points
-    out = []
-    for h in probes:
-        if isinstance(h, MapProbe):
-            if id(h.m) not in images:
-                images[id(h.m)] = _images(h.m, points)
-            values = h.f(points, images[id(h.m)])
-        else:
-            values = np.array([h(p) for p in points], dtype=np.complex128)
-        out.append([(label, i, values[rows]) for label, i, rows in spans])
-    return out
+    plan = SweepPlan(seed)
+    sweep = plan.sweep(families, extra)
+    return [plan.traces(h, sweep) for h in probes]
 
 
 def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
@@ -352,9 +530,13 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
     traces = tuple(traces)
     tails = [values[-min(TAIL_VALUES, values.size):] for _, _, values in traces]
     flat = np.concatenate(tails)
-    owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
     diff = flat[None, :] - flat[:, None]
     spread = float(np.max(np.abs(diff)))
+    if spread < tol:
+        # a limit carries no witness, so none is searched for
+        return LimitVerdict(status="limit-exists", value=complex(np.mean(flat)),
+                            spread=spread, tol=tol, witness=None, traces=traces)
+    owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
     # np.hypot matches the scalar abs() of each difference bit for bit, which
     # np.abs on complex arrays does not; the witness reports that value
     sep = np.hypot(diff.real, diff.imag)
@@ -367,15 +549,18 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
         k = np.lexsort((qs, ps, owner[qs], owner[ps]))[0]
         p, q = ps[k], qs[k]
         witness = (int(owner[p]), int(owner[q]), complex(flat[p]), complex(flat[q]), separation)
-    if spread < tol:
-        status, value, witness = "limit-exists", complex(np.mean(flat)), None
-    elif witness is not None and separation > NO_LIMIT_FACTOR * tol:
-        status, value = "no-limit", None
+    if witness is not None and separation > NO_LIMIT_FACTOR * tol:
+        status = "no-limit"
     else:
-        status, value = "inconclusive", None
+        status = "inconclusive"
     return LimitVerdict(
-        status=status, value=value, spread=spread, tol=tol, witness=witness, traces=traces
+        status=status, value=None, spread=spread, tol=tol, witness=witness, traces=traces
     )
+
+
+def _one_sweep(h, families, tol: float, extra: int, seed: int) -> LimitVerdict:
+    plan = SweepPlan(seed)
+    return plan.verdict(h, plan.sweep(families, extra), tol)
 
 
 def estimate_limit(
@@ -386,40 +571,25 @@ def estimate_limit(
     seed: int = 0,
 ) -> LimitVerdict:
     """Probe h along one family; verdict from the last TAIL_VALUES rungs."""
-    (traces,) = probe_family((h,), (family,), extra, seed)
-    return verdict_from_traces(traces, tol)
-
-
-def _sweep_verdicts(probes, families, tol, extra, seed) -> list:
-    """One verdict per probe over every family; see ``probe_family``."""
-    return [verdict_from_traces(t, tol) for t in probe_family(probes, families, extra, seed)]
-
-
-def _e_families(n_dim: int, ladder: tuple) -> list:
-    return [c_special_family(c, t, n_dim, ladder) for c in C_SWEEP for t in T_SWEEP]
-
-
-def _e0_families(n_dim: int, ladder: tuple) -> list:
-    return [zero_special_family(c, t, n_dim, ladder) for c in C0_SWEEP for t in T_SWEEP]
+    return _one_sweep(h, (family,), tol, extra, seed)
 
 
 def k_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """K-limit surrogate: sweep Koranyi amplitudes M in M_SWEEP."""
-    fams = [koranyi_family(m_amp, n_dim, ladder) for m_amp in M_SWEEP]
-    return _sweep_verdicts((h,), fams, tol, extra, seed)[0]
+    return _one_sweep(h, k_families(n_dim, ladder), tol, extra, seed)
 
 
 def e_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E-limit surrogate: sweep C-special restricted families over C x T."""
-    return _sweep_verdicts((h,), _e_families(n_dim, ladder), tol, extra, seed)[0]
+    return _one_sweep(h, e_families(n_dim, ladder), tol, extra, seed)
 
 
 def e0_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
              extra: int = 0, seed: int = 0) -> LimitVerdict:
     """E0-limit surrogate: sweep zero-special families (small strengths)."""
-    return _sweep_verdicts((h,), _e0_families(n_dim, ladder), tol, extra, seed)[0]
+    return _one_sweep(h, e0_families(n_dim, ladder), tol, extra, seed)
 
 
 # -- Boundary behavior checks --------------------------------------------------
@@ -435,9 +605,13 @@ class JWCReport:
     passed: bool
 
 
+def _first_coordinate_ratio(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
+    return _rows(operator.truediv, images.z, points.z)
+
+
 def first_coordinate_ratio_fn(m: HoloMap) -> MapProbe:
     """h(q) = phi_1(q) / z, the first image coordinate over z."""
-    return MapProbe(m, lambda points, images: _rows(operator.truediv, images.z, points.z))
+    return MapProbe(m, _first_coordinate_ratio)
 
 
 def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
@@ -465,35 +639,22 @@ def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
     return MapProbe(m, f)
 
 
+def _w_growth(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
+    return _rows(lambda nsq, z: complex(math.sqrt(nsq) / abs(z)), images.norm_sq(), points.z)
+
+
 def w_growth_fn(m: HoloMap) -> MapProbe:
     """h(q) = ||phi_w(q)|| / |z|, the growth of the image's w part."""
-
-    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-        return _rows(lambda nsq, z: complex(math.sqrt(nsq) / abs(z)), images.norm_sq(), points.z)
-
-    return MapProbe(m, f)
+    return MapProbe(m, _w_growth)
 
 
 def jwc_check(m: HoloMap, rho: LinearProjectionAtInfinity, tol: float = DEFAULT_TOL,
               ladder: tuple = DEFAULT_LADDER, seed: int = 0) -> JWCReport:
     """Check (1) E0-lim rho~ o phi / rho~ = lam and (2) E0-lim ||phi - rho o phi|| / |rho~| = 0.
 
-    Both parts read one evaluation of ``m`` along the E0 sweep.
+    Both parts read one evaluation of ``m`` along the canonical E0 sweep.
     """
-    if m.domain != "siegel":
-        raise DomainError("jwc_check expects a Siegel-side map")
-
-    v1, v2 = _sweep_verdicts(
-        (projection_ratio_fn(m, rho), projection_gap_fn(m, rho)),
-        _e0_families(m.dim, ladder), tol, 0, seed,
-    )
-    ok = (
-        v1.exists
-        and v2.exists
-        and abs(v1.value - m.multiplier) <= tol
-        and abs(v2.value) <= tol
-    )
-    return JWCReport(part1=v1, part2=v2, multiplier=m.multiplier, passed=ok)
+    return SweepPlan(seed).jwc_check(m, rho, tol, ladder)
 
 
 @dataclass(frozen=True)
@@ -582,39 +743,6 @@ def left_inverse_ratio_check(
     exist along the sweep (no claim is made); otherwise verifies the ratio
     tends to the multiplier and the w-component growth ||phi_w|| / |z|
     tends to 0.  The three probes read one evaluation of ``m`` along the
-    E sweep.
+    canonical E sweep.
     """
-    if m.domain != "siegel":
-        raise DomainError("left_inverse_ratio_check expects a Siegel-side map")
-
-    probes = (first_coordinate_ratio_fn(m), projection_ratio_fn(m, rho), w_growth_fn(m))
-    prereq_traces, ratio_traces, growth_traces = probe_family(
-        probes, _e_families(m.dim, ladder), 0, seed
-    )
-    prereq = verdict_from_traces(prereq_traces, tol)
-    if not prereq.exists:
-        return LeftInverseReport(
-            status="inconclusive",
-            ratio_verdict=None,
-            derivative_verdict=None,
-            prerequisite=prereq,
-            multiplier=m.multiplier,
-            passed=False,
-        )
-
-    rv = verdict_from_traces(ratio_traces, tol)
-    dv = verdict_from_traces(growth_traces, tol)
-    ok = (
-        rv.exists
-        and dv.exists
-        and abs(rv.value - m.multiplier) <= tol
-        and abs(dv.value) <= tol
-    )
-    return LeftInverseReport(
-        status="confirmed" if ok else "failed",
-        ratio_verdict=rv,
-        derivative_verdict=dv,
-        prerequisite=prereq,
-        multiplier=m.multiplier,
-        passed=ok,
-    )
+    return SweepPlan(seed).left_inverse_ratio_check(m, rho, tol, ladder)

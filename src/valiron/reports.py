@@ -2,82 +2,78 @@
 
 All numbers render via %.17g (shortest double round-trip), newlines are
 always "\n", and row order follows input order, so identical inputs give
-byte-identical files.
+byte-identical files.  A table is written chunk by chunk, each chunk one
+``%`` over a template of its rows; text fields are quoted as ``csv.writer``
+quotes them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import Orbit
-from .geometry import SiegelPoint
+from .geometry import SiegelBatch, SiegelPoint
 
 
 def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _point_fields(q: SiegelPoint) -> list:
-    row = [format_float(q.z.real), format_float(q.z.imag)]
-    for c in q.w:
-        row.append(format_float(c.real))
-        row.append(format_float(c.imag))
-    return row
+CHUNK_ROWS = 4096
 
 
-def _open_writer(path):
-    handle = open(path, "w", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write_rows(handle, templates: Sequence[str], fields: np.ndarray) -> None:
+    """``templates[i] % tuple(fields[i])`` for every row i, one ``%`` per chunk of rows."""
+    for start in range(0, len(templates), CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        handle.write("".join(templates[start:stop]) % tuple(fields[start:stop].ravel().tolist()))
 
 
 def write_orbit_csv(path, orbit: Orbit) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["n", "x_n", "y_n", "w_norm_sq", "height"])
-        heights = orbit.x - orbit.w_norm_sq
-        for n in range(len(orbit)):
-            writer.writerow([
-                str(n),
-                format_float(orbit.x[n]),
-                format_float(orbit.y[n]),
-                format_float(orbit.w_norm_sq[n]),
-                format_float(heights[n]),
-            ])
+    n = len(orbit)
+    fields = np.column_stack((orbit.x, orbit.y, orbit.w_norm_sq, orbit.x - orbit.w_norm_sq))
+    with open(path, "w", newline="") as handle:
+        handle.write("n,x_n,y_n,w_norm_sq,height\n")
+        _write_rows(handle, [f"{i},%.17g,%.17g,%.17g,%.17g\n" for i in range(n)], fields[:n])
 
 
 def write_valiron_csv(path, points: Sequence[SiegelPoint], sigma: np.ndarray,
                       residuals: np.ndarray) -> None:
-    n_dim = points[0].dim
+    batch = SiegelBatch.from_points(points)
     header = ["re_z", "im_z"]
-    for j in range(1, n_dim):
+    for j in range(1, batch.w.shape[1] + 1):
         header += [f"re_w{j}", f"im_w{j}"]
     header += ["re_sigma", "im_sigma", "residual"]
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(header)
-        for q, s, r in zip(points, sigma, residuals):
-            writer.writerow(
-                _point_fields(q)
-                + [format_float(s.real), format_float(s.imag), format_float(r)]
-            )
+    sigma = np.asarray(sigma)
+    fields = np.column_stack((
+        batch.z.real, batch.z.imag, np.ascontiguousarray(batch.w).view(np.float64),
+        sigma.real, sigma.imag, residuals,
+    ))
+    row = ",".join(["%.17g"] * fields.shape[1]) + "\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        _write_rows(handle, [row] * len(batch), fields)
 
 
 def write_limits_csv(path, traces: Iterable[tuple]) -> None:
     """Traces are (family_label, seq_id, values); one row per value, k from 1."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["family", "seq_id", "k", "re_h", "im_h"])
+    line = io.StringIO()
+    quoted = csv.writer(line, lineterminator="\n")
+    with open(path, "w", newline="") as handle:
+        handle.write("family,seq_id,k,re_h,im_h\n")
         for family, seq_id, values in traces:
-            seq = str(seq_id)
-            writer.writerows(
-                [family, seq, str(k), format_float(re), format_float(im)]
-                for k, (re, im) in enumerate(
-                    zip(values.real.tolist(), values.imag.tolist()), start=1
-                )
-            )
+            # the label and sequence fields as csv.writer quotes them, % escaped
+            line.seek(0)
+            line.truncate()
+            quoted.writerow([family, str(seq_id), ""])
+            prefix = line.getvalue()[:-1].replace("%", "%%")
+            values = np.ascontiguousarray(values, dtype=np.complex128)
+            _write_rows(handle, [f"{prefix}{k},%.17g,%.17g\n" for k in range(1, values.size + 1)],
+                        values.view(np.float64).reshape(-1, 2))
 
 
 def write_summary(path, lines: Sequence[str]) -> None:

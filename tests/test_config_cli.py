@@ -193,6 +193,23 @@ class TestCli:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_unwritable_output_directory_exits_one(self, tmp_path, capsys):
+        """An output path under a regular file is an error line, not a traceback."""
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(VALIRON_CONFIG)
+        assert main(["run", str(cfg_path), "--out", str(blocker / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(blocker / "out") in captured.err
+        assert captured.out == ""
+
+    def test_missing_points_file_exits_one(self, tmp_path, capsys):
+        code = _run(tmp_path, f"command = classify\npoints = {tmp_path / 'absent.csv'}\n")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot read points: ")
+
     def test_orbit_command_writes_estimates(self, tmp_path):
         code = _run(
             tmp_path,

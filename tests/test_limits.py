@@ -95,17 +95,28 @@ class TestFamilies:
             assert q.z.imag == 0 and np.all(q.w == 0)
 
 
+def _bits(x):
+    """Floats and complex numbers as bytes, inside tuples too, so NaN equals NaN."""
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    if isinstance(x, (complex, float)):
+        return np.complex128(x).tobytes()
+    return x
+
+
 def _labelled(*values):
     return [("f", i, np.asarray(v, dtype=np.complex128)) for i, v in enumerate(values)]
 
 
 def _reference_verdict(tails, tol):
     """Reference for verdict_from_traces: plain pairwise loops giving
-    (status, value, spread, witness)."""
+    (status, value, spread, witness).  A NaN difference makes the spread
+    NaN; a NaN difference between two sequences makes the separation NaN,
+    which names no witness."""
     flat = np.concatenate(tails)
     spread = 0.0
     for i in range(flat.size):
-        spread = max(spread, float(np.max(np.abs(flat - flat[i]))))
+        spread = float(np.max([spread, np.max(np.abs(flat - flat[i]))]))
     witness = None
     separation = 0.0
     for i in range(len(tails)):
@@ -113,9 +124,13 @@ def _reference_verdict(tails, tol):
             for vi in tails[i]:
                 for vj in tails[j]:
                     d = abs(vi - vj)
-                    if d > separation:
+                    if math.isnan(d):
+                        separation = math.nan
+                    elif d > separation:
                         separation = d
                         witness = (i, j, complex(vi), complex(vj), float(d))
+    if math.isnan(separation):
+        witness = None
     if spread < tol:
         return "limit-exists", complex(np.mean(flat)), spread, None
     if witness is not None and separation > NO_LIMIT_FACTOR * tol:
@@ -165,6 +180,32 @@ class TestVerdicts:
                     tails, tol
                 ), (case, tol)
                 assert got.traces == tuple(traces)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_pairwise_loops_on_nan_and_inf(self):
+        """Non-finite values: NaN spreads take the witness search, as the loops do."""
+        rng = np.random.default_rng(8)
+        odd = np.array([np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf,
+                        complex(1.0, -np.inf)])
+        statuses = set()
+        for case in range(200):
+            traces = []
+            for i in range(int(rng.integers(1, 6))):
+                size = int(rng.integers(1, 6))
+                values = 2.0 + 10.0 ** rng.uniform(-6, 1) * (
+                    rng.normal(size=size) + 1j * rng.normal(size=size))
+                hit = rng.uniform(size=size) < 0.1
+                values[hit] = rng.choice(odd, int(hit.sum()))
+                traces.append(("f", i, values.astype(np.complex128)))
+            tails = [v[-min(TAIL_VALUES, v.size):] for _, _, v in traces]
+            for tol in (1e-4, 1e-2, 10.0):
+                got = verdict_from_traces(traces, tol)
+                want = _reference_verdict(tails, tol)
+                assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(want), (
+                    case, tol)
+                statuses.add((got.status, math.isnan(got.spread)))
+        assert statuses >= {("limit-exists", False), ("no-limit", False),
+                            ("inconclusive", True), ("no-limit", True)}
 
     def test_estimate_limit_on_linear_map(self):
         m = make_siegel_linear(2.0, 2)

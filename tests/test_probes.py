@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from valiron import cli, limits, reports
 from valiron.geometry import (
     DomainError,
     LinearProjectionAtInfinity,
@@ -21,20 +22,25 @@ from valiron.geometry import (
 from valiron.limits import (
     C0_SWEEP,
     C_SWEEP,
+    CHECK_SWEEPS,
     DEFAULT_LADDER,
     DEFAULT_TOL,
     M_SWEEP,
     T_SWEEP,
     JWCReport,
     LeftInverseReport,
+    SweepPlan,
     c_special_family,
+    e0_families,
     e0_limit,
+    e_families,
     e_limit,
     estimate_limit,
     family_label,
     first_coordinate_ratio_fn,
     generate_sequences,
     jwc_check,
+    k_families,
     k_limit,
     koranyi_family,
     left_inverse_ratio_check,
@@ -230,6 +236,31 @@ def test_the_compared_ratio_checks_reach_every_branch(name, status):
     assert left_inverse_ratio_check(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2).status == status
 
 
+@pytest.mark.parametrize(
+    "name", ["halfplane_affine(2,1,2)", "conjugated affine N=3", "twin-less cayley transport",
+             "valiron_example(2,oscillating)"])
+def test_a_shared_plan_gives_each_sweep_what_it_gives_alone(name):
+    """One plan for the limits and check sweeps: each family generated once,
+    each verdict and report bit for bit that of a plan of its own."""
+    m = MAPS[name]
+    rho = _projections(m.dim)[-1]
+    plan = SweepPlan(seed=5)
+    limit_sweeps = ((k_limit, k_families, 2), (e_limit, e_families, 1), (e0_limit, e0_families, 1))
+    sweeps = [plan.sweep(families(m.dim, LADDER), extra) for _, families, extra in limit_sweeps]
+    for families, extra in CHECK_SWEEPS:
+        plan.sweep(families(m.dim, LADDER), extra)
+    h = first_coordinate_ratio_fn(m)
+    for (alone, _, extra), sweep in zip(limit_sweeps, sweeps):
+        assert verdict_key(plan.verdict(h, sweep)) == verdict_key(
+            alone(h, m.dim, ladder=LADDER, extra=extra, seed=5)), alone.__name__
+    for check in ("jwc_check", "left_inverse_ratio_check"):
+        got = outcome(lambda: getattr(plan, check)(m, rho, ladder=LADDER), report_key)
+        want = outcome(lambda: globals()[check](m, rho, ladder=LADDER, seed=5), report_key)
+        assert got == want, check
+    with pytest.raises(ValueError, match="declared before"):
+        plan.sweep(k_families(m.dim, LADDER), 3)
+
+
 def test_a_probe_called_on_one_point_is_the_scalar_probe():
     m = MAPS["conjugated affine N=3"]
     rho = _projections(3)[1]
@@ -316,6 +347,59 @@ def test_each_check_evaluates_its_sweep_once(name):
         assert calls == {"batch": 1, "evaluator": 0}
 
 
+def _counted_run(tmp_path, monkeypatch, command):
+    """Map calls made inside the limits and jwc commands of one N = 2 run, and
+    the generate_sequences calls and sequences of the whole run."""
+    counts = {"batch": 0, "evaluator": 0, "generate": 0, "sequences": 0}
+    inside = []
+    build_map, generate_sequences = cli.build_map, limits.generate_sequences
+
+    def counted_map(cfg):
+        m = build_map(cfg)
+
+        def evaluator(q):
+            counts["evaluator"] += bool(inside)
+            return m.evaluator(q)
+
+        def batch(z, w):
+            counts["batch"] += bool(inside)
+            return m.batch(z, w)
+
+        return replace(m, evaluator=evaluator, batch=batch)
+
+    def generate(*args, **kwargs):
+        seqs = generate_sequences(*args, **kwargs)
+        counts["generate"] += 1
+        counts["sequences"] += len(seqs)
+        return seqs
+
+    for name in ("limits", "jwc"):
+        def run(*args, _run=cli._COMMANDS[name]):
+            inside.append(name)
+            try:
+                return _run(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setitem(cli._COMMANDS, name, run)
+    monkeypatch.setattr(cli, "build_map", counted_map)
+    monkeypatch.setattr(limits, "generate_sequences", generate)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"command = {command}\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+                   "n_max = 60\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return counts
+
+
+def test_report_all_generates_and_evaluates_each_sweep_once(tmp_path, monkeypatch, capsys):
+    """limits and jwc share one plan: each of the 33 families is generated
+    once (168 sequences, not 278) and the map evaluated once, not five times."""
+    assert _counted_run(tmp_path, monkeypatch, "report-all") == {
+        "batch": 1, "evaluator": 0, "generate": 33, "sequences": 168}
+    counts = _counted_run(tmp_path, monkeypatch, "jwc")
+    assert (counts["batch"], counts["evaluator"]) == (1, 0)
+
+
 # -- limits.csv --------------------------------------------------------------------
 
 
@@ -330,13 +414,19 @@ def _reference_csv(traces) -> str:
     return out.getvalue()
 
 
-def test_limits_csv_is_written_as_before(tmp_path):
+def test_limits_csv_is_written_as_before(tmp_path, monkeypatch):
     odd = np.array([-0.0, complex(0.0, -0.0), 1e-310, -1e308 + 5e-324j,
                     complex(math.inf, math.nan), 2.0 + 1e-17j, 0.1 + 0.2j])
     rng = np.random.default_rng(3)
     traces = [("koranyi(M=2)", 0, odd), ("part1:zero-special(C=0;T=0)", 11, odd[::-1]),
-              ("radial", 2, rng.normal(size=9) * 10.0 ** rng.integers(-30, 30, 9) + 0j)]
+              ("radial", 2, rng.normal(size=9) * 10.0 ** rng.integers(-30, 30, 9) + 0j),
+              # labels csv.writer quotes, and % signs the row template must escape
+              ("c-special(C=0,5;T=1)", 3, odd[:2]), ('say "limit"', 4, odd[2:5]),
+              ('%s, %%d and "%.17g"', 5, odd[1:4]), ("%", "6,%", odd[:1]),
+              ("no values", 7, odd[:0]), ("real values", 8, np.array([1.5, -0.0, 1e300]))]
     path = tmp_path / "limits.csv"
-    write_limits_csv(path, traces)
-    with open(path, newline="") as handle:
-        assert handle.read() == _reference_csv(traces)
+    for chunk_rows in (2, reports.CHUNK_ROWS):
+        monkeypatch.setattr(reports, "CHUNK_ROWS", chunk_rows)
+        write_limits_csv(path, traces)
+        with open(path, newline="") as handle:
+            assert handle.read() == _reference_csv(traces), chunk_rows
