@@ -28,7 +28,6 @@ from .geometry import (
     LinearProjectionAtInfinity,
     SiegelAutomorphism,
     SiegelPoint,
-    norm_sq,
 )
 from .limits import (
     CHECK_SWEEPS,
@@ -229,13 +228,9 @@ def _cmd_orbit(cfg, m, out_dir, plan) -> tuple:
 def _cmd_classify(cfg, m, out_dir, plan) -> tuple:
     if cfg.points:
         try:
-            points = read_points_csv(cfg.points)
+            orbit = Orbit(map=m, points=read_points_csv(cfg.points))
         except OSError as exc:
             raise CliError(f"cannot read points: {exc}") from None
-        x = np.array([p.z.real for p in points])
-        y = np.array([p.z.imag for p in points])
-        wsq = np.array([norm_sq(p.w) for p in points])
-        orbit = Orbit(map=m, points=tuple(points), x=x, y=y, w_norm_sq=wsq)
         source = f"points file {cfg.points}"
     else:
         start = _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))

@@ -14,8 +14,8 @@ band is a defect, not a representable state, and raises.
 
 The tail is packed once into a ``SiegelBatch`` and every route runs on its
 arrays, with the values and errors of the point-by-point computation.
-Orbits stay point by point: ``compute_orbit`` steps the map one point at a
-time.
+Orbits are batches too: ``compute_orbit`` steps the map on one-row arrays
+through ``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ import numpy as np
 
 from .geometry import (
     DomainError,
+    NonFiniteError,
     SiegelBatch,
     SiegelPoint,
     halfplane_distance,
     max_kobayashi,
-    norm_sq,
     siegel_height,
 )
-from .maps import HoloMap, ScaleOverflowError, _rng_for
+from .maps import SCALE_LIMIT, HoloMap, _rng_for, evaluate_batch
 
 SPECIAL_RESIDUAL_TOL = 1e-6
 AMBIGUITY_BAND = 1e-9
@@ -69,38 +69,33 @@ def tail_start(n: int) -> int:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Forward orbit of a Siegel-side map with cached coordinate arrays.
+    """Forward orbit of a Siegel-side map, its points held in one batch.
 
-    ``cutoff`` records a scale overflow that truncated the orbit; the points
-    kept are still exact images of each other.
+    ``x``, ``y`` and ``w_norm_sq`` are read from the batch when the orbit is
+    made.  ``cutoff`` records a scale overflow that truncated the orbit; the
+    points kept are still exact images of each other.
     """
 
     map: HoloMap
-    points: tuple
-    x: np.ndarray
-    y: np.ndarray
-    w_norm_sq: np.ndarray
+    points: SiegelBatch
     cutoff: Optional[str] = None
+
+    def __post_init__(self):
+        z = self.points.z
+        self.__dict__.update(x=z.real, y=z.imag, w_norm_sq=self.points.norm_sq())
 
     def __len__(self) -> int:
         return len(self.points)
 
     def spot_check(self, seed: int = 0, count: int = 3) -> float:
         """Re-evaluate the map on random indices; returns worst relative error."""
-        if len(self.points) < 2:
+        if len(self) < 2:
             return 0.0
-        rng = _rng_for(seed, 0)
-        idx = rng.integers(0, len(self.points) - 1, size=count)
-        worst = 0.0
-        for i in idx:
-            expect = self.points[i + 1]
-            got = self.map.evaluator(self.points[i])
-            scale = max(1.0, abs(expect.z))
-            err = abs(got.z - expect.z) / scale
-            if expect.w.size:
-                err = max(err, float(np.max(np.abs(got.w - expect.w))) / scale)
-            worst = max(worst, err)
-        return worst
+        idx = _rng_for(seed, 0).integers(0, len(self) - 1, size=count)
+        z, w = self.points.z, self.points.w
+        got = np.column_stack(evaluate_batch(self.map, z[idx], w[idx]))
+        want = np.column_stack((z[idx + 1], w[idx + 1]))
+        return float((np.abs(got - want).max(axis=1) / np.maximum(1.0, np.abs(want[:, 0]))).max())
 
 
 def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) -> Orbit:
@@ -108,28 +103,30 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
 
     ``start`` may also be a shorter orbit of ``m``; it is then continued
     from its last point, which gives the orbit of its first point.  A scale
-    overflow does not raise: the orbit is returned truncated with the cutoff
-    recorded, since the prefix is still valid data.
+    overflow, or an image past the double range, does not raise: the orbit
+    is returned truncated with the cutoff recorded, since the prefix is
+    still valid data.
     """
     if m.domain != "siegel":
         raise DomainError("orbits are computed on the Siegel side")
-    pts = list(start.points) if isinstance(start, Orbit) else [start]
+    points = start.points if isinstance(start, Orbit) else SiegelBatch.from_points([start])
+    zs, ws = [points.z], [points.w]
+    z, w = points.z[-1:], points.w[-1:]
     cutoff = None
-    cur = pts[-1]
-    for k in range(len(pts) - 1, n_steps):
-        if cur.z.real > 1e300:
-            cutoff = f"scale overflow at step {k}"
-            break
-        try:
-            cur = m.evaluator(cur)
-        except (ScaleOverflowError, OverflowError):
-            cutoff = f"scale overflow at step {k}"
-            break
-        pts.append(cur)
-    x = np.array([p.z.real for p in pts])
-    y = np.array([p.z.imag for p in pts])
-    wsq = np.array([norm_sq(p.w) for p in pts])
-    return Orbit(map=m, points=tuple(pts), x=x, y=y, w_norm_sq=wsq, cutoff=cutoff)
+    # the step of a finite point that overflows ends the orbit, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(points) - 1, n_steps):
+            if z[0].real > SCALE_LIMIT:
+                cutoff = f"scale overflow at step {k}"
+                break
+            try:
+                z, w = evaluate_batch(m, z, w)
+            except (OverflowError, NonFiniteError):
+                cutoff = f"scale overflow at step {k}"
+                break
+            zs.append(z)
+            ws.append(w)
+    return Orbit(map=m, points=SiegelBatch(np.concatenate(zs), np.concatenate(ws)), cutoff=cutoff)
 
 
 @dataclass(frozen=True)

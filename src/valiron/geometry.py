@@ -25,10 +25,18 @@ import numpy as np
 BOUNDARY_SLACK = 1e-12      # relative slack on strict domain inequalities
 MEMBERSHIP_BAND = 1e-9      # ambiguity band around region boundaries
 UNIT_NORM_SLACK = 1e-12     # allowed deviation of boundary directions from norm 1
+# check_siegel_arrays tests up to this many rows on Python floats: the array
+# test costs 12 to 20 us at any size, the float test 1 to 1.5 us a row
+# (crossover measured at about 10 rows for N = 5, 12 to 16 for N = 2 and 3)
+FEW_ROWS = 8
 
 
 class DomainError(ValueError):
     """Input violates a domain invariant (outside, or inside the slack band)."""
+
+
+class NonFiniteError(DomainError):
+    """A coordinate is NaN or infinite."""
 
 
 class _InfinityVertex:
@@ -95,7 +103,7 @@ class BallPoint:
             raise DomainError("ball point needs at least one coordinate")
         nsq = _quiet_norm_sq(arr)
         if math.isnan(nsq):
-            raise DomainError("non-finite coordinates")
+            raise NonFiniteError("non-finite coordinates")
         if 1.0 - nsq <= BOUNDARY_SLACK:
             raise DomainError(f"not strictly inside the unit ball: ||p||^2 = {nsq!r}")
         arr.setflags(write=False)
@@ -163,7 +171,7 @@ class SiegelPoint:
         if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or (
             not math.isfinite(nsq) and (math.isnan(nsq) or not np.isfinite(arr).all())
         ):
-            raise DomainError("non-finite coordinates")
+            raise NonFiniteError("non-finite coordinates")
         height = zc.real - nsq
         scale = max(1.0, abs(zc), nsq)
         if height <= BOUNDARY_SLACK * scale:
@@ -207,12 +215,24 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
     when ``SiegelPoint(z[i], w[i])`` rejects it, and the ``DomainError`` of
-    the first rejected row carries the scalar message.  The test runs on
-    whole arrays; a row that fails it (non-finite rows always do), or passes
-    it by less than the rounding gap between these array norms and
-    ``norm_sq``, is decided by the scalar constructor.
+    the first rejected row carries the scalar message.  A clear-margin test
+    runs on Python floats for up to ``FEW_ROWS`` rows and on whole arrays
+    above; a row that fails it (non-finite rows always do), or passes it by
+    less than the rounding gap between these norms and ``norm_sq``, is
+    decided by the scalar constructor.
     """
-    rounding = 16.0 * (w.shape[1] + 1) * np.finfo(np.float64).eps
+    rounding = 16.0 * (w.shape[1] + 1) * math.ulp(1.0)
+    if z.shape[0] <= FEW_ROWS:
+        for zi, wi in zip(z.tolist(), w.tolist()):
+            nsq = 0.0
+            for c in wi:
+                nsq += c.real * c.real + c.imag * c.imag
+            scale = max(1.0, math.hypot(zi.real, zi.imag), nsq)
+            margin = (zi.real - nsq) - BOUNDARY_SLACK * scale
+            # max() drops a NaN that np.maximum would keep: test Im z itself
+            if not (margin > rounding * (nsq + scale) and math.isfinite(zi.imag)):
+                SiegelPoint(zi, wi)
+        return
     with np.errstate(invalid="ignore", over="ignore"):
         nsq = (w.real * w.real + w.imag * w.imag).sum(axis=1)
         scale = np.maximum(np.abs(z), nsq)
@@ -403,7 +423,7 @@ class SiegelBatch:
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        z = self.z + 2.0 * norm_sq(a) + 2.0 * _row_herm(self.w, a)
+        z = self.z + 2.0 * _quiet_norm_sq(a) + 2.0 * _row_herm(self.w, a)
         w = np.empty_like(self.w)
         w[:] = -a
         try:
@@ -419,7 +439,7 @@ class SiegelBatch:
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        return self.z + norm_sq(a) + 2.0 * _row_herm(self.w, a)
+        return self.z + _quiet_norm_sq(a) + 2.0 * _row_herm(self.w, a)
 
 
 def max_kobayashi(tanh: np.ndarray) -> float:
@@ -672,35 +692,19 @@ class SiegelAutomorphism:
         return SiegelAutomorphism.composite(tuple(f.inverse() for f in reversed(self.factors)))
 
 
-def _apply_one(t: SiegelAutomorphism, z: complex, w: np.ndarray):
-    if t.kind == "scale-translate":
-        if not t.x > 0.0:
-            raise DomainError("scale-translate requires x > 0")
-        return (z - 1j * t.y) / t.x, w / math.sqrt(t.x)
-    if t.kind == "heisenberg-translate":
-        a = t.a
-        if a.size != w.size:
-            raise DomainError("translation vector dimension mismatch")
-        return z + norm_sq(a) + 2.0 * herm(w, a), w + a
-    if t.kind == "composite":
-        for f in t.factors:
-            z, w = _apply_one(f, z, w)
-        return z, w
-    raise DomainError(f"unknown automorphism kind {t.kind!r}")
-
-
 def apply_automorphism(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
-    """Apply t to q; the image is again a valid SiegelPoint by construction."""
-    z, w = _apply_one(t, q.z, q.w)
-    return SiegelPoint(z, w)
+    """Apply t to q, as a one-row ``apply_automorphism_arrays``; the image is checked."""
+    z, w = apply_automorphism_arrays(t, np.array([q.z]), q.w[None, :])
+    return SiegelPoint(z[0], w[0])
 
 
 def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray):
-    """Apply t to every row of ``(z, w)``, bit for bit as ``apply_automorphism``.
+    """Apply t to every row of ``(z, w)``.
 
-    Shapes are (n,) and (n, N-1); rows are not validated.  The Hermitian
-    product of a Heisenberg translation is ``_row_herm``, which runs the
-    dot kernel of ``herm`` row by row.
+    Shapes are (n,) and (n, N-1); rows are not validated.  A scale divides
+    as Python's ``complex / float`` does (``divide_by_real``), and the
+    Hermitian product of a Heisenberg translation is ``_row_herm``, which
+    runs the dot kernel of ``herm`` row by row.
     """
     if t.kind == "scale-translate":
         if not t.x > 0.0:

@@ -1,19 +1,18 @@
 """Holomorphic self-maps of the ball and Siegel domain, with a small catalog.
 
-A map is a point evaluator plus metadata (Denjoy-Wolff point, boundary
-multiplier, optional closed-form intertwining function), and optionally an
-array evaluator ``batch`` that computes the same map on many points at once.
-The catalog holds hyperbolic examples whose Schroder solutions are known,
-used as oracles; each has a closed-form ``batch``:
+A map is an evaluator plus metadata (Denjoy-Wolff point, boundary
+multiplier, optional closed-form intertwining function).  A Siegel-side map
+may be defined by ``batch``, the map on arrays of points, alone; its
+evaluator is then a one-row call.  The catalog holds hyperbolic examples
+whose Schroder solutions are known, used as oracles, each defined so:
 
 * ``make_siegel_linear``      (z, w) -> (lam z, sqrt(lam) w)
 * ``make_halfplane_affine``   (z, w) -> (lam z + i b, sqrt(lam) w)
 * ``make_valiron_example``    (z, w) -> (A z + A w^2 psi(z), 0) on H^2
 
-``evaluate_batch`` runs a Siegel-side map on arrays of points, through
-``batch`` when the map has one and point by point otherwise.  Evaluators are
-pure; per-point work is independent, so results never depend on evaluation
-order.
+``evaluate_batch`` runs a Siegel-side map on arrays of points through
+``batch``; black boxes alone go point by point.  Evaluators are pure;
+per-point work is independent, so results never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from .geometry import (
     DomainError,
     INFINITY,
     SiegelPoint,
-    apply_automorphism,
+    _checked_point,
     apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
@@ -103,20 +103,20 @@ class HoloMap:
     the Schroder equation sigma(phi(q)) = lam sigma(q), used only as a test
     oracle.
 
-    ``batch``, when present, is the same map on arrays of Siegel points:
-    ``batch(z, w)`` with ``z`` of shape (n,) and ``w`` of shape (n, N-1)
-    returns the images' ``(z, w)`` in the same shapes, equal bit for bit to
-    the evaluator's images row by row.  It validates neither its input nor
-    its output; ``evaluate_batch`` does both.  ``dataclasses.replace(m,
-    evaluator=f)`` keeps the old ``batch``, so a replaced evaluator must be
-    paired with a matching ``batch`` or with ``batch=None``.
+    ``batch`` is the map on arrays of Siegel points: ``batch(z, w)`` with
+    ``z`` of shape (n,) and ``w`` of shape (n, N-1) returns the images'
+    ``(z, w)`` in the same shapes.  It validates neither its input nor its
+    output; ``evaluate_batch`` does both.  A Siegel map given ``batch``
+    alone gets the one-row ``evaluate_batch`` as its ``evaluator``.
+    ``dataclasses.replace`` keeps that evaluator, so ``replace(m,
+    batch=None)`` is ``m`` evaluated point by point.
     """
 
     domain: str
     dim: int
-    evaluator: Callable[[Point], Point]
     dw: object
     multiplier: float
+    evaluator: Optional[Callable[[Point], Point]] = None
     intertwiner: Optional[Callable[[Point], complex]] = None
     name: str = "anonymous"
     params: dict = field(default_factory=dict)
@@ -140,6 +140,10 @@ class HoloMap:
                 raise DomainError("ball map needs a BoundaryDirection Denjoy-Wolff point")
             if not 0.0 < self.multiplier < 1.0:
                 raise DomainError("ball-side multiplier must satisfy 0 < c < 1")
+        if self.evaluator is None:
+            if self.domain != "siegel" or self.batch is None:
+                raise DomainError("a map needs an evaluator, or a batch on the Siegel side")
+            object.__setattr__(self, "evaluator", partial(_evaluate_one, self))
 
     def __call__(self, q: Point) -> Point:
         return self.evaluator(q)
@@ -151,8 +155,7 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
     arrays of the same shapes.  A map with ``batch`` runs on the whole
     arrays, and every input and output row is checked as ``SiegelPoint``
-    checks it; a map without one is evaluated point by point.  Either way
-    the images equal the evaluator's bit for bit.
+    checks it; a black box is evaluated point by point.
     """
     if m.domain != "siegel":
         raise DomainError("evaluate_batch expects a Siegel-side map")
@@ -166,6 +169,14 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     return z, w
 
 
+def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
+    """``m(q)`` as a one-row ``evaluate_batch``, without numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, w = evaluate_batch(m, np.array([q.z]), q.w[None, :])
+    w.setflags(write=False)
+    return _checked_point(complex(z[0]), w[0])
+
+
 def multipliers_consistent(lam: float, c: float) -> bool:
     """Ball and Siegel multipliers describe the same map iff lam * c = 1."""
     return abs(lam * c - 1.0) <= MULTIPLIER_CONSISTENCY * max(1.0, lam)
@@ -177,16 +188,12 @@ def make_siegel_linear(lam: float, n_dim: int) -> HoloMap:
         raise DomainError("hyperbolicity requires lam > 1")
     root = math.sqrt(lam)
 
-    def ev(q: SiegelPoint) -> SiegelPoint:
-        return SiegelPoint(lam * q.z, root * q.w)
-
     def batch(z: np.ndarray, w: np.ndarray) -> tuple:
         return lam * z, root * w
 
     return HoloMap(
         domain="siegel",
         dim=n_dim,
-        evaluator=ev,
         dw=INFINITY,
         multiplier=float(lam),
         intertwiner=lambda q: q.z,
@@ -206,16 +213,12 @@ def make_halfplane_affine(lam: float, b: float, n_dim: int) -> HoloMap:
     root = math.sqrt(lam)
     drift = b / (lam - 1.0)
 
-    def ev(q: SiegelPoint) -> SiegelPoint:
-        return SiegelPoint(lam * q.z + 1j * b, root * q.w)
-
     def batch(z: np.ndarray, w: np.ndarray) -> tuple:
         return lam * z + 1j * b, root * w
 
     return HoloMap(
         domain="siegel",
         dim=n_dim,
-        evaluator=ev,
         dw=INFINITY,
         multiplier=float(lam),
         intertwiner=lambda q: q.z + 1j * drift,
@@ -235,16 +238,11 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
     if not a_mult > 1.0:
         raise DomainError("hyperbolicity requires A > 1")
 
-    def image_z(z: complex, w1: complex) -> complex:
-        return a_mult * z + a_mult * w1 * w1 * psi(z)
-
-    def ev(q: SiegelPoint) -> SiegelPoint:
-        return SiegelPoint(image_z(q.z, complex(q.w[0])), np.zeros(1, dtype=np.complex128))
-
     def batch(z: np.ndarray, w: np.ndarray) -> tuple:
         # Python complex per row: numpy's complex product, log and division
         # round differently in the last bit
-        images = [image_z(zi, wi) for zi, wi in zip(z.tolist(), w[:, 0].tolist())]
+        images = [a_mult * zi + a_mult * wi * wi * psi(zi)
+                  for zi, wi in zip(z.tolist(), w[:, 0].tolist())]
         return np.array(images, dtype=np.complex128), np.zeros_like(w)
 
     def sigma(q: SiegelPoint) -> complex:
@@ -254,7 +252,6 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
     return HoloMap(
         domain="siegel",
         dim=2,
-        evaluator=ev,
         dw=INFINITY,
         multiplier=float(a_mult),
         intertwiner=sigma,
@@ -325,26 +322,21 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 def conjugate_map(m: HoloMap, t) -> HoloMap:
     """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
-    It has a ``batch`` when ``m`` has one; that checks the rows of
-    T^-1(q) and of their images, as the evaluator's points do.
+    Its ``batch`` checks the rows of T^-1(q) and of their images under
+    ``m``, which ``evaluate_batch`` steps point by point if ``m`` is a
+    black box.
     """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")
     t_inv = t.inverse()
 
-    def ev(q: SiegelPoint) -> SiegelPoint:
-        return apply_automorphism(t, m.evaluator(apply_automorphism(t_inv, q)))
-
-    batch = None
-    if m.batch is not None:
-        def batch(z: np.ndarray, w: np.ndarray) -> tuple:
-            pre = apply_automorphism_arrays(t_inv, z, w)
-            return apply_automorphism_arrays(t, *evaluate_batch(m, *pre))
+    def batch(z: np.ndarray, w: np.ndarray) -> tuple:
+        pre = apply_automorphism_arrays(t_inv, z, w)
+        return apply_automorphism_arrays(t, *evaluate_batch(m, *pre))
 
     return HoloMap(
         domain="siegel",
         dim=m.dim,
-        evaluator=ev,
         dw=INFINITY,
         multiplier=m.multiplier,
         intertwiner=None,

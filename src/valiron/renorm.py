@@ -18,8 +18,9 @@ as direct iteration; the state is checked against it before every step.
 
 The base orbit, the grid and the grid images share the scales, so the state
 is one stack of rows and a step is one map evaluation on arrays:
-``maps.evaluate_batch`` advances every row at once for maps with a
-closed-form ``batch``, and point by point for black-box maps.
+``maps.evaluate_batch`` advances every row at once through the map's
+``batch``; black boxes alone go point by point.  The probe orbit steps one
+row at a time.
 
 Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
 run_valiron stores the pairs it used on the result, and
@@ -52,6 +53,7 @@ from .geometry import (
     SiegelBatch,
     SiegelPoint,
     apply_automorphism,
+    apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
     divide_by_real,
@@ -175,10 +177,6 @@ def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> Renorm
     return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w)
 
 
-def _advance_group(m: HoloMap, sigma, v, x_n, x_next):
-    return _pack(*evaluate_batch(m, x_n * sigma, math.sqrt(x_n) * v), x_next)
-
-
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
@@ -251,15 +249,16 @@ class ValironResult:
         points ride along the same base orbit and off-grid probes use
         exactly the pipeline that produced the grid samples.
         """
-        points = list(points)
-        if not points:
+        if not isinstance(points, SiegelBatch):
+            points = tuple(points)
+        if not len(points):
             return np.zeros(0, dtype=np.complex128)
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
         sigma, v = _pack(batch.z, batch.w, self.base.z.real)
         for x_n, x_next in self.scale_pairs:
-            sigma, v = _advance_group(self.map, sigma, v, x_n, x_next)
+            sigma, v = _pack(*evaluate_batch(self.map, x_n * sigma, math.sqrt(x_n) * v), x_next)
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
@@ -423,17 +422,17 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
         raise DomainError("transport normalizer must have positive real part")
     factor = 1.0 / sigma_z0.real
 
-    moved_grid = EvaluationGrid([apply_automorphism(t, p) for p in result.grid.points])
+    grid = SiegelBatch.from_points(result.grid.points)
+    moved_grid = EvaluationGrid(SiegelBatch(*apply_automorphism_arrays(t, grid.z, grid.w)))
     sigma = factor * result.sigma
     # phi_c(T Z) = T(phi Z), so the image samples transport by the same factor
     sigma_image = factor * result.sigma_image
     residuals = np.abs(sigma_image - result.multiplier * sigma) / (1.0 + np.abs(sigma))
 
-    inner = result  # closure over the original pipeline
-
     def transported_sigma(points):
-        pre = [apply_automorphism(t_inv, p) for p in points]
-        return factor * inner.sigma_at(pre)
+        points = SiegelBatch.from_points(points)
+        pre = SiegelBatch(*apply_automorphism_arrays(t_inv, points.z, points.w))
+        return factor * result.sigma_at(pre)
 
     drift = sigma_z0.imag / sigma_z0.real
     return replace(

@@ -82,8 +82,11 @@ def write_summary(path, lines: Sequence[str]) -> None:
             handle.write(line + "\n")
 
 
-def read_points_csv(path) -> list:
-    """Read a point-list CSV (header re_z, im_z, re_w1, im_w1, ...)."""
+def read_points_csv(path) -> SiegelBatch:
+    """Read a point-list CSV (header re_z, im_z, re_w1, im_w1, ...) into a batch.
+
+    Every line is parsed before any point is checked.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -91,14 +94,13 @@ def read_points_csv(path) -> list:
             raise ValueError(f"{path}: expected a header starting re_z, im_z")
         if (len(header) - 2) % 2 != 0:
             raise ValueError(f"{path}: w columns must come in re/im pairs")
-        points = []
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            vals = [float(v) for v in row]
-            z = complex(vals[0], vals[1])
-            w = [complex(vals[i], vals[i + 1]) for i in range(2, len(vals), 2)]
-            points.append(SiegelPoint(z, np.asarray(w, dtype=np.complex128)))
-    return points
+            rows.append([float(v) for v in row])
+    # (re, im) column pairs read as complex columns
+    coords = np.array(rows, dtype=np.float64).reshape(len(rows), len(header)).view(np.complex128)
+    return SiegelBatch(coords[:, 0], coords[:, 1:])

@@ -233,6 +233,19 @@ class TestCli:
         assert code == 0
         assert "classification.special = true" in (tmp_path / "summary.txt").read_text()
 
+    @pytest.mark.parametrize("command, map_lines, lines", [
+        ("orbit", "map = halfplane_affine\nlambda = 1e200\nb = 1\n",
+         ["points = 2", "cutoff = scale overflow at step 1"]),
+        ("classify", "map = siegel_linear\nlambda = 1e10\n",
+         ["points = 31", "classification.special = true"]),
+    ])
+    def test_an_orbit_past_the_double_range_stops_at_a_cutoff(self, tmp_path, command, map_lines,
+                                                               lines):
+        code = _run(tmp_path, f"command = {command}\n{map_lines}N = 2\n")
+        assert code == 0
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert all(line in summary for line in lines)
+
     def test_classify_from_points_file(self, tmp_path):
         orbit = compute_orbit(
             make_siegel_linear(2.0, 2), SiegelPoint(1.0 + 0.5j, np.array([0.3 + 0j])), 60

@@ -19,7 +19,7 @@ from valiron.dynamics import (
     summarize_orbit,
     tail_start,
 )
-from valiron.geometry import SiegelPoint
+from valiron.geometry import SiegelAutomorphism, SiegelPoint
 from valiron.limits import (
     c_special_family,
     generate_sequences,
@@ -27,7 +27,13 @@ from valiron.limits import (
     radial_family,
     zero_special_family,
 )
-from valiron.maps import make_halfplane_affine, make_siegel_linear
+from valiron.maps import (
+    PsiChoice,
+    conjugate_map,
+    make_halfplane_affine,
+    make_siegel_linear,
+    make_valiron_example,
+)
 
 from conftest import sample_siegel
 
@@ -58,6 +64,21 @@ class TestOrbit:
         assert "overflow" in orbit.cutoff
         assert len(orbit) < 1200
         assert np.all(np.isfinite(orbit.x))
+
+    @pytest.mark.parametrize("m, steps", [
+        (make_halfplane_affine(1e200, 1.0, 2), 1),
+        # Re z = 1e300 passes the scale check, and its image overflows
+        (make_siegel_linear(1e10, 2), 30),
+        (make_valiron_example(1e200, PsiChoice("oscillating")), 1),
+        (conjugate_map(make_halfplane_affine(1e200, 1.0, 2), SiegelAutomorphism.composite(
+            [SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])])), 1),
+    ], ids=["affine", "linear", "shear", "conjugated affine"])
+    def test_an_image_past_the_double_range_is_a_cutoff(self, m, steps):
+        start = SiegelPoint(1.0, np.zeros(m.dim - 1))
+        orbit = compute_orbit(m, start, 60)
+        assert orbit.cutoff == f"scale overflow at step {steps}"
+        assert len(orbit) == steps + 1
+        assert np.all(np.isfinite(orbit.x)) and np.all(np.isfinite(orbit.y))
 
     def test_a_continued_orbit_is_the_orbit_of_its_start(self):
         m = make_halfplane_affine(2.0, 1.0, 2)

@@ -15,6 +15,7 @@ from valiron.geometry import (
     KoranyiRegion,
     LinearProjectionAtInfinity,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
     apply_automorphism,
     apply_automorphism_inverse,
@@ -356,6 +357,14 @@ class TestProjections:
         assert np.max(np.abs(image.w)) == 0.0
         assert image.z == q.z
         assert left_inverse_value(rho, q) == q.z
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_projection_vector_gives_no_warning(self):
+        batch = SiegelBatch.from_points([sample_siegel(2, seed, 34) for seed in range(3)])
+        rho = LinearProjectionAtInfinity([1e200])
+        with pytest.raises(DomainError, match="^projected image left the Siegel domain: non-finite"):
+            batch.project(rho)
+        assert np.all(np.isposinf(batch.left_inverse(rho).real))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

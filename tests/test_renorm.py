@@ -210,10 +210,11 @@ class TestRunValiron:
 
     def test_slow_probe_orbit_is_continued_not_recomputed(self):
         m = make_halfplane_affine(1.2, 1.0, 2)  # x_32 ~ 342: the probe goes on to 64 steps
-        evals = []
-        result = run_valiron(replace(m, evaluator=lambda q: evals.append(q) or m.evaluator(q)))
+        rows = []
+        result = run_valiron(replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
         want = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), PROBE_MAX_STEPS)
-        assert len(evals) == PROBE_MAX_STEPS
+        # the probe steps one row at a time; the grid steps take 1 + 2 * 36 rows
+        assert rows.count(1) == PROBE_MAX_STEPS
         assert result.base_orbit.points == want.points
         assert np.array_equal(result.base_orbit.x, want.x)
 

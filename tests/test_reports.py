@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from valiron import reports
-from valiron.dynamics import Orbit, compute_orbit
+from valiron.dynamics import compute_orbit
 from valiron.geometry import SiegelPoint
 from valiron.maps import make_siegel_linear
 from valiron.reports import format_float, write_orbit_csv, write_valiron_csv
@@ -64,14 +64,22 @@ def chunk_rows(request, monkeypatch):
     return request.param
 
 
+class _Columns:
+    """The columns that write_orbit_csv reads from an Orbit, holding any values."""
+
+    def __init__(self, x, y, w_norm_sq):
+        self.x, self.y, self.w_norm_sq = x, y, w_norm_sq
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+
 def test_orbit_csv_is_written_as_before(tmp_path, chunk_rows):
     rng = np.random.default_rng(11)
     orbits = [compute_orbit(make_siegel_linear(3.0, 2), SiegelPoint(1.0 + 0.5j, [0.3j]), 40)]
-    n = len(ODD) + 7
     x = np.array(ODD + list(rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, 7)))
-    # an Orbit holding odd values, as a points file may give them
-    orbits.append(Orbit(map=None, points=tuple(range(n)), x=x, y=x[::-1].copy(),
-                        w_norm_sq=np.roll(x, 3)))
+    # odd values, beyond what the points of an orbit hold
+    orbits.append(_Columns(x, x[::-1].copy(), np.roll(x, 3)))
     for i, orbit in enumerate(orbits):
         path = tmp_path / f"orbit{i}.csv"
         with np.errstate(invalid="ignore"):
