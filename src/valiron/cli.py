@@ -27,6 +27,7 @@ from .geometry import (
     DomainError,
     LinearProjectionAtInfinity,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
 )
 from .limits import (
@@ -247,9 +248,7 @@ def _cmd_classify(cfg, m, out_dir, plan) -> tuple:
 def _arg_sigma_diagnostic(result) -> list:
     """Argument of sigma along the positive real ray; informational only."""
     rays = [10.0 ** k for k in range(0, 7)]
-    dim = result.base.dim
-    pts = [SiegelPoint(r, np.zeros(dim - 1)) for r in rays]
-    values = result.sigma_at(pts)
+    values = result.sigma_at(SiegelBatch(rays, np.zeros((len(rays), result.base.dim - 1))))
     lines = ["arg sigma along the real ray (diagnostic, no pass/fail contract):"]
     for r, v in zip(rays, values):
         lines.append(f"  r = {r:g}: arg sigma = {format_float(np.angle(v))}")

@@ -43,7 +43,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
 
-# config key -> (field name, type tag)
+# config key -> (field name, type tag), in the canonical emission order
 _KEYS = {
     "command": ("command", "command"),
     "map": ("map_name", "map"),
@@ -65,12 +65,6 @@ _KEYS = {
     "limit_tol": ("limit_tol", "float"),
     "out": ("out", "str"),
 }
-# canonical emission order
-_EMIT_ORDER = (
-    "command", "map", "lambda", "b", "A", "N", "psi", "conjugate", "start",
-    "points", "grid_z", "grid_w", "a", "n_max", "tol", "seed", "ladder_max",
-    "limit_tol", "out",
-)
 
 
 def _convert(key: str, raw: str, lineno: int):
@@ -172,7 +166,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
     by_field = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     out = []
-    for key in _EMIT_ORDER:
+    for key in _KEYS:
         value = by_field[_KEYS[key][0]]
         if value is None:
             continue

@@ -126,7 +126,9 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
                 break
             zs.append(z)
             ws.append(w)
-    return Orbit(map=m, points=SiegelBatch(np.concatenate(zs), np.concatenate(ws)), cutoff=cutoff)
+    # every row is the checked start or an image that evaluate_batch checked
+    points = SiegelBatch._checked(np.concatenate(zs), np.concatenate(ws))
+    return Orbit(map=m, points=points, cutoff=cutoff)
 
 
 @dataclass(frozen=True)

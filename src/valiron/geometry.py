@@ -315,7 +315,9 @@ class SiegelBatch:
 
     @classmethod
     def _checked(cls, z: np.ndarray, w: np.ndarray) -> "SiegelBatch":
-        """Batch over read-only rows that already passed the checks of ``SiegelPoint``."""
+        """Batch over rows that already passed the checks of ``SiegelPoint``, made read-only."""
+        z.setflags(write=False)
+        w.setflags(write=False)
         batch = object.__new__(cls)
         batch.__dict__.update(z=z, w=w)
         return batch
@@ -333,10 +335,7 @@ class SiegelBatch:
         except ValueError:
             raise DomainError("points of different dimensions") from None
         z = np.array([p.z for p in points], dtype=np.complex128)
-        w = w.reshape(len(points), points[0].dim - 1)
-        z.setflags(write=False)
-        w.setflags(write=False)
-        return cls._checked(z, w)
+        return cls._checked(z, w.reshape(len(points), points[0].dim - 1))
 
     def __len__(self) -> int:
         return self.z.shape[0]
@@ -430,8 +429,6 @@ class SiegelBatch:
             check_siegel_arrays(z, w)
         except DomainError as exc:
             raise DomainError(f"projected image left the Siegel domain: {exc}") from exc
-        z.setflags(write=False)
-        w.setflags(write=False)
         return SiegelBatch._checked(z, w)
 
     def left_inverse(self, rho: "LinearProjectionAtInfinity") -> np.ndarray:

@@ -246,8 +246,6 @@ def generate_sequences(
     z, w = _family_arrays(family, seeds)
     rows, rungs = z.shape
     check_siegel_arrays(z.reshape(rows * rungs), w.reshape(rows * rungs, family.n_dim - 1))
-    z.setflags(write=False)
-    w.setflags(write=False)
     return list(map(SiegelBatch._checked, z, w))
 
 
@@ -307,8 +305,6 @@ class MapProbe:
 def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
     """The images of the rows under ``m``, each row checked."""
     z, w = evaluate_batch(m, points.z, points.w)
-    z.setflags(write=False)
-    w.setflags(write=False)
     return SiegelBatch._checked(z, w)
 
 
@@ -326,8 +322,6 @@ def _take(batch: SiegelBatch, rows: np.ndarray) -> SiegelBatch:
     if rows.size == len(batch):
         return batch
     z, w = batch.z[rows], batch.w[rows]
-    z.setflags(write=False)
-    w.setflags(write=False)
     return SiegelBatch._checked(z, w)
 
 
@@ -405,8 +399,6 @@ class SweepPlan:
                 seqs += generated
             z = np.concatenate([s.z for s in seqs])
             w = np.concatenate([s.w for s in seqs])
-            z.setflags(write=False)
-            w.setflags(write=False)
             self._points = SiegelBatch._checked(z, w)
         return self._points
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .geometry import (
     cayley_to_ball,
     cayley_to_siegel,
     divide_by_real,
-    norm_sq,
 )
 from .maps import (
     HoloMap,
@@ -87,22 +86,31 @@ class NonHyperbolicError(ValueError):
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Finite set of probe points, all at height >= MIN_GRID_HEIGHT."""
+    """Finite set of probe points, all at height >= MIN_GRID_HEIGHT, held in one batch.
 
-    points: tuple
+    ``points`` may be a ``SiegelBatch``, which is kept as it is, or any
+    iterable of ``SiegelPoint``s of one dimension, which is packed once.
+    """
 
-    def __init__(self, points: Sequence[SiegelPoint]):
-        pts = tuple(points)
-        if not pts:
+    points: SiegelBatch
+
+    def __init__(self, points: Iterable[SiegelPoint]):
+        if not isinstance(points, SiegelBatch):
+            points = tuple(points)
+        if not len(points):
             raise DegenerateGridError("empty evaluation grid")
-        if len({(p.z, tuple(p.w.tolist())) for p in pts}) < 2:
+        points = SiegelBatch.from_points(points)
+        z, w = points.z, points.w
+        # != compares as Python's complex ==, so 0.0 and -0.0 are one value
+        if not ((z != z[0]).any() or (w != w[0]).any()):
             raise DegenerateGridError("grid must contain at least 2 distinct points")
-        for p in pts:
-            if p.z.real - norm_sq(p.w) < MIN_GRID_HEIGHT:
-                raise DegenerateGridError(
-                    f"grid point at height {p.z.real - norm_sq(p.w)!r} < {MIN_GRID_HEIGHT}"
-                )
-        object.__setattr__(self, "points", pts)
+        height = points.height()
+        low = np.flatnonzero(height < MIN_GRID_HEIGHT)
+        if low.size:
+            raise DegenerateGridError(
+                f"grid point at height {float(height[low[0]])!r} < {MIN_GRID_HEIGHT}"
+            )
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -132,11 +140,10 @@ class RenormalizedState:
 
     ``z``/``w`` hold S_n on the rows: row 0 is the normalizing base orbit,
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
-    on hand).  ``base_sigma`` (a complex) and the read-only views
-    ``base_v``, ``sigma``/``v`` and ``sigma_img``/``v_img`` are read from
-    these rows when the state is made.  ``log_x`` is the base scale in
-    log-space; ``scales`` is the pair (x_{n-1}, x_n) of the step that
-    produced this state (empty for n = 0).
+    on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
+    and ``sigma_img`` are read from these rows when the state is made.
+    ``log_x`` is the base scale in log-space; ``scales`` is the pair
+    (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
     """
 
     n: int
@@ -149,10 +156,7 @@ class RenormalizedState:
         self.z.setflags(write=False)
         self.w.setflags(write=False)
         g = len(self.z) // 2 + 1
-        self.__dict__.update(
-            base_sigma=complex(self.z[0]), base_v=self.w[0], sigma=self.z[1:g],
-            v=self.w[1:g], sigma_img=self.z[g:], v_img=self.w[g:],
-        )
+        self.__dict__.update(base_sigma=complex(self.z[0]), sigma=self.z[1:g], sigma_img=self.z[g:])
 
     @property
     def x(self) -> float:
@@ -170,10 +174,13 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
-    points = SiegelBatch.from_points((base, *grid.points))
-    img_z, img_w = evaluate_batch(m, points.z[1:], points.w[1:])
+    points = grid.points
+    if base.dim != points.dim:
+        raise DomainError("points of different dimensions")
+    img_z, img_w = evaluate_batch(m, points.z, points.w)
     x0 = base.z.real
-    z, w = _pack(np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w)), x0)
+    z = np.concatenate(([base.z], points.z, img_z))
+    z, w = _pack(z, np.concatenate((base.w[None, :], points.w, img_w)), x0)
     return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w)
 
 
@@ -262,12 +269,21 @@ class ValironResult:
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
-        """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|)."""
-        points = list(points)
-        images = [self.map.evaluator(p) for p in points]
-        s = self.sigma_at(points)
-        s_img = self.sigma_at(images)
-        return np.abs(s_img - self.multiplier * s) / (1.0 + np.abs(s))
+        """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
+
+        One map evaluation gives the images; one replay of sigma runs over
+        the points and the images stacked.
+        """
+        if not isinstance(points, SiegelBatch):
+            points = tuple(points)
+        if not len(points):
+            return np.zeros(0)
+        points = SiegelBatch.from_points(points)
+        img_z, img_w = evaluate_batch(self.map, points.z, points.w)
+        n = len(points)
+        s = self.sigma_at(SiegelBatch._checked(
+            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))))
+        return np.abs(s[n:] - self.multiplier * s[:n]) / (1.0 + np.abs(s[:n]))
 
 
 def schroder_residual(m: HoloMap, sigma: Callable[[SiegelPoint], complex], q: SiegelPoint,
@@ -422,7 +438,7 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
         raise DomainError("transport normalizer must have positive real part")
     factor = 1.0 / sigma_z0.real
 
-    grid = SiegelBatch.from_points(result.grid.points)
+    grid = result.grid.points
     moved_grid = EvaluationGrid(SiegelBatch(*apply_automorphism_arrays(t, grid.z, grid.w)))
     sigma = factor * result.sigma
     # phi_c(T Z) = T(phi Z), so the image samples transport by the same factor

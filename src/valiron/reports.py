@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Orbit
-from .geometry import SiegelBatch, SiegelPoint
+from .geometry import SiegelBatch
 
 
 def format_float(x: float) -> str:
@@ -41,9 +41,7 @@ def write_orbit_csv(path, orbit: Orbit) -> None:
         _write_rows(handle, [f"{i},%.17g,%.17g,%.17g,%.17g\n" for i in range(n)], fields[:n])
 
 
-def write_valiron_csv(path, points: Sequence[SiegelPoint], sigma: np.ndarray,
-                      residuals: np.ndarray) -> None:
-    batch = SiegelBatch.from_points(points)
+def write_valiron_csv(path, batch: SiegelBatch, sigma: np.ndarray, residuals: np.ndarray) -> None:
     header = ["re_z", "im_z"]
     for j in range(1, batch.w.shape[1] + 1):
         header += [f"re_w{j}", f"im_w{j}"]

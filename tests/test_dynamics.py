@@ -19,6 +19,7 @@ from valiron.dynamics import (
     summarize_orbit,
     tail_start,
 )
+from valiron import geometry, maps
 from valiron.geometry import SiegelAutomorphism, SiegelPoint
 from valiron.limits import (
     c_special_family,
@@ -91,6 +92,24 @@ class TestOrbit:
             assert got.points == want.points and got.cutoff == want.cutoff
             for attr in ("x", "y", "w_norm_sq"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+    def test_each_row_is_checked_once(self, monkeypatch):
+        """A step checks its input row and its image; the orbit is not checked again."""
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        rows = []
+        check = geometry.check_siegel_arrays
+
+        def counting_check(z, w):
+            rows.append(len(z))
+            check(z, w)
+
+        monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(geometry, "check_siegel_arrays", counting_check)
+        orbit = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), 7)
+        assert rows == [1] * 2 * 7
+        rows.clear()
+        assert len(compute_orbit(m, orbit, 10)) == 11
+        assert rows == [1] * 2 * 3
 
 
 class TestClassification:

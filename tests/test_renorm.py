@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valiron.geometry import (
+    FEW_ROWS,
     INFINITY,
     DomainError,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
     cayley_to_siegel,
+    norm_sq,
 )
 from valiron.maps import (
     HoloMap,
@@ -62,6 +65,39 @@ class TestGrid:
             EvaluationGrid([SiegelPoint(1.0), SiegelPoint(1.0)])
         with pytest.raises(DegenerateGridError):
             EvaluationGrid([SiegelPoint(0.01), SiegelPoint(1.0)])
+
+    def test_a_batch_is_kept_as_it_is(self):
+        batch = SiegelBatch.from_points(default_grid(2).points)
+        assert EvaluationGrid(batch).points is batch
+        assert list(EvaluationGrid(iter(batch)).points) == list(batch)
+
+    @pytest.mark.parametrize("n_dim", [1, 3])
+    def test_array_checks_give_the_point_by_point_errors(self, n_dim):
+        """Each check raises what the point-by-point checks raised, on generators
+        and on grids past FEW_ROWS whose offending row sits in the middle."""
+        w = np.array([0.3 + 0.1j, 0.123456789 - 0.2j])[: n_dim - 1]
+        pts = [SiegelPoint(1.0 + k + 0.5j * k, w) for k in range(2 * FEW_ROWS)]
+        low = [SiegelPoint(norm_sq(w) + h / 7.0, w) for h in (0.5, 0.2)]
+        pts[FEW_ROWS - 1], pts[FEW_ROWS + 2] = low
+        # rows that differ only in the signs of zeros are one point
+        same = [SiegelPoint(complex(2.0, s), np.full(n_dim - 1, complex(0.5, s))) for s in (0.0, -0.0)]
+
+        def message(points):
+            with pytest.raises((DegenerateGridError, DomainError)) as err:
+                EvaluationGrid(p for p in points)
+            return type(err.value), str(err.value)
+
+        h = low[0].z.real - norm_sq(low[0].w)
+        assert message(pts) == (DegenerateGridError, f"grid point at height {h!r} < 0.1")
+        assert message(same * FEW_ROWS) == (
+            DegenerateGridError, "grid must contain at least 2 distinct points")
+        assert message([]) == (DegenerateGridError, "empty evaluation grid")
+        # a repeated row among distinct ones is a grid
+        assert len(EvaluationGrid(pts[:5] + pts[3:4] + pts[5:7])) == 8
+
+    def test_mixed_dimensions_fail_when_the_grid_is_built(self):
+        with pytest.raises(DomainError, match="different dimensions"):
+            EvaluationGrid([SiegelPoint(1.0), SiegelPoint(2.0, [0.1])])
 
 
 class TestStateAdvance:
@@ -233,6 +269,26 @@ class TestRunValiron:
         q = pts[0]
         r = schroder_residual(result.map, lambda p: result.sigma_at([p])[0], q)
         assert r < 1e-9
+
+    @pytest.mark.parametrize("transported", [False, True])
+    def test_residual_at_is_one_image_evaluation_and_one_replay(self, transported, monkeypatch):
+        result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
+        if transported:
+            result = conjugation_transport(result, SiegelAutomorphism.translate([0.5j]))
+        pts = [sample_siegel(2, s, 61) for s in range(8)]
+        s = result.sigma_at(pts)
+        s_img = result.sigma_at([result.map.evaluator(p) for p in pts])
+        want = np.abs(s_img - result.multiplier * s) / (1.0 + np.abs(s))
+        rows = []
+
+        def counting_batch(m, z, w):
+            rows.append(len(z))
+            return evaluate_batch(m, z, w)
+
+        monkeypatch.setattr(renorm, "evaluate_batch", counting_batch)
+        assert np.array_equal(result.residual_at(pts), want)
+        assert rows == [8] + [16] * result.n_stop
+        assert result.residual_at([]).shape == (0,)
 
     def test_ball_side_map_is_transported_in(self):
         ball = make_ball_map_from_siegel(make_siegel_linear(2.0, 2))

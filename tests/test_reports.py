@@ -9,7 +9,7 @@ import pytest
 
 from valiron import reports
 from valiron.dynamics import compute_orbit
-from valiron.geometry import SiegelPoint
+from valiron.geometry import SiegelBatch, SiegelPoint
 from valiron.maps import make_siegel_linear
 from valiron.reports import format_float, write_orbit_csv, write_valiron_csv
 
@@ -98,5 +98,5 @@ def test_valiron_csv_is_written_as_before(tmp_path, chunk_rows, n_dim):
     sigma = np.array([complex(a, b) for a, b in zip(ODD[:8], ODD[5:])])
     residuals = np.array(ODD[-8:])
     path = tmp_path / "valiron.csv"
-    write_valiron_csv(path, points, sigma, residuals)
+    write_valiron_csv(path, SiegelBatch.from_points(points), sigma, residuals)
     assert _read(path) == _reference_valiron_csv(points, sigma, residuals)

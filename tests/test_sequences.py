@@ -291,6 +291,12 @@ class TestSiegelBatch:
         with pytest.raises(DomainError, match="shape"):
             SiegelBatch(z, w[:2])
 
+    def test_checked_rows_are_read_only(self):
+        z, w = np.array([2.0 + 1j, 3.0]), np.array([[0.5j], [1.0]])
+        batch = SiegelBatch._checked(z, w)
+        assert batch.z is z and batch.w is w
+        assert not z.flags.writeable and not w.flags.writeable
+
     def test_from_points_needs_one_dimension(self):
         with pytest.raises(DomainError, match="different dimensions"):
             SiegelBatch.from_points([SiegelPoint(2.0), SiegelPoint(2.0, [0.1])])
