@@ -161,8 +161,9 @@ def build_grid(cfg: ExperimentConfig, n_dim: int) -> Optional[EvaluationGrid]:
                 raise CliError(
                     f"grid_w vectors must have {n_dim - 1} entries, got {w.size}"
                 )
-    points = [SiegelPoint(complex(z), w) for z in zs for w in ws]
-    return EvaluationGrid(points)
+    # z-major, as the points z x w; the batch checks every row once
+    z, w = np.repeat(zs, len(ws)), np.tile(np.array(ws), (zs.size, 1))
+    return EvaluationGrid(SiegelBatch(z, w))
 
 
 def _ladder(cfg: ExperimentConfig) -> tuple:

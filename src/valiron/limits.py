@@ -14,10 +14,10 @@ declared kind; verdicts are computed from tail values with an explicit
 no-limit witness requirement.
 
 A family is generated as one array computation over its seeds and ladder
-rungs and checked once; each sequence is a ``SiegelBatch``.  A ``SweepPlan``
-holds every sweep of a command set: it generates each distinct family once,
-with the most sequences any sweep asks of it, stacks all of them into one
-batch and evaluates the map once over it, with ``maps.evaluate_batch``.  The
+rungs; each sequence is a ``SiegelBatch``.  A ``SweepPlan`` holds every
+sweep of a command set: one pass generates the rows of every distinct
+family, with the most sequences any sweep asks of it, and checks them once,
+and the map is evaluated once over them, with ``maps.evaluate_batch``.  The
 probed functions of the map's images are ``MapProbe``s, computed only on
 the rows a sweep reads and shared by every sweep that reads them; their
 values are bit for bit those of the scalar functions they name.  Any other
@@ -32,8 +32,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -214,39 +215,78 @@ def _family_arrays(family: ApproachFamily, seeds: Sequence[ApproachSeed]):
     return z, w
 
 
+def _drawn_seed(family: ApproachFamily, rng: np.random.Generator) -> ApproachSeed:
+    """One drawn seed of ``family``, from the start of the stream ``rng``."""
+    if family.kind == "koranyi":
+        t_max = 0.75 * math.sqrt(family.amplitude ** 2 - 1.0)
+        s_max = 0.95
+    else:
+        t_max = family.t_param
+        s_max = math.tanh(family.c_param)
+    theta = rng.uniform(-math.atan(t_max), math.atan(t_max)) if t_max > 0 else 0.0
+    s = rng.uniform(0.0, s_max) if s_max > 0 else 0.0
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return ApproachSeed(theta, s, _unit_direction(family.n_dim, phase))
+
+
+def _generate(counts: Iterable[tuple], seed: int) -> tuple:
+    """The rows of every ``(family, count)`` of ``counts``, in order, checked once.
+
+    Returns ``(z, w, sizes)``: the rows of all sequences, family by family,
+    seed by seed and rung by rung, and the number of sequences of each
+    family.  Each family's seeds are its canonical ones, then drawn ones up
+    to ``count`` (a radial family has one sequence).  The seed drawn at index
+    i comes from the start of the counter-based stream ``_rng_for(seed, i)``,
+    whatever the family: one generator is built per distinct index, and its
+    state is restored for each further family that draws there.  A point
+    outside the domain raises the ``DomainError`` of the first such row.
+    """
+    counts = list(counts)
+    streams: dict = {}  # drawn index -> (generator, its state before any draw)
+    z_parts, w_parts, sizes = [], [], []
+    for k, (fam, count) in enumerate(counts):
+        if fam.kind == "radial":
+            count = min(count, 1) or 1
+        seeds = list(fam.seeds[:count])
+        for i in range(len(seeds), count):
+            if i in streams:
+                rng, state = streams[i]
+                rng.bit_generator.state = state
+            else:
+                rng = _rng_for(seed, i)
+                if k + 1 < len(counts):  # a later family may draw at i too
+                    streams[i] = rng, rng.bit_generator.state
+            seeds.append(_drawn_seed(fam, rng))
+        z, w = _family_arrays(fam, seeds)
+        z_parts.append(z.ravel())
+        w_parts.append(w.reshape(z.size, fam.n_dim - 1))
+        sizes.append(len(seeds))
+    if len(sizes) == 1:  # one family's rows need no copy
+        z, w = z_parts[0], w_parts[0]
+    else:
+        z, w = np.concatenate(z_parts), np.concatenate(w_parts)
+    check_siegel_arrays(z, w)
+    return z, w, sizes
+
+
 def generate_sequences(
     family: ApproachFamily, count: Optional[int] = None, seed: int = 0
 ) -> list:
     """Deterministic list of sequences: canonical seeds first, then drawn.
 
-    Each sequence is a ``SiegelBatch`` over the ladder.  The whole family
-    is one array computation, checked once; a point outside the domain
-    raises the ``DomainError`` of the first such point, seed by seed and
-    rung by rung.  Drawn seeds use per-index counter-based randomness so
-    the output is independent of evaluation order.
+    Each sequence is a ``SiegelBatch`` over the ladder: the one-family
+    case of the pass a ``SweepPlan`` makes (``_generate``).  The whole
+    family is one array computation, checked once; a point outside the
+    domain raises the ``DomainError`` of the first such point, seed by seed
+    and rung by rung.  Drawn seeds use per-index counter-based randomness
+    so the output is independent of evaluation order.
     """
-    seeds = list(family.seeds)
     if count is None:
-        count = len(seeds)
-    if family.kind == "radial":
-        count = min(count, 1) or 1
-    while len(seeds) < count:
-        rng = _rng_for(seed, len(seeds))
-        if family.kind == "koranyi":
-            t_max = 0.75 * math.sqrt(family.amplitude ** 2 - 1.0)
-            s_max = 0.95
-        else:
-            t_max = family.t_param
-            s_max = math.tanh(family.c_param)
-        theta = rng.uniform(-math.atan(t_max), math.atan(t_max)) if t_max > 0 else 0.0
-        s = rng.uniform(0.0, s_max) if s_max > 0 else 0.0
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        seeds.append(ApproachSeed(theta, s, _unit_direction(family.n_dim, phase)))
-    seeds = seeds[:count]
-    z, w = _family_arrays(family, seeds)
-    rows, rungs = z.shape
-    check_siegel_arrays(z.reshape(rows * rungs), w.reshape(rows * rungs, family.n_dim - 1))
-    return list(map(SiegelBatch._checked, z, w))
+        count = len(family.seeds)
+    z, w, (size,) = _generate(((family, count),), seed)
+    rungs = len(family.ladder)
+    return list(map(SiegelBatch._checked, z.reshape(size, rungs),
+                    w.reshape(size, rungs, family.n_dim - 1)))
 
 
 @dataclass(frozen=True)
@@ -353,12 +393,12 @@ class SweepPlan:
 
     ``sweep`` declares the families a sweep probes and the drawn sequences
     it adds to each; every sweep is declared before the first trace is
-    asked for.  That first request generates each declared family once,
-    with the most sequences any sweep asked of it, in declaration order,
-    and stacks all the sequences into one batch.  A canonical sequence is
-    the same rows whatever the count (``_family_arrays`` is row-wise, and
-    each drawn index has its own counter-based stream), so a sweep that
-    reads fewer sequences reads the first ones of the larger generation.
+    asked for.  That first request generates every declared family in one
+    pass (``_generate``), with the most sequences any sweep asked of it, in
+    declaration order, into one batch checked once.  A sequence is the same
+    rows whatever the count (``_family_arrays`` is row-wise, and each drawn
+    index has its own counter-based stream), so a sweep that reads fewer
+    sequences reads the first ones of the larger generation.
 
     Each map is evaluated once, with ``evaluate_batch``, over the whole
     batch.  A probe is computed only on the rows its sweeps read, and only
@@ -391,25 +431,22 @@ class SweepPlan:
 
     def _stack(self) -> SiegelBatch:
         if self._points is None:
-            seqs, rows = [], 0
-            for fam, count in self._counts.items():
-                generated = generate_sequences(fam, count=count, seed=self.seed)
-                self._offsets[fam] = (rows, len(generated))
-                rows += len(generated) * len(fam.ladder)
-                seqs += generated
-            z = np.concatenate([s.z for s in seqs])
-            w = np.concatenate([s.w for s in seqs])
+            z, w, sizes = _generate(self._counts.items(), self.seed)
+            row = 0
+            for fam, size in zip(self._counts, sizes):
+                self._offsets[fam] = (row, size)
+                row += size * len(fam.ladder)
             self._points = SiegelBatch._checked(z, w)
         return self._points
 
-    def _probe_values(self, probe, rows: np.ndarray) -> np.ndarray:
-        """Values of ``probe`` over the batch, computed where ``rows`` need them."""
+    def _probe_values(self, probe, need: np.ndarray) -> np.ndarray:
+        """Values of ``probe`` over the batch, computed where the mask ``need`` is set."""
         key = (id(probe.m), probe.f) if isinstance(probe, MapProbe) else id(probe)
         if key not in self._values:
             n = len(self._points)
             self._values[key] = (probe, np.empty(n, np.complex128), np.zeros(n, bool))
         _, values, done = self._values[key]
-        todo = np.unique(rows[~done[rows]])
+        todo = np.flatnonzero(need & ~done)
         if todo.size:
             points = _take(self._points, todo)
             if isinstance(probe, MapProbe):
@@ -424,16 +461,16 @@ class SweepPlan:
     def traces(self, probe: Callable[[SiegelPoint], complex], sweep: tuple) -> list:
         """Labelled ``(family_label, seq_index, values)`` traces of ``probe`` along ``sweep``."""
         families, extra = self.sweep(*sweep)
-        self._stack()
+        need = np.zeros(len(self._stack()), bool)
         spans = []  # (family_label, seq_index, rows of the sequence)
         for fam in families:
             start, generated = self._offsets[fam]
             label, rungs = family_label(fam), len(fam.ladder)
-            for i in range(min(len(fam.seeds) + extra, generated)):
-                row = start + i * rungs
-                spans.append((label, i, slice(row, row + rungs)))
-        rows = np.concatenate([np.arange(r.start, r.stop) for _, _, r in spans])
-        values = self._probe_values(probe, rows)
+            read = min(len(fam.seeds) + extra, generated)
+            need[start:start + read * rungs] = True
+            spans += [(label, i, slice(start + i * rungs, start + (i + 1) * rungs))
+                      for i in range(read)]
+        values = self._probe_values(probe, need)
         return [(label, i, values[r]) for label, i, r in spans]
 
     def verdict(self, probe, sweep: tuple, tol: float = DEFAULT_TOL) -> "LimitVerdict":
@@ -517,31 +554,50 @@ def probe_family(
     return [plan.traces(h, sweep) for h in probes]
 
 
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """``values[(i + d) % n]`` at ``[d, i]`` for d = 0 .. n // 2: every pair i <= j once.
+
+    Row 0 is the diagonal; for even n the last row holds each of its pairs twice.
+    """
+    n = values.size
+    ext = np.concatenate((values, values[:n // 2]))
+    return np.ndarray((n // 2 + 1, n), ext.dtype, ext, strides=(ext.itemsize, ext.itemsize))
+
+
 def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
     """Verdict from the last TAIL_VALUES values of each labelled trace."""
     traces = tuple(traces)
     tails = [values[-min(TAIL_VALUES, values.size):] for _, _, values in traces]
     flat = np.concatenate(tails)
-    diff = flat[None, :] - flat[:, None]
-    spread = float(np.max(np.abs(diff)))
+    # v_i - v_j is -(v_j - v_i) exactly, so one difference per pair gives every
+    # modulus; the diagonal stays, as x - x is NaN for a non-finite x
+    diff = _pairs(flat) - flat
+    moduli = np.abs(diff)
+    spread = float(moduli.max())
     if spread < tol:
         # a limit carries no witness, so none is searched for
         return LimitVerdict(status="limit-exists", value=complex(np.mean(flat)),
                             spread=spread, tol=tol, witness=None, traces=traces)
     owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
-    # np.hypot matches the scalar abs() of each difference bit for bit, which
-    # np.abs on complex arrays does not; the witness reports that value
-    sep = np.hypot(diff.real, diff.imag)
-    sep[owner[:, None] >= owner[None, :]] = 0.0
-    separation = float(np.max(sep))
+    moduli[_pairs(owner) == owner] = 0.0  # a witness pairs two sequences
+    top = float(moduli.max())
     witness = None
-    if separation > 0.0:
+    if top > 0.0:
+        # the witness reports the scalar abs() of a difference, which np.abs can
+        # miss by an ulp or two: take it on the pairs within 64 ulps of the top
+        top = min(top, sys.float_info.max)
+        ds, ends = np.nonzero(moduli >= top - 64.0 * math.ulp(top))
+        seps = np.array([abs(d) for d in diff[ds, ends].tolist()])
+        separation = float(np.max(seps))
+        tied = seps == separation
+        ds, ends = ds[tied], ends[tied]
+        others = (ends + ds) % flat.size
+        ps, qs = np.minimum(ends, others), np.maximum(ends, others)
         # the first maximal pair in (sequence i, sequence j, value in i, value in j) order
-        ps, qs = np.nonzero(sep == separation)
         k = np.lexsort((qs, ps, owner[qs], owner[ps]))[0]
         p, q = ps[k], qs[k]
         witness = (int(owner[p]), int(owner[q]), complex(flat[p]), complex(flat[q]), separation)
-    if witness is not None and separation > NO_LIMIT_FACTOR * tol:
+    if witness is not None and witness[4] > NO_LIMIT_FACTOR * tol:
         status = "no-limit"
     else:
         status = "inconclusive"

@@ -120,18 +120,18 @@ def default_grid(n_dim: int) -> EvaluationGrid:
     """Tensor grid: z in {1,2,4} x {0, +i/2, -i/2}, small w polydisk.
 
     w magnitudes are capped at 0.5 so every point sits at height >= 0.75.
+    The grid is one batch, z-major, checked once.
     """
-    z_values = [zb + d for zb in (1.0, 2.0, 4.0) for d in (0.0, 0.5j, -0.5j)]
+    z_values = np.array([zb + d for zb in (1.0, 2.0, 4.0) for d in (0.0, 0.5j, -0.5j)])
     if n_dim == 1:
-        w_values = [np.zeros(0, dtype=np.complex128)]
+        w_values = np.zeros((1, 0), dtype=np.complex128)
     else:
         e1 = np.zeros(n_dim - 1, dtype=np.complex128)
         e1[0] = 1.0
         diag = np.ones(n_dim - 1, dtype=np.complex128) / math.sqrt(n_dim - 1)
-        w_values = [0.0 * e1, 0.5 * e1, 0.5j * e1, 0.25 * diag]
-    return EvaluationGrid(
-        [SiegelPoint(z, w) for z in z_values for w in w_values]
-    )
+        w_values = np.array([0.0 * e1, 0.5 * e1, 0.5j * e1, 0.25 * diag])
+    return EvaluationGrid(SiegelBatch(
+        np.repeat(z_values, len(w_values)), np.tile(w_values, (len(z_values), 1))))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Deterministic CSV and summary emission.
 
-All numbers render via %.17g (shortest double round-trip), newlines are
-always "\n", and row order follows input order, so identical inputs give
-byte-identical files.  A table is written chunk by chunk, each chunk one
-``%`` over a template of its rows; text fields are quoted as ``csv.writer``
-quotes them.
+All numbers render via %.17g: 17 significant digits, which read back as
+the same double but are not its shortest form (0.1 is written
+0.10000000000000001).  Newlines are always "\n" and row order follows input
+order, so identical inputs give byte-identical files.  A table is written
+chunk by chunk, each chunk one ``%`` over a template of its rows, across
+trace boundaries in the limit traces; text fields are quoted as
+``csv.writer`` quotes them.
 """
 
 from __future__ import annotations
@@ -58,20 +60,33 @@ def write_valiron_csv(path, batch: SiegelBatch, sigma: np.ndarray, residuals: np
 
 
 def write_limits_csv(path, traces: Iterable[tuple]) -> None:
-    """Traces are (family_label, seq_id, values); one row per value, k from 1."""
+    """Traces are (family_label, seq_id, values); one row per value, k from 1.
+
+    The values of all traces are formatted together, one ``%`` per chunk of
+    rows; each row's template starts with its quoted label and sequence fields.
+    """
     line = io.StringIO()
     quoted = csv.writer(line, lineterminator="\n")
+    heads: dict = {}  # a label or sequence field -> its field as csv.writer quotes it, % escaped
+    tails: list = []  # the row template after the heads, for k = 1, 2, ...
+    templates, columns = [], [np.empty(0, dtype=np.complex128)]
+    for family, seq_id, values in traces:
+        seq_id = str(seq_id)
+        for text in (family, seq_id):
+            if text not in heads:
+                line.seek(0)
+                line.truncate()
+                quoted.writerow([text, ""])
+                heads[text] = line.getvalue()[:-1].replace("%", "%%")
+        values = np.asarray(values, dtype=np.complex128).ravel()
+        if values.size > len(tails):
+            tails += [f"{k},%.17g,%.17g\n" for k in range(len(tails) + 1, values.size + 1)]
+        prefix = heads[family] + heads[seq_id]
+        templates += [prefix + tail for tail in tails[:values.size]]
+        columns.append(values)
     with open(path, "w", newline="") as handle:
         handle.write("family,seq_id,k,re_h,im_h\n")
-        for family, seq_id, values in traces:
-            # the label and sequence fields as csv.writer quotes them, % escaped
-            line.seek(0)
-            line.truncate()
-            quoted.writerow([family, str(seq_id), ""])
-            prefix = line.getvalue()[:-1].replace("%", "%%")
-            values = np.ascontiguousarray(values, dtype=np.complex128)
-            _write_rows(handle, [f"{prefix}{k},%.17g,%.17g\n" for k in range(1, values.size + 1)],
-                        values.view(np.float64).reshape(-1, 2))
+        _write_rows(handle, templates, np.concatenate(columns).view(np.float64).reshape(-1, 2))
 
 
 def write_summary(path, lines: Sequence[str]) -> None:

@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from valiron.cli import build_map, main, run_command
+from valiron.cli import _parse_vector, build_grid, build_map, main, run_command
 from valiron.config import ConfigError, ExperimentConfig, emit_config, parse_config
 from valiron.dynamics import compute_orbit
-from valiron.geometry import LinearProjectionAtInfinity, SiegelPoint
+from valiron.geometry import DomainError, LinearProjectionAtInfinity, SiegelPoint
 from valiron.limits import e0_limit, e_limit, jwc_check, k_limit
 from valiron.maps import PsiChoice, make_halfplane_affine, make_siegel_linear, make_valiron_example
+from valiron.renorm import DegenerateGridError, EvaluationGrid
 from valiron.reports import format_float, read_points_csv
 
 VALIRON_CONFIG = """\
@@ -99,6 +100,47 @@ class TestConfig:
         q = m(SiegelPoint(3.0, np.array([1.0 + 0j])))
         direct = make_siegel_linear(2.0, 2)
         assert q.z != direct(SiegelPoint(3.0, np.array([1.0 + 0j]))).z
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, DegenerateGridError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n_dim, grid_z, grid_w", [
+    (2, "1, 2+1j, 3-0.5j, 5", "0.1; 0.2j; -0.3"),
+    (2, "1, 2+1j, 3-0.5j, 5", None),
+    (1, "1, 2, 3+1j", None),
+    (3, "1, 2, 3+1j", "0.1, 0.2; 0, 0.3j"),
+    (2, ", ".join(f"{1 + k * 0.37}+{k * 0.11}j" for k in range(15)), "0.1; 0.2j; -0.3"),
+    # outside the domain, low, duplicate, empty and non-finite grids
+    (2, "1, 0.3, 2, 0.2", "0.1; 0.9"),
+    (2, ", ".join(["3"] * 9 + ["-1", "0.5"]), "0.1; 0.2j"),
+    (3, "1, 2, 3+1j", "0.1, 0.2; 0, 0.99"),
+    (2, "2, 2+0j, 2-0j", None),
+    (2, "", None),
+    (2, "1, nan, -1", None),
+    (2, "1, 2", "inf; 0.1"),
+])
+def test_grid_rows_and_errors_are_the_point_by_point_ones(n_dim, grid_z, grid_w):
+    """build_grid checks one batch; its rows, and its errors, are those of the
+    grid of points z x w, made and checked one at a time."""
+    cfg = ExperimentConfig(command="valiron", grid_z=grid_z, grid_w=grid_w)
+    ws = [np.zeros(n_dim - 1)] if grid_w is None else [_parse_vector(v) for v in grid_w.split(";")]
+
+    def by_points():
+        zs = _parse_vector(grid_z)
+        return EvaluationGrid([SiegelPoint(complex(z), w) for z in zs for w in ws])
+
+    want, got = _outcome(by_points), _outcome(build_grid, cfg, n_dim)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.points.z.tobytes() == want.points.z.tobytes()
+        assert got.points.w.tobytes() == want.points.w.tobytes()
 
 
 class TestPointsCsv:

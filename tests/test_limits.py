@@ -207,6 +207,75 @@ class TestVerdicts:
         assert statuses >= {("limit-exists", False), ("no-limit", False),
                             ("inconclusive", True), ("no-limit", True)}
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_pairwise_loops_on_one_value_traces(self):
+        """A lone non-finite value: only its own difference x - x is NaN."""
+        odd = [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf,
+               complex(1.0, -np.inf), complex(np.inf, np.inf), complex(np.inf, np.nan)]
+        finite = [2.0, 2.0 + 1e-6j, 2.5, -3.0 + 4.0j]
+        cases = [[v] for v in odd]
+        cases += [[v, f] for v in odd for f in finite] + [[f, v] for v in odd for f in finite]
+        cases += [[v, u] for v in odd for u in odd]
+        cases += [[f, v, g] for v in odd for f, g in zip(finite, finite[1:])]
+        for values in cases:
+            tails = [np.array([v], dtype=np.complex128) for v in values]
+            for tol in (1e-4, 10.0):
+                got = verdict_from_traces(_labelled(*tails), tol)
+                want = _reference_verdict(tails, tol)
+                assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(want), (
+                    values, tol)
+
+    def test_matches_the_pairwise_loops_on_tied_separations(self):
+        """Many pairs tie for the largest separation, at every offset of the
+        pair rows: the witness is the first in (i, j, value in i, value in j) order."""
+        rng = np.random.default_rng(12)
+        corners = np.array([1.0, -1.0, 1j, -1j, 0.0, 1.0 + 1j])
+        witnesses = set()
+        for case in range(150):
+            n_traces = int(rng.integers(2, 30))
+            traces = [rng.choice(corners, int(rng.integers(1, 5))) for _ in range(n_traces)]
+            tails = [v[-min(TAIL_VALUES, v.size):] for v in traces]
+            got = verdict_from_traces(_labelled(*traces), 1e-3)
+            want = _reference_verdict(tails, 1e-3)
+            assert (got.status, got.value, got.spread, got.witness) == want, case
+            witnesses.add(got.witness[:2] if got.witness else None)
+        assert len(witnesses) > 20
+
+    def test_matches_the_pairwise_loops_on_near_ties(self):
+        """Separations a few ulps apart, where np.abs and the scalar abs()
+        disagree in the last bit: the witness is the scalar maximum."""
+        rng = np.random.default_rng(13)
+        disagree = 0
+        for case in range(40):
+            # one trace at 0, the others on a short arc of the unit circle
+            angles = rng.uniform(0.0, 0.1, (int(rng.integers(2, 40)), 3))
+            traces = [np.zeros(1, dtype=np.complex128)] + list(np.exp(1j * angles))
+            tails = [v[-TAIL_VALUES:] for v in traces]
+            flat = np.concatenate(tails)
+            disagree += int(np.sum(np.abs(flat) != np.array([abs(v) for v in flat.tolist()])))
+            got = verdict_from_traces(_labelled(*traces), 1e-3)
+            assert (got.status, got.value, got.spread, got.witness) == _reference_verdict(
+                tails, 1e-3), case
+        assert disagree > 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_pairwise_loops_on_many_traces(self):
+        """Up to 300 tail values, odd and even counts, some of them non-finite."""
+        rng = np.random.default_rng(14)
+        for n_traces in (33, 34, 64, 99, 100):
+            for case in range(2):
+                traces = [2.0 + 10.0 ** rng.uniform(-6, 0) * (
+                    rng.normal(size=int(rng.integers(1, 8)))
+                    + 1j * rng.normal(size=1)) for _ in range(n_traces)]
+                if case:
+                    traces[int(rng.integers(n_traces))][-1] = np.nan
+                tails = [v[-min(TAIL_VALUES, v.size):] for v in traces]
+                for tol in (1e-7, 1e-2):
+                    got = verdict_from_traces(_labelled(*traces), tol)
+                    want = _reference_verdict(tails, tol)
+                    assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(
+                        want), (n_traces, case, tol)
+
     def test_estimate_limit_on_linear_map(self):
         m = make_siegel_linear(2.0, 2)
 

@@ -349,10 +349,10 @@ def test_each_check_evaluates_its_sweep_once(name):
 
 def _counted_run(tmp_path, monkeypatch, command):
     """Map calls made inside the limits and jwc commands of one N = 2 run, and
-    the generate_sequences calls and sequences of the whole run."""
-    counts = {"batch": 0, "evaluator": 0, "generate": 0, "sequences": 0}
+    the generation passes, sequences and generator builds of the whole run."""
+    counts = {"batch": 0, "evaluator": 0, "passes": 0, "sequences": 0, "generators": 0}
     inside = []
-    build_map, generate_sequences = cli.build_map, limits.generate_sequences
+    build_map, generate, rng_for = cli.build_map, limits._generate, limits._rng_for
 
     def counted_map(cfg):
         m = build_map(cfg)
@@ -367,11 +367,15 @@ def _counted_run(tmp_path, monkeypatch, command):
 
         return replace(m, evaluator=evaluator, batch=batch)
 
-    def generate(*args, **kwargs):
-        seqs = generate_sequences(*args, **kwargs)
-        counts["generate"] += 1
-        counts["sequences"] += len(seqs)
-        return seqs
+    def counted_generate(*args, **kwargs):
+        z, w, sizes = generate(*args, **kwargs)
+        counts["passes"] += 1
+        counts["sequences"] += sum(sizes)
+        return z, w, sizes
+
+    def counted_rng_for(*args):
+        counts["generators"] += 1
+        return rng_for(*args)
 
     for name in ("limits", "jwc"):
         def run(*args, _run=cli._COMMANDS[name]):
@@ -383,7 +387,8 @@ def _counted_run(tmp_path, monkeypatch, command):
 
         monkeypatch.setitem(cli._COMMANDS, name, run)
     monkeypatch.setattr(cli, "build_map", counted_map)
-    monkeypatch.setattr(limits, "generate_sequences", generate)
+    monkeypatch.setattr(limits, "_generate", counted_generate)
+    monkeypatch.setattr(limits, "_rng_for", counted_rng_for)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"command = {command}\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
                    "n_max = 60\n")
@@ -392,12 +397,13 @@ def _counted_run(tmp_path, monkeypatch, command):
 
 
 def test_report_all_generates_and_evaluates_each_sweep_once(tmp_path, monkeypatch, capsys):
-    """limits and jwc share one plan: each of the 33 families is generated
-    once (168 sequences, not 278) and the map evaluated once, not five times."""
+    """limits and jwc share one plan: its 33 families are generated in one
+    pass (168 sequences, not 278), with one generator per drawn index (4,
+    not one per drawn sequence), and the map evaluated once, not five times."""
     assert _counted_run(tmp_path, monkeypatch, "report-all") == {
-        "batch": 1, "evaluator": 0, "generate": 33, "sequences": 168}
+        "batch": 1, "evaluator": 0, "passes": 1, "sequences": 168, "generators": 4}
     counts = _counted_run(tmp_path, monkeypatch, "jwc")
-    assert (counts["batch"], counts["evaluator"]) == (1, 0)
+    assert (counts["batch"], counts["evaluator"], counts["passes"]) == (1, 0, 1)
 
 
 # -- limits.csv --------------------------------------------------------------------

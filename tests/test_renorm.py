@@ -58,6 +58,20 @@ class TestGrid:
                 assert p.dim == n_dim
                 assert p.x - sum(abs(c) ** 2 for c in p.w) >= 0.1
 
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_default_grid_rows_are_the_tensor_points(self, n_dim):
+        """One checked batch, z-major, with the rows of the points made one by one."""
+        z_values = [zb + d for zb in (1.0, 2.0, 4.0) for d in (0.0, 0.5j, -0.5j)]
+        w_values = [np.zeros(0, dtype=np.complex128)]
+        if n_dim > 1:
+            e1 = np.zeros(n_dim - 1, dtype=np.complex128)
+            e1[0] = 1.0
+            diag = np.ones(n_dim - 1, dtype=np.complex128) / math.sqrt(n_dim - 1)
+            w_values = [0.0 * e1, 0.5 * e1, 0.5j * e1, 0.25 * diag]
+        want = SiegelBatch.from_points([SiegelPoint(z, w) for z in z_values for w in w_values])
+        got = default_grid(n_dim).points
+        assert got.z.tobytes() == want.z.tobytes() and got.w.tobytes() == want.w.tobytes()
+
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DegenerateGridError):
             EvaluationGrid([SiegelPoint(1.0)])

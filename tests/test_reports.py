@@ -11,7 +11,7 @@ from valiron import reports
 from valiron.dynamics import compute_orbit
 from valiron.geometry import SiegelBatch, SiegelPoint
 from valiron.maps import make_siegel_linear
-from valiron.reports import format_float, write_orbit_csv, write_valiron_csv
+from valiron.reports import format_float, write_limits_csv, write_orbit_csv, write_valiron_csv
 
 ODD = [-0.0, 0.0, 1e-310, 5e-324, -1e308, 1.7976931348623157e308, math.inf, -math.inf,
        math.nan, 0.1, 1.0 / 3.0, 2.0 + 1e-15, 123456789.0]
@@ -51,6 +51,22 @@ def _reference_valiron_csv(points, sigma, residuals) -> str:
             row += [format_float(c.real), format_float(c.imag)]
         writer.writerow(row + [format_float(s.real), format_float(s.imag), format_float(r)])
     return out.getvalue()
+
+
+def _per_trace_limits_csv(handle, traces) -> None:
+    """The limits writer that formats one trace at a time."""
+    line = io.StringIO()
+    quoted = csv.writer(line, lineterminator="\n")
+    handle.write("family,seq_id,k,re_h,im_h\n")
+    for family, seq_id, values in traces:
+        line.seek(0)
+        line.truncate()
+        quoted.writerow([family, str(seq_id), ""])
+        prefix = line.getvalue()[:-1].replace("%", "%%")
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+        fields = values.view(np.float64).reshape(-1, 2)
+        handle.write("".join(f"{prefix}{k},%.17g,%.17g\n" for k in range(1, values.size + 1))
+                     % tuple(fields.ravel().tolist()))
 
 
 def _read(path) -> str:
@@ -100,3 +116,30 @@ def test_valiron_csv_is_written_as_before(tmp_path, chunk_rows, n_dim):
     path = tmp_path / "valiron.csv"
     write_valiron_csv(path, SiegelBatch.from_points(points), sigma, residuals)
     assert _read(path) == _reference_valiron_csv(points, sigma, residuals)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 7, reports.CHUNK_ROWS])
+def test_limits_csv_is_written_as_by_the_per_trace_writer(tmp_path, monkeypatch, rows):
+    """Chunks of ``rows`` rows: boundaries fall inside traces and between them."""
+    monkeypatch.setattr(reports, "CHUNK_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    odd = np.array([complex(a, b) for a, b in zip(ODD, ODD[::-1])])
+    cases = {
+        "no traces": [],
+        "empty traces": [("koranyi(M=2)", 0, odd[:0]), ("radial", 1, np.zeros(0))],
+        "one trace": [("zero-special(C=0;T=0)", 3, odd)],
+        "labels": [
+            ("c-special(C=0,5;T=1)", 0, odd[:3]), ('say "limit"', 1, odd[3:4]),
+            ('%s, %%d and "%.17g"', "2,%", odd[:0]), ("%", '"7"', odd[4:11]),
+            ("", "", odd[:2]), ("part1:koranyi(M=1.5)", 12, np.array([1.5, -0.0, 1e300])),
+        ],
+        "many": [(f"koranyi(M={m:g})", i, rng.normal(size=int(rng.integers(0, 9)))
+                  * 10.0 ** rng.integers(-30, 30) + 1j * rng.normal())
+                 for m in (1.5, 2.0, 4.0) for i in range(9)],
+    }
+    for name, traces in cases.items():
+        path = tmp_path / "limits.csv"
+        write_limits_csv(path, iter(traces))
+        want = io.StringIO()
+        _per_trace_limits_csv(want, traces)
+        assert _read(path) == want.getvalue(), name

@@ -37,11 +37,17 @@ from valiron.geometry import (
     project,
     siegel_height,
 )
+from valiron import limits
 from valiron.limits import (
     ApproachFamily,
     ApproachSeed,
+    SweepPlan,
+    _generate,
     c_special_family,
+    e0_families,
+    e_families,
     generate_sequences,
+    k_families,
     koranyi_family,
     projection_distance,
     projection_invariance_check,
@@ -411,6 +417,80 @@ class TestGenerateSequences:
             want = _outcome(_reference_sequences, fam)
             assert want[0] is DomainError
             assert _outcome(generate_sequences, fam) == want
+
+
+# -- the plan pass ------------------------------------------------------------------
+
+
+def _plans():
+    """(counts, seed) of family sets of all four kinds, with drawn sequences
+    at shared indices, in random order and with random counts."""
+    rng = np.random.default_rng(404)
+    for draw in range(24):
+        n_dim = 1 + draw % 3
+        families = (_families(n_dim, rng) + _families(n_dim, rng) + list(k_families(n_dim)[:2])
+                    + list(e_families(n_dim)[5:9]) + list(e0_families(n_dim)[:4]))
+        counts = [(families[k], len(families[k].seeds) + int(rng.integers(0, 4)))
+                  for k in rng.permutation(len(families))]
+        yield counts, int(rng.integers(0, 2**31))
+
+
+def _drawn_indices(counts):
+    return [i for fam, count in counts if fam.kind != "radial" for i in range(len(fam.seeds), count)]
+
+
+class TestPlanPass:
+    def test_rows_match_the_point_by_point_reference(self):
+        shared = 0
+        for counts, seed in _plans():
+            want = [_reference_sequences(fam, count, seed) for fam, count in counts]
+            points = [p for seqs in want for seq in seqs for p in seq]
+            z, w, sizes = _generate(counts, seed)
+            assert sizes == [len(seqs) for seqs in want]
+            assert _bits(z) == _bits([p.z for p in points])
+            assert _bits(w) == _bits([p.w for p in points])
+            plan = SweepPlan(seed)
+            for fam, count in counts:
+                plan.sweep([fam], count - len(fam.seeds))
+            batch = plan._stack()
+            assert _bits(batch.z) == _bits(z) and _bits(batch.w) == _bits(w)
+            drawn = _drawn_indices(counts)
+            shared += len(drawn) - len(set(drawn))
+        # families draw at the same index, from one generator restored between them
+        assert shared > 100
+
+    def test_one_generator_per_drawn_index(self, monkeypatch):
+        built = []
+
+        def counting(seed, index):
+            built.append(index)
+            return _rng_for(seed, index)
+
+        monkeypatch.setattr(limits, "_rng_for", counting)
+        for counts, seed in _plans():
+            built.clear()
+            _generate(counts, seed)
+            assert sorted(built) == sorted(set(_drawn_indices(counts)))
+
+    def test_the_first_row_outside_the_domain_raises_its_family_error(self):
+        good = [koranyi_family(2.0, 2), c_special_family(0.5, 1.0, 2)]
+        bad = [
+            radial_family(2, (-1.0, 10.0, 100.0)),
+            ApproachFamily(kind="zero-special-restricted", n_dim=2, ladder=(0.0, 10.0),
+                           seeds=(ApproachSeed(0.3, 0.5, (1j,)),)),
+            ApproachFamily(kind="c-special-restricted", n_dim=2, c_param=40.0,
+                           seeds=(ApproachSeed(0.0, math.tanh(40.0), (1 + 0j,)),)),
+        ]
+        for first in bad:
+            want = _outcome(_reference_sequences, first, 2, 5)
+            assert want[0] is DomainError
+            for second in bad:
+                counts = [(good[0], 6), (first, 2), (good[1], 7), (second, 3)]
+                assert _outcome(_generate, counts, 5) == want
+                plan = SweepPlan(5)
+                for fam, count in counts:
+                    plan.sweep([fam], count - len(fam.seeds))
+                assert _outcome(plan._stack) == want
 
 
 # -- classify_sequence ---------------------------------------------------------------
