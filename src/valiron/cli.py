@@ -12,6 +12,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -201,8 +202,32 @@ def _classification_lines(cls) -> list:
     return lines
 
 
-def _cmd_orbit(cfg, m, out_dir, plan) -> tuple:
-    start = _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
+@dataclass
+class _Run:
+    """What the commands of one ``run_command`` share.
+
+    ``plan`` holds the limit sweeps of every command.  ``probe`` is the
+    probe orbit of the valiron command, kept so that the orbit command
+    continues it instead of stepping its first points again.
+    """
+
+    plan: SweepPlan
+    probe: Optional[Orbit] = None
+
+
+def _start(cfg: ExperimentConfig, m: HoloMap) -> SiegelPoint:
+    return _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
+
+
+def _cmd_orbit(cfg, m, out_dir, run) -> tuple:
+    start = _start(cfg, m)
+    probe = run.probe
+    # continuing the probe gives the orbit of its first row, so that row must
+    # be the start bit for bit: == takes -0.0 for 0.0, which prints otherwise
+    if (probe is not None
+            and probe.points.z[:1].tobytes() == np.complex128(start.z).tobytes()
+            and probe.points.w[0].tobytes() == start.w.tobytes()):
+        start = probe
     orbit = compute_orbit(m, start, cfg.n_max)
     path = os.path.join(out_dir, "orbit.csv")
     write_orbit_csv(path, orbit)
@@ -227,7 +252,7 @@ def _cmd_orbit(cfg, m, out_dir, plan) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_classify(cfg, m, out_dir, plan) -> tuple:
+def _cmd_classify(cfg, m, out_dir, run) -> tuple:
     if cfg.points:
         try:
             orbit = Orbit(map=m, points=read_points_csv(cfg.points))
@@ -235,8 +260,7 @@ def _cmd_classify(cfg, m, out_dir, plan) -> tuple:
             raise CliError(f"cannot read points: {exc}") from None
         source = f"points file {cfg.points}"
     else:
-        start = _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
-        orbit = compute_orbit(m, start, cfg.n_max)
+        orbit = compute_orbit(m, _start(cfg, m), cfg.n_max)
         source = f"orbit of {_describe_map(m)}"
     path = os.path.join(out_dir, "orbit.csv")
     write_orbit_csv(path, orbit)
@@ -256,9 +280,10 @@ def _arg_sigma_diagnostic(result) -> list:
     return lines
 
 
-def _cmd_valiron(cfg, m, out_dir, plan) -> tuple:
+def _cmd_valiron(cfg, m, out_dir, run) -> tuple:
     grid = build_grid(cfg, m.dim)
     result = run_valiron(m, grid=grid, tol=cfg.tol, n_max=cfg.n_max)
+    run.probe = result.base_orbit
     path = os.path.join(out_dir, "valiron.csv")
     write_valiron_csv(path, result.grid.points, result.sigma, result.schroder_residuals)
     lines = [
@@ -296,9 +321,10 @@ def _verdict_line(label: str, verdict) -> str:
     return f"{label}: inconclusive (spread {format_float(verdict.spread)})"
 
 
-def _cmd_limits(cfg, m, out_dir, plan) -> tuple:
+def _cmd_limits(cfg, m, out_dir, run) -> tuple:
     h = first_coordinate_ratio_fn(m)
     ladder = _ladder(cfg)
+    plan = run.plan
     vk, ve, v0 = (
         plan.verdict(h, plan.sweep(families(m.dim, ladder), extra), cfg.limit_tol)
         for families, extra in _SWEEPS["limits"]
@@ -316,12 +342,12 @@ def _cmd_limits(cfg, m, out_dir, plan) -> tuple:
     return EXIT_OK, lines, [path]
 
 
-def _cmd_jwc(cfg, m, out_dir, plan) -> tuple:
+def _cmd_jwc(cfg, m, out_dir, run) -> tuple:
     a = _projection_vector(cfg, m.dim)
     rho = LinearProjectionAtInfinity(a)
     ladder = _ladder(cfg)
-    report = plan.jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
-    li = plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
+    report = run.plan.jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
+    li = run.plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
 
     path = os.path.join(out_dir, "jwc.csv")
     write_limits_csv(path, [
@@ -377,16 +403,16 @@ def run_command(
     names = _REPORT_ALL if cfg.command == "report-all" else (cfg.command,)
     # one plan for the limit sweeps of every command: each family is generated,
     # and the map evaluated on it, once, when the first verdict is asked for
-    plan = SweepPlan(seed)
+    run = _Run(SweepPlan(seed))
     ladder = _ladder(cfg)
     for name in names:
         for families, extra in _SWEEPS.get(name, ()):
-            plan.sweep(families(m.dim, ladder), extra)
+            run.plan.sweep(families(m.dim, ladder), extra)
     code = EXIT_OK
     lines: list = []
     paths: list = []
     for name in names:
-        sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, plan)
+        sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, run)
         code = max(code, sub_code)
         if lines:
             lines.append("")

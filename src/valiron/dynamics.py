@@ -15,7 +15,7 @@ band is a defect, not a representable state, and raises.
 The tail is packed once into a ``SiegelBatch`` and every route runs on its
 arrays, with the values and errors of the point-by-point computation.
 Orbits are batches too: ``compute_orbit`` steps the map on one-row arrays
-through ``evaluate_batch``.
+and checks each image row once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .geometry import (
     max_kobayashi,
     siegel_height,
 )
-from .maps import SCALE_LIMIT, HoloMap, _rng_for, evaluate_batch
+from .maps import SCALE_LIMIT, HoloMap, _images, _rng_for, evaluate_batch
 
 SPECIAL_RESIDUAL_TOL = 1e-6
 AMBIGUITY_BAND = 1e-9
@@ -101,15 +101,21 @@ class Orbit:
 def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) -> Orbit:
     """Forward orbit [start, phi(start), ..., phi^n(start)].
 
-    ``start`` may also be a shorter orbit of ``m``; it is then continued
-    from its last point, which gives the orbit of its first point.  A scale
+    ``start`` may also be an orbit of ``m``: a shorter one is continued
+    from its last point, a longer one cut to n + 1 points, and either way
+    the result is, bit for bit, the orbit of its first point.  Each step
+    maps one row and checks its image once; its input is the checked start
+    or the previous checked image, so no row goes unchecked.  A scale
     overflow, or an image past the double range, does not raise: the orbit
     is returned truncated with the cutoff recorded, since the prefix is
     still valid data.
     """
     if m.domain != "siegel":
         raise DomainError("orbits are computed on the Siegel side")
-    points = start.points if isinstance(start, Orbit) else SiegelBatch.from_points([start])
+    if isinstance(start, Orbit):
+        points = start.points[:max(n_steps, 0) + 1]
+    else:
+        points = SiegelBatch.from_points([start])
     zs, ws = [points.z], [points.w]
     z, w = points.z[-1:], points.w[-1:]
     cutoff = None
@@ -120,13 +126,13 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
                 cutoff = f"scale overflow at step {k}"
                 break
             try:
-                z, w = evaluate_batch(m, z, w)
+                z, w = _images(m, z, w)
             except (OverflowError, NonFiniteError):
                 cutoff = f"scale overflow at step {k}"
                 break
             zs.append(z)
             ws.append(w)
-    # every row is the checked start or an image that evaluate_batch checked
+    # every row is the checked start or an image that _images checked
     points = SiegelBatch._checked(np.concatenate(zs), np.concatenate(ws))
     return Orbit(map=m, points=points, cutoff=cutoff)
 

@@ -450,16 +450,23 @@ def max_kobayashi(tanh: np.ndarray) -> float:
     return math.inf if top >= 1.0 else math.atanh(top)
 
 
+# z * (1 - 0j) has the parts (x + y * 0.0, y - x * 0.0), exactly: the products
+# by 1 and by -0.0 are exact, and a - b is a + (-b)
+_ONE_MINUS_ZERO_J = complex(1.0, -0.0)
+
+
 def divide_by_real(z: np.ndarray, x: float) -> np.ndarray:
     """z / x for a complex array z and a float x > 0, as Python divides.
 
-    The parts follow CPython's ``complex / float``; numpy's complex division
-    multiplies by 1/x instead and differs from it in the last bit.
+    CPython's ``complex / float`` divides the parts ``(re + im * 0.0)`` and
+    ``(im - re * 0.0)`` by x; numpy's complex division multiplies by 1/x
+    instead and differs from it in the last bit.  Here one complex product
+    forms the parts and one float division of the interleaved parts divides
+    them, bit for bit as Python does on finite parts; a non-finite part
+    gives NaN where Python's does.
     """
-    out = np.empty_like(z)
-    out.real = (z.real + z.imag * 0.0) / x
-    out.imag = (z.imag - z.real * 0.0) / x
-    return out
+    parts = np.multiply(z, _ONE_MINUS_ZERO_J, dtype=np.complex128).view(np.float64)
+    return (parts / x).view(np.complex128)
 
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
@@ -656,6 +663,13 @@ class SiegelAutomorphism:
     kind 'scale-translate': (z, w) -> ((z - i y)/x, w/sqrt(x)) with x > 0.
     kind 'heisenberg-translate': (z, w) -> (z + ||a||^2 + 2 <w, a>, w + a).
     kind 'composite': ordered factors, applied first-to-last.
+
+    ``steps`` is the automorphism flattened, when it is built, into its
+    primitive factors in the order they apply, each with its constants
+    computed once: ``(None, 1j * y, x, sqrt(x))`` for a scale and
+    ``(a, ||a||^2, conj(a) as a column, None)`` for a translation.  Nested
+    composites flatten into one tuple, and a factor's checks run when it
+    is built.
     """
 
     kind: str
@@ -663,11 +677,24 @@ class SiegelAutomorphism:
     y: float = 0.0
     a: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
     factors: tuple = ()
+    steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "scale-translate":
+            if not self.x > 0.0:
+                raise DomainError("scale-translate requires x > 0")
+            steps = ((None, 1j * self.y, self.x, math.sqrt(self.x)),)
+        elif self.kind == "heisenberg-translate":
+            a = np.asarray(self.a, dtype=np.complex128)
+            steps = ((a, norm_sq(a), a.conj()[None, :, None], None),)
+        elif self.kind == "composite":
+            steps = tuple(step for f in self.factors for step in f.steps)
+        else:
+            raise DomainError(f"unknown automorphism kind {self.kind!r}")
+        object.__setattr__(self, "steps", steps)
 
     @staticmethod
     def scale(x: float, y: float = 0.0) -> "SiegelAutomorphism":
-        if not x > 0.0:
-            raise DomainError("scale-translate requires x > 0")
         return SiegelAutomorphism(kind="scale-translate", x=float(x), y=float(y))
 
     @staticmethod
@@ -698,25 +725,23 @@ def apply_automorphism(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
 def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray):
     """Apply t to every row of ``(z, w)``.
 
-    Shapes are (n,) and (n, N-1); rows are not validated.  A scale divides
-    as Python's ``complex / float`` does (``divide_by_real``), and the
-    Hermitian product of a Heisenberg translation is ``_row_herm``, which
-    runs the dot kernel of ``herm`` row by row.
+    Shapes are (n,) and (n, N-1); rows are not validated.  The primitive
+    steps of ``t.steps`` run in one loop, each doing the float operations
+    of applying that factor alone.  A scale divides as Python's ``complex /
+    float`` does (``divide_by_real``), and the Hermitian product of a
+    Heisenberg translation is a row-by-row matmul that runs the dot kernel
+    of ``herm``, as ``_row_herm`` does.
     """
-    if t.kind == "scale-translate":
-        if not t.x > 0.0:
-            raise DomainError("scale-translate requires x > 0")
-        return divide_by_real(z - 1j * t.y, t.x), w / math.sqrt(t.x)
-    if t.kind == "heisenberg-translate":
-        a = t.a
-        if a.size != w.shape[1]:
-            raise DomainError("translation vector dimension mismatch")
-        return z + norm_sq(a) + 2.0 * _row_herm(w, a), w + a
-    if t.kind == "composite":
-        for f in t.factors:
-            z, w = apply_automorphism_arrays(f, z, w)
-        return z, w
-    raise DomainError(f"unknown automorphism kind {t.kind!r}")
+    for step in t.steps:
+        if step[0] is None:
+            _, iy, x, root = step
+            z, w = divide_by_real(z - iy, x), w / root
+        else:
+            a, nsq, a_col, _ = step
+            if a.size != w.shape[1]:
+                raise DomainError("translation vector dimension mismatch")
+            z, w = z + nsq + 2.0 * (w[:, None, :] @ a_col)[:, 0, 0], w + a
+    return z, w
 
 
 def apply_automorphism_inverse(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:

@@ -153,17 +153,31 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     """Images under the Siegel-side map ``m`` of the rows of ``(z, w)``.
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
-    arrays of the same shapes.  A map with ``batch`` runs on the whole
-    arrays, and every input and output row is checked as ``SiegelPoint``
-    checks it; a black box is evaluated point by point.
+    arrays of the same shapes.  Every input row is checked as
+    ``SiegelPoint`` checks it, then ``_images`` maps the rows and checks
+    the images: a map with ``batch`` runs on the whole arrays, a black box
+    point by point.
     """
     if m.domain != "siegel":
         raise DomainError("evaluate_batch expects a Siegel-side map")
+    if m.batch is not None:  # a black box's input points check themselves
+        check_siegel_arrays(z, w)
+    return _images(m, z, w)
+
+
+def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
+    """``evaluate_batch`` on rows that already passed the checks of ``SiegelPoint``.
+
+    Only the images are checked, once each.  An orbit steps through this:
+    each step's input row is the checked start or the previous checked
+    image, bit for bit.  A black box is still evaluated point by point: it
+    gets each row as a new ``SiegelPoint``, checked again as it is made,
+    and returns points, which were checked when they were made.
+    """
     if m.batch is None:
         images = [m.evaluator(SiegelPoint(zi, wi)) for zi, wi in zip(z, w)]
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         return z_out, np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
-    check_siegel_arrays(z, w)
     z, w = m.batch(z, w)
     check_siegel_arrays(z, w)
     return z, w
@@ -322,9 +336,12 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 def conjugate_map(m: HoloMap, t) -> HoloMap:
     """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
-    Its ``batch`` checks the rows of T^-1(q) and of their images under
-    ``m``, which ``evaluate_batch`` steps point by point if ``m`` is a
-    black box.
+    Its ``batch`` applies T^-1 and T each in one loop over their flat
+    primitive steps (``SiegelAutomorphism.steps``).  Between them,
+    ``evaluate_batch`` checks the rows of T^-1(q) and of their images under
+    ``m``, which it steps point by point if ``m`` is a black box.  The rows
+    of T(m(T^-1(q))) are checked by the caller's ``evaluate_batch`` or
+    orbit step.
     """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")

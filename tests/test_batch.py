@@ -235,10 +235,90 @@ class TestRowHelpers:
 
     def test_divide_by_real_matches_python_division(self):
         z, _ = _draws(2)
-        z = np.concatenate([z, -z, [0j, -0.0 + 0j, complex(0.0, -0.0), complex(-0.0, -0.0)]])
-        for x in (3.0, 0.7, 1e-100, 1e250):
-            want = np.array([complex(c) / x for c in z])
-            assert _same_bits(divide_by_real(z, x), want)
+        parts = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1.0, -3.7, 1e308, -1e308,
+                 math.inf, -math.inf)
+        z = np.concatenate([z, -z, [complex(re, im) for re in parts for im in parts]])
+        finite = np.isfinite(z)
+        for x in (4.0, 3.0, 0.7, 0.1, 1e-100, 7e-300, 1e250, 1e300):
+            want = np.array([complex(c) / x for c in z.tolist()])
+            with np.errstate(over="ignore", invalid="ignore"):
+                whole = divide_by_real(z, x)
+                rows = np.concatenate([divide_by_real(z[i:i + 1], x) for i in range(len(z))])
+            for got in (whole, rows):
+                # finite inputs give Python's bits; a non-finite part gives NaN where Python's does
+                assert _same_bits(got[finite], want[finite])
+                for part in ("real", "imag"):
+                    g, v = getattr(got, part), getattr(want, part)
+                    assert np.array_equal(np.isnan(g), np.isnan(v)), (x, part)
+                    assert _same_bits(g[~np.isnan(v)], v[~np.isnan(v)]), (x, part)
+
+
+def _random_chain(rng, n_dim: int, depth: int) -> SiegelAutomorphism:
+    """A composite of 1 to 3 factors: scales by non-powers of two with y != 0,
+    translations, and (while depth lasts) chains or their inverses."""
+    factors = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 3 if depth else 2))
+        if kind == 0:
+            factors.append(SiegelAutomorphism.scale(
+                float(rng.choice([0.3, 0.7, 3.0, 5.0, 1.0 / 3.0]) * rng.uniform(0.9, 1.1)),
+                float(rng.uniform(-2.0, 2.0))))
+        elif kind == 1:
+            factors.append(SiegelAutomorphism.translate(
+                rng.uniform(-1.0, 1.0, n_dim - 1) + 1j * rng.uniform(-1.0, 1.0, n_dim - 1)))
+        else:
+            chain = _random_chain(rng, n_dim, depth - 1)
+            factors.append(chain.inverse() if rng.integers(2) else chain)
+    return SiegelAutomorphism.composite(factors)
+
+
+def _leaves(t: SiegelAutomorphism) -> list:
+    return [leaf for f in t.factors for leaf in _leaves(f)] if t.kind == "composite" else [t]
+
+
+class TestFlatChains:
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_nested_chains_apply_as_their_factors_one_at_a_time(self, n_dim):
+        rng = np.random.default_rng((2024, n_dim))
+        z, w = _draws(n_dim, (1e-3, 1.0, 1e6))
+        for _ in range(12):
+            chain = _random_chain(rng, n_dim, 2)
+            for t in (chain, chain.inverse()):
+                assert len(t.steps) == len(_leaves(t))
+                want_z, want_w = _reference_images(lambda zi, wi: ref_automorphism(t, zi, wi), z, w)
+                got_z, got_w = apply_automorphism_arrays(t, z, w)
+                assert _same_bits(got_z, want_z) and _same_bits(got_w, want_w)
+                for i in (0, 17, len(z) - 1):
+                    got_z, got_w = apply_automorphism_arrays(t, z[i:i + 1], w[i:i + 1])
+                    assert _same_bits(got_z, want_z[i:i + 1]) and _same_bits(got_w, want_w[i:i + 1])
+
+    def test_a_composite_of_composites_is_one_flat_tuple(self):
+        s, u = SiegelAutomorphism.scale(3.0, 1.0), SiegelAutomorphism.translate([0.5j])
+        t = SiegelAutomorphism.composite([SiegelAutomorphism.composite([s, u]), s])
+        assert len(t.steps) == 3
+        assert all(step[0] is None or step[0].shape == (1,) for step in t.steps)
+        assert [step[0] is None for step in t.inverse().steps] == [True, False, True]
+
+    def test_translation_vector_dimension_mismatch(self):
+        z = np.array([2.0 + 0j, 3.0 + 1j])
+        w = np.zeros((2, 1), dtype=np.complex128)
+        deep = SiegelAutomorphism.composite([
+            SiegelAutomorphism.scale(3.0, 1.0),
+            SiegelAutomorphism.composite([SiegelAutomorphism.translate([1.0, 2.0])]),
+        ])
+        for t in (SiegelAutomorphism.translate([1.0, 2.0]), deep, deep.inverse()):
+            with pytest.raises(DomainError, match="^translation vector dimension mismatch$"):
+                apply_automorphism_arrays(t, z, w)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, -math.inf])
+    def test_a_scale_needs_x_above_zero(self, x):
+        with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
+            SiegelAutomorphism.scale(x)
+        with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
+            SiegelAutomorphism(kind="scale-translate", x=x)
+        # the inverse of an infinite scale is a scale by 0
+        with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
+            SiegelAutomorphism.composite([SiegelAutomorphism.scale(math.inf)]).inverse()
 
 
 def _verdict(check, *args):

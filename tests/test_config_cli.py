@@ -2,18 +2,27 @@
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from valiron import cli, dynamics
 from valiron.cli import _parse_vector, build_grid, build_map, main, run_command
 from valiron.config import ConfigError, ExperimentConfig, emit_config, parse_config
 from valiron.dynamics import compute_orbit
 from valiron.geometry import DomainError, LinearProjectionAtInfinity, SiegelPoint
 from valiron.limits import e0_limit, e_limit, jwc_check, k_limit
-from valiron.maps import PsiChoice, make_halfplane_affine, make_siegel_linear, make_valiron_example
+from valiron.maps import (
+    PsiChoice,
+    make_ball_map_from_siegel,
+    make_halfplane_affine,
+    make_siegel_linear,
+    make_siegel_map_from_ball,
+    make_valiron_example,
+)
 from valiron.renorm import DegenerateGridError, EvaluationGrid
-from valiron.reports import format_float, read_points_csv
+from valiron.reports import format_float, read_points_csv, write_orbit_csv
 
 VALIRON_CONFIG = """\
 command = valiron
@@ -430,3 +439,91 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_b), "--seed", "2"]) == 0
         capsys.readouterr()
         assert (out_a / "limits.csv").read_bytes() != (out_b / "limits.csv").read_bytes()
+
+
+CONJUGATED = (
+    "map = halfplane_affine\nlambda = 2\nb = 1\nN = 2\nconjugate = scale(4); translate(1)\n"
+    "ladder_max = 3\n"
+)
+
+
+class TestOrbitContinuesTheProbe:
+    """report-all's orbit command continues the valiron command's probe orbit.
+
+    Each case runs ``valiron run`` and compares orbit.csv, byte for byte,
+    with the orbit that ``compute_orbit`` computes afresh; ``steps`` counts
+    the one-row orbit steps of the whole run.  The probe has 33 rows here.
+    """
+
+    def _run_and_fresh(self, tmp_path, monkeypatch, text, make_map=None):
+        steps = []
+        images = dynamics._images
+
+        def counting(m, z, w):
+            steps.append(len(z))
+            return images(m, z, w)
+
+        monkeypatch.setattr(dynamics, "_images", counting)
+        if make_map is not None:
+            build = cli.build_map
+            monkeypatch.setattr(cli, "build_map", lambda cfg: make_map(cfg, build))
+        out = tmp_path / "run"
+        out.mkdir()
+        cfg_path = out / "exp.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", str(cfg_path), "--out", str(out)])
+        counted = len(steps)
+        cfg = parse_config(text)
+        m = cli.build_map(cfg)
+        start = cli._start(cfg, m)
+        fresh = tmp_path / "fresh.csv"
+        write_orbit_csv(str(fresh), compute_orbit(m, start, cfg.n_max))
+        assert (out / "orbit.csv").read_bytes() == fresh.read_bytes()
+        return code, counted
+
+    @pytest.mark.parametrize("extra, steps", [
+        ("n_max = 60\n", 60),
+        # the probe is longer than the orbit: it is cut, not continued
+        ("n_max = 20\n", 32),
+        ("start = 2+1j, 0.3\nn_max = 60\n", 32 + 60),
+        # == takes these starts for the base (1, 0), but they print otherwise
+        ("start = 1, -0\nn_max = 60\n", 32 + 60),
+        ("start = 1-0j, 0\nn_max = 60\n", 32 + 60),
+        ("start = 1, 0\nn_max = 60\n", 60),
+    ], ids=["continued", "cut", "other start", "w = -0", "y = -0", "start = base"])
+    def test_report_all(self, tmp_path, monkeypatch, capsys, extra, steps):
+        code, counted = self._run_and_fresh(
+            tmp_path, monkeypatch, "command = report-all\n" + CONJUGATED + extra)
+        assert code == 2
+        assert counted == steps
+
+    def test_orbit_command_alone(self, tmp_path, monkeypatch, capsys):
+        code, counted = self._run_and_fresh(
+            tmp_path, monkeypatch, "command = orbit\n" + CONJUGATED + "n_max = 60\n")
+        assert code == 0 and counted == 60
+        summary = (tmp_path / "run" / "summary.txt").read_text()
+        report_all = tmp_path / "all"
+        report_all.mkdir()
+        assert _run(report_all, "command = report-all\n" + CONJUGATED + "n_max = 60\n") == 2
+        alone = tmp_path / "run" / "orbit.csv"
+        assert (report_all / "orbit.csv").read_bytes() == alone.read_bytes()
+        orbit_part = (report_all / "summary.txt").read_text().split("\n\n")[-1]
+        assert orbit_part == summary
+
+    @pytest.mark.parametrize("n_max, steps", [(40, 40), (20, 32)])
+    def test_black_box(self, tmp_path, monkeypatch, capsys, n_max, steps):
+        def twin_less_cayley(cfg, build):
+            ball = replace(make_ball_map_from_siegel(build(cfg)), twin=None)
+            black_box = make_siegel_map_from_ball(ball)
+            assert black_box.batch is None
+            return black_box
+
+        # far from the base point ball coordinates round onto the sphere, so
+        # the run converges early (tol) and the limit ladder stays short
+        code, counted = self._run_and_fresh(
+            tmp_path, monkeypatch,
+            f"command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+            f"ladder_max = 3\ntol = 0.01\nn_max = {n_max}\n",
+            make_map=twin_less_cayley)
+        assert code == 0
+        assert counted == steps

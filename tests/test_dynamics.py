@@ -20,7 +20,7 @@ from valiron.dynamics import (
     tail_start,
 )
 from valiron import geometry, maps
-from valiron.geometry import SiegelAutomorphism, SiegelPoint
+from valiron.geometry import INFINITY, DomainError, SiegelAutomorphism, SiegelPoint
 from valiron.limits import (
     c_special_family,
     generate_sequences,
@@ -29,6 +29,7 @@ from valiron.limits import (
     zero_special_family,
 )
 from valiron.maps import (
+    HoloMap,
     PsiChoice,
     conjugate_map,
     make_halfplane_affine,
@@ -94,7 +95,7 @@ class TestOrbit:
                 assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
     def test_each_row_is_checked_once(self, monkeypatch):
-        """A step checks its input row and its image; the orbit is not checked again."""
+        """A step checks its image alone: its input is the checked start or the last image."""
         m = make_halfplane_affine(2.0, 1.0, 2)
         rows = []
         check = geometry.check_siegel_arrays
@@ -106,10 +107,51 @@ class TestOrbit:
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
         monkeypatch.setattr(geometry, "check_siegel_arrays", counting_check)
         orbit = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), 7)
-        assert rows == [1] * 2 * 7
+        assert rows == [1] * 7
         rows.clear()
         assert len(compute_orbit(m, orbit, 10)) == 11
-        assert rows == [1] * 2 * 3
+        assert rows == [1] * 3
+
+    def test_an_image_that_leaves_the_domain_raises_at_its_step(self):
+        # (z, w) -> (2 z, 2 w): the height 2^k - 0.09 * 4^k turns negative at step 4
+        steps = []
+
+        def batch(z, w):
+            steps.append(z[0])
+            return 2.0 * z, 2.0 * w
+
+        m = HoloMap(domain="siegel", dim=2, dw=INFINITY, multiplier=2.0, batch=batch)
+        with pytest.raises(DomainError) as err:
+            compute_orbit(m, SiegelPoint(1.0, [0.3]), 10)
+        with pytest.raises(DomainError) as point_err:
+            SiegelPoint(16.0, [0.3 * 16.0])
+        assert str(err.value) == str(point_err.value)
+        assert str(err.value).startswith("not strictly inside the Siegel domain")
+        assert steps == [1.0, 2.0, 4.0, 8.0]
+
+    def test_an_overflowing_image_ends_the_orbit_at_its_step(self):
+        m = conjugate_map(make_halfplane_affine(1e120, 1.0, 2), SiegelAutomorphism.composite(
+            [SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])]))
+        orbit = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), 60)
+        # step 2 reaches Re z ~ 1e240; its image is past the double range
+        assert orbit.cutoff == "scale overflow at step 2"
+        assert len(orbit) == 3 and orbit.x[-1] > 1e239
+        assert np.all(np.isfinite(orbit.x)) and np.all(np.isfinite(orbit.y))
+        # continuing the cut orbit steps into the same overflow
+        again = compute_orbit(m, orbit, 60)
+        assert again.points == orbit.points and again.cutoff == orbit.cutoff
+
+    def test_a_longer_orbit_is_cut_to_the_asked_length(self):
+        m = conjugate_map(make_halfplane_affine(2.0, 1.0, 2), SiegelAutomorphism.composite(
+            [SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])]))
+        start = SiegelPoint(1.0, np.zeros(1))
+        probe = compute_orbit(m, start, 32)
+        for n in (0, 1, 20, 32):
+            want = compute_orbit(m, start, n)
+            got = compute_orbit(m, probe, n)
+            assert got.points == want.points and got.cutoff == want.cutoff is None
+            assert got.points.z.tobytes() == want.points.z.tobytes()
+            assert got.points.w.tobytes() == want.points.w.tobytes()
 
 
 class TestClassification:
