@@ -13,7 +13,7 @@ These are equivalent characterizations; a disagreement outside the ambiguity
 band is a defect, not a representable state, and raises.
 
 The tail is packed once into a ``SiegelBatch`` and every route runs on its
-arrays, with the values and errors of the point-by-point computation.
+arrays, with the errors of the point-by-point computation.
 Orbits are batches too: ``compute_orbit`` steps the map on one-row arrays
 and checks each image row once.
 """
@@ -240,7 +240,7 @@ def classify_sequence(points: Sequence[SiegelPoint]) -> SequenceClassification:
                 f"koranyi witness ~ {m_pred!r} beyond the amplitude grid"
             )
 
-    special = bool((residuals < SPECIAL_RESIDUAL_TOL).all()) and residuals[-1] <= residuals[0]
+    special = bool((residuals < SPECIAL_RESIDUAL_TOL).all() and residuals[-1] <= residuals[0])
 
     return SequenceClassification(
         special=special,

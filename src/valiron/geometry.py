@@ -234,7 +234,7 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
                 SiegelPoint(zi, wi)
         return
     with np.errstate(invalid="ignore", over="ignore"):
-        nsq = (w.real * w.real + w.imag * w.imag).sum(axis=1)
+        nsq = _norm_sq_rows(w)
         scale = np.maximum(np.abs(z), nsq)
         np.maximum(scale, 1.0, out=scale)
         margin = (z.real - nsq) - BOUNDARY_SLACK * scale
@@ -254,28 +254,35 @@ def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
     return p
 
 
-def _row_herm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``herm(u[i], v[i])`` for every row, bit for bit.
+def _norm_sq_rows(w: np.ndarray) -> np.ndarray:
+    """``norm_sq(w[i])`` for every row: within N u relative."""
+    return (w.real * w.real + w.imag * w.imag).sum(axis=-1)
 
-    ``v`` may be a single vector.  The row-by-row matrix product runs the
-    dot kernel that ``herm`` runs, so it rounds the same; a sum of
-    elementwise products, or ``u @ v.conj()``, does not.
+
+def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``herm(u[i], v[i])`` for every row; ``v`` may be a single vector.
+
+    The products are taken on the real parts: numpy's complex product uses
+    a fused multiply-add for some shapes only, so a row could round apart
+    from its batch.  The parts are set, not joined as ``re + 1j * im``,
+    whose 0 * inf is NaN.  Each part is within N u of the sum of the
+    moduli of its 2 (N - 1) products.
     """
-    v = v.conj()[..., :, None] if v.ndim == 2 else v.conj()[None, :, None]
-    return (u[:, None, :] @ v)[:, 0, 0]
+    out = (u.real * v.real + u.imag * v.imag).sum(axis=-1).astype(np.complex128)
+    out.imag = (u.imag * v.real - u.real * v.imag).sum(axis=-1)
+    return out
 
 
 def _height_ratio(h_p, h_q, mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
-    """``4 h_P h_Q / mod ** 2`` row by row, as ``kobayashi_distance`` computes it.
+    """``4 h_P h_Q / (mod * mod)`` row by row, as ``kobayashi_distance`` computes it.
 
-    ``mod ** 2`` is Python's float power, that is libm's ``pow``, which rounds
-    ``v * v`` differently for about one v in a thousand.  Where it overflows
-    from a finite ``mod``, the ratio is taken in the scaled form
-    ``(2 h_P / mod) * (2 h_Q / mod)``, on those rows only.  When ``mod`` is
-    ``abs`` of the complex ``parts``, ``abs`` overflowing from finite parts
-    raises as Python's ``abs`` does.  Call it with overflow warnings off.
+    Where ``mod * mod`` overflows from a finite ``mod``, the ratio is taken
+    in the scaled form ``(2 h_P / mod) * (2 h_Q / mod)``, on those rows
+    only.  When ``mod`` is ``abs`` of the complex ``parts``, ``abs``
+    overflowing from finite parts raises as Python's ``abs`` does.  Call it
+    with overflow warnings off.
     """
-    sq = np.float_power(mod, 2.0)
+    sq = mod * mod
     ratio = 4.0 * h_p * h_q / sq
     if not sq.max() < math.inf:
         if parts is not None and (np.isinf(mod) & np.isfinite(parts)).any():
@@ -293,7 +300,10 @@ class SiegelBatch:
     once, by ``check_siegel_arrays``, when the batch is built; ``len``,
     integer indexing and iteration then hand out ``SiegelPoint``s without
     checking them again, and a slice is again a batch.  The array forms
-    below give, row by row, the bits of the scalar functions they name.
+    below are the formulas of the scalar functions they name, in plain
+    numpy.  A row gets the same bits alone as inside any batch; each form
+    states its error against the formula in exact arithmetic, in units of
+    u = 2^-53.
     """
 
     z: np.ndarray
@@ -372,15 +382,15 @@ class SiegelBatch:
         return self.w.shape[1] + 1
 
     def norm_sq(self) -> np.ndarray:
-        """``norm_sq(w)`` of every row, computed once."""
+        """``norm_sq(w)`` of every row, computed once: within N u relative."""
         if self._nsq is None:
-            nsq = _row_herm(self.w, self.w).real
+            nsq = _norm_sq_rows(self.w)
             nsq.setflags(write=False)
             object.__setattr__(self, "_nsq", nsq)
         return self._nsq
 
     def height(self) -> np.ndarray:
-        """``siegel_height`` of every row."""
+        """``siegel_height`` of every row: within u |Re z| + (N + 1) u ||w||^2."""
         return self.z.real - self.norm_sq()
 
     def koranyi_margins(self, amplitudes: Sequence[float]) -> np.ndarray:
@@ -395,7 +405,7 @@ class SiegelBatch:
         The formula of ``kobayashi_tanh`` with the axis image ``(z, 0)`` put
         in: the cross term vanishes, the image has height ``Re z`` and
         ``z_Q + conj(z_P)`` is ``2 Re z``, so this rounds as the full
-        formula does on the projected rows.
+        formula does on the projected rows, with the same error bound.
         """
         x = self.z.real
         with np.errstate(over="ignore", invalid="ignore"):
@@ -408,21 +418,28 @@ class SiegelBatch:
         Rows where the distance is 0 give 0, rows where it is infinite give
         values >= 1, and NaN stays NaN; ``max_kobayashi`` turns these into
         the largest distance.  Raises the ``OverflowError`` that the scalar
-        distance raises where ``abs`` overflows from finite parts.
+        distance raises where ``abs`` overflows from finite parts.  With e
+        the error of the ratio ``4 h_P h_Q / |s|^2`` (a few u of it, more
+        where a height cancels), a value t is within min(e / t, sqrt(e)),
+        plus a rounding, of the exact one.
         """
         if self.dim != other.dim:
             raise DomainError("dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):
-            s = other.z + self.z.conj() - 2.0 * _row_herm(other.w, self.w)
+            s = other.z + self.z.conj() - 2.0 * _herm_rows(other.w, self.w)
             ratio = _height_ratio(self.height(), other.height(), np.hypot(s.real, s.imag), s)
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def project(self, rho: "LinearProjectionAtInfinity") -> "SiegelBatch":
-        """``project(rho, row)`` for every row, with its check and message."""
+        """``project(rho, row)`` for every row, with its check and message.
+
+        Each part of the first coordinate is within (N + 2) u of
+        ``|z| + 2 ||a||^2 + 2 ||w|| ||a||``, the sum of the moduli of its terms.
+        """
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        z = self.z + 2.0 * _quiet_norm_sq(a) + 2.0 * _row_herm(self.w, a)
+        z = self.z + 2.0 * _quiet_norm_sq(a) + 2.0 * _herm_rows(self.w, a)
         w = np.empty_like(self.w)
         w[:] = -a
         try:
@@ -432,11 +449,11 @@ class SiegelBatch:
         return SiegelBatch._checked(z, w)
 
     def left_inverse(self, rho: "LinearProjectionAtInfinity") -> np.ndarray:
-        """``left_inverse_value(rho, row)`` for every row."""
+        """``left_inverse_value(rho, row)`` for every row, with the error bound of ``project``."""
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        return self.z + _quiet_norm_sq(a) + 2.0 * _row_herm(self.w, a)
+        return self.z + _quiet_norm_sq(a) + 2.0 * _herm_rows(self.w, a)
 
 
 def max_kobayashi(tanh: np.ndarray) -> float:
@@ -448,25 +465,6 @@ def max_kobayashi(tanh: np.ndarray) -> float:
     """
     top = float(np.max(tanh))
     return math.inf if top >= 1.0 else math.atanh(top)
-
-
-# z * (1 - 0j) has the parts (x + y * 0.0, y - x * 0.0), exactly: the products
-# by 1 and by -0.0 are exact, and a - b is a + (-b)
-_ONE_MINUS_ZERO_J = complex(1.0, -0.0)
-
-
-def divide_by_real(z: np.ndarray, x: float) -> np.ndarray:
-    """z / x for a complex array z and a float x > 0, as Python divides.
-
-    CPython's ``complex / float`` divides the parts ``(re + im * 0.0)`` and
-    ``(im - re * 0.0)`` by x; numpy's complex division multiplies by 1/x
-    instead and differs from it in the last bit.  Here one complex product
-    forms the parts and one float division of the interleaved parts divides
-    them, bit for bit as Python does on finite parts; a non-finite part
-    gives NaN where Python's does.
-    """
-    parts = np.multiply(z, _ONE_MINUS_ZERO_J, dtype=np.complex128).view(np.float64)
-    return (parts / x).view(np.complex128)
 
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
@@ -667,9 +665,8 @@ class SiegelAutomorphism:
     ``steps`` is the automorphism flattened, when it is built, into its
     primitive factors in the order they apply, each with its constants
     computed once: ``(None, 1j * y, x, sqrt(x))`` for a scale and
-    ``(a, ||a||^2, conj(a) as a column, None)`` for a translation.  Nested
-    composites flatten into one tuple, and a factor's checks run when it
-    is built.
+    ``(a, ||a||^2)`` for a translation.  Nested composites flatten into one
+    tuple, and a factor's checks run when it is built.
     """
 
     kind: str
@@ -686,7 +683,7 @@ class SiegelAutomorphism:
             steps = ((None, 1j * self.y, self.x, math.sqrt(self.x)),)
         elif self.kind == "heisenberg-translate":
             a = np.asarray(self.a, dtype=np.complex128)
-            steps = ((a, norm_sq(a), a.conj()[None, :, None], None),)
+            steps = ((a, norm_sq(a)),)
         elif self.kind == "composite":
             steps = tuple(step for f in self.factors for step in f.steps)
         else:
@@ -726,26 +723,21 @@ def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarra
     """Apply t to every row of ``(z, w)``.
 
     Shapes are (n,) and (n, N-1); rows are not validated.  The primitive
-    steps of ``t.steps`` run in one loop, each doing the float operations
-    of applying that factor alone.  A scale divides as Python's ``complex /
-    float`` does (``divide_by_real``), and the Hermitian product of a
-    Heisenberg translation is a row-by-row matmul that runs the dot kernel
-    of ``herm``, as ``_row_herm`` does.
+    steps of ``t.steps`` run in one loop.  A scale rounds each part of z
+    three times (the shift, 1 / x and the product) and w twice (sqrt(x) and
+    the quotient); a translation adds ``||a||^2 + 2 <w, a>`` to z within
+    (N + 2) u of ``|z| + ||a||^2 + 2 ||w|| ||a||`` in each part.
     """
     for step in t.steps:
         if step[0] is None:
             _, iy, x, root = step
-            z, w = divide_by_real(z - iy, x), w / root
+            z, w = (z - iy) / x, w / root
         else:
-            a, nsq, a_col, _ = step
+            a, nsq = step
             if a.size != w.shape[1]:
                 raise DomainError("translation vector dimension mismatch")
-            z, w = z + nsq + 2.0 * (w[:, None, :] @ a_col)[:, 0, 0], w + a
+            z, w = z + nsq + 2.0 * _herm_rows(w, a), w + a
     return z, w
-
-
-def apply_automorphism_inverse(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
-    return apply_automorphism(t.inverse(), q)
 
 
 # -- Linear projections onto parallel axes -----------------------------------

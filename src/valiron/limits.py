@@ -19,20 +19,19 @@ sweep of a command set: one pass generates the rows of every distinct
 family, with the most sequences any sweep asks of it, and checks them once,
 and the map is evaluated once over them, with ``maps.evaluate_batch``.  The
 probed functions of the map's images are ``MapProbe``s, computed only on
-the rows a sweep reads and shared by every sweep that reads them; their
-values are bit for bit those of the scalar functions they name.  Any other
-function ``h`` of a point is evaluated point by point.  ``k_limit``,
-``e_limit``, ``e0_limit``, ``jwc_check`` and ``left_inverse_ratio_check``
-run a plan of their own sweeps; ``valiron run`` builds one plan for all the
-sweeps of its commands.
+the rows a sweep reads and shared by every sweep that reads them; each is
+one numpy expression, whose error against the same formula in exact
+arithmetic its docstring states, and a row's value does not depend on the
+other rows.  Any other function ``h`` of a point is evaluated point by
+point.  ``k_limit``, ``e_limit``, ``e0_limit``, ``jwc_check`` and
+``left_inverse_ratio_check`` run a plan of their own sweeps; ``valiron
+run`` builds one plan for all the sweeps of its commands.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -44,7 +43,7 @@ from .geometry import (
     LinearProjectionAtInfinity,
     SiegelBatch,
     SiegelPoint,
-    _row_herm,
+    _norm_sq_rows,
     check_siegel_arrays,
     max_kobayashi,
     norm_sq,
@@ -189,10 +188,11 @@ def koranyi_family(
 def _family_arrays(family: ApproachFamily, seeds: Sequence[ApproachSeed]):
     """(z, w) of every (seed, rung) point, shapes (S, R) and (S, R, N-1).
 
-    Each entry has the bits of the point built one at a time: z is
-    ``r * complex(cos theta, sin theta)``, and w is the seed direction
-    scaled by the strength of the family's kind, zero when s = 0.  Both
-    products take the real factor as ``r + 0j``, as Python and numpy do.
+    z is ``r * complex(cos theta, sin theta)``, within 5 u of it in each
+    part (libm's cos or sin, then a product by the real r), and w is the
+    seed direction scaled by the strength of the family's kind, zero when
+    s = 0.  Each entry is computed from its own seed and rung alone, so a
+    sequence has the same rows whatever else is generated with it.
     """
     zero = (0j,) * (family.n_dim - 1)
     s = np.array([sd.s for sd in seeds])
@@ -329,9 +329,9 @@ class MapProbe:
 
     ``f(points, images)`` takes the probed points and their images under
     ``m`` as two ``SiegelBatch``es and returns the values of ``h`` row by
-    row, with the bits of the scalar function it stands for.  A sweep
-    evaluates ``m`` once for all of its probes of that map; calling a probe
-    on one point evaluates that point alone.
+    row, one numpy expression whose rows do not depend on each other.  A
+    sweep evaluates ``m`` once for all of its probes of that map; calling a
+    probe on one point evaluates that point alone.
     """
 
     m: HoloMap
@@ -346,15 +346,6 @@ def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
     """The images of the rows under ``m``, each row checked."""
     z, w = evaluate_batch(m, points.z, points.w)
     return SiegelBatch._checked(z, w)
-
-
-def _rows(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` on the rows of the columns as Python numbers.
-
-    Python's complex division and ``abs`` round, and raise, as the scalar
-    probes do; numpy's can differ in the last bit.
-    """
-    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.complex128)
 
 
 def _take(batch: SiegelBatch, rows: np.ndarray) -> SiegelBatch:
@@ -403,7 +394,8 @@ class SweepPlan:
     Each map is evaluated once, with ``evaluate_batch``, over the whole
     batch.  A probe is computed only on the rows its sweeps read, and only
     once: ``MapProbe``s of the same map and function share their values.
-    Probes are row-wise, so every value has the bits the sweep gives alone.
+    Maps and probes are row-wise, so every value has the bits the sweep
+    gives alone.
     """
 
     def __init__(self, seed: int = 0):
@@ -571,8 +563,7 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
     flat = np.concatenate(tails)
     # v_i - v_j is -(v_j - v_i) exactly, so one difference per pair gives every
     # modulus; the diagonal stays, as x - x is NaN for a non-finite x
-    diff = _pairs(flat) - flat
-    moduli = np.abs(diff)
+    moduli = np.abs(_pairs(flat) - flat)
     spread = float(moduli.max())
     if spread < tol:
         # a limit carries no witness, so none is searched for
@@ -580,17 +571,10 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
                             spread=spread, tol=tol, witness=None, traces=traces)
     owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
     moduli[_pairs(owner) == owner] = 0.0  # a witness pairs two sequences
-    top = float(moduli.max())
+    separation = float(moduli.max())
     witness = None
-    if top > 0.0:
-        # the witness reports the scalar abs() of a difference, which np.abs can
-        # miss by an ulp or two: take it on the pairs within 64 ulps of the top
-        top = min(top, sys.float_info.max)
-        ds, ends = np.nonzero(moduli >= top - 64.0 * math.ulp(top))
-        seps = np.array([abs(d) for d in diff[ds, ends].tolist()])
-        separation = float(np.max(seps))
-        tied = seps == separation
-        ds, ends = ds[tied], ends[tied]
+    if separation > 0.0:
+        ds, ends = np.nonzero(moduli == separation)
         others = (ends + ds) % flat.size
         ps, qs = np.minimum(ends, others), np.maximum(ends, others)
         # the first maximal pair in (sequence i, sequence j, value in i, value in j) order
@@ -654,45 +638,57 @@ class JWCReport:
 
 
 def _first_coordinate_ratio(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-    return _rows(operator.truediv, images.z, points.z)
+    return images.z / points.z
 
 
 def first_coordinate_ratio_fn(m: HoloMap) -> MapProbe:
-    """h(q) = phi_1(q) / z, the first image coordinate over z."""
+    """h(q) = phi_1(q) / z, the first image coordinate over z.
+
+    One complex division of the image's coordinate: within 16 u of |h|.
+    """
     return MapProbe(m, _first_coordinate_ratio)
 
 
 def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
-    """h(q) = (rho~ o phi)(q) / rho~(q), the left-inverse comparison ratio."""
+    """h(q) = (rho~ o phi)(q) / rho~(q), the left-inverse comparison ratio.
+
+    The quotient of two ``SiegelBatch.left_inverse`` values: their errors,
+    relative to their moduli, add to the 16 u of the division.
+    """
 
     def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-        return _rows(operator.truediv, images.left_inverse(rho), points.left_inverse(rho))
+        return images.left_inverse(rho) / points.left_inverse(rho)
 
     return MapProbe(m, f)
 
 
 def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
-    """h(q) = ||phi(q) - rho(phi(q))|| / |rho~(q)|, the off-geodesic gap."""
+    """h(q) = ||phi(q) - rho(phi(q))|| / |rho~(q)|, the off-geodesic gap.
+
+    The difference ``phi(q) - rho(phi(q))`` cancels where the image is
+    near its projection; its error is that of ``SiegelBatch.project``.  The
+    norm ``hypot(|dz|, ||dw||)``, which does not overflow where ``|dz|^2``
+    would, and the division add a few u of the value.
+    """
 
     def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
         proj = images.project(rho)
-        dw = images.w - proj.w
-        return _rows(
-            lambda dz, dw_sq, li: complex(math.sqrt(abs(dz) ** 2 + dw_sq) / abs(li)),
-            images.z - proj.z,
-            _row_herm(dw, dw).real,
-            points.left_inverse(rho),
-        )
+        dw_norm = np.sqrt(_norm_sq_rows(images.w - proj.w))
+        return np.hypot(np.abs(images.z - proj.z), dw_norm) / np.abs(points.left_inverse(rho))
 
     return MapProbe(m, f)
 
 
 def _w_growth(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-    return _rows(lambda nsq, z: complex(math.sqrt(nsq) / abs(z)), images.norm_sq(), points.z)
+    return np.sqrt(images.norm_sq()) / np.abs(points.z)
 
 
 def w_growth_fn(m: HoloMap) -> MapProbe:
-    """h(q) = ||phi_w(q)|| / |z|, the growth of the image's w part."""
+    """h(q) = ||phi_w(q)|| / |z|, the growth of the image's w part.
+
+    Within (N / 2 + 6) u of h: ``norm_sq`` of the image's w (N u, halved
+    by the root), the root, ``abs`` (2 ulps) and the quotient.
+    """
     return MapProbe(m, _w_growth)
 
 

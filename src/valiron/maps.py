@@ -12,12 +12,12 @@ whose Schroder solutions are known, used as oracles, each defined so:
 
 ``evaluate_batch`` runs a Siegel-side map on arrays of points through
 ``batch``; black boxes alone go point by point.  Evaluators are pure;
-per-point work is independent, so results never depend on evaluation order.
+per-point work is independent, so results never depend on evaluation order,
+and a row gets the same bits alone as inside any batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,7 +62,8 @@ class PsiChoice:
 
     kinds: 'constant' (param c, |c| < 1), 'cayley' (z -> (z-1)/(z+1)),
     'oscillating' (z -> exp(-pi/2) z^i, principal branch; bounded by 1 but
-    with no limit along the positive real axis).
+    with no limit along the positive real axis).  A call takes a complex
+    number or an array of them; the constant kind returns its constant.
     """
 
     kind: str
@@ -75,13 +76,14 @@ class PsiChoice:
         elif self.kind not in ("cayley", "oscillating"):
             raise DomainError(f"unknown psi kind {self.kind!r}")
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         if self.kind == "constant":
             return complex(self.param)
+        z = np.asarray(z, dtype=np.complex128)
         if self.kind == "cayley":
             return (z - 1.0) / (z + 1.0)
         # exp(-pi/2) * z^i = exp(-pi/2) * exp(i log z); |.| = exp(-arg z - pi/2)
-        return cmath.exp(-math.pi / 2.0) * cmath.exp(1j * cmath.log(z))
+        return math.exp(-math.pi / 2.0) * np.exp(1j * np.log(z))
 
     def describe(self) -> str:
         if self.kind == "constant":
@@ -154,14 +156,13 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
     arrays of the same shapes.  Every input row is checked as
-    ``SiegelPoint`` checks it, then ``_images`` maps the rows and checks
-    the images: a map with ``batch`` runs on the whole arrays, a black box
-    point by point.
+    ``SiegelPoint`` checks it, before any row is mapped; then ``_images``
+    maps the rows and checks the images: a map with ``batch`` runs on the
+    whole arrays, a black box point by point.
     """
     if m.domain != "siegel":
         raise DomainError("evaluate_batch expects a Siegel-side map")
-    if m.batch is not None:  # a black box's input points check themselves
-        check_siegel_arrays(z, w)
+    check_siegel_arrays(z, w)
     return _images(m, z, w)
 
 
@@ -171,11 +172,14 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     Only the images are checked, once each.  An orbit steps through this:
     each step's input row is the checked start or the previous checked
     image, bit for bit.  A black box is still evaluated point by point: it
-    gets each row as a new ``SiegelPoint``, checked again as it is made,
-    and returns points, which were checked when they were made.
+    gets each row as a ``SiegelPoint`` over a read-only row of one copy of
+    ``w``, not checked again, and returns points, which were checked when
+    they were made.
     """
     if m.batch is None:
-        images = [m.evaluator(SiegelPoint(zi, wi)) for zi, wi in zip(z, w)]
+        w = w.copy()  # one copy for the batch: a box may keep its input points
+        w.setflags(write=False)
+        images = [m.evaluator(_checked_point(zi, wi)) for zi, wi in zip(z.tolist(), w)]
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         return z_out, np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
     z, w = m.batch(z, w)
@@ -247,21 +251,21 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
 
     Self-map because |w^2 psi(z)| < ||w||^2 < Re z; its Schroder solution is
     sigma(z, w) = z + w^2 psi(z), reached by the pipeline in very few steps
-    since sigma_n stabilizes after one iteration.
+    since sigma_n stabilizes after one iteration.  ``batch`` and the
+    closed-form ``intertwiner`` share the one numpy definition of psi; the
+    image is within a few u of |A z| + |A w^2 psi(z)| (psi's complex
+    quotient, or log and exp, included).
     """
     if not a_mult > 1.0:
         raise DomainError("hyperbolicity requires A > 1")
 
     def batch(z: np.ndarray, w: np.ndarray) -> tuple:
-        # Python complex per row: numpy's complex product, log and division
-        # round differently in the last bit
-        images = [a_mult * zi + a_mult * wi * wi * psi(zi)
-                  for zi, wi in zip(z.tolist(), w[:, 0].tolist())]
-        return np.array(images, dtype=np.complex128), np.zeros_like(w)
+        w1 = w[:, 0]
+        return a_mult * z + a_mult * w1 * w1 * psi(z), np.zeros_like(w)
 
     def sigma(q: SiegelPoint) -> complex:
         w1 = complex(q.w[0])
-        return q.z + w1 * w1 * psi(q.z)
+        return complex(q.z + w1 * w1 * psi(q.z))
 
     return HoloMap(
         domain="siegel",

@@ -56,7 +56,6 @@ from .geometry import (
     apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
-    divide_by_real,
 )
 from .maps import (
     HoloMap,
@@ -170,7 +169,17 @@ class RenormalizedState:
 
 def _pack(z: np.ndarray, w: np.ndarray, x: float):
     """Renormalized coordinates (z / x, w / sqrt(x)) of the rows."""
-    return divide_by_real(z, x), w / math.sqrt(x)
+    return z / x, w / math.sqrt(x)
+
+
+def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional[float] = None):
+    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}).
+
+    x_{n+1} is ``x_next`` if given, else Re z of row 0's checked image (> 0).
+    """
+    z, w = evaluate_batch(m, x_n * z, math.sqrt(x_n) * w)
+    x_next = float(z[0].real) if x_next is None else x_next
+    return (*_pack(z, w, x_next), x_next)
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
@@ -200,9 +209,7 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
             "de-normalized evaluation would exceed the double-precision range"
         )
     x_n = state.x
-    z, w = evaluate_batch(m, x_n * state.z, math.sqrt(x_n) * state.w)
-    x_next = float(z[0].real)  # > 0: evaluate_batch checked the base image
-    z, w = _pack(z, w, x_next)
+    z, w, x_next = _step(m, state.z, state.w, x_n)
     return RenormalizedState(
         n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next)
     )
@@ -265,7 +272,7 @@ class ValironResult:
         batch = SiegelBatch.from_points(points)
         sigma, v = _pack(batch.z, batch.w, self.base.z.real)
         for x_n, x_next in self.scale_pairs:
-            sigma, v = _pack(*evaluate_batch(self.map, x_n * sigma, math.sqrt(x_n) * v), x_next)
+            sigma, v, _ = _step(self.map, sigma, v, x_n, x_next)
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:

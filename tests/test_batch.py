@@ -1,28 +1,39 @@
-"""Array evaluation against Python-complex point references, and the row checks.
+"""Array evaluation against the mpmath oracle, rows independent of their batch, and the row checks.
 
 Every catalog map is defined by its ``batch`` alone, and a point evaluation
-is a one-row call of it.  So the references here are the point formulas,
-written out in Python complex arithmetic as a point evaluator computes them:
-``evaluate_batch`` and ``apply_automorphism_arrays`` must give their bits.
+is a one-row call of it.  ``evaluate_batch`` and ``apply_automorphism_arrays``
+are compared with the same formulas evaluated in mpmath at 50 digits
+(``oracle``): every value must lie within the error bound that the oracle
+derives from the formula's own operations.  A one-row call must give the
+bits of its row in any batch.
 """
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import oracle as O
 from valiron.geometry import (
     BOUNDARY_SLACK,
     FEW_ROWS,
     INFINITY,
     DomainError,
+    LinearProjectionAtInfinity,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
     apply_automorphism,
     apply_automorphism_arrays,
     check_siegel_arrays,
-    divide_by_real,
+)
+from valiron.limits import (
+    _first_coordinate_ratio,
+    _w_growth,
+    projection_gap_fn,
+    projection_ratio_fn,
 )
 from valiron.maps import (
     HoloMap,
@@ -40,56 +51,16 @@ from conftest import sample_siegel
 
 SCALES = (1e-3, 1.0, 1e6, 1e40, 1e120)
 
-
-# -- references: one point, Python complex z, numpy w ------------------------------
-
-
-def _herm(u: np.ndarray, v: np.ndarray) -> complex:
-    return complex(np.dot(u, np.conjugate(v)))
-
-
-def ref_linear(lam: float):
-    root = math.sqrt(lam)
-    return lambda z, w: (lam * z, root * w)
-
-
-def ref_affine(lam: float, b: float):
-    root = math.sqrt(lam)
-    return lambda z, w: (lam * z + 1j * b, root * w)
-
-
-def ref_valiron(a_mult: float, psi: PsiChoice):
-    def image(z, w):
-        w1 = complex(w[0])
-        return a_mult * z + a_mult * w1 * w1 * psi(z), np.zeros(1, dtype=np.complex128)
-
-    return image
-
-
-def ref_automorphism(t: SiegelAutomorphism, z: complex, w: np.ndarray):
-    if t.kind == "scale-translate":
-        return (z - 1j * t.y) / t.x, w / math.sqrt(t.x)
-    if t.kind == "heisenberg-translate":
-        return z + _herm(t.a, t.a).real + 2.0 * _herm(w, t.a), w + t.a
-    for f in t.factors:
-        z, w = ref_automorphism(f, z, w)
-    return z, w
-
-
-def ref_conjugate(ref, t: SiegelAutomorphism):
-    t_inv = t.inverse()
-    return lambda z, w: ref_automorphism(t, *ref(*ref_automorphism(t_inv, z, w)))
-
-
-CATALOG_REFS = {
-    "siegel_linear(2,2)": ref_linear(2.0),
-    "siegel_linear(1.5,1)": ref_linear(1.5),
-    "siegel_linear(3,3)": ref_linear(3.0),
-    "halfplane_affine(2,1,2)": ref_affine(2.0, 1.0),
-    "halfplane_affine(3,5,2)": ref_affine(3.0, 5.0),
-    "valiron_example(2,constant(0.5))": ref_valiron(2.0, PsiChoice("constant", 0.5)),
-    "valiron_example(2,oscillating)": ref_valiron(2.0, PsiChoice("oscillating")),
-    "valiron_example(3,cayley)": ref_valiron(3.0, PsiChoice("cayley")),
+# the oracle of each catalog map: its formula in mpmath, with the error bound of its operations
+CATALOG_ORACLES = {
+    "siegel_linear(2,2)": O.linear(2.0),
+    "siegel_linear(1.5,1)": O.linear(1.5),
+    "siegel_linear(3,3)": O.linear(3.0),
+    "halfplane_affine(2,1,2)": O.affine(2.0, 1.0),
+    "halfplane_affine(3,5,2)": O.affine(3.0, 5.0),
+    "valiron_example(2,constant(0.5))": O.valiron(2.0, "constant", 0.5),
+    "valiron_example(2,oscillating)": O.valiron(2.0, "oscillating"),
+    "valiron_example(3,cayley)": O.valiron(3.0, "cayley"),
 }
 
 
@@ -100,39 +71,34 @@ def _automorphism(n_dim: int) -> SiegelAutomorphism:
     ])
 
 
-def _black_box():
-    """The Cayley transport of a map without a twin, and its point evaluation."""
+def _black_box() -> HoloMap:
+    """The Cayley transport of a map without a twin: evaluated point by point."""
     ball = make_ball_map_from_siegel(make_valiron_example(3.0, PsiChoice("cayley")))
-    m = make_siegel_map_from_ball(replace(ball, twin=None))
-
-    def ref(z, w):
-        q = m(SiegelPoint(z, w))
-        return q.z, q.w
-
-    return m, ref
+    return make_siegel_map_from_ball(replace(ball, twin=None))
 
 
 def _cases() -> dict:
-    """name -> (map, reference of its point evaluation)."""
-    cases = {name: (m, CATALOG_REFS[name]) for name, m in catalog().items()}
+    """name -> (map, oracle of its evaluation)."""
+    cases = {name: (m, CATALOG_ORACLES[name]) for name, m in catalog().items()}
     for n_dim in (1, 2, 3):
         t = _automorphism(n_dim)
         cases[f"conjugated affine N={n_dim}"] = (
             conjugate_map(make_halfplane_affine(1.7, -0.4, n_dim), t),
-            ref_conjugate(ref_affine(1.7, -0.4), t))
+            O.conjugate(O.affine(1.7, -0.4), t))
     t = SiegelAutomorphism.scale(4.0, -2.0)
-    osc = PsiChoice("oscillating")
     cases["conjugated oscillating"] = (
-        conjugate_map(make_valiron_example(2.0, osc), t), ref_conjugate(ref_valiron(2.0, osc), t))
+        conjugate_map(make_valiron_example(2.0, PsiChoice("oscillating")), t),
+        O.conjugate(O.valiron(2.0, "oscillating"), t))
     cayley = make_valiron_example(3.0, PsiChoice("cayley"))
     cases["cayley round trip"] = (
-        make_siegel_map_from_ball(make_ball_map_from_siegel(cayley)),
-        ref_valiron(3.0, PsiChoice("cayley")))
-    # black boxes: evaluate_batch steps them point by point, in conjugate_map's batch too
-    black_box, ref = _black_box()
-    cases["twin-less cayley transport"] = black_box, ref
+        make_siegel_map_from_ball(make_ball_map_from_siegel(cayley)), O.valiron(3.0, "cayley"))
+    # black boxes: evaluate_batch steps them point by point, in conjugate_map's batch too;
+    # the oracle takes both Cayley transforms of each of the two transports
+    black_box = _black_box()
+    through = O.through_the_ball(O.valiron(3.0, "cayley"))
+    cases["twin-less cayley transport"] = black_box, through
     t = _automorphism(2)
-    cases["conjugated twin-less cayley transport"] = conjugate_map(black_box, t), ref_conjugate(ref, t)
+    cases["conjugated twin-less cayley transport"] = conjugate_map(black_box, t), O.conjugate(through, t)
     return cases
 
 
@@ -154,10 +120,6 @@ def _rows(images, w_shape):
             np.array([w for _, w in images], dtype=np.complex128).reshape(w_shape))
 
 
-def _reference_images(ref, z, w):
-    return _rows((ref(complex(zi), wi) for zi, wi in zip(z, w)), w.shape)
-
-
 def _point_images(m, z, w):
     return _rows(((q.z, q.w) for q in (m(SiegelPoint(zi, wi)) for zi, wi in zip(z, w))), w.shape)
 
@@ -165,19 +127,20 @@ def _point_images(m, z, w):
 class TestEvaluateBatch:
     @pytest.mark.parametrize("name", sorted(_cases()))
     def test_equals_the_scalar_evaluator_row_by_row(self, name):
-        m, ref = _cases()[name]
+        m, image = _cases()[name]
         # far from the base point, ball coordinates round onto the sphere
         z, w = _draws(m.dim, (1e-3, 1.0) if "twin-less" in name else SCALES)
         assert len(z) > FEW_ROWS
-        want_z, want_w = _reference_images(ref, z, w)
-        # whole arrays, and one row at a time through the point evaluator
-        for got_z, got_w in (evaluate_batch(m, z, w), _point_images(m, z, w)):
-            assert _same_bits(got_z, want_z)
-            assert _same_bits(got_w, want_w)
+        got_z, got_w = evaluate_batch(m, z, w)
+        # every part within the bound the oracle derives from the map's operations
+        O.assert_images(got_z, got_w, O.images(image, z, w))
+        # one row at a time through the point evaluator: the bits of the whole arrays
+        point_z, point_w = _point_images(m, z, w)
+        assert _same_bits(point_z, got_z) and _same_bits(point_w, got_w)
 
     def test_catalog_and_transports_have_batches(self):
         cases = _cases()
-        assert set(CATALOG_REFS) == set(catalog())
+        assert set(CATALOG_ORACLES) == set(catalog())
         assert all(cases[name][0].batch is not None for name in catalog())
         assert cases["cayley round trip"][0].batch is not None
         assert cases["conjugated affine N=3"][0].batch is not None
@@ -214,6 +177,22 @@ class TestEvaluateBatch:
         with pytest.raises(DomainError, match="^non-finite coordinates$"):
             make_halfplane_affine(1e200, 1.0, 2)(SiegelPoint(1e200, [0.5]))
 
+    def test_a_black_box_keeps_its_input_points_when_the_caller_reuses_its_arrays(self):
+        kept = []
+
+        def keep(q):
+            kept.append(q)
+            return SiegelPoint(2.0 * q.z, q.w)
+
+        box = HoloMap(domain="siegel", dim=2, dw=INFINITY, multiplier=2.0, evaluator=keep)
+        z = np.array([2.0 + 0j, 3.0 + 0j])
+        w = np.array([[0.5 + 0j], [0.25j]])
+        evaluate_batch(box, z, w)
+        before = [(q.z, q.w.tobytes(), hash(q)) for q in kept]
+        w[:] = 0.75
+        assert [(q.z, q.w.tobytes(), hash(q)) for q in kept] == before
+        assert all(not q.w.flags.writeable for q in kept)
+
     def test_rejects_ball_side_maps(self):
         ball = make_ball_map_from_siegel(make_halfplane_affine(2.0, 1.0, 2))
         with pytest.raises(DomainError, match="Siegel-side"):
@@ -226,31 +205,94 @@ class TestRowHelpers:
         t = _automorphism(n_dim)
         z, w = _draws(n_dim)
         for u in (t, t.inverse(), *t.factors):
-            want_z, want_w = _reference_images(lambda zi, wi: ref_automorphism(u, zi, wi), z, w)
             z_a, w_a = apply_automorphism_arrays(u, z, w)
-            assert _same_bits(z_a, want_z) and _same_bits(w_a, want_w)
+            # within the bound of the steps' operations: a scale rounds z three times
+            # and w twice, a translation adds its terms within (N + 2) u of their moduli
+            O.assert_images(z_a, w_a, O.images(O.automorphism(u), z, w))
+            # the one-row application gives the bits of the whole arrays
             images = [apply_automorphism(u, SiegelPoint(zi, wi)) for zi, wi in zip(z, w)]
             z_p, w_p = _rows(((q.z, q.w) for q in images), w.shape)
-            assert _same_bits(z_p, want_z) and _same_bits(w_p, want_w)
+            assert _same_bits(z_p, z_a) and _same_bits(w_p, w_a)
 
-    def test_divide_by_real_matches_python_division(self):
-        z, _ = _draws(2)
-        parts = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1.0, -3.7, 1e308, -1e308,
-                 math.inf, -math.inf)
-        z = np.concatenate([z, -z, [complex(re, im) for re in parts for im in parts]])
-        finite = np.isfinite(z)
-        for x in (4.0, 3.0, 0.7, 0.1, 1e-100, 7e-300, 1e250, 1e300):
-            want = np.array([complex(c) / x for c in z.tolist()])
-            with np.errstate(over="ignore", invalid="ignore"):
-                whole = divide_by_real(z, x)
-                rows = np.concatenate([divide_by_real(z[i:i + 1], x) for i in range(len(z))])
-            for got in (whole, rows):
-                # finite inputs give Python's bits; a non-finite part gives NaN where Python's does
-                assert _same_bits(got[finite], want[finite])
-                for part in ("real", "imag"):
-                    g, v = getattr(got, part), getattr(want, part)
-                    assert np.array_equal(np.isnan(g), np.isnan(v)), (x, part)
-                    assert _same_bits(g[~np.isnan(v)], v[~np.isnan(v)]), (x, part)
+
+# -- a row gets the same bits alone as inside any batch ------------------------------
+
+SIZES = (1, 7, 8, 9, 1000)
+
+
+@lru_cache(maxsize=None)
+def _pool(n_dim: int):
+    """1,000 rows of H^N: sample_siegel draws at two scales."""
+    pts = [sample_siegel(n_dim, seed, 29) for seed in range(500)]
+    z = np.array([s * p.z for s in (1e-3, 1.0) for p in pts])
+    w = np.array([math.sqrt(s) * p.w for s in (1e-3, 1.0) for p in pts]).reshape(len(z), n_dim - 1)
+    return z, w
+
+
+def _probe_forms(m, rho) -> dict:
+    def probe(f):
+        def run(z, w):
+            points = SiegelBatch._checked(z, w)
+            return f(points, SiegelBatch._checked(*evaluate_batch(m, z, w)))
+        return run
+
+    return {"first coordinate ratio": probe(_first_coordinate_ratio),
+            "projection ratio": probe(projection_ratio_fn(m, rho).f),
+            "projection gap": probe(projection_gap_fn(m, rho).f),
+            "w growth": probe(_w_growth)}
+
+
+def _row_forms() -> dict:
+    """name -> (N, f): f maps checked rows (z, w) to arrays, row i from row i alone."""
+    forms = {f"evaluate_batch {name}": (m.dim, lambda z, w, m=m: evaluate_batch(m, z, w))
+             for name, (m, _) in _cases().items()}
+    for n_dim in (1, 2, 3):
+        rho = LinearProjectionAtInfinity(np.full(n_dim - 1, 0.3 - 0.7j))
+        # constants with full mantissas: their products round
+        t = SiegelAutomorphism.composite([SiegelAutomorphism.scale(3.0, 1.1),
+                                          SiegelAutomorphism.translate(np.full(n_dim - 1, 0.3 - 0.7j))])
+
+        def batch(z, w):
+            return SiegelBatch._checked(z, w)
+
+        geometry = {
+            "apply_automorphism_arrays": lambda z, w, t=t: apply_automorphism_arrays(t, z, w),
+            "norm_sq": lambda z, w: batch(z, w).norm_sq(),
+            # the other point (2 z + 1, i w) is higher than (z, w), so inside H^N
+            "kobayashi_tanh": lambda z, w: batch(z, w).kobayashi_tanh(batch(2.0 * z + 1.0, 1j * w)),
+            "axis_tanh": lambda z, w: batch(z, w).axis_tanh(),
+            "project": lambda z, w, rho=rho: batch(z, w).project(rho).z,
+        }
+        geometry.update(_probe_forms(make_halfplane_affine(2.0, 1.0, n_dim), rho))
+        forms.update({f"{name} N={n_dim}": (n_dim, f) for name, f in geometry.items()})
+    return forms
+
+
+def _outputs(f, z, w) -> tuple:
+    out = f(z, w)
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", sorted(_row_forms()))
+def test_a_row_gets_the_same_bits_in_any_batch(name):
+    """The plan's shared probes, ``sigma_at``'s replay and criterion 9 rely on it.
+    A kernel that rounds by the array's length, or by its shape, fails here."""
+    n_dim, f = _row_forms()[name]
+    z, w = _pool(n_dim)
+    targets = list(range(0, len(z), 167))
+    alone = {k: _outputs(f, z[k:k + 1], w[k:k + 1]) for k in targets}
+    for size in SIZES:
+        offsets = sorted({0, size // 2, size - 1})
+        for start in range(0, len(targets), len(offsets)):
+            # targets at the offsets, other pool rows around them
+            placed = list(zip(offsets, targets[start:start + len(offsets)]))
+            rows = (np.arange(size) + 37 * start + 1) % len(z)
+            for offset, k in placed:
+                rows[offset] = k
+            outputs = _outputs(f, z[rows], w[rows])
+            for offset, k in placed:
+                for got, want in zip(outputs, alone[k]):
+                    assert got[offset:offset + 1].tobytes() == want.tobytes(), (size, offset, k)
 
 
 def _random_chain(rng, n_dim: int, depth: int) -> SiegelAutomorphism:
@@ -276,6 +318,12 @@ def _leaves(t: SiegelAutomorphism) -> list:
     return [leaf for f in t.factors for leaf in _leaves(f)] if t.kind == "composite" else [t]
 
 
+def _one_at_a_time(t: SiegelAutomorphism, z, w):
+    for leaf in _leaves(t):
+        z, w = apply_automorphism_arrays(leaf, z, w)
+    return z, w
+
+
 class TestFlatChains:
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     def test_nested_chains_apply_as_their_factors_one_at_a_time(self, n_dim):
@@ -285,7 +333,7 @@ class TestFlatChains:
             chain = _random_chain(rng, n_dim, 2)
             for t in (chain, chain.inverse()):
                 assert len(t.steps) == len(_leaves(t))
-                want_z, want_w = _reference_images(lambda zi, wi: ref_automorphism(t, zi, wi), z, w)
+                want_z, want_w = _one_at_a_time(t, z, w)
                 got_z, got_w = apply_automorphism_arrays(t, z, w)
                 assert _same_bits(got_z, want_z) and _same_bits(got_w, want_w)
                 for i in (0, 17, len(z) - 1):

@@ -12,7 +12,7 @@ from valiron.cli import _parse_vector, build_grid, build_map, main, run_command
 from valiron.config import ConfigError, ExperimentConfig, emit_config, parse_config
 from valiron.dynamics import compute_orbit
 from valiron.geometry import DomainError, LinearProjectionAtInfinity, SiegelPoint
-from valiron.limits import e0_limit, e_limit, jwc_check, k_limit
+from valiron.limits import e0_limit, e_limit, first_coordinate_ratio_fn, jwc_check, k_limit
 from valiron.maps import (
     PsiChoice,
     make_ball_map_from_siegel,
@@ -340,11 +340,7 @@ class TestCli:
             "ladder_max = 5\nseed = 4\n",
         )
         assert code == 0
-        m = make_valiron_example(2.0, PsiChoice("oscillating"))
-
-        def h(q):
-            return m.evaluator(q).z / q.z
-
+        h = first_coordinate_ratio_fn(make_valiron_example(2.0, PsiChoice("oscillating")))
         ladder = tuple(10.0 ** k for k in range(1, 6))
         expect = []
         for sweep, extra in ((k_limit, 2), (e_limit, 1), (e0_limit, 1)):

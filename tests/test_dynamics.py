@@ -1,6 +1,7 @@
 """Orbits, three-route sequence classification, and the orbit estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from valiron.maps import (
     HoloMap,
     PsiChoice,
     conjugate_map,
+    make_ball_map_from_siegel,
     make_halfplane_affine,
     make_siegel_linear,
+    make_siegel_map_from_ball,
     make_valiron_example,
 )
 
@@ -111,6 +114,24 @@ class TestOrbit:
         rows.clear()
         assert len(compute_orbit(m, orbit, 10)) == 11
         assert rows == [1] * 3
+        # a black box is handed each row as a point that is not checked again: a
+        # step of the twin-less Cayley transport makes only the two points of its
+        # own Cayley transforms (the inner map checks its one-row input and output)
+        ball = make_ball_map_from_siegel(make_valiron_example(3.0, PsiChoice("cayley")))
+        black_box = make_siegel_map_from_ball(replace(ball, twin=None))
+        start = SiegelPoint(2.0, [0.5])
+        made = []
+        init = SiegelPoint.__init__
+
+        def counting_init(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(SiegelPoint, "__init__", counting_init)
+        rows.clear()
+        assert len(compute_orbit(black_box, start, 7)) == 8
+        assert len(made) == 2 * 7
+        assert rows == [1, 1] * 7
 
     def test_an_image_that_leaves_the_domain_raises_at_its_step(self):
         # (z, w) -> (2 z, 2 w): the height 2^k - 0.09 * 4^k turns negative at step 4

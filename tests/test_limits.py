@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle as O
 from valiron.geometry import (
     DomainError,
     LinearProjectionAtInfinity,
@@ -110,9 +111,9 @@ def _labelled(*values):
 
 def _reference_verdict(tails, tol):
     """Reference for verdict_from_traces: plain pairwise loops giving
-    (status, value, spread, witness).  A NaN difference makes the spread
-    NaN; a NaN difference between two sequences makes the separation NaN,
-    which names no witness."""
+    (status, value, spread, witness), each modulus numpy's ``abs``.  A NaN
+    difference makes the spread NaN; a NaN difference between two sequences
+    makes the separation NaN, which names no witness."""
     flat = np.concatenate(tails)
     spread = 0.0
     for i in range(flat.size):
@@ -121,14 +122,15 @@ def _reference_verdict(tails, tol):
     separation = 0.0
     for i in range(len(tails)):
         for j in range(i + 1, len(tails)):
-            for vi in tails[i]:
-                for vj in tails[j]:
-                    d = abs(vi - vj)
-                    if math.isnan(d):
-                        separation = math.nan
-                    elif d > separation:
-                        separation = d
-                        witness = (i, j, complex(vi), complex(vj), float(d))
+            # the moduli of one pair of sequences, value in i by value in j
+            moduli = np.abs(np.subtract.outer(tails[i], tails[j]))
+            for k, d in enumerate(moduli.ravel().tolist()):
+                if math.isnan(d):
+                    separation = math.nan
+                elif d > separation:
+                    separation = d
+                    vi, vj = divmod(k, moduli.shape[1])
+                    witness = (i, j, complex(tails[i][vi]), complex(tails[j][vj]), d)
     if math.isnan(separation):
         witness = None
     if spread < tol:
@@ -242,21 +244,20 @@ class TestVerdicts:
         assert len(witnesses) > 20
 
     def test_matches_the_pairwise_loops_on_near_ties(self):
-        """Separations a few ulps apart, where np.abs and the scalar abs()
-        disagree in the last bit: the witness is the scalar maximum."""
+        """Separations a few ulps apart: the witness is the first pair of
+        largest np.abs modulus, and that modulus is within the rounding of
+        one abs (2 ulps) of the exact one."""
         rng = np.random.default_rng(13)
-        disagree = 0
         for case in range(40):
             # one trace at 0, the others on a short arc of the unit circle
             angles = rng.uniform(0.0, 0.1, (int(rng.integers(2, 40)), 3))
             traces = [np.zeros(1, dtype=np.complex128)] + list(np.exp(1j * angles))
             tails = [v[-TAIL_VALUES:] for v in traces]
-            flat = np.concatenate(tails)
-            disagree += int(np.sum(np.abs(flat) != np.array([abs(v) for v in flat.tolist()])))
             got = verdict_from_traces(_labelled(*traces), 1e-3)
             assert (got.status, got.value, got.spread, got.witness) == _reference_verdict(
                 tails, 1e-3), case
-        assert disagree > 0
+            _, _, vi, vj, separation = got.witness
+            assert O.within(separation, O.absolute(O.exact(vi) - O.exact(vj)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matches_the_pairwise_loops_on_many_traces(self):

@@ -1,4 +1,13 @@
-"""Limit probes on arrays: bit-equal to the scalar probes, one map evaluation per sweep."""
+"""Limit probes on arrays: within the bounds of their mpmath oracle, one map evaluation per sweep.
+
+The reference evaluates each probe's formula in mpmath at 50 digits
+(``oracle``), on the point and on its image under the map, which is the
+map's one-row evaluation in doubles taken as an exact input.  Every probed
+value lies within the oracle's bound; every status, witness pair and
+report flag is that of the exact values rounded to doubles.  Two array
+paths of the same code, a shared plan against plans of their own, agree
+bit for bit.
+"""
 
 import csv
 import io
@@ -8,15 +17,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle as O
 from valiron import cli, limits, reports
 from valiron.geometry import (
     DomainError,
     LinearProjectionAtInfinity,
     SiegelAutomorphism,
+    SiegelBatch,
     SiegelPoint,
     first_coordinate_projection,
-    left_inverse_value,
-    norm_sq,
     project,
 )
 from valiron.limits import (
@@ -26,6 +35,7 @@ from valiron.limits import (
     DEFAULT_LADDER,
     DEFAULT_TOL,
     M_SWEEP,
+    TAIL_VALUES,
     T_SWEEP,
     JWCReport,
     LeftInverseReport,
@@ -54,6 +64,7 @@ from valiron.maps import (
     PsiChoice,
     catalog,
     conjugate_map,
+    evaluate_batch,
     make_ball_map_from_siegel,
     make_halfplane_affine,
     make_siegel_linear,
@@ -65,30 +76,65 @@ from valiron.reports import format_float, write_limits_csv
 LADDER = tuple(10.0 ** k for k in range(1, 6))
 
 
-# -- the scalar probes and sweeps, kept as the reference -------------------------
+# -- the probes' formulas in mpmath, kept as the reference --------------------------
+
+_POINTS: dict = {}  # (point, projection) -> the point and its left inverse, shared by every map
+_IMAGES: dict = {}  # (point, map) -> its image, emptied after each test
+
+
+@pytest.fixture(autouse=True)
+def _forget_images():
+    yield
+    _IMAGES.clear()
+
+
+class OracleProbe:
+    """h(q) = formula(q, phi(q)) in mpmath, as an oracle value.
+
+    phi(q) is the map's evaluation in doubles, an exact input: the maps
+    themselves are compared with their oracle in ``test_batch``, and a row
+    gets the same bits alone as in any batch.
+    """
+
+    def __init__(self, m, formula, rho=None):
+        self.m, self.formula = m, formula
+        self.a = np.zeros(m.dim - 1, dtype=np.complex128) if rho is None else rho.a
+        self.rho = O.Rho(self.a)
+
+    def __call__(self, q) -> "O.X":
+        return self.along(SiegelBatch.from_points([q]))[0]
+
+    def along(self, seq) -> list:
+        """The oracle values on the rows of a sequence; the map evaluates them in one call."""
+        keys = [(z, w.tobytes()) for z, w in zip(seq.z.tolist(), seq.w)]
+        if any((key, id(self.m)) not in _IMAGES for key in keys):
+            z, w = evaluate_batch(self.m, seq.z, seq.w)
+            for key, zi, wi in zip(keys, z.tolist(), w):
+                _IMAGES[key, id(self.m)] = O.exact(zi), O.row(wi)
+        values = []
+        for key, zi, wi in zip(keys, seq.z.tolist(), seq.w):
+            if (key, self.a.tobytes()) not in _POINTS:
+                point = O.exact(zi), O.row(wi)
+                _POINTS[key, self.a.tobytes()] = point, O.left_inverse(*point, self.rho)
+            point, li = _POINTS[key, self.a.tobytes()]
+            values.append(self.formula(point, _IMAGES[key, id(self.m)], self.rho, li))
+        return values
 
 
 def phi1_ratio(m):
-    return lambda q: m.evaluator(q).z / q.z
+    return OracleProbe(m, O.first_coordinate_ratio)
 
 
 def ratio(m, rho):
-    return lambda q: left_inverse_value(rho, m.evaluator(q)) / left_inverse_value(rho, q)
+    return OracleProbe(m, O.projection_ratio, rho)
 
 
 def gap(m, rho):
-    def h(q):
-        image = m.evaluator(q)
-        proj = project(rho, image)
-        dz = image.z - proj.z
-        dw = image.w - proj.w
-        return complex(math.sqrt(abs(dz) ** 2 + norm_sq(dw)) / abs(left_inverse_value(rho, q)))
-
-    return h
+    return OracleProbe(m, O.projection_gap, rho)
 
 
 def wgrowth(m):
-    return lambda q: complex(math.sqrt(norm_sq(m.evaluator(q).w)) / abs(q.z))
+    return OracleProbe(m, O.w_growth)
 
 
 def _families(kind, n_dim, ladder):
@@ -99,31 +145,80 @@ def _families(kind, n_dim, ladder):
 
 
 def ref_sweep(h, kind, n_dim, tol=DEFAULT_TOL, ladder=DEFAULT_LADDER, extra=0, seed=0):
+    """(verdict, traces of oracle values): the verdict is that of the exact
+    values rounded to doubles."""
     traces = []
     for fam in _families(kind, n_dim, ladder):
         label = family_label(fam)
         for i, seq in enumerate(generate_sequences(fam, count=len(fam.seeds) + extra, seed=seed)):
-            traces.append((label, i, np.array([h(p) for p in seq], dtype=np.complex128)))
-    return verdict_from_traces(traces, tol)
+            traces.append((label, i, h.along(seq)))
+    rounded = [(label, i, np.array([x.double() for x in xs], dtype=np.complex128))
+               for label, i, xs in traces]
+    return verdict_from_traces(rounded, tol), traces
 
 
 def ref_jwc(m, rho, tol, ladder, seed):
     v1 = ref_sweep(ratio(m, rho), "E0", m.dim, tol, ladder, 0, seed)
     v2 = ref_sweep(gap(m, rho), "E0", m.dim, tol, ladder, 0, seed)
-    ok = (v1.exists and v2.exists and abs(v1.value - m.multiplier) <= tol
-          and abs(v2.value) <= tol)
+    ok = (v1[0].exists and v2[0].exists and abs(v1[0].value - m.multiplier) <= tol
+          and abs(v2[0].value) <= tol)
     return JWCReport(part1=v1, part2=v2, multiplier=m.multiplier, passed=ok)
 
 
 def ref_left_inverse(m, rho, tol, ladder, seed):
     prereq = ref_sweep(phi1_ratio(m), "E", m.dim, tol, ladder, 0, seed)
-    if not prereq.exists:
+    if not prereq[0].exists:
         return LeftInverseReport("inconclusive", None, None, prereq, m.multiplier, False)
     rv = ref_sweep(ratio(m, rho), "E", m.dim, tol, ladder, 0, seed)
     dv = ref_sweep(wgrowth(m), "E", m.dim, tol, ladder, 0, seed)
-    ok = (rv.exists and dv.exists and abs(rv.value - m.multiplier) <= tol
-          and abs(dv.value) <= tol)
+    ok = (rv[0].exists and dv[0].exists and abs(rv[0].value - m.multiplier) <= tol
+          and abs(dv[0].value) <= tol)
     return LeftInverseReport("confirmed" if ok else "failed", rv, dv, prereq, m.multiplier, ok)
+
+
+def assert_verdict(got, want):
+    """A verdict against its reference (verdict, oracle traces).
+
+    Labels, statuses and witness pairs exactly; every probed value within
+    its oracle bound.  The verdict's numbers come from tail values that are
+    each within ``slack`` = max(e + u |v|) of the reference's rounded ones:
+    a mean of n of them within slack + 2 n u max |v|, a largest modulus of
+    a difference within 2 slack + 6 u of it (a difference, then abs).
+    """
+    verdict, traces = want
+    assert got.status == verdict.status
+    assert [t[:2] for t in got.traces] == [t[:2] for t in traces]
+    slack, top, n = 0.0, 0.0, 0
+    for (_, _, values), (_, _, xs) in zip(got.traces, traces):
+        assert len(values) == len(xs)
+        for g, x in zip(values, xs):
+            assert O.within(g, x), (g, x.v, x.e)
+        tail = xs[-TAIL_VALUES:]
+        slack = max([slack] + [x.e + O.U * x.m for x in tail])
+        top, n = max([top] + [x.m for x in tail]), n + len(tail)
+    if verdict.value is None:
+        assert got.value is None
+    else:
+        assert abs(got.value - verdict.value) <= slack + 2 * n * O.U * top
+    assert abs(got.spread - verdict.spread) <= 2 * slack + 6 * O.U * verdict.spread
+    assert (got.witness is None) == (verdict.witness is None)
+    if got.witness is not None:
+        assert got.witness[:2] == verdict.witness[:2]
+        assert abs(got.witness[4] - verdict.witness[4]) <= 2 * slack + 6 * O.U * verdict.witness[4]
+
+
+def assert_report(got, want):
+    if isinstance(want, JWCReport):
+        assert (got.multiplier, got.passed) == (want.multiplier, want.passed)
+        parts = ((got.part1, want.part1), (got.part2, want.part2))
+    else:
+        assert (got.status, got.multiplier, got.passed) == (want.status, want.multiplier, want.passed)
+        parts = ((got.prerequisite, want.prerequisite), (got.ratio_verdict, want.ratio_verdict),
+                 (got.derivative_verdict, want.derivative_verdict))
+    for g, w in parts:
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert_verdict(g, w)
 
 
 # -- comparison as bytes -----------------------------------------------------------
@@ -201,7 +296,7 @@ def test_the_catalog_and_transports_are_covered():
     assert {m.dim for name, m in MAPS.items() if "conjugated" in name} == {1, 2, 3}
 
 
-# -- bit equality ----------------------------------------------------------------------
+# -- against the oracle ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -209,10 +304,8 @@ def test_limit_sweeps_equal_the_scalar_probe(name):
     m = MAPS[name]
     h = first_coordinate_ratio_fn(m)
     for kind, sweep, extra in (("K", k_limit, 2), ("E", e_limit, 1), ("E0", e0_limit, 1)):
-        got = outcome(lambda: sweep(h, m.dim, ladder=LADDER, extra=extra, seed=4), verdict_key)
-        want = outcome(lambda: ref_sweep(phi1_ratio(m), kind, m.dim, ladder=LADDER,
-                                         extra=extra, seed=4), verdict_key)
-        assert got == want, kind
+        got = sweep(h, m.dim, ladder=LADDER, extra=extra, seed=4)
+        assert_verdict(got, ref_sweep(phi1_ratio(m), kind, m.dim, ladder=LADDER, extra=extra, seed=4))
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -220,9 +313,8 @@ def test_checks_equal_the_scalar_probes(name):
     m = MAPS[name]
     for rho in _projections(m.dim):
         for check, ref in ((jwc_check, ref_jwc), (left_inverse_ratio_check, ref_left_inverse)):
-            got = outcome(lambda: check(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2), report_key)
-            want = outcome(lambda: ref(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2), report_key)
-            assert got == want, (check.__name__, rho.a)
+            assert_report(check(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2),
+                          ref(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2))
 
 
 @pytest.mark.parametrize("name, status", [
@@ -272,14 +364,19 @@ def test_a_probe_called_on_one_point_is_the_scalar_probe():
         (w_growth_fn(m), wgrowth(m)),
     )
     for probe, h in pairs:
-        assert _bits(probe(q)) == _bits(complex(h(q)))
+        assert O.within(probe(q), h(q))
 
 
 def test_a_point_function_and_a_map_probe_give_the_same_verdict():
     m = MAPS["valiron_example(2,oscillating)"]
     fam = koranyi_family(4.0, 2)
+
+    def h(q):
+        # numpy's quotient on one row, as the probe divides its rows
+        return complex(np.divide(m(q).z, q.z))
+
     got = estimate_limit(first_coordinate_ratio_fn(m), fam, extra=3, seed=7)
-    assert verdict_key(got) == verdict_key(estimate_limit(phi1_ratio(m), fam, extra=3, seed=7))
+    assert verdict_key(got) == verdict_key(estimate_limit(h, fam, extra=3, seed=7))
 
 
 # -- errors ----------------------------------------------------------------------------
@@ -308,9 +405,11 @@ def test_an_image_outside_the_domain_raises_the_scalar_error(with_batch):
 def test_a_projection_leaving_the_domain_raises_the_scalar_error():
     m = MAPS["halfplane_affine(2,1,2)"]
     rho = LinearProjectionAtInfinity([1e200])
+    # the first point of the E0 sweep, the first row the projection checks
+    q = generate_sequences(e0_families(2)[0])[0][0]
     with np.errstate(over="ignore", invalid="ignore"):
         got = outcome(lambda: jwc_check(m, rho), report_key)
-        want = outcome(lambda: ref_jwc(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 0), report_key)
+        want = outcome(lambda: project(rho, m(q)), None)
     assert got == want
     assert got[2] == "projected image left the Siegel domain: non-finite coordinates"
 

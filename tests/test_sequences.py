@@ -1,13 +1,22 @@
 """Sequences as arrays: ``SiegelBatch``, ``generate_sequences``,
-``classify_sequence`` and ``projection_invariance_check`` against the
-point-by-point code they replace, which is kept here as the reference."""
+``classify_sequence`` and ``projection_invariance_check``.
+
+Generation is compared, bit for bit, with the point-by-point construction
+it replaces: every product there has a real factor, so each part rounds
+once however it is evaluated.  The geometry and the classification are
+compared with their formulas in mpmath at 50 digits (``oracle``): every
+number within the error bound the oracle derives from the formula's
+operations, and every boolean, ``None``, amplitude and error type exactly.
+"""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+import oracle as O
 from valiron.dynamics import (
     AMBIGUITY_BAND,
     INFINITY_THRESHOLD,
@@ -25,9 +34,13 @@ from valiron.dynamics import (
 from valiron.geometry import (
     DomainError,
     LinearProjectionAtInfinity,
+    SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
+    _herm_rows,
+    apply_automorphism_arrays,
     first_coordinate_projection,
+    herm,
     kobayashi_distance,
     koranyi_margin,
     koranyi_region_at_infinity,
@@ -111,85 +124,96 @@ def _reference_sequences(family, count=None, seed=0):
     ]
 
 
-def _reference_check_tends_to_infinity(points, t0):
-    mods = [abs(p.z) for p in points[t0:]]
-    increasing = all(b > a * (1.0 - 1e-12) for a, b in zip(mods, mods[1:]))
-    if not increasing or mods[-1] < INFINITY_THRESHOLD:
-        raise NotTendingToInfinityError(
-            "tail moduli must increase beyond "
-            f"{INFINITY_THRESHOLD:g}; got final |z| = {mods[-1]!r}"
-        )
+class Raised(Exception):
+    """A reference error: its type, its message with ``{}`` for each number, and the numbers."""
+
+    def __init__(self, kind, template, *numbers):
+        super().__init__(template)
+        self.kind, self.template, self.numbers = kind, template, numbers
+
+
+def _x_max(values) -> O.X:
+    """The largest of the exact values, within the largest bound: max is 1-Lipschitz."""
+    return O.X(max(x.v for x in values), max(x.e for x in values))
+
+
+def _ratio_t(z: O.X) -> O.X:
+    """|y| / x: abs is exact, the quotient rounds once."""
+    return O.X(abs(z.v.imag), z.e) / z.real
+
+
+def _inside(z: O.X, nsq: O.X, mod, m_amp: float) -> bool:
+    """The exact margin x - |z + 1| / M - ||w||^2 clears the band at |z| = ``mod``.
+
+    Decided in doubles where their margin, within 8 u of the moduli of its
+    terms, is clear of the band edge; in mpmath where it is not.
+    """
+    c = complex(z.v)
+    edge = AMBIGUITY_BAND * max(1.0, float(mod))
+    shift = abs(c + 1.0) / m_amp
+    margin = (c.real - shift) - nsq.m
+    if abs(margin - edge) > 8.0 * O.U * (abs(c.real) + shift + nsq.m + edge):
+        return margin > edge
+    return (z.v.real - abs(z.v + 1) / m_amp) - nsq.v > AMBIGUITY_BAND * max(1, mod)
 
 
 def _reference_classify(points):
+    """``classify_sequence`` in mpmath: the numbers as oracle values, the
+    decisions taken on the exact values."""
     points = tuple(points)
     if len(points) < 2:
-        raise OrbitTooShortError("need at least 2 points to classify")
+        raise Raised(OrbitTooShortError, "need at least 2 points to classify")
     t0 = tail_start(len(points))
-    _reference_check_tends_to_infinity(points, t0)
-    tail = points[t0:]
+    tail = [(O.exact(p.z), O.row(p.w)) for p in points[t0:]]
+    mods = [abs(z.v) for z, _ in tail]
+    increasing = all(b > a * (1 - 1e-12) for a, b in zip(mods, mods[1:]))
+    if not increasing or mods[-1] < INFINITY_THRESHOLD:
+        raise Raised(NotTendingToInfinityError, "tail moduli must increase beyond "
+                     f"{INFINITY_THRESHOLD:g}; got final |z| = {{}}", O.absolute(tail[-1][0]))
 
-    x = np.array([p.z.real for p in tail])
-    y = np.array([p.z.imag for p in tail])
-    wsq = np.array([norm_sq(p.w) for p in tail])
+    nsq = [O.norm_sq(w) for _, w in tail]
+    residuals = [n / z.real for n, (z, _) in zip(nsq, tail)]
+    a_w = _x_max(residuals)
+    t_w = _x_max([_ratio_t(z) for z, _ in tail])
+    if abs(a_w.v - 1) <= AMBIGUITY_BAND:
+        raise Raised(AmbiguousClassificationError, "||w||^2/x witness inside the band at 1")
 
-    residuals = wsq / x
-    a_w = float(np.max(residuals))
-    t_w = float(np.max(np.abs(y) / x))
-
-    if abs(a_w - 1.0) <= AMBIGUITY_BAND:
-        raise AmbiguousClassificationError("||w||^2/x witness inside the band at 1")
-
-    rho = first_coordinate_projection(tail[0].dim)
-    dists = np.array([kobayashi_distance(p, project(rho, p)) for p in tail])
-    c_w = float(np.max(dists)) if np.all(np.isfinite(dists)) else math.inf
-
-    c_special_present = a_w < 1.0 and math.isfinite(c_w)
+    tanh = [O.axis_tanh(z, w, n) for (z, w), n in zip(tail, nsq)]
+    # where 2 Re z overflows, the double distance is NaN or infinite: it bounds nothing
+    c_w = O.X(O.mpmath.inf) if O.OVERFLOW in tanh else O.atanh(_x_max(tanh))
+    c_special_present = a_w.v < 1 and c_w.v < O.mpmath.inf
     if c_special_present:
-        expected_c = math.atanh(math.sqrt(a_w))
-        if abs(expected_c - c_w) > 1e-6 * (1.0 + expected_c):
-            raise ClassificationDisagreementError(
-                f"axis-distance witness {c_w!r} vs ratio witness {expected_c!r}"
-            )
+        expected_c = O.atanh(O.sqrt(a_w))
+        if abs(expected_c.v - c_w.v) > 1e-6 * (1 + expected_c.v):
+            raise Raised(ClassificationDisagreementError,
+                         "axis-distance witness {} vs ratio witness {}", c_w, expected_c)
 
-    koranyi_m = None
-    for m_amp in M_GRID:
-        region = koranyi_region_at_infinity(m_amp)
-        margins = [koranyi_margin(region, p) for p in tail]
-        scales = [max(1.0, abs(p.z)) for p in tail]
-        if all(mg > AMBIGUITY_BAND * sc for mg, sc in zip(margins, scales)):
-            koranyi_m = m_amp
-            break
+    koranyi_m = next((m_amp for m_amp in M_GRID if all(
+        _inside(z, n, md, m_amp) for (z, _), n, md in zip(tail, nsq, mods))), None)
 
-    m_pred = math.sqrt(1.0 + t_w * t_w) / (1.0 - a_w) if a_w < 1.0 else math.inf
-
+    m_pred = O.sqrt(1 + t_w * t_w) / (1 - a_w) if a_w.v < 1 else O.X(O.mpmath.inf)
     if koranyi_m is not None:
         if not c_special_present:
-            raise ClassificationDisagreementError("koranyi tail without axis bound")
-        if a_w > (1.0 - 1.0 / koranyi_m) + AMBIGUITY_BAND:
-            raise ClassificationDisagreementError(
-                f"residual bound 1 - 1/M violated: a = {a_w!r}, M = {koranyi_m!r}"
-            )
-        if t_w > koranyi_m * (1.0 + AMBIGUITY_BAND):
-            raise ClassificationDisagreementError(
-                f"|y| <= M x violated: T = {t_w!r}, M = {koranyi_m!r}"
-            )
+            raise Raised(ClassificationDisagreementError, "koranyi tail without axis bound")
+        if a_w.v > (1.0 - 1.0 / koranyi_m) + AMBIGUITY_BAND:
+            raise Raised(ClassificationDisagreementError,
+                         f"residual bound 1 - 1/M violated: a = {{}}, M = {koranyi_m!r}", a_w)
+        if t_w.v > koranyi_m * (1.0 + AMBIGUITY_BAND):
+            raise Raised(ClassificationDisagreementError,
+                         f"|y| <= M x violated: T = {{}}, M = {koranyi_m!r}", t_w)
     else:
-        if c_special_present and m_pred * 1.05 <= M_GRID[-1]:
-            raise ClassificationDisagreementError(
-                f"bounds predict containment at M ~ {m_pred!r} but grid sweep failed"
-            )
+        if c_special_present and m_pred.v * 1.05 <= M_GRID[-1]:
+            raise Raised(ClassificationDisagreementError,
+                         "bounds predict containment at M ~ {} but grid sweep failed", m_pred)
         if c_special_present:
-            raise AmbiguousClassificationError(
-                f"koranyi witness ~ {m_pred!r} beyond the amplitude grid"
-            )
+            raise Raised(AmbiguousClassificationError,
+                         "koranyi witness ~ {} beyond the amplitude grid", m_pred)
 
-    special = bool(np.all(residuals < SPECIAL_RESIDUAL_TOL)) and residuals[-1] <= residuals[0]
-
-    return SequenceClassification(
+    special = all(r.v < SPECIAL_RESIDUAL_TOL for r in residuals) and residuals[-1].v <= residuals[0].v
+    return dict(
         special=special,
         c_special=c_w if c_special_present else None,
-        restricted=c_special_present or koranyi_m is not None or t_w < math.inf,
+        restricted=True,  # a finite tail has a finite T
         restricted_t=t_w,
         koranyi_m=koranyi_m,
         a_witness=a_w,
@@ -200,21 +224,21 @@ def _reference_classify(points):
 
 
 def _reference_projection_invariance(points, rho, tol=1e-2):
+    """The report's fields: the distances by the same closed form, bit for
+    bit; the witnesses as oracle values."""
     points = list(points)
     dists = np.array([projection_distance(q, rho) for q in points])
     t0 = tail_start(len(points))
     tail = dists[t0:]
     max_tail = float(np.max(tail))
     monotone = bool(np.all(np.diff(dists) <= 1e-12))
-    p1 = first_coordinate_projection(points[0].dim)
-    axis_d = [kobayashi_distance(q, project(p1, q)) for q in points[t0:]]
-    proj_d = [kobayashi_distance(q, project(rho, q)) for q in points[t0:]]
-    xs = np.array([q.z.real for q in points[t0:]])
-    ys = np.array([q.z.imag for q in points[t0:]])
-    lv = np.array([left_inverse_value(rho, q) for q in points[t0:]])
-    return (dists, max_tail, monotone, max_tail < tol, float(np.max(axis_d)),
-            float(np.max(proj_d)), float(np.max(np.abs(ys) / xs)),
-            float(np.max(np.abs(lv.imag) / lv.real)))
+    a = O.Rho(rho.a)
+    shadows = [(O.exact(q.z), O.row(q.w)) for q in points[t0:]]
+    c_axis = O.atanh(_x_max([O.axis_tanh(z, w) for z, w in shadows]))
+    c_projected = O.atanh(_x_max([O.kobayashi_tanh((z, w), O.project(z, w, a)) for z, w in shadows]))
+    lv = [O.left_inverse(z, w, a) for z, w in shadows]
+    return (dists, max_tail, monotone, max_tail < tol, c_axis, c_projected,
+            _x_max([_ratio_t(z) for z, _ in shadows]), _x_max([_ratio_t(x) for x in lv]))
 
 
 # -- helpers --------------------------------------------------------------------
@@ -233,10 +257,20 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _agrees(got, want) -> bool:
+    """A number within the bound of its oracle value (a list: each one);
+    anything else exactly."""
+    if isinstance(want, O.X):
+        return isinstance(got, float) and O.within(got, want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(O.within(g, x) for g, x in zip(got, want))
+    return _same(got, want)
+
+
 def _assert_same_classification(got, want):
     for f in dataclasses.fields(SequenceClassification):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert _same(a, b), (f.name, a, b)
+        a, b = getattr(got, f.name), want[f.name]
+        assert _agrees(a, b), (f.name, a, b.v if isinstance(b, O.X) else b)
 
 
 def _outcome(fn, *args):
@@ -245,6 +279,27 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ArithmeticError, ValueError, AssertionError) as exc:
         return type(exc), str(exc)
+
+
+def _reference_outcome(points):
+    try:
+        return _reference_classify(points)
+    except Raised as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    """A classification field by field, or the same error type with each
+    number of its message within the bound of the oracle's."""
+    if not isinstance(want, Raised):
+        _assert_same_classification(got, want)
+        return
+    assert isinstance(got, tuple) and got[0] is want.kind, (got, want.kind)
+    pattern = r"(\S+)".join(map(re.escape, want.template.split("{}")))
+    match = re.fullmatch(pattern, got[1])
+    assert match, (got[1], want.template)
+    for text, x in zip(match.groups(), want.numbers):
+        assert O.within(float(text), x), (text, x.v, x.e)
 
 
 def _families(n_dim, rng):
@@ -311,33 +366,51 @@ class TestSiegelBatch:
 
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     def test_array_forms_match_the_scalar_functions(self, n_dim):
+        """Each array form, and the scalar function it names, within the bound
+        the oracle derives from the formula's operations."""
         pts = [sample_siegel(n_dim, seed, 11) for seed in range(40)]
         # rescaled as renorm rescales, out to where ball coordinates would fail
         pts = [SiegelPoint(s * p.z, math.sqrt(s) * p.w) for s in (1e-2, 1.0, 1e9, 1e60) for p in pts]
         batch = SiegelBatch.from_points(pts)
-        assert _same(batch.norm_sq(), np.array([norm_sq(p.w) for p in pts]))
-        assert _same(batch.height(), np.array([siegel_height(p) for p in pts]))
+        rows = [(O.exact(p.z), O.row(p.w)) for p in pts]
+        nsq, height = batch.norm_sq(), batch.height()
         margins = batch.koranyi_margins(M_GRID)
-        for k, m_amp in enumerate(M_GRID):
-            region = koranyi_region_at_infinity(m_amp)
-            assert _same(margins[k], np.array([koranyi_margin(region, p) for p in pts]))
+        for i, (p, (z, w)) in enumerate(zip(pts, rows)):
+            # N - 1 terms re^2 + im^2: within about N u of the sum
+            want = O.norm_sq(w)
+            assert O.within(nsq[i], want) and O.within(norm_sq(p.w), want)
+            want = O.height(z, w)
+            assert O.within(height[i], want) and O.within(siegel_height(p), want)
+            shift = O.absolute(z + 1)
+            for k, m_amp in enumerate(M_GRID):
+                # x - |z + 1| / M - ||w||^2: hypot, a quotient and two differences
+                want = (z.real - shift / m_amp) - O.norm_sq(w)
+                region = koranyi_region_at_infinity(m_amp)
+                assert O.within(margins[k, i], want) and O.within(koranyi_margin(region, p), want)
         p1 = first_coordinate_projection(n_dim)
         rhos = [p1] if n_dim == 1 else [p1, LinearProjectionAtInfinity(np.full(n_dim - 1, 0.3 - 0.4j))]
         for rho in rhos:
-            images = batch.project(rho)
-            want = [project(rho, p) for p in pts]
-            assert _bits(images.z) == _bits([q.z for q in want])
-            assert _bits(images.w) == _bits([q.w for q in want])
-            assert _bits(batch.left_inverse(rho)) == _bits([left_inverse_value(rho, p) for p in pts])
+            a = O.Rho(rho.a)
+            images, lv = batch.project(rho), batch.left_inverse(rho)
             tanh = batch.kobayashi_tanh(images)
-            for i, (p, q) in enumerate(zip(pts, want)):
-                assert _same(max_kobayashi(tanh[i:i + 1]), kobayashi_distance(p, q))
+            for i, (p, (z, w)) in enumerate(zip(pts, rows)):
+                # z + 2 ||a||^2 + 2 <w, a>: within (N + 2) u of the moduli of its terms
+                (want_z, want_w), got = O.project(z, w, a), project(rho, p)
+                assert O.within(images.z[i], want_z) and O.within(got.z, want_z)
+                assert _bits(images.w[i]) == _bits(got.w) == _bits(-rho.a)
+                want = O.left_inverse(z, w, a)
+                assert O.within(lv[i], want) and O.within(left_inverse_value(rho, p), want)
+                # the distance to the computed image: the bound of the ratio, through sqrt
+                want = O.kobayashi_tanh((z, w), (O.exact(images.z[i]), O.row(images.w[i])))
+                assert O.within(tanh[i], want)
+                assert O.within(kobayashi_distance(p, got), O.atanh(want))
         axis = batch.axis_tanh()
-        for i, p in enumerate(pts):
-            assert _same(max_kobayashi(axis[i:i + 1]), kobayashi_distance(p, project(p1, p)))
+        for i, (p, (z, w)) in enumerate(zip(pts, rows)):
+            want = O.axis_tanh(z, w)
+            assert O.within(axis[i], want)
+            assert O.within(kobayashi_distance(p, project(p1, p)), O.atanh(want))
         # the largest distance over the rows, NaN and infinity as np.max has them
-        dists = [kobayashi_distance(p, project(p1, p)) for p in pts]
-        assert _same(max_kobayashi(axis), float(np.max(dists)))
+        assert _same(max_kobayashi(axis), max(max_kobayashi(axis[i:i + 1]) for i in range(len(pts))))
         assert math.isinf(max_kobayashi(np.array([0.5, 1.0]))) and math.isnan(
             max_kobayashi(np.array([1.0, np.nan])))
 
@@ -362,6 +435,21 @@ class TestSiegelBatch:
         assert want == (OverflowError, "absolute value too large")
         assert _outcome(batch.kobayashi_tanh, other) == want
 
+    def test_an_overflowing_hermitian_product_keeps_its_finite_part(self):
+        # <w, a> = 0 + inf j: the row forms must not turn its real part into
+        # 0 * inf = NaN, so they give the bits of the scalar functions
+        p = SiegelPoint(1e301, [1e150j])
+        rho = LinearProjectionAtInfinity([1e160])
+        batch = SiegelBatch.from_points([SiegelPoint(2.0, [0.5]), p])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(_herm_rows(batch.w, rho.a)) == _bits([herm(q.w, rho.a) for q in batch])
+            assert _bits(_herm_rows(batch.w, rho.a)[1]) == _bits(complex(0.0, math.inf))
+            assert _bits(batch.left_inverse(rho)[1]) == _bits(left_inverse_value(rho, p))
+            assert _outcome(batch.project, rho) == _outcome(project, rho, p)
+            z, w = apply_automorphism_arrays(SiegelAutomorphism.translate(rho.a), batch.z, batch.w)
+            assert _bits(z[1]) == _bits(p.z + norm_sq(rho.a) + 2.0 * herm(p.w, rho.a))
+            assert _bits(w[1]) == _bits(p.w + rho.a)
+
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     def test_scaled_distances_past_the_squared_modulus_overflow(self, n_dim):
         # rescaled as renorm rescales: |s|^2 overflows from scale ~ 1e154 on
@@ -373,9 +461,14 @@ class TestSiegelBatch:
             others = SiegelBatch.from_points(pts[1:] + pts[:1])
             tanh, axis = batch.kobayashi_tanh(others), batch.axis_tanh()
             for i, (p, q) in enumerate(zip(pts, others)):
+                rp, rq = (O.exact(p.z), O.row(p.w)), (O.exact(q.z), O.row(q.w))
+                # the scaled form (2 h_P / |s|) (2 h_Q / |s|), within its bound
+                want = O.kobayashi_tanh(rp, rq)
                 d = kobayashi_distance(p, q)
-                assert _same(max_kobayashi(tanh[i:i + 1]), d)
-                assert _same(max_kobayashi(axis[i:i + 1]), kobayashi_distance(p, project(p1, p)))
+                assert O.within(tanh[i], want) and O.within(d, O.atanh(want))
+                want = O.axis_tanh(*rp)
+                assert O.within(axis[i], want)
+                assert O.within(kobayashi_distance(p, project(p1, p)), O.atanh(want))
                 # the distance is invariant under the dilation
                 assert d == pytest.approx(kobayashi_distance(base[i], base[(i + 1) % len(base)]), rel=1e-9)
 
@@ -503,8 +596,7 @@ class TestClassifySequence:
             n_dim = 1 + draw % 3
             for fam in _families(n_dim, rng):
                 for seq in generate_sequences(fam, count=len(fam.seeds) + 1, seed=draw):
-                    want = _reference_classify(list(seq))
-                    _assert_same_classification(classify_sequence(seq), want)
+                    _assert_same_classification(classify_sequence(seq), _reference_classify(seq))
 
     def test_fields_match_the_reference_on_orbits(self):
         for name, m in catalog().items():
@@ -514,21 +606,17 @@ class TestClassifySequence:
                 start = sample_siegel(m.dim, 5, start_index)
                 for steps in (9, 40):
                     orbit = compute_orbit(m, start, steps)
-                    want = _outcome(_reference_classify, orbit.points)
-                    got = _outcome(classify_sequence, orbit.points)
-                    if isinstance(want, tuple):
-                        assert got == want, name
-                    else:
-                        _assert_same_classification(got, want)
+                    _assert_same_outcome(_outcome(classify_sequence, orbit.points),
+                                         _reference_outcome(orbit.points))
 
     def test_near_axis_zero_special_draw(self):
-        """A tail hugging the axis, where route (ii) cancels: a naive array
-        form of the distance is one ulp off here in the ratio, and 2e-8 off
-        in the C-special witness."""
+        """A tail hugging the axis, where route (ii) cancels: 1 - ratio is
+        tiny, and the bound on the C-special witness is the square root of
+        the ratio's rounding error."""
         fam = zero_special_family(0.00010550903868907897, 0.8676368223574642, 2)
         seq = generate_sequences(fam, count=len(fam.seeds) + 1, seed=873494265)[5]
         got = classify_sequence(seq)
-        _assert_same_classification(got, _reference_classify(list(seq)))
+        _assert_same_classification(got, _reference_classify(seq))
         assert got.special and got.c_special is not None
 
     def test_takes_any_sequence_of_points(self):
@@ -536,13 +624,16 @@ class TestClassifySequence:
         for seq in generate_sequences(fam, count=len(fam.seeds) + 1, seed=4):
             want = classify_sequence(seq)
             for form in (list(seq), tuple(seq), iter(list(seq))):
-                _assert_same_classification(classify_sequence(form), want)
+                got = classify_sequence(form)
+                for f in dataclasses.fields(SequenceClassification):
+                    assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
 
     def test_errors_match_the_reference(self):
         def fraction(a):
             return [SiegelPoint(2.0 ** k * 100, [math.sqrt(a * 2.0 ** k * 100) + 0j]) for k in range(24)]
 
-        # label -> (points, a piece of the message)
+        # label -> (points, a piece of the message); every number of a message
+        # is within the bound of the oracle's
         cases = {
             "too short": ([SiegelPoint(1.0)], "at least 2 points"),
             "bounded": ([SiegelPoint(1.0 + 0.01 * k) for k in range(20)], "final |z| = 1.19"),
@@ -555,11 +646,13 @@ class TestClassifySequence:
         }
         seen = set()
         for label, (points, message) in cases.items():
-            want = _outcome(_reference_classify, points)
-            assert isinstance(want, tuple) and message in want[1], (label, want)
-            seen.add(want[0])
-            assert _outcome(classify_sequence, points) == want, label
-            assert _outcome(classify_sequence, SiegelBatch.from_points(points)) == want, label
+            want = _reference_outcome(points)
+            assert isinstance(want, Raised), label
+            seen.add(want.kind)
+            got = _outcome(classify_sequence, points)
+            assert message in got[1], (label, got)
+            _assert_same_outcome(got, want)
+            assert _outcome(classify_sequence, SiegelBatch.from_points(points)) == got, label
         assert seen == {OrbitTooShortError, NotTendingToInfinityError, AmbiguousClassificationError,
                         ClassificationDisagreementError}
 
@@ -568,7 +661,7 @@ class TestClassifySequence:
         # taken in scaled form, by the array routes as by the scalar one
         points = _real_ray([1e150 * 10.0 ** k for k in range(8)])
         want = _reference_classify(points)
-        assert want.special and want.c_special == 0.0
+        assert want["special"] and want["c_special"].v == 0
         _assert_same_classification(classify_sequence(points), want)
         _assert_same_classification(classify_sequence(SiegelBatch.from_points(points)), want)
 
@@ -616,4 +709,4 @@ def test_projection_invariance_report_matches_the_reference():
         got = (rep.distances, rep.max_tail, rep.monotone, rep.passed, rep.c_witness_axis,
                rep.c_witness_projected, rep.restricted_axis_t, rep.restricted_projected_t)
         for a, b in zip(got, want):
-            assert _same(a, b), (a, b)
+            assert _agrees(a, b), (a, b.v if isinstance(b, O.X) else b)
