@@ -130,8 +130,6 @@ def _parse_conjugate(text: str) -> SiegelAutomorphism:
             factors.append(SiegelAutomorphism.translate(_parse_vector(args)))
     if not factors:
         raise CliError("empty conjugate chain")
-    if len(factors) == 1:
-        return factors[0]
     return SiegelAutomorphism.composite(factors)
 
 
@@ -273,7 +271,10 @@ def _cmd_classify(cfg, m, out_dir, run) -> tuple:
 def _arg_sigma_diagnostic(result) -> list:
     """Argument of sigma along the positive real ray; informational only."""
     rays = [10.0 ** k for k in range(0, 7)]
-    values = result.sigma_at(SiegelBatch(rays, np.zeros((len(rays), result.base.dim - 1))))
+    try:
+        values = result.sigma_at(SiegelBatch(rays, np.zeros((len(rays), result.base.dim - 1))))
+    except (DomainError, ArithmeticError) as exc:
+        return [f"arg sigma unavailable: {exc}"]
     lines = ["arg sigma along the real ray (diagnostic, no pass/fail contract):"]
     for r, v in zip(rays, values):
         lines.append(f"  r = {r:g}: arg sigma = {format_float(np.angle(v))}")

@@ -15,8 +15,9 @@ points inside the slack band are rejected, never clamped.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -274,7 +275,7 @@ def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _height_ratio(h_p, h_q, mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
-    """``4 h_P h_Q / (mod * mod)`` row by row, as ``kobayashi_distance`` computes it.
+    """``4 h_P h_Q / (mod * mod)`` row by row.
 
     Where ``mod * mod`` overflows from a finite ``mod``, the ratio is taken
     in the scaled form ``(2 h_P / mod) * (2 h_Q / mod)``, on those rows
@@ -619,26 +620,15 @@ def kobayashi_distance(
         tanh^2 k(P, Q) = 1 - 4 h(P) h(Q) / |z_Q + conj(z_P) - 2<w_Q, w_P>|^2,
 
     which stays finite at heights where ball coordinates would round onto
-    the sphere; where the squared modulus |s|^2 overflows, the ratio is
-    taken as ``(2 h(P) / |s|) (2 h(Q) / |s|)`` instead.  The one-point
+    the sphere: a pair is one row of ``SiegelBatch.kobayashi_tanh``, which
+    takes the ratio as ``(2 h(P) / |s|) (2 h(Q) / |s|)`` where the squared
+    modulus |s|^2 overflows.  The one-point
     special cases ``k(0, z) = tanh^-1 ||z||`` and
     ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
     """
     if isinstance(p, SiegelPoint) and isinstance(q, SiegelPoint):
-        if p.dim != q.dim:
-            raise DomainError("dimension mismatch")
-        mod = abs(q.z + p.z.conjugate() - 2.0 * herm(q.w, p.w))
-        h_p, h_q = siegel_height(p), siegel_height(q)
-        try:
-            ratio = 4.0 * h_p * h_q / mod ** 2
-        except OverflowError:  # |s|^2 past the double range: scale by |s| first
-            ratio = (2.0 * h_p / mod) * (2.0 * h_q / mod)
-        if ratio >= 1.0:
-            return 0.0
-        r = math.sqrt(1.0 - ratio)
-        if r >= 1.0:
-            return math.inf
-        return math.atanh(r)
+        p, q = SiegelBatch.from_points([p]), SiegelBatch.from_points([q])
+        return max_kobayashi(p.kobayashi_tanh(q))
     if not (isinstance(p, BallPoint) and isinstance(q, BallPoint)):
         raise DomainError("kobayashi_distance expects two points of the same model")
     if p.dim != q.dim:
@@ -656,61 +646,61 @@ def kobayashi_distance(
 
 @dataclass(frozen=True)
 class SiegelAutomorphism:
-    """Automorphism of H^N fixing the vertex at infinity.
+    """Automorphism of H^N fixing the vertex at infinity, as the triple
 
-    kind 'scale-translate': (z, w) -> ((z - i y)/x, w/sqrt(x)) with x > 0.
-    kind 'heisenberg-translate': (z, w) -> (z + ||a||^2 + 2 <w, a>, w + a).
-    kind 'composite': ordered factors, applied first-to-last.
+        (x, y, a): (z, w) -> ((z + ||a||^2 + 2 <w, a> - i y) / x, (w + a) / sqrt(x)),
 
-    ``steps`` is the automorphism flattened, when it is built, into its
-    primitive factors in the order they apply, each with its constants
-    computed once: ``(None, 1j * y, x, sqrt(x))`` for a scale and
-    ``(a, ||a||^2)`` for a translation.  Nested composites flatten into one
-    tuple, and a factor's checks run when it is built.
+    the Heisenberg translation by ``a``, then the scale-translate by
+    ``(x, y)``, with x > 0 and every parameter finite.  These automorphisms
+    form a group, and ``composite`` and ``inverse`` give the triple of a
+    product or an inverse in closed form.  A zero-length ``a`` is no
+    translation, so a scale fits every dimension.
     """
 
-    kind: str
     x: float = 1.0
     y: float = 0.0
-    a: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
-    factors: tuple = ()
-    steps: tuple = field(init=False, repr=False, compare=False)
+    a: np.ndarray = ()
 
     def __post_init__(self):
-        if self.kind == "scale-translate":
-            if not self.x > 0.0:
-                raise DomainError("scale-translate requires x > 0")
-            steps = ((None, 1j * self.y, self.x, math.sqrt(self.x)),)
-        elif self.kind == "heisenberg-translate":
-            a = np.asarray(self.a, dtype=np.complex128)
-            steps = ((a, norm_sq(a)),)
-        elif self.kind == "composite":
-            steps = tuple(step for f in self.factors for step in f.steps)
-        else:
-            raise DomainError(f"unknown automorphism kind {self.kind!r}")
-        object.__setattr__(self, "steps", steps)
+        a = _as_complex_vector(self.a)
+        a.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        if not self.x > 0.0:
+            raise DomainError("scale-translate requires x > 0")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and np.isfinite(a).all()):
+            raise NonFiniteError("non-finite automorphism parameters")
 
     @staticmethod
     def scale(x: float, y: float = 0.0) -> "SiegelAutomorphism":
-        return SiegelAutomorphism(kind="scale-translate", x=float(x), y=float(y))
+        return SiegelAutomorphism(float(x), float(y))
 
     @staticmethod
     def translate(a: Iterable[complex]) -> "SiegelAutomorphism":
-        arr = _as_complex_vector(a)
-        arr.setflags(write=False)
-        return SiegelAutomorphism(kind="heisenberg-translate", a=arr)
+        return SiegelAutomorphism(a=a)
 
     @staticmethod
     def composite(factors: Sequence["SiegelAutomorphism"]) -> "SiegelAutomorphism":
-        return SiegelAutomorphism(kind="composite", factors=tuple(factors))
+        """The factors applied first to last, as one triple."""
+        factors = iter(factors)
+        return functools.reduce(SiegelAutomorphism._then, factors, next(factors, SiegelAutomorphism()))
+
+    def _then(self, t: "SiegelAutomorphism") -> "SiegelAutomorphism":
+        """This automorphism, then ``t``: with c = sqrt(x_1) a_2, the triple
+        (x_1 x_2, y_1 + x_1 y_2 - 2 Im <a_1, c>, a_1 + c)."""
+        y, a = self.y + self.x * t.y, self.a
+        if t.a.size:
+            if a.size and a.size != t.a.size:
+                raise DomainError("translation vector dimension mismatch")
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite below
+                c = math.sqrt(self.x) * t.a
+                y, a = (y - 2.0 * herm(a, c).imag, a + c) if a.size else (y, c)
+        return SiegelAutomorphism(self.x * t.x, y, a)
 
     def inverse(self) -> "SiegelAutomorphism":
-        if self.kind == "scale-translate":
-            # ((z - iy)/x)^-1: z -> x z + i y
-            return SiegelAutomorphism(kind="scale-translate", x=1.0 / self.x, y=-self.y / self.x)
-        if self.kind == "heisenberg-translate":
-            return SiegelAutomorphism.translate(-self.a)
-        return SiegelAutomorphism.composite(tuple(f.inverse() for f in reversed(self.factors)))
+        """The triple (1 / x, -y / x, -a / sqrt(x))."""
+        with np.errstate(over="ignore"):
+            a = -self.a / math.sqrt(self.x)
+        return SiegelAutomorphism(1.0 / self.x, -self.y / self.x, a)
 
 
 def apply_automorphism(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
@@ -722,21 +712,24 @@ def apply_automorphism(t: SiegelAutomorphism, q: SiegelPoint) -> SiegelPoint:
 def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray):
     """Apply t to every row of ``(z, w)``.
 
-    Shapes are (n,) and (n, N-1); rows are not validated.  The primitive
-    steps of ``t.steps`` run in one loop.  A scale rounds each part of z
-    three times (the shift, 1 / x and the product) and w twice (sqrt(x) and
-    the quotient); a translation adds ``||a||^2 + 2 <w, a>`` to z within
-    (N + 2) u of ``|z| + ||a||^2 + 2 ||w|| ||a||`` in each part.
+    Shapes are (n,) and (n, N-1); rows are not validated.  The translation
+    adds ``||a||^2 + 2 <w, a>`` to z within (N + 2) u of
+    ``|z| + ||a||^2 + 2 ||w|| ||a||`` in each part; the scale then rounds
+    each part of z three times (the shift, 1 / x and the product) and w
+    twice (sqrt(x) and the quotient).  The translation, the shift and the
+    division are each skipped where they are the identity, so a translation
+    alone keeps the finite part of an image whose other part overflows:
+    numpy divides by x as by x + 0i, and 0 * inf is NaN.
     """
-    for step in t.steps:
-        if step[0] is None:
-            _, iy, x, root = step
-            z, w = (z - iy) / x, w / root
-        else:
-            a, nsq = step
-            if a.size != w.shape[1]:
-                raise DomainError("translation vector dimension mismatch")
-            z, w = z + nsq + 2.0 * _herm_rows(w, a), w + a
+    a = t.a
+    if a.size:
+        if a.size != w.shape[1]:
+            raise DomainError("translation vector dimension mismatch")
+        z, w = z + norm_sq(a) + 2.0 * _herm_rows(w, a), w + a
+    if t.y:
+        z = z - 1j * t.y
+    if t.x != 1.0:
+        z, w = z / t.x, w / math.sqrt(t.x)
     return z, w
 
 

@@ -563,7 +563,9 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
     flat = np.concatenate(tails)
     # v_i - v_j is -(v_j - v_i) exactly, so one difference per pair gives every
     # modulus; the diagonal stays, as x - x is NaN for a non-finite x
-    moduli = np.abs(_pairs(flat) - flat)
+    with np.errstate(invalid="ignore"):
+        diffs = _pairs(flat) - flat
+    moduli = np.abs(diffs)
     spread = float(moduli.max())
     if spread < tol:
         # a limit carries no witness, so none is searched for

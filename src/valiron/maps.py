@@ -340,11 +340,11 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 def conjugate_map(m: HoloMap, t) -> HoloMap:
     """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
-    Its ``batch`` applies T^-1 and T each in one loop over their flat
-    primitive steps (``SiegelAutomorphism.steps``).  Between them,
-    ``evaluate_batch`` checks the rows of T^-1(q) and of their images under
-    ``m``, which it steps point by point if ``m`` is a black box.  The rows
-    of T(m(T^-1(q))) are checked by the caller's ``evaluate_batch`` or
+    Its ``batch`` applies the triples ``(x, y, a)`` of T^-1 and T, each as
+    one translation and one scale (``apply_automorphism_arrays``).  Between
+    them, ``evaluate_batch`` checks the rows of T^-1(q) and of their images
+    under ``m``, which it steps point by point if ``m`` is a black box.  The
+    rows of T(m(T^-1(q))) are checked by the caller's ``evaluate_batch`` or
     orbit step.
     """
     if m.domain != "siegel":

@@ -435,21 +435,53 @@ def valiron(a_mult: float, kind: str, param: complex = 0.0):
     return image
 
 
-def automorphism(t):
-    """The primitive steps of ``t.steps``, applied in order."""
+# -- automorphisms ---------------------------------------------------------------
+#
+# An automorphism is its triple (x, y, a) of X values.  ``then`` and ``inverse``
+# take the operations of ``SiegelAutomorphism.composite`` and ``inverse``, so
+# the bound of each constant holds its own roundings; ``fused`` applies a
+# triple as ``apply_automorphism_arrays`` does.
+
+
+def triple(t) -> tuple:
+    """The double constants of the automorphism ``t``, as exact inputs."""
+    return exact(t.x), exact(t.y), row(t.a)
+
+
+def then(t1: tuple, t2: tuple) -> tuple:
+    """t1, then t2: with c = sqrt(x_1) a_2, (x_1 x_2, y_1 + x_1 y_2 - 2 Im <a_1, c>, a_1 + c)."""
+    (x1, y1, a1), (x2, y2, a2) = t1, t2
+    y, a = y1 + x1 * y2, a1
+    if a2:
+        root = sqrt(x1)
+        c = [root * d for d in a2]
+        y, a = (y - 2 * herm(a1, c).imag, [p + q for p, q in zip(a1, c)]) if a1 else (y, c)
+    return x1 * x2, y, a
+
+
+def inverse(t: tuple) -> tuple:
+    """(1 / x, -y / x, -a / sqrt(x))."""
+    x, y, a = t
+    root = sqrt(x)
+    return 1 / x, -y / x, [-c / root for c in a]
+
+
+def fused(t: tuple):
+    """(z, w) -> ((z + ||a||^2 + 2 <w, a> - i y) / x, (w + a) / sqrt(x)); no translation for a = []."""
+    x, y, a = t
+    root, iy = sqrt(x), exact(1j) * y
 
     def image(z, w):
-        for step in t.steps:
-            if step[0] is None:
-                _, iy, x, root = step
-                z = (z - exact(iy)) / exact(x)
-                w = [c / const(mpmath.sqrt(x), root) for c in w]
-            else:
-                a = row(step[0])
-                z, w = z + norm_sq(a) + 2 * herm(w, a), [c + d for c, d in zip(w, a)]
-        return z, w
+        if a:
+            z, w = z + norm_sq(a) + 2 * herm(w, a), [c + d for c, d in zip(w, a)]
+        return (z - iy) / x, [c / root for c in w]
 
     return image
+
+
+def automorphism(t):
+    """The automorphism ``t`` applied with its double constants."""
+    return fused(triple(t))
 
 
 def conjugate(inner, t):

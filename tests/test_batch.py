@@ -1,13 +1,18 @@
-"""Array evaluation against the mpmath oracle, rows independent of their batch, and the row checks.
+"""Array evaluation against the mpmath oracle, the automorphism group law, rows
+independent of their batch, and the row checks.
 
 Every catalog map is defined by its ``batch`` alone, and a point evaluation
 is a one-row call of it.  ``evaluate_batch`` and ``apply_automorphism_arrays``
 are compared with the same formulas evaluated in mpmath at 50 digits
 (``oracle``): every value must lie within the error bound that the oracle
-derives from the formula's own operations.  A one-row call must give the
-bits of its row in any batch.
+derives from the formula's own operations.  An automorphism is one triple
+``(x, y, a)``; the triple of a nested chain, or of its inverse, is checked
+against its factors applied one at a time, within the bound of its composed
+constants' roundings.  A one-row call must give the bits of its row in any
+batch.
 """
 
+import functools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -22,6 +27,7 @@ from valiron.geometry import (
     INFINITY,
     DomainError,
     LinearProjectionAtInfinity,
+    NonFiniteError,
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
@@ -64,11 +70,12 @@ CATALOG_ORACLES = {
 }
 
 
+def _factors(n_dim: int) -> list:
+    return [SiegelAutomorphism.scale(3.0, 1.0), SiegelAutomorphism.translate(np.full(n_dim - 1, 0.5 - 0.25j))]
+
+
 def _automorphism(n_dim: int) -> SiegelAutomorphism:
-    return SiegelAutomorphism.composite([
-        SiegelAutomorphism.scale(3.0, 1.0),
-        SiegelAutomorphism.translate(np.full(n_dim - 1, 0.5 - 0.25j)),
-    ])
+    return SiegelAutomorphism.composite(_factors(n_dim))
 
 
 def _black_box() -> HoloMap:
@@ -204,10 +211,10 @@ class TestRowHelpers:
     def test_apply_automorphism_arrays_matches_the_scalar(self, n_dim):
         t = _automorphism(n_dim)
         z, w = _draws(n_dim)
-        for u in (t, t.inverse(), *t.factors):
+        for u in (t, t.inverse(), *_factors(n_dim)):
             z_a, w_a = apply_automorphism_arrays(u, z, w)
-            # within the bound of the steps' operations: a scale rounds z three times
-            # and w twice, a translation adds its terms within (N + 2) u of their moduli
+            # within the bound of the normal form's operations: the translation adds its
+            # terms within (N + 2) u of their moduli, the scale rounds z three times and w twice
             O.assert_images(z_a, w_a, O.images(O.automorphism(u), z, w))
             # the one-row application gives the bits of the whole arrays
             images = [apply_automorphism(u, SiegelPoint(zi, wi)) for zi, wi in zip(z, w)]
@@ -295,57 +302,86 @@ def test_a_row_gets_the_same_bits_in_any_batch(name):
                     assert got[offset:offset + 1].tobytes() == want.tobytes(), (size, offset, k)
 
 
-def _random_chain(rng, n_dim: int, depth: int) -> SiegelAutomorphism:
+def _leaf(t: SiegelAutomorphism) -> tuple:
+    """(t, its oracle triple, the oracle triples of its factors in the order they apply)."""
+    triple = O.triple(t)
+    return t, triple, [triple]
+
+
+def _inverse(chain: tuple) -> tuple:
+    t, triple, leaves = chain
+    return t.inverse(), O.inverse(triple), [O.inverse(leaf) for leaf in reversed(leaves)]
+
+
+def _random_chain(rng, n_dim: int, depth: int) -> tuple:
     """A composite of 1 to 3 factors: scales by non-powers of two with y != 0,
-    translations, and (while depth lasts) chains or their inverses."""
-    factors = []
+    translations, and (while depth lasts) chains or their inverses; as ``_leaf``."""
+    parts = []
     for _ in range(int(rng.integers(1, 4))):
         kind = int(rng.integers(0, 3 if depth else 2))
         if kind == 0:
-            factors.append(SiegelAutomorphism.scale(
+            parts.append(_leaf(SiegelAutomorphism.scale(
                 float(rng.choice([0.3, 0.7, 3.0, 5.0, 1.0 / 3.0]) * rng.uniform(0.9, 1.1)),
-                float(rng.uniform(-2.0, 2.0))))
+                float(rng.uniform(-2.0, 2.0)))))
         elif kind == 1:
-            factors.append(SiegelAutomorphism.translate(
-                rng.uniform(-1.0, 1.0, n_dim - 1) + 1j * rng.uniform(-1.0, 1.0, n_dim - 1)))
+            parts.append(_leaf(SiegelAutomorphism.translate(
+                rng.uniform(-1.0, 1.0, n_dim - 1) + 1j * rng.uniform(-1.0, 1.0, n_dim - 1))))
         else:
             chain = _random_chain(rng, n_dim, depth - 1)
-            factors.append(chain.inverse() if rng.integers(2) else chain)
-    return SiegelAutomorphism.composite(factors)
+            parts.append(_inverse(chain) if rng.integers(2) else chain)
+    t = SiegelAutomorphism.composite([part[0] for part in parts])
+    triple = functools.reduce(O.then, [part[1] for part in parts])
+    return t, triple, [leaf for part in parts for leaf in part[2]]
 
 
-def _leaves(t: SiegelAutomorphism) -> list:
-    return [leaf for f in t.factors for leaf in _leaves(f)] if t.kind == "composite" else [t]
+def _one_at_a_time(leaves: list):
+    """The oracle image of the factors applied one at a time, each exactly."""
+    steps = [O.fused(leaf) for leaf in leaves]
+
+    def image(z, w):
+        for step in steps:
+            z, w = step(z, w)
+        return z, w
+
+    return image
 
 
-def _one_at_a_time(t: SiegelAutomorphism, z, w):
-    for leaf in _leaves(t):
-        z, w = apply_automorphism_arrays(leaf, z, w)
-    return z, w
+def _close(x: O.X, y: O.X) -> bool:
+    """Equal up to mpmath's 50 digits: the exact values of one automorphism."""
+    return abs(complex(x.v - y.v)) <= 1e-30 * (1.0 + x.m)
 
 
 class TestFlatChains:
+    """A chain of any nesting is one flat triple (x, y, a), by the group law."""
+
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     def test_nested_chains_apply_as_their_factors_one_at_a_time(self, n_dim):
+        """The composed and inverted triples are exact as the factors applied in
+        sequence; computed, they stay within the bound that propagates the
+        roundings of their constants through the operations of the normal form."""
         rng = np.random.default_rng((2024, n_dim))
         z, w = _draws(n_dim, (1e-3, 1.0, 1e6))
         for _ in range(12):
             chain = _random_chain(rng, n_dim, 2)
-            for t in (chain, chain.inverse()):
-                assert len(t.steps) == len(_leaves(t))
-                want_z, want_w = _one_at_a_time(t, z, w)
-                got_z, got_w = apply_automorphism_arrays(t, z, w)
-                assert _same_bits(got_z, want_z) and _same_bits(got_w, want_w)
-                for i in (0, 17, len(z) - 1):
-                    got_z, got_w = apply_automorphism_arrays(t, z[i:i + 1], w[i:i + 1])
-                    assert _same_bits(got_z, want_z[i:i + 1]) and _same_bits(got_w, want_w[i:i + 1])
+            for t, triple, leaves in (chain, _inverse(chain)):
+                want = O.images(O.fused(triple), z, w)
+                for (wz, ww), (sz, sw) in zip(want, O.images(_one_at_a_time(leaves), z, w)):
+                    assert _close(wz, sz) and all(map(_close, ww, sw))
+                O.assert_images(*apply_automorphism_arrays(t, z, w), want)
 
-    def test_a_composite_of_composites_is_one_flat_tuple(self):
-        s, u = SiegelAutomorphism.scale(3.0, 1.0), SiegelAutomorphism.translate([0.5j])
-        t = SiegelAutomorphism.composite([SiegelAutomorphism.composite([s, u]), s])
-        assert len(t.steps) == 3
-        assert all(step[0] is None or step[0].shape == (1,) for step in t.steps)
-        assert [step[0] is None for step in t.inverse().steps] == [True, False, True]
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_a_power_of_two_chain_gets_the_bits_of_its_factors(self, n_dim):
+        """Scaling by a power of two commutes with rounding: ``scale(4); translate(1)``
+        and its inverse give the bits of their factors applied one at a time."""
+        factors = [SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate(np.ones(n_dim - 1))]
+        t = SiegelAutomorphism.composite(factors)
+        z, w = _draws(n_dim)
+        for u, parts in ((t, factors), (t.inverse(), [f.inverse() for f in reversed(factors)])):
+            want_z, want_w = z, w
+            for f in parts:
+                want_z, want_w = apply_automorphism_arrays(f, want_z, want_w)
+            got_z, got_w = apply_automorphism_arrays(u, z, w)
+            assert _same_bits(got_z, want_z) and _same_bits(got_w, want_w)
 
     def test_translation_vector_dimension_mismatch(self):
         z = np.array([2.0 + 0j, 3.0 + 1j])
@@ -357,16 +393,41 @@ class TestFlatChains:
         for t in (SiegelAutomorphism.translate([1.0, 2.0]), deep, deep.inverse()):
             with pytest.raises(DomainError, match="^translation vector dimension mismatch$"):
                 apply_automorphism_arrays(t, z, w)
+        # translations of different lengths do not compose
+        with pytest.raises(DomainError, match="^translation vector dimension mismatch$"):
+            SiegelAutomorphism.composite([deep, SiegelAutomorphism.translate([1.0])])
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, -math.inf])
     def test_a_scale_needs_x_above_zero(self, x):
         with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
             SiegelAutomorphism.scale(x)
         with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
-            SiegelAutomorphism(kind="scale-translate", x=x)
-        # the inverse of an infinite scale is a scale by 0
+            SiegelAutomorphism(x)
+        # a scale product that underflows to 0
         with pytest.raises(DomainError, match=r"^scale-translate requires x > 0$"):
-            SiegelAutomorphism.composite([SiegelAutomorphism.scale(math.inf)]).inverse()
+            SiegelAutomorphism.composite([SiegelAutomorphism.scale(1e-200), SiegelAutomorphism.scale(1e-200)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_parameters_are_rejected_when_built(self):
+        inf, nan = math.inf, math.nan
+        built = [
+            lambda: SiegelAutomorphism.scale(inf),
+            lambda: SiegelAutomorphism.scale(2.0, nan),
+            lambda: SiegelAutomorphism.scale(2.0, -inf),
+            lambda: SiegelAutomorphism.translate([1.0, complex(0.0, nan)]),
+            lambda: SiegelAutomorphism(2.0, 0.0, [inf]),
+            # a scale product past the double range, and 1 / x past it
+            lambda: SiegelAutomorphism.composite([SiegelAutomorphism.scale(1e200), SiegelAutomorphism.scale(1e200)]),
+            lambda: SiegelAutomorphism.scale(1e-310).inverse(),
+            # sqrt(x) a past the double range, in a composite and in an inverse
+            lambda: SiegelAutomorphism.composite([SiegelAutomorphism.scale(1e300),
+                                                  SiegelAutomorphism.translate([1e200])]),
+            lambda: SiegelAutomorphism.composite([SiegelAutomorphism.translate([1e300]),
+                                                  SiegelAutomorphism.scale(1e-300)]).inverse(),
+        ]
+        for build in built:
+            with pytest.raises(NonFiniteError, match="^non-finite automorphism parameters$"):
+                build()
 
 
 def _verdict(check, *args):

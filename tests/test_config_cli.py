@@ -240,6 +240,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "hyperbolicity" in err
 
+    @pytest.mark.parametrize("chain, message", [
+        ("scale(1, nan)", "non-finite automorphism parameters"),
+        ("scale(inf)", "non-finite automorphism parameters"),
+        ("scale(1e200); scale(1e200)", "non-finite automorphism parameters"),
+        ("scale(0)", "scale-translate requires x > 0"),
+    ])
+    def test_a_bad_conjugation_is_rejected_when_built(self, tmp_path, capsys, chain, message):
+        code = _run(tmp_path, VALIRON_CONFIG + f"conjugate = {chain}\n")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "valiron.csv").exists()
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -380,6 +392,20 @@ class TestCli:
         assert code == 0
         for name in ("valiron.csv", "limits.csv", "jwc.csv", "orbit.csv", "summary.txt"):
             assert (tmp_path / name).exists(), name
+
+    def test_an_unavailable_diagnostic_does_not_fail_the_run(self, tmp_path, monkeypatch, capsys):
+        """The twin-less Cayley transport converges, but sigma_at's replay of the
+        real ray reaches the Cayley pole: the diagnostic says so in one line."""
+        ball = replace(make_ball_map_from_siegel(make_halfplane_affine(2.0, 1.0, 2)), twin=None)
+        monkeypatch.setattr(cli, "build_map", lambda cfg: make_siegel_map_from_ball(ball))
+        code = _run(tmp_path, "command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\n"
+                              "N = 2\nn_max = 34\n")
+        assert code == 0 and capsys.readouterr().err == ""
+        for name in ("valiron.csv", "limits.csv", "jwc.csv", "orbit.csv", "summary.txt"):
+            assert (tmp_path / name).exists(), name
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert "arg sigma unavailable: Cayley transform undefined at zeta_1 = 1" in summary
+        assert not any(line.startswith("arg sigma along") for line in summary)
 
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch, capsys):
         env_dir = tmp_path / "from_env"

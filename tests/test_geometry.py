@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valiron.geometry import (
@@ -243,6 +243,7 @@ class TestKobayashi:
         assert d_siegel == pytest.approx(d_ball, rel=1e-9, abs=1e-11)
 
     @given(seed=st.integers(0, 10_000))
+    @example(seed=7126)  # mod ** 2 and mod * mod once rounded apart here
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_identity(self, seed):
         p = sample_siegel(3, seed, 14)
