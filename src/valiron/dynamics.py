@@ -31,7 +31,6 @@ from .geometry import (
     NonFiniteError,
     SiegelBatch,
     SiegelPoint,
-    halfplane_distance,
     max_kobayashi,
     siegel_height,
 )
@@ -276,19 +275,20 @@ class DriftEstimate:
     k_to_one: np.ndarray
 
 
+def _tail_estimate(orbit: Orbit, what: str, values: np.ndarray) -> EstimateWithUncertainty:
+    """Median of ``values`` over the tail; uncertainty is the max deviation."""
+    if len(orbit) < MIN_ORBIT_FOR_ESTIMATES:
+        raise OrbitTooShortError(
+            f"{what} estimation needs >= {MIN_ORBIT_FOR_ESTIMATES} points, got {len(orbit)}"
+        )
+    window = values[tail_start(values.size):]
+    med = float(np.median(window))
+    return EstimateWithUncertainty(value=med, uncertainty=float(np.max(np.abs(window - med))))
+
+
 def estimate_multiplier(orbit: Orbit) -> EstimateWithUncertainty:
     """Median of x_{n+1}/x_n over the tail; uncertainty is the max deviation."""
-    n = len(orbit)
-    if n < MIN_ORBIT_FOR_ESTIMATES:
-        raise OrbitTooShortError(
-            f"multiplier estimation needs >= {MIN_ORBIT_FOR_ESTIMATES} points, got {n}"
-        )
-    ratios = orbit.x[1:] / orbit.x[:-1]
-    t0 = tail_start(ratios.size)
-    window = ratios[t0:]
-    med = float(np.median(window))
-    unc = float(np.max(np.abs(window - med)))
-    return EstimateWithUncertainty(value=med, uncertainty=unc)
+    return _tail_estimate(orbit, "multiplier", orbit.x[1:] / orbit.x[:-1])
 
 
 def estimate_drift(orbit: Orbit) -> DriftEstimate:
@@ -298,19 +298,16 @@ def estimate_drift(orbit: Orbit) -> DriftEstimate:
     callers classify the orbit themselves.  No restriction check is needed,
     since a finite orbit always has a finite witness |y_n| <= T x_n.
     """
-    n = len(orbit)
-    if n < MIN_ORBIT_FOR_ESTIMATES:
-        raise OrbitTooShortError(
-            f"drift estimation needs >= {MIN_ORBIT_FOR_ESTIMATES} points, got {n}"
-        )
-    ratios = orbit.y / orbit.x
-    t0 = tail_start(ratios.size)
-    window = ratios[t0:]
-    med = float(np.median(window))
-    unc = float(np.max(np.abs(window - med)))
+    drift = _tail_estimate(orbit, "drift", orbit.y / orbit.x)
     q = (orbit.x[1:] / orbit.x[:-1]) + 1j * (np.diff(orbit.y) / orbit.x[:-1])
-    k_to_one = np.array([halfplane_distance(1.0 + 0j, complex(v)) for v in q])
-    return DriftEstimate(value=med, uncertainty=unc, q=q, k_to_one=k_to_one)
+    # halfplane_distance(1, q_n) for every n, with its check
+    if (q.real <= 0.0).any():
+        raise DomainError("half-plane distance needs Re z > 0")
+    d, s = 1.0 - q, 1.0 + q.conj()
+    r = np.hypot(d.real, d.imag) / np.hypot(s.real, s.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_to_one = np.where(r >= 1.0, math.inf, np.arctanh(r))
+    return DriftEstimate(drift.value, drift.uncertainty, q=q, k_to_one=k_to_one)
 
 
 def julia_margin(m: HoloMap, q: SiegelPoint) -> float:

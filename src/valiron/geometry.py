@@ -11,10 +11,15 @@ linked by the Cayley transform.  The Hermitian product used throughout is
 All values are plain data; nothing here mutates its inputs.  Strict domain
 inequalities are enforced with a relative slack of ``BOUNDARY_SLACK``;
 points inside the slack band are rejected, never clamped.
+
+A Siegel formula has one definition, on rows: ``SiegelPoint`` and
+``check_siegel_arrays`` decide membership by one row test, and every other
+scalar Siegel function is one row of its ``SiegelBatch`` form, bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -67,26 +72,16 @@ def _as_complex_vector(coords: Iterable[complex]) -> np.ndarray:
 
 
 def herm(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian product <u, v> = sum u_j conj(v_j)."""
-    return complex(np.dot(u, np.conjugate(v)))
+    """Hermitian product <u, v> = sum u_j conj(v_j), as one row of ``_herm_rows``."""
+    return complex(_herm_rows(u[None, :], v)[0])
 
 
-def norm_sq(u: np.ndarray) -> float:
-    return float(np.dot(u, np.conjugate(u)).real)
-
-
-def _quiet_norm_sq(u: np.ndarray) -> float:
-    """``norm_sq(u)`` without numpy's overflow and invalid-value warnings.
-
-    An infinite or huge coordinate makes the dot product overflow; the
-    point constructors reject such a point with their own message.  Only
-    such vectors are summed under ``np.errstate``, whose entry costs about
-    as much as the sum, on every point made.
-    """
-    if all(abs(c.real) < 1e100 and abs(c.imag) < 1e100 for c in u.tolist()):
-        return norm_sq(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return norm_sq(u)
+def norm_sq(u) -> float:
+    """||u||^2 of a list or an array, summed in order on Python floats; never warns."""
+    total = 0.0
+    for c in u if isinstance(u, list) else u.tolist():
+        total += c.real * c.real + c.imag * c.imag
+    return total
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class BallPoint:
         arr = _as_complex_vector(coords)
         if arr.size < 1:
             raise DomainError("ball point needs at least one coordinate")
-        nsq = _quiet_norm_sq(arr)
+        nsq = norm_sq(arr)
         if math.isnan(nsq):
             raise NonFiniteError("non-finite coordinates")
         if 1.0 - nsq <= BOUNDARY_SLACK:
@@ -168,17 +163,7 @@ class SiegelPoint:
     def __init__(self, z: complex, w: Iterable[complex] = ()):
         zc = complex(z)
         arr = _as_complex_vector(w)
-        nsq = _quiet_norm_sq(arr)
-        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)) or (
-            not math.isfinite(nsq) and (math.isnan(nsq) or not np.isfinite(arr).all())
-        ):
-            raise NonFiniteError("non-finite coordinates")
-        height = zc.real - nsq
-        scale = max(1.0, abs(zc), nsq)
-        if height <= BOUNDARY_SLACK * scale:
-            raise DomainError(
-                f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}"
-            )
+        _check_row(zc, arr.tolist())
         arr.setflags(write=False)
         object.__setattr__(self, "z", zc)
         object.__setattr__(self, "w", arr)
@@ -206,34 +191,42 @@ class SiegelPoint:
         return hash((self.z, tuple(self.w.tolist())))
 
 
+def _check_row(z: complex, w: list) -> None:
+    """The membership test of ``SiegelPoint`` on Python complex numbers; an overflowing
+    ``norm_sq`` of a finite ``w`` is outside, not non-finite."""
+    nsq = norm_sq(w)
+    if not (cmath.isfinite(z) and (nsq < math.inf or all(map(cmath.isfinite, w)))):
+        raise NonFiniteError("non-finite coordinates")
+    height = z.real - nsq
+    if not height > BOUNDARY_SLACK * max(1.0, abs(z), nsq):
+        raise DomainError(f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}")
+
+
+def _one_row(q: SiegelPoint) -> "SiegelBatch":
+    """``q`` as a one-row batch over its own read-only ``w``."""
+    return SiegelBatch._checked(np.array([q.z]), q.w[None, :])
+
+
 def siegel_height(q: SiegelPoint) -> float:
     """Height Re z - ||w||^2; positive on the domain, 0 on the boundary."""
-    return q.z.real - norm_sq(q.w)
+    return float(_one_row(q).height()[0])
 
 
 def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
     """Apply the checks of ``SiegelPoint`` to every row of ``(z, w)``.
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
-    when ``SiegelPoint(z[i], w[i])`` rejects it, and the ``DomainError`` of
-    the first rejected row carries the scalar message.  A clear-margin test
-    runs on Python floats for up to ``FEW_ROWS`` rows and on whole arrays
-    above; a row that fails it (non-finite rows always do), or passes it by
-    less than the rounding gap between these norms and ``norm_sq``, is
-    decided by the scalar constructor.
+    when ``SiegelPoint(z[i], w[i])`` rejects it, with the error of the first
+    rejected row.  Up to ``FEW_ROWS`` rows go through the row test of
+    ``SiegelPoint``.  Above, a numpy screen clears the rows whose margin
+    exceeds the rounding gap between its norms and the in-order ``norm_sq``
+    of the row test, which decides the rest (non-finite rows among them).
     """
-    rounding = 16.0 * (w.shape[1] + 1) * math.ulp(1.0)
     if z.shape[0] <= FEW_ROWS:
         for zi, wi in zip(z.tolist(), w.tolist()):
-            nsq = 0.0
-            for c in wi:
-                nsq += c.real * c.real + c.imag * c.imag
-            scale = max(1.0, math.hypot(zi.real, zi.imag), nsq)
-            margin = (zi.real - nsq) - BOUNDARY_SLACK * scale
-            # max() drops a NaN that np.maximum would keep: test Im z itself
-            if not (margin > rounding * (nsq + scale) and math.isfinite(zi.imag)):
-                SiegelPoint(zi, wi)
+            _check_row(zi, wi)
         return
+    rounding = 16.0 * (w.shape[1] + 1) * math.ulp(1.0)
     with np.errstate(invalid="ignore", over="ignore"):
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.abs(z), nsq)
@@ -242,7 +235,7 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
         clear = margin > rounding * (nsq + scale)
     if not clear.all():
         for i in np.flatnonzero(~clear):
-            SiegelPoint(z[i], w[i])
+            _check_row(complex(z[i]), w[i].tolist())
 
 
 def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
@@ -256,12 +249,12 @@ def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
 
 
 def _norm_sq_rows(w: np.ndarray) -> np.ndarray:
-    """``norm_sq(w[i])`` for every row: within N u relative."""
+    """||w[i]||^2 for every row, within N u relative (past 7 terms in blocks, unlike ``norm_sq``)."""
     return (w.real * w.real + w.imag * w.imag).sum(axis=-1)
 
 
 def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``herm(u[i], v[i])`` for every row; ``v`` may be a single vector.
+    """``herm(u[i], v[i])`` for every row; ``v`` may be a single vector of the row length.
 
     The products are taken on the real parts: numpy's complex product uses
     a fused multiply-add for some shapes only, so a row could round apart
@@ -269,6 +262,8 @@ def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     whose 0 * inf is NaN.  Each part is within N u of the sum of the
     moduli of its 2 (N - 1) products.
     """
+    if u.shape[-1] != v.shape[-1]:
+        raise DomainError("dimension mismatch")
     out = (u.real * v.real + u.imag * v.imag).sum(axis=-1).astype(np.complex128)
     out.imag = (u.imag * v.real - u.real * v.imag).sum(axis=-1)
     return out
@@ -301,10 +296,10 @@ class SiegelBatch:
     once, by ``check_siegel_arrays``, when the batch is built; ``len``,
     integer indexing and iteration then hand out ``SiegelPoint``s without
     checking them again, and a slice is again a batch.  The array forms
-    below are the formulas of the scalar functions they name, in plain
-    numpy.  A row gets the same bits alone as inside any batch; each form
-    states its error against the formula in exact arithmetic, in units of
-    u = 2^-53.
+    below, in plain numpy, are the only definitions of the scalar functions
+    they name: each scalar function is one row of its form.  A row gets the
+    same bits alone as inside any batch; each form states its error against
+    the formula in exact arithmetic, in units of u = 2^-53.
     """
 
     z: np.ndarray
@@ -383,7 +378,7 @@ class SiegelBatch:
         return self.w.shape[1] + 1
 
     def norm_sq(self) -> np.ndarray:
-        """``norm_sq(w)`` of every row, computed once: within N u relative."""
+        """||w||^2 of every row, computed once: within N u relative."""
         if self._nsq is None:
             nsq = _norm_sq_rows(self.w)
             nsq.setflags(write=False)
@@ -440,7 +435,7 @@ class SiegelBatch:
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        z = self.z + 2.0 * _quiet_norm_sq(a) + 2.0 * _herm_rows(self.w, a)
+        z = self.z + 2.0 * norm_sq(a) + 2.0 * _herm_rows(self.w, a)
         w = np.empty_like(self.w)
         w[:] = -a
         try:
@@ -454,7 +449,7 @@ class SiegelBatch:
         a = rho.a
         if a.size != self.w.shape[1]:
             raise DomainError("projection vector dimension mismatch")
-        return self.z + _quiet_norm_sq(a) + 2.0 * _herm_rows(self.w, a)
+        return self.z + norm_sq(a) + 2.0 * _herm_rows(self.w, a)
 
 
 def max_kobayashi(tanh: np.ndarray) -> float:
@@ -551,7 +546,7 @@ def koranyi_margin(region: KoranyiRegion, p: Union[BallPoint, SiegelPoint]) -> f
         )
     if not isinstance(p, SiegelPoint):
         raise DomainError("siegel region expects a SiegelPoint")
-    return (p.z.real - abs(p.z + 1.0) / region.amplitude) - norm_sq(p.w)
+    return float(_one_row(p).koranyi_margins((region.amplitude,))[0, 0])
 
 
 def koranyi_classify(region: KoranyiRegion, p: Union[BallPoint, SiegelPoint]) -> str:
@@ -627,8 +622,7 @@ def kobayashi_distance(
     ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
     """
     if isinstance(p, SiegelPoint) and isinstance(q, SiegelPoint):
-        p, q = SiegelBatch.from_points([p]), SiegelBatch.from_points([q])
-        return max_kobayashi(p.kobayashi_tanh(q))
+        return max_kobayashi(_one_row(p).kobayashi_tanh(_one_row(q)))
     if not (isinstance(p, BallPoint) and isinstance(q, BallPoint)):
         raise DomainError("kobayashi_distance expects two points of the same model")
     if p.dim != q.dim:
@@ -696,6 +690,16 @@ class SiegelAutomorphism:
                 y, a = (y - 2.0 * herm(a, c).imag, a + c) if a.size else (y, c)
         return SiegelAutomorphism(self.x * t.x, y, a)
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SiegelAutomorphism)
+            and (self.x, self.y) == (other.x, other.y)
+            and np.array_equal(self.a, other.a)
+        )
+
+    def __hash__(self):
+        return hash((self.x, self.y, tuple(self.a.tolist())))
+
     def inverse(self) -> "SiegelAutomorphism":
         """The triple (1 / x, -y / x, -a / sqrt(x))."""
         with np.errstate(over="ignore"):
@@ -752,6 +756,12 @@ class LinearProjectionAtInfinity:
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearProjectionAtInfinity) and np.array_equal(self.a, other.a)
+
+    def __hash__(self):
+        return hash(tuple(self.a.tolist()))
+
 
 def first_coordinate_projection(n_dim: int) -> LinearProjectionAtInfinity:
     return LinearProjectionAtInfinity(np.zeros(n_dim - 1, dtype=np.complex128))
@@ -763,22 +773,12 @@ def project(rho: LinearProjectionAtInfinity, q: SiegelPoint) -> SiegelPoint:
     Mathematically the image of an interior point is interior; failures can
     only come from rounding near the boundary and must surface, not clamp.
     """
-    a = rho.a
-    if a.size != q.w.size:
-        raise DomainError("projection vector dimension mismatch")
-    z = q.z + 2.0 * norm_sq(a) + 2.0 * herm(q.w, a)
-    try:
-        return SiegelPoint(z, -a)
-    except DomainError as exc:
-        raise DomainError(f"projected image left the Siegel domain: {exc}") from exc
+    return _one_row(q).project(rho)[0]
 
 
 def left_inverse_value(rho: LinearProjectionAtInfinity, q: SiegelPoint) -> complex:
     """rho~_a(z, w) = z + ||a||^2 + 2 <w, a>, a point of the right half-plane."""
-    a = rho.a
-    if a.size != q.w.size:
-        raise DomainError("projection vector dimension mismatch")
-    return q.z + norm_sq(a) + 2.0 * herm(q.w, a)
+    return complex(_one_row(q).left_inverse(rho)[0])
 
 
 def halfplane_distance(z1: complex, z2: complex) -> float:

@@ -109,7 +109,8 @@ class HoloMap:
     ``z`` of shape (n,) and ``w`` of shape (n, N-1) returns the images'
     ``(z, w)`` in the same shapes.  It validates neither its input nor its
     output; ``evaluate_batch`` does both.  A Siegel map given ``batch``
-    alone gets the one-row ``evaluate_batch`` as its ``evaluator``.
+    alone gets a one-row call of it as its ``evaluator``, which checks
+    the image; the input point was checked when it was made.
     ``dataclasses.replace`` keeps that evaluator, so ``replace(m,
     batch=None)`` is ``m`` evaluated point by point.
     """
@@ -188,9 +189,9 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
-    """``m(q)`` as a one-row ``evaluate_batch``, without numpy's overflow warnings."""
+    """``m(q)`` as a one-row ``_images`` (``q`` was checked when made), without overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z, w = evaluate_batch(m, np.array([q.z]), q.w[None, :])
+        z, w = _images(m, np.array([q.z]), q.w[None, :])
     w.setflags(write=False)
     return _checked_point(complex(z[0]), w[0])
 

@@ -31,9 +31,11 @@ from valiron.geometry import (
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
+    _norm_sq_rows,
     apply_automorphism,
     apply_automorphism_arrays,
     check_siegel_arrays,
+    norm_sq,
 )
 from valiron.limits import (
     _first_coordinate_ratio,
@@ -473,6 +475,16 @@ class TestCheckSiegelArrays:
                 x = edge + k * math.ulp(edge)
                 rows.append((complex(x, y), [math.sqrt(wsq)]))
                 rows.append((complex(x, y), [math.sqrt(wsq / 2.0) * (1 + 1j) / math.sqrt(2.0)]))
+        # the same at N = 10, where numpy sums the nine terms of a row in blocks,
+        # apart from the in-order norm_sq of the row test: the screen leaves
+        # these rows to the row test in the whole-array path
+        for size, y in ((0.25, 0.0), (1.0, 5.0)):
+            w = [size * 0.31 * (k + 1) * complex(math.cos(k), math.sin(k)) for k in range(9)]
+            wsq = norm_sq(w)
+            scale = max(1.0, abs(complex(wsq, y)), wsq)
+            edge = wsq + BOUNDARY_SLACK * scale
+            for k in range(-6, 7):
+                rows.append((complex(edge + k * math.ulp(edge), y), w))
         return rows
 
     def test_rejects_exactly_what_siegel_point_rejects(self):
@@ -484,6 +496,9 @@ class TestCheckSiegelArrays:
         # the rows exercise both outcomes, including on the band edge
         assert None in verdicts and any(v and "strictly inside" in v for v in verdicts)
         assert any(v == "non-finite coordinates" for v in verdicts)
+        # and the N = 10 rows include some where the two sums differ
+        long_rows = np.array([w for _, w in self._rows() if len(w) == 9], dtype=np.complex128)
+        assert any(_norm_sq_rows(long_rows) != [norm_sq(w) for w in long_rows])
 
     def test_reports_the_first_bad_row(self):
         z = np.array([2.0, 3.0, 0.1, math.nan], dtype=np.complex128)

@@ -116,6 +116,15 @@ class TestModels:
         assert herm(u, v) == 1j
         assert herm(v, u) == -1j
 
+    def test_vectors_of_different_lengths_do_not_broadcast(self):
+        # a one-coordinate vector must not pair with every coordinate of a longer one
+        one, three = np.ones(1, dtype=complex), np.ones(3, dtype=complex)
+        for u, v in ((three, one), (one, three)):
+            with pytest.raises(DomainError, match="dimension mismatch"):
+                herm(u, v)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            koranyi_margin(KoranyiRegion("ball", e1_direction(1), 1.0), BallPoint([0.1, 0.2, 0.3]))
+
     def test_siegel_height(self):
         q = SiegelPoint(2 + 3j, np.array([1.0 + 0j]))
         assert siegel_height(q) == pytest.approx(1.0)
@@ -320,6 +329,22 @@ class TestAutomorphisms:
             siegel_height(q), rel=1e-12
         )
 
+    def test_equal_triples_are_equal_and_hash_alike(self):
+        scale, translate = SiegelAutomorphism.scale, SiegelAutomorphism.translate
+        pairs = [
+            (scale(2), scale(2.0)),
+            (scale(2, 1), scale(2.0, 1.0)),
+            (translate([1, 2]), translate(np.array([1.0 + 0j, 2.0]))),
+            (SiegelAutomorphism.composite([scale(4), translate([1])]), SiegelAutomorphism(4.0, 0.0, [2.0])),
+            (scale(2).inverse(), scale(0.5)),
+        ]
+        for s, t in pairs:
+            assert s == t and hash(s) == hash(t)
+        assert scale(2) != scale(3) and scale(2, 1) != scale(2)
+        assert translate([1, 2]) != translate([1, 3]) and translate([1]) != translate([1, 0])
+        assert scale(1) != translate([0]) and scale(2) != "scale(2)"
+        assert len({scale(2), scale(2), scale(3), translate([1, 2]), translate([1, 2])}) == 3
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_kobayashi_invariance(self, seed):
@@ -357,6 +382,14 @@ class TestProjections:
         assert np.max(np.abs(image.w)) == 0.0
         assert image.z == q.z
         assert left_inverse_value(rho, q) == q.z
+
+    def test_equal_vectors_are_equal_and_hash_alike(self):
+        rho = LinearProjectionAtInfinity
+        assert rho([1, 2]) == rho(np.array([1.0 + 0j, 2.0])) and hash(rho([1, 2])) == hash(rho([1.0, 2.0]))
+        assert first_coordinate_projection(3) == rho([0, 0])
+        assert rho([1, 2]) != rho([1, 3]) and rho([1]) != rho([1, 0])
+        assert rho([0]) != SiegelAutomorphism.translate([0])
+        assert len({rho([1, 2]), rho([1, 2]), rho([2, 1])}) == 2
 
     @pytest.mark.filterwarnings("error")
     def test_a_huge_projection_vector_gives_no_warning(self):

@@ -323,6 +323,12 @@ class TestProjectionInvariance:
             direct = kobayashi_distance(project(p1, q), project(rho, q))
             assert projection_distance(q, rho) == pytest.approx(direct, rel=1e-10)
 
+    def test_a_projection_vector_of_another_dimension_is_rejected(self):
+        q = SiegelPoint(3.0, [0.1, 0.2])
+        for a in ([1.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(DomainError, match="dimension mismatch"):
+                projection_distance(q, LinearProjectionAtInfinity(a))
+
     def test_pins_the_true_distance_at_small_heights(self):
         # atanh(1/sqrt(1+k)): 0.0706 at k = 200, an order above 1e-2
         rho = LinearProjectionAtInfinity(np.array([1.0 + 0j]))
