@@ -31,6 +31,7 @@ from .geometry import (
     NonFiniteError,
     SiegelBatch,
     SiegelPoint,
+    _halfplane_distances,
     max_kobayashi,
     siegel_height,
 )
@@ -300,14 +301,7 @@ def estimate_drift(orbit: Orbit) -> DriftEstimate:
     """
     drift = _tail_estimate(orbit, "drift", orbit.y / orbit.x)
     q = (orbit.x[1:] / orbit.x[:-1]) + 1j * (np.diff(orbit.y) / orbit.x[:-1])
-    # halfplane_distance(1, q_n) for every n, with its check
-    if (q.real <= 0.0).any():
-        raise DomainError("half-plane distance needs Re z > 0")
-    d, s = 1.0 - q, 1.0 + q.conj()
-    r = np.hypot(d.real, d.imag) / np.hypot(s.real, s.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_to_one = np.where(r >= 1.0, math.inf, np.arctanh(r))
-    return DriftEstimate(drift.value, drift.uncertainty, q=q, k_to_one=k_to_one)
+    return DriftEstimate(drift.value, drift.uncertainty, q, _halfplane_distances(1.0, q))
 
 
 def julia_margin(m: HoloMap, q: SiegelPoint) -> float:

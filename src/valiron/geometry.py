@@ -12,9 +12,11 @@ All values are plain data; nothing here mutates its inputs.  Strict domain
 inequalities are enforced with a relative slack of ``BOUNDARY_SLACK``;
 points inside the slack band are rejected, never clamped.
 
-A Siegel formula has one definition, on rows: ``SiegelPoint`` and
-``check_siegel_arrays`` decide membership by one row test, and every other
-scalar Siegel function is one row of its ``SiegelBatch`` form, bit for bit.
+A Siegel formula has one definition, on rows: membership is one
+inequality on the in-order ``norm_sq``, which ``SiegelPoint`` tests on
+Python floats and ``check_siegel_arrays`` on the same bits in numpy, and
+every other scalar Siegel function is one row of its ``SiegelBatch`` form
+(``halfplane_distance`` of ``_halfplane_distances``), bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -192,8 +194,7 @@ class SiegelPoint:
 
 
 def _check_row(z: complex, w: list) -> None:
-    """The membership test of ``SiegelPoint`` on Python complex numbers; an overflowing
-    ``norm_sq`` of a finite ``w`` is outside, not non-finite."""
+    """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside."""
     nsq = norm_sq(w)
     if not (cmath.isfinite(z) and (nsq < math.inf or all(map(cmath.isfinite, w)))):
         raise NonFiniteError("non-finite coordinates")
@@ -218,23 +219,21 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
     when ``SiegelPoint(z[i], w[i])`` rejects it, with the error of the first
     rejected row.  Up to ``FEW_ROWS`` rows go through the row test of
-    ``SiegelPoint``.  Above, a numpy screen clears the rows whose margin
-    exceeds the rounding gap between its norms and the in-order ``norm_sq``
-    of the row test, which decides the rest (non-finite rows among them).
+    ``SiegelPoint``.  Above, numpy takes the same inequality on the same
+    bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot`` is
+    Python's ``abs``), and the row test gives the error of a rejected row.
     """
     if z.shape[0] <= FEW_ROWS:
         for zi, wi in zip(z.tolist(), w.tolist()):
             _check_row(zi, wi)
         return
-    rounding = 16.0 * (w.shape[1] + 1) * math.ulp(1.0)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
         nsq = _norm_sq_rows(w)
-        scale = np.maximum(np.abs(z), nsq)
+        scale = np.maximum(np.hypot(z.real, z.imag), nsq)
         np.maximum(scale, 1.0, out=scale)
-        margin = (z.real - nsq) - BOUNDARY_SLACK * scale
-        clear = margin > rounding * (nsq + scale)
-    if not clear.all():
-        for i in np.flatnonzero(~clear):
+        inside = z.real - nsq > BOUNDARY_SLACK * scale
+    if not inside.all():
+        for i in np.flatnonzero(~inside):
             _check_row(complex(z[i]), w[i].tolist())
 
 
@@ -249,8 +248,12 @@ def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
 
 
 def _norm_sq_rows(w: np.ndarray) -> np.ndarray:
-    """||w[i]||^2 for every row, within N u relative (past 7 terms in blocks, unlike ``norm_sq``)."""
-    return (w.real * w.real + w.imag * w.imag).sum(axis=-1)
+    """``norm_sq`` of every row, bit for bit: the columns are added in order."""
+    sq = w.real * w.real + w.imag * w.imag
+    total = np.zeros(len(sq))
+    for j in range(sq.shape[1]):
+        total += sq[:, j]
+    return total
 
 
 def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -269,20 +272,33 @@ def _herm_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _height_ratio(h_p, h_q, mod: np.ndarray, parts: Optional[np.ndarray] = None) -> np.ndarray:
+def _shift_rows(z, w: np.ndarray, a: np.ndarray, what: str, k: float = 1.0) -> np.ndarray:
+    """``z + k ||a||^2 + 2 <w, a>`` row by row, each part within (N + 2) u of
+    ``|z| + k ||a||^2 + 2 ||w|| ||a||``; ``what`` names ``a`` in the dimension error."""
+    if a.size != w.shape[1]:
+        raise DomainError(f"{what} vector dimension mismatch")
+    return z + k * norm_sq(a) + 2.0 * _herm_rows(w, a)
+
+
+def _abs_rows(c: np.ndarray) -> np.ndarray:
+    """Python's ``abs`` of every entry to the bit (``np.abs`` rounds apart), raising its
+    ``OverflowError`` where finite parts overflow; call it with overflow warnings off."""
+    mod = np.hypot(c.real, c.imag)
+    if not mod.max(initial=0.0) < math.inf and (np.isinf(mod) & np.isfinite(c)).any():
+        raise OverflowError("absolute value too large")
+    return mod
+
+
+def _height_ratio(h_p, h_q, mod: np.ndarray) -> np.ndarray:
     """``4 h_P h_Q / (mod * mod)`` row by row.
 
     Where ``mod * mod`` overflows from a finite ``mod``, the ratio is taken
     in the scaled form ``(2 h_P / mod) * (2 h_Q / mod)``, on those rows
-    only.  When ``mod`` is ``abs`` of the complex ``parts``, ``abs``
-    overflowing from finite parts raises as Python's ``abs`` does.  Call it
-    with overflow warnings off.
+    only.  Call it with overflow warnings off.
     """
     sq = mod * mod
     ratio = 4.0 * h_p * h_q / sq
     if not sq.max() < math.inf:
-        if parts is not None and (np.isinf(mod) & np.isfinite(parts)).any():
-            raise OverflowError("absolute value too large")
         over = np.isinf(sq) & np.isfinite(mod)
         ratio[over] = ((2.0 * h_p / mod) * (2.0 * h_q / mod))[over]
     return ratio
@@ -378,7 +394,7 @@ class SiegelBatch:
         return self.w.shape[1] + 1
 
     def norm_sq(self) -> np.ndarray:
-        """||w||^2 of every row, computed once: within N u relative."""
+        """``norm_sq`` of every row, computed once: within N u relative."""
         if self._nsq is None:
             nsq = _norm_sq_rows(self.w)
             nsq.setflags(write=False)
@@ -423,21 +439,14 @@ class SiegelBatch:
             raise DomainError("dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):
             s = other.z + self.z.conj() - 2.0 * _herm_rows(other.w, self.w)
-            ratio = _height_ratio(self.height(), other.height(), np.hypot(s.real, s.imag), s)
+            ratio = _height_ratio(self.height(), other.height(), _abs_rows(s))
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def project(self, rho: "LinearProjectionAtInfinity") -> "SiegelBatch":
-        """``project(rho, row)`` for every row, with its check and message.
-
-        Each part of the first coordinate is within (N + 2) u of
-        ``|z| + 2 ||a||^2 + 2 ||w|| ||a||``, the sum of the moduli of its terms.
-        """
-        a = rho.a
-        if a.size != self.w.shape[1]:
-            raise DomainError("projection vector dimension mismatch")
-        z = self.z + 2.0 * norm_sq(a) + 2.0 * _herm_rows(self.w, a)
-        w = np.empty_like(self.w)
-        w[:] = -a
+        """``project(rho, row)`` for every row, with its check and message;
+        the first coordinate is the ``_shift_rows`` of z by ``a``, with k = 2."""
+        z = _shift_rows(self.z, self.w, rho.a, "projection", 2.0)
+        w = np.broadcast_to(-rho.a, self.w.shape).copy()
         try:
             check_siegel_arrays(z, w)
         except DomainError as exc:
@@ -445,11 +454,26 @@ class SiegelBatch:
         return SiegelBatch._checked(z, w)
 
     def left_inverse(self, rho: "LinearProjectionAtInfinity") -> np.ndarray:
-        """``left_inverse_value(rho, row)`` for every row, with the error bound of ``project``."""
-        a = rho.a
-        if a.size != self.w.shape[1]:
-            raise DomainError("projection vector dimension mismatch")
-        return self.z + norm_sq(a) + 2.0 * _herm_rows(self.w, a)
+        """``left_inverse_value(rho, row)`` for every row: the ``_shift_rows`` of z by ``a``."""
+        return _shift_rows(self.z, self.w, rho.a, "projection")
+
+    def projection_distances(self, rho: "LinearProjectionAtInfinity") -> np.ndarray:
+        """``limits.projection_distance(row, rho)``, k(p_1(Z), rho_a(Z)), for every row.
+
+        With c = 2||a||^2 + 2<w, a>, the squared tanh of the distance is
+        (|c|^2 + 4 x ||a||^2) / |2x + c|^2; this matches the two-point pipeline
+        and stays stable at large |z| where ball coordinates cancel.  A squared
+        modulus overflowing from a finite one raises, as Python's ``** 2`` does.
+        """
+        nsq_a, x = norm_sq(rho.a), self.z.real
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = 2.0 * nsq_a + 2.0 * _herm_rows(self.w, rho.a)
+            mods = np.stack([_abs_rows(c), _abs_rows(2.0 * x + c)])
+            sq = mods * mods
+            if (np.isinf(sq) & np.isfinite(mods)).any():
+                raise OverflowError("projection distance out of range")
+            num = sq[0] + 4.0 * x * nsq_a
+            return np.where(num >= sq[1], math.inf, np.arctanh(np.sqrt(num / sq[1])))
 
 
 def max_kobayashi(tanh: np.ndarray) -> float:
@@ -617,9 +641,8 @@ def kobayashi_distance(
     which stays finite at heights where ball coordinates would round onto
     the sphere: a pair is one row of ``SiegelBatch.kobayashi_tanh``, which
     takes the ratio as ``(2 h(P) / |s|) (2 h(Q) / |s|)`` where the squared
-    modulus |s|^2 overflows.  The one-point
-    special cases ``k(0, z) = tanh^-1 ||z||`` and
-    ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
+    modulus |s|^2 overflows.  The one-point special cases ``k(0, z) = tanh^-1 ||z||``
+    and ``k((z,0),(z,w)) = tanh^-1(||w|| / sqrt(Re z))`` fall out of these.
     """
     if isinstance(p, SiegelPoint) and isinstance(q, SiegelPoint):
         return max_kobayashi(_one_row(p).kobayashi_tanh(_one_row(q)))
@@ -717,19 +740,15 @@ def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarra
     """Apply t to every row of ``(z, w)``.
 
     Shapes are (n,) and (n, N-1); rows are not validated.  The translation
-    adds ``||a||^2 + 2 <w, a>`` to z within (N + 2) u of
-    ``|z| + ||a||^2 + 2 ||w|| ||a||`` in each part; the scale then rounds
-    each part of z three times (the shift, 1 / x and the product) and w
-    twice (sqrt(x) and the quotient).  The translation, the shift and the
-    division are each skipped where they are the identity, so a translation
-    alone keeps the finite part of an image whose other part overflows:
-    numpy divides by x as by x + 0i, and 0 * inf is NaN.
+    is ``_shift_rows``; the scale then rounds each part of z three times
+    (the shift, 1 / x and the product) and w twice (sqrt(x) and the
+    quotient).  The translation, the shift and the division are each
+    skipped where they are the identity, so a translation alone keeps the
+    finite part of an image whose other part overflows: numpy divides by x
+    as by x + 0i, and 0 * inf is NaN.
     """
-    a = t.a
-    if a.size:
-        if a.size != w.shape[1]:
-            raise DomainError("translation vector dimension mismatch")
-        z, w = z + norm_sq(a) + 2.0 * _herm_rows(w, a), w + a
+    if t.a.size:
+        z, w = _shift_rows(z, w, t.a, "translation"), w + t.a
     if t.y:
         z = z - 1j * t.y
     if t.x != 1.0:
@@ -781,15 +800,20 @@ def left_inverse_value(rho: LinearProjectionAtInfinity, q: SiegelPoint) -> compl
     return complex(_one_row(q).left_inverse(rho)[0])
 
 
-def halfplane_distance(z1: complex, z2: complex) -> float:
-    """Poincare distance on the right half-plane {Re z > 0}.
-
-    tanh k = |z1 - z2| / |z1 + conj(z2)|; agrees with the N = 1 Siegel
-    Kobayashi distance.
-    """
-    if z1.real <= 0 or z2.real <= 0:
+def _halfplane_distances(z1, z2) -> np.ndarray:
+    """``halfplane_distance`` of every pair of ``z1`` and ``z2``, which broadcast."""
+    z1, z2 = np.asarray(z1, np.complex128), np.asarray(z2, np.complex128)
+    if (z1.real <= 0.0).any() or (z2.real <= 0.0).any():
         raise DomainError("half-plane distance needs Re z > 0")
-    r = abs(z1 - z2) / abs(z1 + z2.conjugate())
-    if r >= 1.0:
-        return math.inf
-    return math.atanh(r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = _abs_rows(z1 - z2) / _abs_rows(z1 + z2.conj())
+        return np.where(r >= 1.0, math.inf, np.arctanh(r))
+
+
+def halfplane_distance(z1: complex, z2: complex) -> float:
+    """Poincare distance on the right half-plane {Re z > 0}, one pair of ``_halfplane_distances``.
+
+    tanh k = |z1 - z2| / |z1 + conj(z2)|, infinite where rounding puts it at
+    1 or above; agrees with the N = 1 Siegel Kobayashi distance.
+    """
+    return float(_halfplane_distances(z1, z2))

@@ -43,12 +43,10 @@ from .geometry import (
     LinearProjectionAtInfinity,
     SiegelBatch,
     SiegelPoint,
-    _herm_rows,
     _norm_sq_rows,
     _one_row,
     check_siegel_arrays,
     max_kobayashi,
-    norm_sq,
 )
 from .maps import HoloMap, _rng_for, evaluate_batch
 
@@ -137,9 +135,14 @@ def _angled_seeds(n_dim: int, s: float, t_param: float):
 
 
 def _special_family(kind: str, c_param: float, t_param: float, n_dim: int, ladder: tuple):
-    seeds = _angled_seeds(n_dim, math.tanh(c_param), t_param)
-    return ApproachFamily(kind=kind, n_dim=n_dim, c_param=c_param, t_param=t_param,
-                          ladder=ladder, seeds=seeds)
+    return ApproachFamily(
+        kind=kind,
+        n_dim=n_dim,
+        c_param=c_param,
+        t_param=t_param,
+        ladder=ladder,
+        seeds=_angled_seeds(n_dim, math.tanh(c_param), t_param),
+    )
 
 
 def c_special_family(
@@ -708,27 +711,8 @@ class ProjectionInvarianceReport:
 
 
 def projection_distance(q: SiegelPoint, rho: LinearProjectionAtInfinity) -> float:
-    """Closed-form k(p_1(Z), rho_a(Z)), as one row of ``_projection_distances``."""
-    return float(_projection_distances(_one_row(q), rho)[0])
-
-
-def _projection_distances(points: SiegelBatch, rho: LinearProjectionAtInfinity) -> np.ndarray:
-    """k(p_1(Z), rho_a(Z)) for every row Z.
-
-    With c = 2||a||^2 + 2<w, a>, the squared tanh of the distance is
-    (|c|^2 + 4 x ||a||^2) / |2x + c|^2; this matches the two-point pipeline
-    and stays stable at large |z| where ball coordinates cancel.
-    """
-    nsq_a, x = norm_sq(rho.a), points.z.real
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = 2.0 * nsq_a + 2.0 * _herm_rows(points.w, rho.a)
-        d = 2.0 * x + c
-        mod_c, mod_d = np.hypot(c.real, c.imag), np.hypot(d.real, d.imag)
-        num = mod_c * mod_c + 4.0 * x * nsq_a
-        den = mod_d * mod_d
-        if np.isinf(num).any() or np.isinf(den).any():
-            raise OverflowError("projection distance out of range")
-        return np.where(num >= den, math.inf, np.arctanh(np.sqrt(num / den)))
+    """Closed-form k(p_1(Z), rho_a(Z)), as one row of ``SiegelBatch.projection_distances``."""
+    return float(_one_row(q).projection_distances(rho)[0])
 
 
 def projection_invariance_check(
@@ -743,7 +727,7 @@ def projection_invariance_check(
     shadows; the lemma says each pair must agree in the limit.
     """
     points = SiegelBatch.from_points(points)
-    dists = _projection_distances(points, rho)
+    dists = points.projection_distances(rho)
     t0 = tail_start(len(points))
     tail = dists[t0:]
     max_tail = float(np.max(tail))

@@ -475,9 +475,8 @@ class TestCheckSiegelArrays:
                 x = edge + k * math.ulp(edge)
                 rows.append((complex(x, y), [math.sqrt(wsq)]))
                 rows.append((complex(x, y), [math.sqrt(wsq / 2.0) * (1 + 1j) / math.sqrt(2.0)]))
-        # the same at N = 10, where numpy sums the nine terms of a row in blocks,
-        # apart from the in-order norm_sq of the row test: the screen leaves
-        # these rows to the row test in the whole-array path
+        # the same at N = 10, where numpy's own row sum adds the nine terms in
+        # blocks, apart from the in-order norm_sq of the row test
         for size, y in ((0.25, 0.0), (1.0, 5.0)):
             w = [size * 0.31 * (k + 1) * complex(math.cos(k), math.sin(k)) for k in range(9)]
             wsq = norm_sq(w)
@@ -496,9 +495,19 @@ class TestCheckSiegelArrays:
         # the rows exercise both outcomes, including on the band edge
         assert None in verdicts and any(v and "strictly inside" in v for v in verdicts)
         assert any(v == "non-finite coordinates" for v in verdicts)
-        # and the N = 10 rows include some where the two sums differ
+        # the N = 10 rows include some where numpy's own row sum is not norm_sq;
+        # the screen's row sums are norm_sq on every row
         long_rows = np.array([w for _, w in self._rows() if len(w) == 9], dtype=np.complex128)
-        assert any(_norm_sq_rows(long_rows) != [norm_sq(w) for w in long_rows])
+        in_order = [norm_sq(w) for w in long_rows]
+        assert any((long_rows.real * long_rows.real + long_rows.imag * long_rows.imag).sum(axis=-1) != in_order)
+        assert _norm_sq_rows(long_rows).tolist() == in_order
+
+    def test_row_sums_are_norm_sq(self):
+        rng = np.random.default_rng(7)
+        for k in range(13):
+            for scale in (1e-160, 1e-3, 1.0, 1e3, 1e150):
+                w = scale * (rng.normal(size=(40, k)) + 1j * rng.normal(size=(40, k)))
+                assert _norm_sq_rows(w).tolist() == [norm_sq(row) for row in w]
 
     def test_reports_the_first_bad_row(self):
         z = np.array([2.0, 3.0, 0.1, math.nan], dtype=np.complex128)

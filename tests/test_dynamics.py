@@ -21,7 +21,7 @@ from valiron.dynamics import (
     tail_start,
 )
 from valiron import geometry, maps
-from valiron.geometry import INFINITY, DomainError, SiegelAutomorphism, SiegelPoint
+from valiron.geometry import INFINITY, DomainError, SiegelAutomorphism, SiegelPoint, halfplane_distance
 from valiron.limits import (
     c_special_family,
     generate_sequences,
@@ -263,6 +263,7 @@ class TestEstimators:
         assert np.max(np.abs(drift.q - (2 + 1j))) < 1e-12
         # half-plane distances k(1, q_n) never increase along the orbit
         assert np.all(np.diff(drift.k_to_one) <= 1e-9)
+        assert drift.k_to_one.tolist() == [halfplane_distance(1.0, v) for v in drift.q.tolist()]
 
     def test_short_orbit_rejected(self):
         m = make_siegel_linear(2.0, 1)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valiron.geometry import (
+    _halfplane_distances,
     INFINITY,
     BallPoint,
     BoundaryDirection,
@@ -283,6 +284,16 @@ class TestKobayashi:
         z1, z2 = 2.0 + 1j, 5.0 - 0.5j
         d = kobayashi_distance(SiegelPoint(z1), SiegelPoint(z2))
         assert halfplane_distance(z1, z2) == pytest.approx(d, rel=1e-12)
+
+    def test_halfplane_distance_is_one_pair_of_the_array_form(self):
+        rng = np.random.default_rng(5)
+        z1, z2 = (rng.uniform(0.01, 10.0, 50) + 1j * rng.normal(size=50) for _ in range(2))
+        pairs = [halfplane_distance(a, b) for a, b in zip(z1.tolist(), z2.tolist())]
+        assert _halfplane_distances(z1, z2).tolist() == pairs
+        assert _halfplane_distances(1.0, z2).tolist() == [halfplane_distance(1.0, b) for b in z2.tolist()]
+        assert halfplane_distance(3.0, 3.0) == 0.0
+        with pytest.raises(DomainError, match="Re z > 0"):
+            _halfplane_distances(1.0, np.append(z2, -1.0))
 
     def test_stable_at_extreme_heights(self):
         # ball coordinates would round onto the sphere here

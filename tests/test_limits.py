@@ -329,6 +329,21 @@ class TestProjectionInvariance:
             with pytest.raises(DomainError, match="dimension mismatch"):
                 projection_distance(q, LinearProjectionAtInfinity(a))
 
+    def test_a_huge_projection_vector_gives_an_infinite_distance(self):
+        # ||a||^2 overflows to inf: the distance is infinite, and the check
+        # fails on the projected images, which leave the domain
+        rho = LinearProjectionAtInfinity([1e200])
+        points = [SiegelPoint(3.0 * 4.0 ** k, [0.1j]) for k in range(6)]
+        assert projection_distance(points[0], rho) == math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the monotonicity test
+            with pytest.raises(DomainError, match="^projected image left the Siegel domain: non-finite"):
+                projection_invariance_check(points, rho, tol=1e-2)
+
+    def test_a_squared_modulus_overflowing_from_finite_parts_raises(self):
+        # |2x + c|^2 overflows from a finite |2x + c|, as Python's float ** 2 raises
+        with pytest.raises(OverflowError):
+            projection_distance(SiegelPoint(1e200, [0.0]), LinearProjectionAtInfinity([1.0]))
+
     def test_pins_the_true_distance_at_small_heights(self):
         # atanh(1/sqrt(1+k)): 0.0706 at k = 200, an order above 1e-2
         rho = LinearProjectionAtInfinity(np.array([1.0 + 0j]))
