@@ -193,14 +193,19 @@ class SiegelPoint:
         return hash((self.z, tuple(self.w.tolist())))
 
 
-def _check_row(z: complex, w: list) -> None:
-    """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside."""
+def _check_row(z: complex, w: list) -> tuple:
+    """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside.
+
+    Returns the row's height and the scale ``max(1, |z|, ||w||^2)`` of its slack.
+    """
     nsq = norm_sq(w)
     if not (cmath.isfinite(z) and (nsq < math.inf or all(map(cmath.isfinite, w)))):
         raise NonFiniteError("non-finite coordinates")
     height = z.real - nsq
-    if not height > BOUNDARY_SLACK * max(1.0, abs(z), nsq):
+    scale = max(1.0, abs(z), nsq)
+    if not height > BOUNDARY_SLACK * scale:
         raise DomainError(f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}")
+    return height, scale
 
 
 def _one_row(q: SiegelPoint) -> "SiegelBatch":
@@ -213,7 +218,7 @@ def siegel_height(q: SiegelPoint) -> float:
     return float(_one_row(q).height()[0])
 
 
-def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
+def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = False):
     """Apply the checks of ``SiegelPoint`` to every row of ``(z, w)``.
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
@@ -222,19 +227,30 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> None:
     ``SiegelPoint``.  Above, numpy takes the same inequality on the same
     bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot`` is
     Python's ``abs``), and the row test gives the error of a rejected row.
+
+    The renormalized step alone passes ``_clearance``: the check then also
+    returns whether every row clears twice the slack, ``Re z - ||w||^2 >
+    2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``, and the largest ``max(1, |z|,
+    ||w||^2)`` of the rows, both on the bits of the test.
     """
     if z.shape[0] <= FEW_ROWS:
-        for zi, wi in zip(z.tolist(), w.tolist()):
-            _check_row(zi, wi)
-        return
+        rows = [_check_row(zi, wi) for zi, wi in zip(z.tolist(), w.tolist())]
+        if _clearance:
+            edge = 2.0 * BOUNDARY_SLACK
+            return all(h > edge * s for h, s in rows), max((s for _, s in rows), default=1.0)
+        return None
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.hypot(z.real, z.imag), nsq)
         np.maximum(scale, 1.0, out=scale)
-        inside = z.real - nsq > BOUNDARY_SLACK * scale
+        height = z.real - nsq
+        inside = height > BOUNDARY_SLACK * scale
     if not inside.all():
         for i in np.flatnonzero(~inside):
             _check_row(complex(z[i]), w[i].tolist())
+    if _clearance:
+        return bool((height > 2.0 * BOUNDARY_SLACK * scale).all()), float(scale.max())
+    return None
 
 
 def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:

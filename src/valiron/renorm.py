@@ -14,13 +14,20 @@ one step at a time via S_{n+1} = (L_{n+1} o phi o L_n^{-1})(S_n), which keeps
 every stored quantity O(1) and stores the base scale in log-space.  The
 update is algebraically identical to direct iteration.  It still forms
 x_n S_n to evaluate phi, so it stops at the same scale ceiling (x_n ~ 1e300)
-as direct iteration; the state is checked against it before every step.
+as direct iteration; the state is tested against it before every step,
+through an upper bound of its magnitude that the previous step's image check
+yields, and exactly only where that bound reaches the ceiling.
 
 The base orbit, the grid and the grid images share the scales, so the state
-is one stack of rows and a step is one map evaluation on arrays:
-``maps.evaluate_batch`` advances every row at once through the map's
-``batch``; black boxes alone go point by point.  The probe orbit steps one
-row at a time.
+is one stack of rows and a step is one map evaluation on arrays, which
+advances every row at once through the map's ``batch``; black boxes alone go
+point by point.  The probe orbit steps one row at a time.
+
+Each row is checked once per step, as an image.  The de-normalized inputs of
+a step are the previous step's checked images, rescaled by about 1, and are
+checked again only where ``_passes_again`` cannot prove that they pass: on
+the first step, after a black box, and where an image row lay within twice
+the slack of the boundary.
 
 Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
 run_valiron stores the pairs it used on the result, and
@@ -60,6 +67,7 @@ from .geometry import (
 from .maps import (
     HoloMap,
     ScaleOverflowError,
+    _cleared_images,
     conjugate_map,
     evaluate_batch,
     make_siegel_map_from_ball,
@@ -73,6 +81,14 @@ PROBE_MAX_STEPS = 64
 PROBE_TARGET_HEIGHT = 1e8
 # ln of the largest base scale at which states can still be de-normalized
 LOG_SCALE_CEILING = math.log(1e300)
+# _passes_again holds for rows of at most _CLEAR_MAX_DIM coordinates, whose
+# checked images and packed rows stay below _CLEAR_MAX_SIZE, de-normalized by
+# a ratio r in _CLEAR_RATIO to the scale they were packed by
+_CLEAR_MAX_DIM = 1000
+_CLEAR_MAX_SIZE = 1e300
+_CLEAR_RATIO = (0.75, 1.25)
+# relative excess of a state's magnitude bound over the rounded magnitude
+_MAGNITUDE_SLACK = 1e-9
 
 
 class DegenerateGridError(ValueError):
@@ -143,6 +159,11 @@ class RenormalizedState:
     and ``sigma_img`` are read from these rows when the state is made.
     ``log_x`` is the base scale in log-space; ``scales`` is the pair
     (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
+
+    ``advance`` also notes, on the state it makes, whether its rows
+    de-normalized by ``x`` provably pass the input check (``_checked``) and
+    an upper bound of ``magnitude()`` (``_bound``); a state made otherwise,
+    ``replace`` included, has neither and takes the full tests.
     """
 
     n: int
@@ -150,6 +171,8 @@ class RenormalizedState:
     z: np.ndarray
     w: np.ndarray
     scales: tuple = ()
+    _checked = False
+    _bound = math.inf
 
     def __post_init__(self):
         self.z.setflags(write=False)
@@ -172,14 +195,48 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
     return z / x, w / math.sqrt(x)
 
 
-def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional[float] = None):
-    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}).
+def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional[float] = None,
+          checked: bool = False):
+    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}, clear, top).
 
     x_{n+1} is ``x_next`` if given, else Re z of row 0's checked image (> 0).
+    The de-normalized rows are checked unless ``checked`` says they pass;
+    ``clear`` and ``top`` are what the image check reports (``maps.
+    _cleared_images``), or ``(False, inf)`` beyond ``_CLEAR_MAX_DIM``.
     """
-    z, w = evaluate_batch(m, x_n * z, math.sqrt(x_n) * w)
+    z, w, clear, top = _cleared_images(m, x_n * z, math.sqrt(x_n) * w, checked)
+    if w.shape[1] >= _CLEAR_MAX_DIM:
+        clear, top = False, math.inf
     x_next = float(z[0].real) if x_next is None else x_next
-    return (*_pack(z, w, x_next), x_next)
+    return (*_pack(z, w, x_next), x_next, clear, top)
+
+
+def _passes_again(clear: bool, top: float, x_next: float, x_after: float) -> bool:
+    """Whether image rows of a step, packed by ``x_next`` and de-normalized by
+    ``x_after`` at the next step, provably pass that step's input check.
+
+    ``clear`` and ``top`` are what the images' check reported: each row (z, w)
+    had Q = norm_sq(w) and H = Re z - Q > 2 s M, with s = BOUNDARY_SLACK and
+    M = max(1, |z|, Q) <= top.  Let r = x_after / x_next, u = 2^-53, and
+    N <= _CLEAR_MAX_DIM (``_step`` reports no clearance beyond).  As top and
+    top / x_next are at most _CLEAR_MAX_SIZE and r <= 5/4, nothing overflows.
+    Packing (a complex quotient by a real: a reciprocal, perhaps subnormal,
+    then a product) and de-normalizing (one product) put each part of z
+    within 6 u of r times its value, and each part of w within 6 u of
+    sqrt(r) times its value (the two square roots included), up to an
+    absolute 2^-51 from underflow (2^-1075 times x_after < 2^1024).  As
+    norm_sq is within N u of the exact sum, the new Q' is within (2N + 13) u
+    of r Q; with |Re z| <= (1 + 2 u) M, the new height, rounded, exceeds
+    r M (2 s - K u) (1 - 2 u) - 2^-51 with K = 2N + 20, and the new scale is
+    at most max(1, r M (1 + K u)).  Where that scale is 1 the test needs a
+    height above s, which holds as r M >= 3/4 and 0.75 K u < s / 2;
+    elsewhere it needs a height above s r M (1 + K u), which holds as
+    2 K u < s.  K <= 2020 meets both with room to spare.
+    """
+    if not clear or top > _CLEAR_MAX_SIZE or not top / x_next <= _CLEAR_MAX_SIZE:
+        return False
+    low, high = _CLEAR_RATIO
+    return low <= x_after / x_next <= high
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
@@ -197,22 +254,33 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
     Every row (base, grid and grid images) is de-normalized by x_n and
-    mapped in one ``evaluate_batch`` call; the base image gives x_{n+1},
-    which normalizes them all.  ``evaluate_batch`` checks every input row
-    before any output row, so a step that rejects several rows may name
-    another row than stepping the base first would.  De-normalizing needs
+    mapped in one array evaluation; the base image gives x_{n+1}, which
+    normalizes them all.  The input rows are checked, all before any image
+    row, unless the state notes that they provably pass (``_passes_again``);
+    so a step that rejects several rows may name another row than stepping
+    the base first would.  De-normalizing needs
     x_n as a float, so a scale ceiling still exists; it is checked up-front
-    and raised loudly instead of silently producing infinities.
+    and raised loudly instead of silently producing infinities.  The test
+    takes the state's magnitude bound first, and the exact magnitude only
+    where the bound reaches the ceiling: log is monotone, so the step that
+    raises is the same.
     """
-    if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
+    if (state.log_x + math.log(max(1.0, state._bound)) > LOG_SCALE_CEILING
+            and state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING):
         raise ScaleOverflowError(
             "de-normalized evaluation would exceed the double-precision range"
         )
     x_n = state.x
-    z, w, x_next = _step(m, state.z, state.w, x_n)
-    return RenormalizedState(
+    z, w, x_next, clear, top = _step(m, state.z, state.w, x_n, checked=state._checked)
+    nxt = RenormalizedState(
         n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next)
     )
+    # each stored |z| is within 12 u of at most top / x_next, each |w_j| within
+    # (N / 2 + 8) u of at most sqrt(top / x_next)
+    t = top / x_next
+    nxt.__dict__.update(_checked=_passes_again(clear, top, x_next, nxt.x),
+                        _bound=max(t, math.sqrt(t)) * (1.0 + _MAGNITUDE_SLACK))
+    return nxt
 
 
 def intertwining_identity_check(state: RenormalizedState, m: HoloMap) -> float:
@@ -261,7 +329,8 @@ class ValironResult:
 
         Replays the renormalized step over the stored scale pairs, so the
         points ride along the same base orbit and off-grid probes use
-        exactly the pipeline that produced the grid samples.
+        exactly the pipeline that produced the grid samples, with the same
+        input checks as ``advance``.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -271,8 +340,13 @@ class ValironResult:
             return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
         sigma, v = _pack(batch.z, batch.w, self.base.z.real)
+        # the points take the full input check; later steps skip it where
+        # the previous images provably pass it again
+        clear, top, x_prev = False, math.inf, 1.0
         for x_n, x_next in self.scale_pairs:
-            sigma, v, _ = _step(self.map, sigma, v, x_n, x_next)
+            checked = _passes_again(clear, top, x_prev, x_n)
+            sigma, v, _, clear, top = _step(self.map, sigma, v, x_n, x_next, checked)
+            x_prev = x_next
         return sigma
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:

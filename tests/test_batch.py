@@ -51,6 +51,7 @@ from valiron.maps import (
     evaluate_batch,
     make_ball_map_from_siegel,
     make_halfplane_affine,
+    make_siegel_linear,
     make_siegel_map_from_ball,
     make_valiron_example,
 )
@@ -528,3 +529,63 @@ class TestCheckSiegelArrays:
         for rows in _paddings(np.array([1.0, -1.0 + 0j]), w):
             with pytest.raises(DomainError, match="strictly inside"):
                 check_siegel_arrays(*rows)
+
+
+@lru_cache(maxsize=None)
+def _rescaling_pairs() -> tuple:
+    """(x_next, x_after) of real renormalized runs to the scale ceiling: the rows
+    of a step are packed by x_next and de-normalized by x_after at the next."""
+    from valiron.renorm import run_valiron
+
+    pairs = []
+    for m in (make_halfplane_affine(2.0, 1.0, 2), make_siegel_linear(1.5, 3)):
+        scales = run_valiron(m, tol=0.0, n_max=3000).scale_pairs
+        pairs += [(a[1], b[0]) for a, b in zip(scales[:-1], scales[1:])]
+    return tuple(pairs)
+
+
+def _near_the_band(n_dim: int, rows: int, seed: int):
+    """Rows at scales 1e-3 to 1e250 whose height is 1 to 3 times the slack edge,
+    drawn densely near 1 and near 2 times it."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-3.0, 250.0, rows)
+    w = (rng.normal(size=(rows, n_dim - 1)) + 1j * rng.normal(size=(rows, n_dim - 1)))
+    w *= np.sqrt(size / max(n_dim - 1, 1))[:, None]
+    y = size * rng.uniform(-1.0, 1.0, rows)
+    v = rng.uniform(0.0, 1.0, rows) ** 4
+    k = np.where(rng.uniform(size=rows) < 0.5, 1.0 + 2.0 * v, 2.0 + np.sign(rng.normal(size=rows)) * v)
+    z = []
+    for wi, yi, ki in zip(w, y, k):
+        wsq = norm_sq(wi)
+        z.append(complex(wsq + ki * BOUNDARY_SLACK * max(1.0, abs(complex(wsq, yi)), wsq), yi))
+    z = np.array(z)
+    # a height drawn at the edge may round to just outside it
+    inside = [_verdict(check_siegel_arrays, z[i:i + 1], w[i:i + 1]) is None for i in range(rows)]
+    return z[inside], w[inside]
+
+
+class TestClearance:
+    """A row that the image check calls clear passes the exact check again after
+    the next renormalized step rescales it, which is what lets that step skip it."""
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 10])
+    def test_clear_rows_pass_after_rescaling(self, n_dim):
+        from valiron.renorm import _CLEAR_RATIO, _pack
+
+        z, w = _near_the_band(n_dim, 400, seed=n_dim)
+        verdicts = [check_siegel_arrays(z[i:i + 1], w[i:i + 1], _clearance=True) for i in range(len(z))]
+        clear = np.array([c for c, _ in verdicts])
+        top = np.array([t for _, t in verdicts])
+        assert 50 < clear.sum() < len(z) - 50
+        # the whole-array path reports what the rows report alone
+        assert check_siegel_arrays(z[clear], w[clear], _clearance=True) == (True, top[clear].max())
+        assert check_siegel_arrays(z[~clear], w[~clear], _clearance=True)[0] is False
+        z, w = z[clear], w[clear]
+        pairs = _rescaling_pairs()
+        ratios = [after / nxt for nxt, after in pairs]
+        assert min(ratios) < 1.0 < max(ratios)
+        assert _CLEAR_RATIO[0] <= min(ratios) and max(ratios) <= _CLEAR_RATIO[1]
+        for x_next, x_after in pairs:
+            packed_z, packed_w = _pack(z, w, x_next)
+            # as the next step de-normalizes them, then checks them exactly
+            check_siegel_arrays(x_after * packed_z, math.sqrt(x_after) * packed_w)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valiron.geometry import (
+    BOUNDARY_SLACK,
     FEW_ROWS,
     INFINITY,
     DomainError,
@@ -21,15 +22,15 @@ from valiron.geometry import (
 from valiron.maps import (
     HoloMap,
     PsiChoice,
+    ScaleOverflowError,
     catalog,
     conjugate_map,
-    evaluate_batch,
     make_ball_map_from_siegel,
     make_halfplane_affine,
     make_siegel_linear,
     make_valiron_example,
 )
-from valiron import renorm
+from valiron import maps
 from valiron.dynamics import compute_orbit
 from valiron.renorm import (
     DegenerateGridError,
@@ -140,19 +141,15 @@ class TestStateAdvance:
 
 
     @pytest.mark.parametrize("name", sorted(catalog()))
-    def test_a_step_is_one_array_evaluation(self, name, monkeypatch):
-        """Base, grid and grid images go through one evaluate_batch call."""
+    def test_a_step_is_one_array_evaluation(self, name):
+        """Base, grid and grid images go through one call of the map's batch."""
         m = catalog()[name]
         scalar_calls, batch_rows = [], []
-        counted = replace(m, evaluator=lambda q: scalar_calls.append(q) or m.evaluator(q))
+        counted = replace(m, evaluator=lambda q: scalar_calls.append(q) or m.evaluator(q),
+                          batch=lambda z, w: batch_rows.append(len(z)) or m.batch(z, w))
         grid = default_grid(m.dim)
         state = initial_state(counted, grid, SiegelPoint(1.0, np.zeros(m.dim - 1)))
-
-        def counting_batch(mm, z, w):
-            batch_rows.append(len(z))
-            return evaluate_batch(mm, z, w)
-
-        monkeypatch.setattr(renorm, "evaluate_batch", counting_batch)
+        batch_rows.clear()
         for _ in range(3):
             state = advance(state, counted)
         assert batch_rows == [1 + 2 * len(grid)] * 3
@@ -285,21 +282,19 @@ class TestRunValiron:
         assert r < 1e-9
 
     @pytest.mark.parametrize("transported", [False, True])
-    def test_residual_at_is_one_image_evaluation_and_one_replay(self, transported, monkeypatch):
+    def test_residual_at_is_one_image_evaluation_and_one_replay(self, transported):
+        """One batch call of the map for the images, then one of the points and
+        images stacked per stored step."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
+        m, rows = result.map, []
+        result = replace(result, map=replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
         if transported:
             result = conjugation_transport(result, SiegelAutomorphism.translate([0.5j]))
         pts = [sample_siegel(2, s, 61) for s in range(8)]
         s = result.sigma_at(pts)
         s_img = result.sigma_at([result.map.evaluator(p) for p in pts])
         want = np.abs(s_img - result.multiplier * s) / (1.0 + np.abs(s))
-        rows = []
-
-        def counting_batch(m, z, w):
-            rows.append(len(z))
-            return evaluate_batch(m, z, w)
-
-        monkeypatch.setattr(renorm, "evaluate_batch", counting_batch)
+        rows.clear()
         assert np.array_equal(result.residual_at(pts), want)
         assert rows == [8] + [16] * result.n_stop
         assert result.residual_at([]).shape == (0,)
@@ -336,6 +331,124 @@ class TestRunValiron:
         result = run_valiron(make_siegel_linear(2.0, 1), tol=0.0, n_max=50)
         assert not result.converged
         assert result.n_stop == 50
+
+    @pytest.mark.parametrize("m, n_stop", [
+        (make_siegel_linear(2.0, 2), 994),
+        (make_halfplane_affine(2.0, 1.0, 2), 994),
+        (make_siegel_linear(1.5, 3), 1700),
+    ])
+    def test_the_scale_ceiling_stops_the_run(self, m, n_stop):
+        result = run_valiron(m, tol=0.0, n_max=3000)
+        assert not result.converged
+        assert result.n_stop == n_stop
+        assert result.warnings[-1] == f"scale ceiling reached at step {n_stop}; stopping before n_max"
+
+    def test_the_magnitude_bound_does_not_move_the_ceiling(self):
+        """States whose magnitude bound is inf take the exact test at every step,
+        and stop at the same state as states that screen with the bound."""
+        m = make_halfplane_affine(2.0, 1.0, 2)
+
+        def last_state(screen):
+            state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+            while True:
+                if screen and state.n:
+                    assert state.magnitude() <= state._bound < math.inf
+                else:
+                    state.__dict__["_bound"] = math.inf
+                try:
+                    state = advance(state, m)
+                except ScaleOverflowError:
+                    return state
+
+        screened, exact = last_state(True), last_state(False)
+        assert screened.n == exact.n == 994
+        assert screened.log_x == exact.log_x
+        assert np.array_equal(screened.z, exact.z) and np.array_equal(screened.w, exact.w)
+
+
+class TestInputChecks:
+    """A step checks its de-normalized inputs only where the previous image
+    check cannot prove that they pass; every other check, and every error, stays."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        check = maps.check_siegel_arrays
+
+        def counting_check(z, w, **kwargs):
+            calls.append(len(z))
+            return check(z, w, **kwargs)
+
+        monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_a_clear_step_is_one_check(self, name, monkeypatch):
+        m = catalog()[name]
+        result = run_valiron(m, n_max=12)
+        grid = default_grid(m.dim)
+        state = initial_state(m, grid, SiegelPoint(1.0, np.zeros(m.dim - 1)))
+        calls = self._counted(monkeypatch)
+        per_step = []
+        for _ in range(result.n_stop):
+            state = advance(state, m)
+            per_step.append(calls.copy())
+            calls.clear()
+        rows = 1 + 2 * len(grid)
+        # the first step checks the inputs and the images, then each step its images
+        assert per_step == [[rows, rows]] + [[rows]] * (result.n_stop - 1)
+        pts = [sample_siegel(m.dim, s, 64) for s in range(8)]
+        result.sigma_at(pts)
+        assert calls == [8] * (result.n_stop + 1)
+
+    def test_an_image_in_the_band_makes_the_next_step_check_its_inputs(self, monkeypatch):
+        """An image row between one and two slack edges from the boundary passes
+        its check but does not clear it, so the next step checks its inputs."""
+        base = make_siegel_linear(2.0, 2)
+
+        def batch(z, w):
+            z, w = base.batch(z, w)
+            if len(z) > 1 and z[0].real == 8.0:  # the images of the third step
+                x = z[0].real
+                z[-1], w[-1] = x * (1.0 + 1.5 * BOUNDARY_SLACK), math.sqrt(x)
+            return z, w
+
+        m = replace(base, batch=batch)
+        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        calls = self._counted(monkeypatch)
+        per_step = []
+        for _ in range(6):
+            state = advance(state, m)
+            per_step.append(len(calls))
+            calls.clear()
+        # the linear map keeps the row in the band, so every later step checks its inputs
+        assert per_step == [2, 1, 1, 2, 2, 2]
+        height = float(state.z[-1].real - norm_sq(state.w[-1]))
+        assert BOUNDARY_SLACK < height / abs(state.z[-1]) < 2.0 * BOUNDARY_SLACK
+
+    @pytest.mark.parametrize("value", [complex(0.5, 1.0), complex(math.nan, 0.0)])
+    def test_an_image_outside_the_domain_gives_the_error_of_its_check(self, value):
+        """An image that leaves H^N after steps that skipped their input checks
+        raises the error of SiegelPoint on the first bad row."""
+        base = make_siegel_linear(2.0, 2)
+
+        def batch(z, w):
+            z, w = base.batch(z, w)
+            if len(z) > 1 and z[0].real > 100.0:
+                z[-2], z[-1] = value, -1.0
+            return z, w
+
+        m = replace(base, batch=batch)
+        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        for _ in range(6):
+            state = advance(state, m)
+        assert state._checked
+        w_bad = base.batch(state.z, math.sqrt(state.x) * state.w)[1][-2]
+        with pytest.raises(DomainError) as want:
+            SiegelPoint(value, w_bad)
+        with pytest.raises(type(want.value)) as got:
+            advance(state, m)
+        assert str(got.value) == str(want.value)
 
 
 class TestTransport:
