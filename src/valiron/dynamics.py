@@ -126,7 +126,7 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
                 cutoff = f"scale overflow at step {k}"
                 break
             try:
-                z, w = _images(m, z, w)
+                z, w, _ = _images(m, z, w)
             except (OverflowError, NonFiniteError):
                 cutoff = f"scale overflow at step {k}"
                 break

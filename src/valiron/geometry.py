@@ -193,10 +193,11 @@ class SiegelPoint:
         return hash((self.z, tuple(self.w.tolist())))
 
 
-def _check_row(z: complex, w: list) -> tuple:
+def _check_row(z: complex, w: list) -> float:
     """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside.
 
-    Returns the row's height and the scale ``max(1, |z|, ||w||^2)`` of its slack.
+    Returns the row's scale ``max(1, |z|, ||w||^2)`` if its height clears
+    twice the slack, else inf (see ``check_siegel_arrays``).
     """
     nsq = norm_sq(w)
     if not (cmath.isfinite(z) and (nsq < math.inf or all(map(cmath.isfinite, w)))):
@@ -205,7 +206,7 @@ def _check_row(z: complex, w: list) -> tuple:
     scale = max(1.0, abs(z), nsq)
     if not height > BOUNDARY_SLACK * scale:
         raise DomainError(f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}")
-    return height, scale
+    return scale if height > 2.0 * BOUNDARY_SLACK * scale else math.inf
 
 
 def _one_row(q: SiegelPoint) -> "SiegelBatch":
@@ -218,7 +219,7 @@ def siegel_height(q: SiegelPoint) -> float:
     return float(_one_row(q).height()[0])
 
 
-def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = False):
+def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = False) -> float:
     """Apply the checks of ``SiegelPoint`` to every row of ``(z, w)``.
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
@@ -228,17 +229,17 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
     bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot`` is
     Python's ``abs``), and the row test gives the error of a rejected row.
 
-    The renormalized step alone passes ``_clearance``: the check then also
-    returns whether every row clears twice the slack, ``Re z - ||w||^2 >
-    2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``, and the largest ``max(1, |z|,
-    ||w||^2)`` of the rows, both on the bits of the test.
+    Returns inf, unless ``_clearance`` is passed (the renormalized step
+    alone does) and every row clears twice the slack, ``Re z - ||w||^2 >
+    2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``: then the largest ``max(1, |z|,
+    ||w||^2)`` of the rows, on the bits of the test.
     """
     if z.shape[0] <= FEW_ROWS:
-        rows = [_check_row(zi, wi) for zi, wi in zip(z.tolist(), w.tolist())]
         if _clearance:
-            edge = 2.0 * BOUNDARY_SLACK
-            return all(h > edge * s for h, s in rows), max((s for _, s in rows), default=1.0)
-        return None
+            return max(map(_check_row, z.tolist(), w.tolist()), default=1.0)
+        for zi, wi in zip(z.tolist(), w.tolist()):
+            _check_row(zi, wi)
+        return math.inf
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.hypot(z.real, z.imag), nsq)
@@ -248,9 +249,9 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
     if not inside.all():
         for i in np.flatnonzero(~inside):
             _check_row(complex(z[i]), w[i].tolist())
-    if _clearance:
-        return bool((height > 2.0 * BOUNDARY_SLACK * scale).all()), float(scale.max())
-    return None
+    if _clearance and (height > 2.0 * BOUNDARY_SLACK * scale).all():
+        return float(scale.max())
+    return math.inf
 
 
 def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:

@@ -30,7 +30,6 @@ from .geometry import (
     BoundaryDirection,
     DomainError,
     INFINITY,
-    SiegelBatch,
     SiegelPoint,
     _checked_point,
     apply_automorphism_arrays,
@@ -38,8 +37,8 @@ from .geometry import (
     cayley_to_siegel,
     check_siegel_arrays,
     e1_direction,
-    horoball_value,
     norm_sq,
+    siegel_height,
 )
 
 # Hard ceiling for raw iteration; past this the renormalized pipeline is the
@@ -162,57 +161,49 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     maps the rows and checks the images: a map with ``batch`` runs on the
     whole arrays, a black box point by point.
     """
+    _check_inputs(m, z, w)
+    return _images(m, z, w)[:2]
+
+
+def _check_inputs(m: HoloMap, z: np.ndarray, w: np.ndarray) -> None:
+    """The checks ``evaluate_batch`` makes before it maps any row."""
     if m.domain != "siegel":
         raise DomainError("evaluate_batch expects a Siegel-side map")
     check_siegel_arrays(z, w)
-    return _images(m, z, w)
 
 
-def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
+def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) -> tuple:
     """``evaluate_batch`` on rows that already passed the checks of ``SiegelPoint``.
 
     Only the images are checked, once each.  An orbit steps through this:
     each step's input row is the checked start or the previous checked
-    image, bit for bit.  A renormalized step, whose inputs are checked
-    images rescaled, goes through ``_cleared_images`` instead.  A black box
-    is still evaluated point by point: it gets each row as a ``SiegelPoint``
-    over a read-only row of one copy of ``w``, not checked again, and
-    returns points, which were checked when they were made.
+    image, bit for bit.  A black box is still evaluated point by point: it
+    gets each row as a ``SiegelPoint`` over a read-only row of one copy of
+    ``w``, not checked again, and returns points, which were checked when
+    they were made.
+
+    Returns ``(z, w, top)``, where ``top`` is what ``check_siegel_arrays``
+    returns of the images with ``_clearance``: inf for a black box, whose
+    images were checked as points.
     """
     if m.batch is None:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)
         images = [m.evaluator(_checked_point(zi, wi)) for zi, wi in zip(z.tolist(), w)]
         z_out = np.array([q.z for q in images], dtype=np.complex128)
-        return z_out, np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
+        w_out = np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
+        return z_out, w_out, math.inf
     z, w = m.batch(z, w)
+    if _clearance:
+        return z, w, check_siegel_arrays(z, w, _clearance=True)
     check_siegel_arrays(z, w)
-    return z, w
-
-
-def _cleared_images(m: HoloMap, z: np.ndarray, w: np.ndarray, inputs_checked: bool) -> tuple:
-    """``evaluate_batch`` of a renormalized step: the images, and the clearance of their check.
-
-    Returns ``(z, w, clear, top)``, where ``clear`` and ``top`` are what
-    ``check_siegel_arrays`` reports of the images with ``_clearance``.  A black
-    box's images are checked as points, not by ``check_siegel_arrays``, so it
-    reports ``(False, inf)``.  With ``inputs_checked`` the input rows are not
-    checked again: the caller has shown that they pass.
-    """
-    if m.domain != "siegel":
-        raise DomainError("evaluate_batch expects a Siegel-side map")
-    if not inputs_checked:
-        check_siegel_arrays(z, w)
-    if m.batch is None:
-        return (*_images(m, z, w), False, math.inf)
-    z, w = m.batch(z, w)
-    return (z, w, *check_siegel_arrays(z, w, _clearance=True))
+    return z, w, math.inf
 
 
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
     """``m(q)`` as a one-row ``_images`` (``q`` was checked when made), without overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z, w = _images(m, np.array([q.z]), q.w[None, :])
+        z, w, _ = _images(m, np.array([q.z]), q.w[None, :])
     w.setflags(write=False)
     return _checked_point(complex(z[0]), w[0])
 
@@ -466,39 +457,37 @@ def validate_self_map(m: HoloMap, samples: int = 400, seed: int = 0) -> Validati
     Points are drawn deterministically from the stratified sampler; each
     image must lie in the domain, and when a multiplier is claimed the
     Julia margin must be nonnegative (up to rounding slack).  Returns the
-    worst observed margin, normalized by the input height.  On the Siegel
-    side the heights of the samples that evaluated, and of their images,
-    are two ``SiegelBatch.height`` calls, whose rows are ``siegel_height``.
+    worst observed margin, normalized by the input height.
     """
-    sample = sample_siegel_point if m.domain == "siegel" else sample_ball_point
-    evaluated, rejected = [], {}
+    violations = []
+    worst = None
     for i in range(samples):
-        q = sample(m.dim, seed, i)
+        if m.domain == "siegel":
+            q = sample_siegel_point(m.dim, seed, i)
+        else:
+            q = sample_ball_point(m.dim, seed, i)
         try:
-            evaluated.append((i, q, m.evaluator(q)))
+            image = m.evaluator(q)
         except DomainError as exc:
-            rejected[i] = (i, q, None, f"image rejected: {exc}")
-    if m.domain == "siegel" and evaluated:
-        _, qs, images = zip(*evaluated)
-        h_in = SiegelBatch.from_points(qs).height().tolist()
-        h_out = SiegelBatch.from_points(images).height().tolist()
-        margins = [(ho - m.multiplier * hi) / hi for hi, ho in zip(h_in, h_out)]
-    else:
-        margins = []
-        for _, q, image in evaluated:
+            violations.append((i, q, None, f"image rejected: {exc}"))
+            continue
+        if m.domain == "siegel":
+            h_in = siegel_height(q)
+            h_out = siegel_height(image)
+            margin = (h_out - m.multiplier * h_in) / h_in
+        else:
+            from .geometry import horoball_value
+
             v_in = horoball_value(q, m.dw)
             v_out = horoball_value(image, m.dw)
             # Julia: value(phi(p)) <= c * value(p)
-            margins.append((m.multiplier * v_in - v_out) / v_in)
-    worst = None
-    for (i, q, image), margin in zip(evaluated, margins):
+            margin = (m.multiplier * v_in - v_out) / v_in
         worst = margin if worst is None else min(worst, margin)
         if margin < -MULTIPLIER_CONSISTENCY * 1e3:  # 1e-9 relative slack
-            rejected[i] = (i, q, image, f"julia margin {margin!r}")
-    violations = tuple(rejected[i] for i in sorted(rejected))
+            violations.append((i, q, image, f"julia margin {margin!r}"))
     return ValidationReport(
         samples=samples,
-        violations=violations,
+        violations=tuple(violations),
         worst_julia_margin=worst,
         passed=not violations,
     )

@@ -67,7 +67,8 @@ from .geometry import (
 from .maps import (
     HoloMap,
     ScaleOverflowError,
-    _cleared_images,
+    _check_inputs,
+    _images,
     conjugate_map,
     evaluate_batch,
     make_siegel_map_from_ball,
@@ -160,10 +161,10 @@ class RenormalizedState:
     ``log_x`` is the base scale in log-space; ``scales`` is the pair
     (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
 
-    ``advance`` also notes, on the state it makes, whether its rows
-    de-normalized by ``x`` provably pass the input check (``_checked``) and
-    an upper bound of ``magnitude()`` (``_bound``); a state made otherwise,
-    ``replace`` included, has neither and takes the full tests.
+    ``advance`` also notes on the state it makes what the check of its rows,
+    as images, returned with clearance (``_top``, see ``_passes_again``);
+    on a state made otherwise, ``replace`` included, it is inf, and the
+    next step takes the full tests.
     """
 
     n: int
@@ -171,8 +172,7 @@ class RenormalizedState:
     z: np.ndarray
     w: np.ndarray
     scales: tuple = ()
-    _checked = False
-    _bound = math.inf
+    _top: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z.setflags(write=False)
@@ -197,29 +197,31 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
 
 def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional[float] = None,
           checked: bool = False):
-    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}, clear, top).
+    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}, top).
 
     x_{n+1} is ``x_next`` if given, else Re z of row 0's checked image (> 0).
-    The de-normalized rows are checked unless ``checked`` says they pass;
-    ``clear`` and ``top`` are what the image check reports (``maps.
-    _cleared_images``), or ``(False, inf)`` beyond ``_CLEAR_MAX_DIM``.
+    The de-normalized rows are checked unless ``checked`` says that they
+    pass; ``top`` is what the check of the images returns with
+    ``_clearance``, which is asked for up to ``_CLEAR_MAX_DIM`` coordinates.
     """
-    z, w, clear, top = _cleared_images(m, x_n * z, math.sqrt(x_n) * w, checked)
-    if w.shape[1] >= _CLEAR_MAX_DIM:
-        clear, top = False, math.inf
+    z, w = x_n * z, math.sqrt(x_n) * w
+    if not checked or m.domain != "siegel":  # rows that pass say nothing of the map
+        _check_inputs(m, z, w)
+    z, w, top = _images(m, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
     x_next = float(z[0].real) if x_next is None else x_next
-    return (*_pack(z, w, x_next), x_next, clear, top)
+    return (*_pack(z, w, x_next), x_next, top)
 
 
-def _passes_again(clear: bool, top: float, x_next: float, x_after: float) -> bool:
+def _passes_again(top: float, x_next: float, x_after: float) -> bool:
     """Whether image rows of a step, packed by ``x_next`` and de-normalized by
     ``x_after`` at the next step, provably pass that step's input check.
 
-    ``clear`` and ``top`` are what the images' check reported: each row (z, w)
-    had Q = norm_sq(w) and H = Re z - Q > 2 s M, with s = BOUNDARY_SLACK and
-    M = max(1, |z|, Q) <= top.  Let r = x_after / x_next, u = 2^-53, and
-    N <= _CLEAR_MAX_DIM (``_step`` reports no clearance beyond).  As top and
-    top / x_next are at most _CLEAR_MAX_SIZE and r <= 5/4, nothing overflows.
+    ``top`` is what the images' check returned with clearance; if finite,
+    each row (z, w) had Q = norm_sq(w) and H = Re z - Q > 2 s M, with
+    s = BOUNDARY_SLACK and M = max(1, |z|, Q) <= top.  Let r = x_after /
+    x_next, u = 2^-53, and N <= _CLEAR_MAX_DIM (``_step`` asks for no
+    clearance beyond).  As top and top / x_next are at most _CLEAR_MAX_SIZE
+    and r <= 5/4, nothing overflows.
     Packing (a complex quotient by a real: a reciprocal, perhaps subnormal,
     then a product) and de-normalizing (one product) put each part of z
     within 6 u of r times its value, and each part of w within 6 u of
@@ -233,7 +235,7 @@ def _passes_again(clear: bool, top: float, x_next: float, x_after: float) -> boo
     elsewhere it needs a height above s r M (1 + K u), which holds as
     2 K u < s.  K <= 2020 meets both with room to spare.
     """
-    if not clear or top > _CLEAR_MAX_SIZE or not top / x_next <= _CLEAR_MAX_SIZE:
+    if not (top <= _CLEAR_MAX_SIZE and top / x_next <= _CLEAR_MAX_SIZE):
         return False
     low, high = _CLEAR_RATIO
     return low <= x_after / x_next <= high
@@ -256,31 +258,43 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     Every row (base, grid and grid images) is de-normalized by x_n and
     mapped in one array evaluation; the base image gives x_{n+1}, which
     normalizes them all.  The input rows are checked, all before any image
-    row, unless the state notes that they provably pass (``_passes_again``);
-    so a step that rejects several rows may name another row than stepping
-    the base first would.  De-normalizing needs
+    row, unless the state's ``_top`` proves that they pass
+    (``_passes_again``); so a step that rejects several rows may name
+    another row than stepping the base first would.  De-normalizing needs
     x_n as a float, so a scale ceiling still exists; it is checked up-front
-    and raised loudly instead of silently producing infinities.  The test
-    takes the state's magnitude bound first, and the exact magnitude only
-    where the bound reaches the ceiling: log is monotone, so the step that
-    raises is the same.
+    (``_over_ceiling``) and raised loudly instead of silently producing
+    infinities.
     """
-    if (state.log_x + math.log(max(1.0, state._bound)) > LOG_SCALE_CEILING
-            and state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING):
+    if _over_ceiling(state):
         raise ScaleOverflowError(
             "de-normalized evaluation would exceed the double-precision range"
         )
     x_n = state.x
-    z, w, x_next, clear, top = _step(m, state.z, state.w, x_n, checked=state._checked)
+    # _top is finite only on a state that advance made, whose scales are set
+    checked = state._top < math.inf and _passes_again(state._top, state.scales[1], x_n)
+    z, w, x_next, top = _step(m, state.z, state.w, x_n, checked=checked)
     nxt = RenormalizedState(
         n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next)
     )
-    # each stored |z| is within 12 u of at most top / x_next, each |w_j| within
-    # (N / 2 + 8) u of at most sqrt(top / x_next)
-    t = top / x_next
-    nxt.__dict__.update(_checked=_passes_again(clear, top, x_next, nxt.x),
-                        _bound=max(t, math.sqrt(t)) * (1.0 + _MAGNITUDE_SLACK))
+    object.__setattr__(nxt, "_top", top)
     return nxt
+
+
+def _over_ceiling(state: RenormalizedState) -> bool:
+    """Whether log_x + log(max(1, magnitude())) exceeds LOG_SCALE_CEILING.
+
+    A finite ``_top`` bounds the rows before they were packed by x_n =
+    ``scales[1]``: each stored |z| is within 12 u of at most t = top / x_n,
+    each |w_j| within (N / 2 + 8) u of at most sqrt(t).  That bound is
+    tested first, and the exact magnitude only where the bound fails: log is
+    monotone, so the verdict is the same.
+    """
+    if state._top < math.inf:
+        t = state._top / state.scales[1]
+        bound = max(t, math.sqrt(t)) * (1.0 + _MAGNITUDE_SLACK)
+        if state.log_x + math.log(max(1.0, bound)) <= LOG_SCALE_CEILING:
+            return False
+    return state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
 
 
 def intertwining_identity_check(state: RenormalizedState, m: HoloMap) -> float:
@@ -342,10 +356,10 @@ class ValironResult:
         sigma, v = _pack(batch.z, batch.w, self.base.z.real)
         # the points take the full input check; later steps skip it where
         # the previous images provably pass it again
-        clear, top, x_prev = False, math.inf, 1.0
+        top, x_prev = math.inf, 1.0
         for x_n, x_next in self.scale_pairs:
-            checked = _passes_again(clear, top, x_prev, x_n)
-            sigma, v, _, clear, top = _step(self.map, sigma, v, x_n, x_next, checked)
+            checked = _passes_again(top, x_prev, x_n)
+            sigma, v, _, top = _step(self.map, sigma, v, x_n, x_next, checked)
             x_prev = x_next
         return sigma
 

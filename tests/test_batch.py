@@ -573,13 +573,14 @@ class TestClearance:
         from valiron.renorm import _CLEAR_RATIO, _pack
 
         z, w = _near_the_band(n_dim, 400, seed=n_dim)
-        verdicts = [check_siegel_arrays(z[i:i + 1], w[i:i + 1], _clearance=True) for i in range(len(z))]
-        clear = np.array([c for c, _ in verdicts])
-        top = np.array([t for _, t in verdicts])
+        top = np.array([check_siegel_arrays(z[i:i + 1], w[i:i + 1], _clearance=True)
+                        for i in range(len(z))])
+        clear = top < math.inf
         assert 50 < clear.sum() < len(z) - 50
-        # the whole-array path reports what the rows report alone
-        assert check_siegel_arrays(z[clear], w[clear], _clearance=True) == (True, top[clear].max())
-        assert check_siegel_arrays(z[~clear], w[~clear], _clearance=True)[0] is False
+        # the whole-array path reports what the rows report alone, and only when asked
+        assert check_siegel_arrays(z[clear], w[clear], _clearance=True) == top[clear].max()
+        assert check_siegel_arrays(z[clear], w[clear]) == math.inf
+        assert check_siegel_arrays(z, w, _clearance=True) == math.inf
         z, w = z[clear], w[clear]
         pairs = _rescaling_pairs()
         ratios = [after / nxt for nxt, after in pairs]

@@ -183,56 +183,3 @@ class TestSamplingAndValidation:
             report = validate_self_map(m, samples=300, seed=0)
             assert report.passed, f"{name}: {report.violations[:2]}"
             assert report.worst_julia_margin > -1e-9
-
-    @staticmethod
-    def _per_sample_report(m, samples, seed):
-        """validate_self_map one sample at a time, with scalar heights."""
-        from valiron.geometry import horoball_value
-        from valiron.maps import ValidationReport
-
-        violations, worst = [], None
-        for i in range(samples):
-            sample = sample_siegel_point if m.domain == "siegel" else sample_ball_point
-            q = sample(m.dim, seed, i)
-            try:
-                image = m.evaluator(q)
-            except DomainError as exc:
-                violations.append((i, q, None, f"image rejected: {exc}"))
-                continue
-            if m.domain == "siegel":
-                h_in, h_out = siegel_height(q), siegel_height(image)
-                margin = (h_out - m.multiplier * h_in) / h_in
-            else:
-                v_in, v_out = horoball_value(q, m.dw), horoball_value(image, m.dw)
-                margin = (m.multiplier * v_in - v_out) / v_in
-            worst = margin if worst is None else min(worst, margin)
-            if margin < -1e-9:
-                violations.append((i, q, image, f"julia margin {margin!r}"))
-        return ValidationReport(samples, tuple(violations), worst, not violations)
-
-    def test_batch_heights_give_the_per_sample_report(self):
-        """Two batch heights give the report of one scalar height pair per sample."""
-        linear = make_siegel_linear(2.0, 3)
-
-        def picky(q):  # rejects the low samples above the real axis
-            if q.x < 1.0 and q.y > 0.0:
-                raise DomainError("picky")
-            return linear(q)
-
-        def refuse(q):
-            raise DomainError("never")
-
-        maps = [
-            *catalog().values(),
-            make_ball_map_from_siegel(make_halfplane_affine(2.0, 1.0, 2)),
-            HoloMap(domain="siegel", dim=3, dw=INFINITY, multiplier=2.0, evaluator=picky),
-            HoloMap(domain="siegel", dim=2, dw=INFINITY, multiplier=2.0, evaluator=refuse),
-            # claims a larger multiplier than it has: Julia fails on every sample
-            HoloMap(domain="siegel", dim=2, dw=INFINITY, multiplier=2.5,
-                    batch=lambda z, w: (2.0 * z, math.sqrt(2.0) * w)),
-        ]
-        for m in maps:
-            got = validate_self_map(m, samples=120, seed=3)
-            assert got == self._per_sample_report(m, 120, 3), m.name
-        assert not validate_self_map(maps[-1], samples=10).passed
-        assert any(v[2] is None for v in validate_self_map(maps[-2], samples=40).violations)

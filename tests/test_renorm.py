@@ -30,9 +30,10 @@ from valiron.maps import (
     make_siegel_linear,
     make_valiron_example,
 )
-from valiron import maps
+from valiron import maps, renorm
 from valiron.dynamics import compute_orbit
 from valiron.renorm import (
+    LOG_SCALE_CEILING,
     DegenerateGridError,
     EvaluationGrid,
     NonHyperbolicError,
@@ -344,20 +345,25 @@ class TestRunValiron:
         assert result.warnings[-1] == f"scale ceiling reached at step {n_stop}; stopping before n_max"
 
     def test_the_magnitude_bound_does_not_move_the_ceiling(self):
-        """States whose magnitude bound is inf take the exact test at every step,
-        and stop at the same state as states that screen with the bound."""
+        """The bound from a step's image check is at least the state's magnitude,
+        the screened ceiling test gives the exact test's verdict, and states
+        whose ``_top`` is inf stop at the same state as states that screen."""
         m = make_halfplane_affine(2.0, 1.0, 2)
 
         def last_state(screen):
             state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
             while True:
+                exact = state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
                 if screen and state.n:
-                    assert state.magnitude() <= state._bound < math.inf
+                    t = state._top / state.scales[1]
+                    assert state.magnitude() <= max(t, math.sqrt(t)) * (1.0 + 1e-9) < math.inf
                 else:
-                    state.__dict__["_bound"] = math.inf
+                    object.__setattr__(state, "_top", math.inf)
+                assert renorm._over_ceiling(state) == exact
                 try:
                     state = advance(state, m)
                 except ScaleOverflowError:
+                    assert exact
                     return state
 
         screened, exact = last_state(True), last_state(False)
@@ -442,7 +448,7 @@ class TestInputChecks:
         state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
         for _ in range(6):
             state = advance(state, m)
-        assert state._checked
+        assert state._top < math.inf  # the next step skips its input check
         w_bad = base.batch(state.z, math.sqrt(state.x) * state.w)[1][-2]
         with pytest.raises(DomainError) as want:
             SiegelPoint(value, w_bad)
