@@ -15,13 +15,14 @@ band is a defect, not a representable state, and raises.
 The tail is packed once into a ``SiegelBatch`` and every route runs on its
 arrays, with the errors of the point-by-point computation.
 Orbits are batches too: ``compute_orbit`` steps the map on one-row arrays
-and checks each image row once.
+and checks each image row once; the orbit of a conjugated map is T of the
+inner map's orbit, in one array call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,10 +33,12 @@ from .geometry import (
     SiegelBatch,
     SiegelPoint,
     _halfplane_distances,
+    apply_automorphism_arrays,
+    check_siegel_arrays,
     max_kobayashi,
     siegel_height,
 )
-from .maps import SCALE_LIMIT, HoloMap, _images, _rng_for, evaluate_batch
+from .maps import SCALE_LIMIT, HoloMap, _images
 
 SPECIAL_RESIDUAL_TOL = 1e-6
 AMBIGUITY_BAND = 1e-9
@@ -73,12 +76,15 @@ class Orbit:
 
     ``x``, ``y`` and ``w_norm_sq`` are read from the batch when the orbit is
     made.  ``cutoff`` records a scale overflow that truncated the orbit; the
-    points kept are still exact images of each other.
+    points kept are still exact images of each other.  ``inner`` is, for a
+    conjugated map ``T o phi o T^-1``, the orbit of ``phi`` from T^-1 of the
+    start, which ``compute_orbit`` continues or cuts.
     """
 
     map: HoloMap
     points: SiegelBatch
     cutoff: Optional[str] = None
+    inner: Optional["Orbit"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         z = self.points.z
@@ -86,16 +92,6 @@ class Orbit:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def spot_check(self, seed: int = 0, count: int = 3) -> float:
-        """Re-evaluate the map on random indices; returns worst relative error."""
-        if len(self) < 2:
-            return 0.0
-        idx = _rng_for(seed, 0).integers(0, len(self) - 1, size=count)
-        z, w = self.points.z, self.points.w
-        got = np.column_stack(evaluate_batch(self.map, z[idx], w[idx]))
-        want = np.column_stack((z[idx + 1], w[idx + 1]))
-        return float((np.abs(got - want).max(axis=1) / np.maximum(1.0, np.abs(want[:, 0]))).max())
 
 
 def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) -> Orbit:
@@ -109,9 +105,17 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
     overflow, or an image past the double range, does not raise: the orbit
     is returned truncated with the cutoff recorded, since the prefix is
     still valid data.
+
+    The orbit of a conjugated map ``T o phi o T^-1`` is the start, then T of
+    the orbit of ``phi`` from T^-1(start), which it carries as ``inner`` and
+    continues or cuts with it.  T maps the new rows in one call, checked as
+    one batch.  A row with Re z > SCALE_LIMIT ends the orbit after it; a
+    non-finite row, or the inner orbit's end, before it.
     """
     if m.domain != "siegel":
         raise DomainError("orbits are computed on the Siegel side")
+    if m.conjugation is not None:
+        return _conjugated_orbit(m, start, n_steps)
     if isinstance(start, Orbit):
         points = start.points[:max(n_steps, 0) + 1]
     else:
@@ -135,6 +139,40 @@ def compute_orbit(m: HoloMap, start: Union[SiegelPoint, "Orbit"], n_steps: int) 
     # every row is the checked start or an image that _images checked
     points = SiegelBatch._checked(np.concatenate(zs), np.concatenate(ws))
     return Orbit(map=m, points=points, cutoff=cutoff)
+
+
+def _conjugated_orbit(m: HoloMap, start: Union[SiegelPoint, Orbit], n_steps: int) -> Orbit:
+    """``compute_orbit`` of a conjugated map, as T of its inner orbit."""
+    phi, t = m.conjugation
+    if isinstance(start, Orbit) and start.inner is not None:
+        kept, inner = start.points[:max(n_steps, 0) + 1], start.inner
+    else:
+        kept = start.points[:1] if isinstance(start, Orbit) else SiegelBatch.from_points([start])
+        if n_steps <= 0:
+            return Orbit(map=m, points=kept)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = apply_automorphism_arrays(t.inverse(), kept.z, kept.w)
+            try:
+                check_siegel_arrays(*pre)
+            except (OverflowError, NonFiniteError):
+                return Orbit(map=m, points=kept, cutoff="scale overflow at step 0")
+        inner = Orbit(map=phi, points=SiegelBatch._checked(*pre))
+    inner = compute_orbit(phi, inner, n_steps)
+    new = len(kept)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, w = apply_automorphism_arrays(t, inner.points.z[new:], inner.points.w[new:])
+    finite = np.isfinite(z) & np.isfinite(w).all(axis=1)
+    end = new - 1 + (len(z) if finite.all() else int(finite.argmin()))
+    z, w = np.concatenate((kept.z, z))[:end + 1], np.concatenate((kept.w, w))[:end + 1]
+    # a row that has a successor in the orbit is stepped only below the limit
+    over = z.real[:end] > SCALE_LIMIT
+    if over.any():
+        end = int(over.argmax())
+    if end >= new:
+        check_siegel_arrays(z[new:end + 1], w[new:end + 1])
+    cutoff = f"scale overflow at step {end}" if end < n_steps else None
+    return Orbit(map=m, points=SiegelBatch._checked(z[:end + 1], w[:end + 1]), cutoff=cutoff,
+                 inner=inner)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,10 @@ class HoloMap:
     the image; the input point was checked when it was made.
     ``dataclasses.replace`` keeps that evaluator, so ``replace(m,
     batch=None)`` is ``m`` evaluated point by point.
+
+    ``conjugation`` is ``(inner, t)`` on the map ``t o inner o t^-1`` that
+    ``conjugate_map`` made; ``compute_orbit`` steps its orbits on ``inner``,
+    so ``replace`` with another ``batch`` needs ``conjugation=None`` too.
     """
 
     domain: str
@@ -129,6 +133,7 @@ class HoloMap:
     batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = field(
         default=None, repr=False, compare=False
     )
+    conjugation: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in ("ball", "siegel"):
@@ -167,9 +172,13 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
 
 def _check_inputs(m: HoloMap, z: np.ndarray, w: np.ndarray) -> None:
     """The checks ``evaluate_batch`` makes before it maps any row."""
+    _check_siegel_side(m)
+    check_siegel_arrays(z, w)
+
+
+def _check_siegel_side(m: HoloMap) -> None:
     if m.domain != "siegel":
         raise DomainError("evaluate_batch expects a Siegel-side map")
-    check_siegel_arrays(z, w)
 
 
 def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) -> tuple:
@@ -186,6 +195,7 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
     returns of the images with ``_clearance``: inf for a black box, whose
     images were checked as points.
     """
+    _check_siegel_side(m)
     if m.batch is None:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)
@@ -206,11 +216,6 @@ def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
         z, w, _ = _images(m, np.array([q.z]), q.w[None, :])
     w.setflags(write=False)
     return _checked_point(complex(z[0]), w[0])
-
-
-def multipliers_consistent(lam: float, c: float) -> bool:
-    """Ball and Siegel multipliers describe the same map iff lam * c = 1."""
-    return abs(lam * c - 1.0) <= MULTIPLIER_CONSISTENCY * max(1.0, lam)
 
 
 def make_siegel_linear(lam: float, n_dim: int) -> HoloMap:
@@ -353,12 +358,16 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 def conjugate_map(m: HoloMap, t) -> HoloMap:
     """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
-    Its ``batch`` applies the triples ``(x, y, a)`` of T^-1 and T, each as
-    one translation and one scale (``apply_automorphism_arrays``).  Between
+    It keeps ``(m, t)`` as its ``conjugation``, and its orbits telescope,
+    ``(T phi T^-1)^n = T phi^n T^-1``: ``compute_orbit`` gives T of the
+    orbit of ``m``, in one array call, and carries that inner orbit.
+
+    Its ``batch``, which ``evaluate_batch`` and the renormalized step call,
+    applies the triples ``(x, y, a)`` of T^-1 and T, each as one
+    translation and one scale (``apply_automorphism_arrays``).  Between
     them, ``evaluate_batch`` checks the rows of T^-1(q) and of their images
     under ``m``, which it steps point by point if ``m`` is a black box.  The
-    rows of T(m(T^-1(q))) are checked by the caller's ``evaluate_batch`` or
-    orbit step.
+    rows of T(m(T^-1(q))) are checked by the caller.
     """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")
@@ -377,6 +386,7 @@ def conjugate_map(m: HoloMap, t) -> HoloMap:
         name=m.name + "_conj",
         params=dict(m.params),
         batch=batch,
+        conjugation=(m, t),
     )
 
 

@@ -63,6 +63,7 @@ from .geometry import (
     apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
+    check_siegel_arrays,
 )
 from .maps import (
     HoloMap,
@@ -70,7 +71,6 @@ from .maps import (
     _check_inputs,
     _images,
     conjugate_map,
-    evaluate_batch,
     make_siegel_map_from_ball,
 )
 
@@ -205,7 +205,7 @@ def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional
     ``_clearance``, which is asked for up to ``_CLEAR_MAX_DIM`` coordinates.
     """
     z, w = x_n * z, math.sqrt(x_n) * w
-    if not checked or m.domain != "siegel":  # rows that pass say nothing of the map
+    if not checked:
         _check_inputs(m, z, w)
     z, w, top = _images(m, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
     x_next = float(z[0].real) if x_next is None else x_next
@@ -245,7 +245,8 @@ def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> Renorm
     points = grid.points
     if base.dim != points.dim:
         raise DomainError("points of different dimensions")
-    img_z, img_w = evaluate_batch(m, points.z, points.w)
+    # the grid was checked when it was built: only its images are checked
+    img_z, img_w, _ = _images(m, points.z, points.w)
     x0 = base.z.real
     z = np.concatenate(([base.z], points.z, img_z))
     z, w = _pack(z, np.concatenate((base.w[None, :], points.w, img_w)), x0)
@@ -338,13 +339,14 @@ class ValironResult:
     trace: tuple = ()
     _sigma_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    def sigma_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
+    def sigma_at(self, points: Sequence[SiegelPoint], _top: float = math.inf) -> np.ndarray:
         """Evaluate the converged sigma at arbitrary points.
 
         Replays the renormalized step over the stored scale pairs, so the
         points ride along the same base orbit and off-grid probes use
         exactly the pipeline that produced the grid samples, with the same
-        input checks as ``advance``.
+        input checks as ``advance``.  ``_top`` is what a check of the points
+        returned with clearance, if the caller made one (``residual_at``).
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -353,10 +355,10 @@ class ValironResult:
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
-        sigma, v = _pack(batch.z, batch.w, self.base.z.real)
-        # the points take the full input check; later steps skip it where
-        # the previous images provably pass it again
-        top, x_prev = math.inf, 1.0
+        top, x_prev = _top, self.base.z.real
+        sigma, v = _pack(batch.z, batch.w, x_prev)
+        # the points take the full input check, unless their clearance proves
+        # that they pass it; so do the images at later steps
         for x_n, x_next in self.scale_pairs:
             checked = _passes_again(top, x_prev, x_n)
             sigma, v, _, top = _step(self.map, sigma, v, x_n, x_next, checked)
@@ -367,17 +369,22 @@ class ValironResult:
         """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
 
         One map evaluation gives the images; one replay of sigma runs over
-        the points and the images stacked.
+        the points and the images stacked.  The points and the images are
+        checked once each, with clearance, so that the replay's first step
+        need not check them again.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
         if not len(points):
             return np.zeros(0)
         points = SiegelBatch.from_points(points)
-        img_z, img_w = evaluate_batch(self.map, points.z, points.w)
+        clear = points.w.shape[1] < _CLEAR_MAX_DIM
+        top = check_siegel_arrays(points.z, points.w, _clearance=clear)
+        img_z, img_w, top_img = _images(self.map, points.z, points.w, _clearance=clear)
         n = len(points)
         s = self.sigma_at(SiegelBatch._checked(
-            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))))
+            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))),
+            _top=max(top, top_img))
         return np.abs(s[n:] - self.multiplier * s[:n]) / (1.0 + np.abs(s[:n]))
 
 

@@ -1,5 +1,6 @@
 """Orbits, three-route sequence classification, and the orbit estimators."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from valiron.dynamics import (
     summarize_orbit,
     tail_start,
 )
-from valiron import geometry, maps
+from valiron import dynamics, geometry, maps
 from valiron.geometry import INFINITY, DomainError, SiegelAutomorphism, SiegelPoint, halfplane_distance
 from valiron.limits import (
     c_special_family,
@@ -41,6 +42,15 @@ from valiron.maps import (
 )
 
 from conftest import sample_siegel
+import oracle as O
+
+# the automorphism chains that CI conjugates its report-all map by
+CHAIN_FACTORS = {
+    "scale(4); translate(1)": (SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])),
+    "scale(3, 1); translate(0.5-0.25j)": (SiegelAutomorphism.scale(3.0, 1.0),
+                                          SiegelAutomorphism.translate([0.5 - 0.25j])),
+}
+CHAINS = {name: SiegelAutomorphism.composite(f) for name, f in CHAIN_FACTORS.items()}
 
 
 def test_tail_start():
@@ -60,7 +70,9 @@ class TestOrbit:
         assert orbit.y[3] == pytest.approx(8.0)
         assert orbit.w_norm_sq[2] == pytest.approx(0.25 * 4)
         assert orbit.cutoff is None
-        assert orbit.spot_check() < 1e-12
+        # each row is the map's image of the one before, as one batch evaluates it
+        z, w = maps.evaluate_batch(m, orbit.points.z[:-1], orbit.points.w[:-1])
+        assert np.array_equal(z, orbit.points.z[1:]) and np.array_equal(w, orbit.points.w[1:])
 
     def test_truncates_on_overflow_instead_of_raising(self):
         m = make_siegel_linear(2.0, 1)
@@ -86,16 +98,51 @@ class TestOrbit:
         assert np.all(np.isfinite(orbit.x)) and np.all(np.isfinite(orbit.y))
 
     def test_a_continued_orbit_is_the_orbit_of_its_start(self):
-        m = make_halfplane_affine(2.0, 1.0, 2)
+        affine = make_halfplane_affine(2.0, 1.0, 2)
         start = SiegelPoint(1.0 + 0.5j, np.array([0.3 - 0.2j]))
-        # the orbit passes 1e300 at step ~996: the last two are truncated
-        for short, full in ((32, 64), (10, 1200), (1200, 1300)):
-            want = compute_orbit(m, start, full)
-            assert (want.cutoff is None) == (full < 996)
-            got = compute_orbit(m, compute_orbit(m, start, short), full)
-            assert got.points == want.points and got.cutoff == want.cutoff
-            for attr in ("x", "y", "w_norm_sq"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        # each orbit passes 1e300 near step 1000 and is truncated there; the
+        # inner orbit of a conjugate passes it first, and its end ends the orbit
+        for m, ceiling in ((affine, 997),
+                           (conjugate_map(affine, CHAINS["scale(4); translate(1)"]), 995),
+                           (conjugate_map(affine, CHAINS["scale(3, 1); translate(0.5-0.25j)"]), 996)):
+            # continued from a shorter orbit, or cut from a longer one
+            for short, full in ((32, 64), (10, 1200), (1200, 1300), (64, 32), (1300, 10)):
+                want = compute_orbit(m, start, full)
+                assert want.cutoff == (None if full < ceiling else f"scale overflow at step {ceiling}")
+                got = compute_orbit(m, compute_orbit(m, start, short), full)
+                assert got.points == want.points and got.cutoff == want.cutoff
+                assert got.points.z.tobytes() == want.points.z.tobytes()
+                assert got.points.w.tobytes() == want.points.w.tobytes()
+                for attr in ("x", "y", "w_norm_sq"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_a_conjugated_orbit_is_near_the_exact_orbit(self, chain):
+        """T of the inner orbit, against the orbit of the exact conjugate in mpmath.
+
+        The reference takes the chain's triple composed exactly and sqrt(lam)
+        exactly.  The rounded sqrt(lam) alone puts 2 n u' = 2.24e-14 into
+        ||w||^2 at n = 200 (u' = 5.6e-17 its relative rounding), on any path.
+        Measured, worst column ||w||^2: 2.41e-14 and 2.09e-14 for the two
+        chains; stepping T o phi o T^-1 one row at a time read 2.13e-14 and
+        1.01e-13.
+        """
+        lam, b, n = 2.002029967152467, 1.0, 200
+        t = CHAINS[chain]
+        orbit = compute_orbit(conjugate_map(make_halfplane_affine(lam, b, 2), t),
+                              SiegelPoint(1.0, np.zeros(1)), n)
+        assert orbit.cutoff is None and len(orbit) == n + 1
+        triple = functools.reduce(O.then, [O.triple(f) for f in CHAIN_FACTORS[chain]])
+        forward, back, phi = O.fused(triple), O.fused(O.inverse(triple)), O.affine(lam, b)
+        z, w = back(O.exact(1.0 + 0j), [O.exact(0j)])
+        worst = np.zeros(3)
+        for k in range(1, n + 1):
+            z, w = phi(z, w)
+            tz, tw = forward(z, w)
+            want = (tz.v.real, tz.v.imag, sum(abs(c.v) ** 2 for c in tw))
+            got = (orbit.x[k], orbit.y[k], orbit.w_norm_sq[k])
+            worst = np.maximum(worst, [float(abs(g - e) / abs(e)) for g, e in zip(got, want)])
+        assert worst.max() <= 2.5e-14, worst
 
     def test_each_row_is_checked_once(self, monkeypatch):
         """A step checks its image alone: its input is the checked start or the last image."""
@@ -109,11 +156,24 @@ class TestOrbit:
 
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
         monkeypatch.setattr(geometry, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(dynamics, "check_siegel_arrays", counting_check)
         orbit = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), 7)
         assert rows == [1] * 7
         rows.clear()
         assert len(compute_orbit(m, orbit, 10)) == 11
         assert rows == [1] * 3
+        # a conjugated orbit checks T^-1 of its start, then each inner image,
+        # then the rows of T, as one batch; continued, the new rows alone
+        conj = conjugate_map(m, CHAINS["scale(3, 1); translate(0.5-0.25j)"])
+        rows.clear()
+        orbit = compute_orbit(conj, SiegelPoint(1.0, np.zeros(1)), 7)
+        assert rows == [1] + [1] * 7 + [7]
+        rows.clear()
+        assert len(compute_orbit(conj, orbit, 10)) == 11
+        assert rows == [1] * 3 + [3]
+        rows.clear()
+        assert len(compute_orbit(conj, orbit, 4)) == 5
+        assert rows == []
         # a black box is handed each row as a point that is not checked again: a
         # step of the twin-less Cayley transport makes only the two points of its
         # own Cayley transforms, and the inner map checks only its one-row output

@@ -386,6 +386,7 @@ class TestInputChecks:
             return check(z, w, **kwargs)
 
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
         return calls
 
     @pytest.mark.parametrize("name", sorted(catalog()))
@@ -406,6 +407,55 @@ class TestInputChecks:
         pts = [sample_siegel(m.dim, s, 64) for s in range(8)]
         result.sigma_at(pts)
         assert calls == [8] * (result.n_stop + 1)
+
+    def test_grid_and_residual_rows_are_checked_once(self, monkeypatch):
+        """``initial_state`` checks only the grid's images: the grid was checked
+        when it was built.  ``residual_at`` checks its points and their images
+        once each, with clearance, so the replay's first step checks neither
+        again, unless a row lies within twice the slack of the boundary."""
+        m = make_valiron_example(2.0, PsiChoice("oscillating"))
+        result = run_valiron(m, n_max=12)
+        grid = default_grid(2)
+        pts = [sample_siegel(2, s, 61) for s in range(8)]
+        want = result.residual_at(pts)
+        calls = self._counted(monkeypatch)
+        initial_state(m, grid, SiegelPoint(1.0, np.zeros(1)))
+        assert calls == [len(grid)]
+        calls.clear()
+        assert np.array_equal(result.residual_at(pts), want)
+        assert calls == [8, 8] + [16] * result.n_stop
+        # a point between one and two slack edges from the boundary passes its
+        # check but does not clear it: the first replay step checks every row
+        calls.clear()
+        band = SiegelPoint(1.0 + 1.5 * BOUNDARY_SLACK, [1.0])
+        result.residual_at(pts + [band])
+        assert calls == [9, 9, 18] + [18] * result.n_stop
+
+    def test_a_bad_grid_or_residual_point_gives_the_error_of_its_check(self):
+        """Each row keeps the check, and the error, of ``SiegelPoint``: a grid row
+        outside H^N when the grid is built, an image outside H^N in
+        ``initial_state`` and in ``residual_at``."""
+
+        def error(make):
+            with pytest.raises(DomainError) as err:
+                make()
+            return type(err.value), str(err.value)
+
+        assert error(lambda: EvaluationGrid(SiegelBatch([2.0, 1.0], [[0.0], [1.0]]))) == \
+            error(lambda: SiegelPoint(1.0, [1.0]))
+        base = make_siegel_linear(2.0, 2)
+
+        def batch(z, w):
+            z, w = base.batch(z, w)
+            w[z == 6.0] = 10.0  # (3, 0) goes to (6, 10), outside H^2
+            return z, w
+
+        m = replace(base, batch=batch)
+        outside = error(lambda: SiegelPoint(6.0, [10.0]))
+        grid = EvaluationGrid([SiegelPoint(3.0, [0.0]), SiegelPoint(5.0, [0.0])])
+        assert error(lambda: initial_state(m, grid, SiegelPoint(1.0, [0.0]))) == outside
+        result = run_valiron(m, n_max=12)
+        assert error(lambda: result.residual_at([SiegelPoint(3.0, [0.0])])) == outside
 
     def test_an_image_in_the_band_makes_the_next_step_check_its_inputs(self, monkeypatch):
         """An image row between one and two slack edges from the boundary passes
