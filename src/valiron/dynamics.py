@@ -346,8 +346,6 @@ def julia_margin(m: HoloMap, q: SiegelPoint) -> float:
     """siegel_height(phi(q)) - lam * siegel_height(q); nonnegative by Julia."""
     if m.domain != "siegel":
         raise DomainError("julia_margin is a Siegel-side quantity")
-    if m.multiplier is None:
-        raise DomainError("map carries no multiplier metadata")
     return siegel_height(m.evaluator(q)) - m.multiplier * siegel_height(q)
 
 

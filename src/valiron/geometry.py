@@ -90,7 +90,9 @@ def norm_sq(u) -> float:
 class BallPoint:
     """Point of the open unit ball B^N.
 
-    Rejects NaN coordinates and inputs with ``1 - ||coords||^2 <= BOUNDARY_SLACK``.
+    Rejects non-finite coordinates as such, and inputs with
+    ``1 - ||coords||^2 <= BOUNDARY_SLACK``; a finite vector whose norm
+    overflows is outside, as in ``_check_row``.
     """
 
     coords: np.ndarray
@@ -99,8 +101,9 @@ class BallPoint:
         arr = _as_complex_vector(coords)
         if arr.size < 1:
             raise DomainError("ball point needs at least one coordinate")
-        nsq = norm_sq(arr)
-        if math.isnan(nsq):
+        values = arr.tolist()
+        nsq = norm_sq(values)
+        if not (nsq < math.inf or all(map(cmath.isfinite, values))):
             raise NonFiniteError("non-finite coordinates")
         if 1.0 - nsq <= BOUNDARY_SLACK:
             raise DomainError(f"not strictly inside the unit ball: ||p||^2 = {nsq!r}")

@@ -592,17 +592,6 @@ def _one_sweep(h, families, tol: float, extra: int, seed: int) -> LimitVerdict:
     return plan.verdict(h, plan.sweep(families, extra), tol)
 
 
-def estimate_limit(
-    h: Callable[[SiegelPoint], complex],
-    family: ApproachFamily,
-    tol: float = DEFAULT_TOL,
-    extra: int = 0,
-    seed: int = 0,
-) -> LimitVerdict:
-    """Probe h along one family; verdict from the last TAIL_VALUES rungs."""
-    return _one_sweep(h, (family,), tol, extra, seed)
-
-
 def k_limit(h, n_dim: int, tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER,
             extra: int = 0, seed: int = 0) -> LimitVerdict:
     """K-limit surrogate: sweep Koranyi amplitudes M in M_SWEEP."""

@@ -37,15 +37,11 @@ from .geometry import (
     cayley_to_siegel,
     check_siegel_arrays,
     e1_direction,
-    norm_sq,
-    siegel_height,
 )
 
 # Hard ceiling for raw iteration; past this the renormalized pipeline is the
 # only honest representation.
 SCALE_LIMIT = 1e300
-
-MULTIPLIER_CONSISTENCY = 1e-12
 
 
 class ScaleOverflowError(OverflowError):
@@ -414,93 +410,10 @@ def iterate(m: HoloMap, q: Point, n: int) -> Point:
     return cur
 
 
-# -- Deterministic stratified sampling ----------------------------------------
-
-HEIGHT_STRATA = (0.1, 1.0, 10.0, 100.0)
-
-
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     # counter-based: each index owns an independent stream, so determinism
     # holds regardless of evaluation order
     return np.random.default_rng((int(seed), int(index)))
-
-
-def sample_siegel_point(n_dim: int, seed: int, index: int) -> SiegelPoint:
-    """Deterministic per-index sample, stratified across height scales.
-
-    w is drawn uniformly from a polydisk of radius ~ sqrt(stratum), then
-    Re z uniform in (||w||^2 + T, ||w||^2 + 10 T] and Im z uniform in
-    [-10 T, 10 T] for stratum T.  Every stratum keeps the point at height
-    at least T.
-    """
-    rng = _rng_for(seed, index)
-    t_height = HEIGHT_STRATA[index % len(HEIGHT_STRATA)]
-    radius = math.sqrt(t_height)
-    if n_dim > 1:
-        mods = rng.uniform(0.0, radius, size=n_dim - 1)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_dim - 1)
-        w = mods * np.exp(1j * phases)
-    else:
-        w = np.zeros(0, dtype=np.complex128)
-    wsq = norm_sq(w)
-    x = wsq + rng.uniform(t_height, 10.0 * t_height)
-    y = rng.uniform(-10.0 * t_height, 10.0 * t_height)
-    return SiegelPoint(complex(x, y), w)
-
-
-def sample_ball_point(n_dim: int, seed: int, index: int) -> BallPoint:
-    """Deterministic ball sample: Cayley image of a Siegel sample."""
-    return cayley_to_ball(sample_siegel_point(n_dim, seed, index))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    samples: int
-    violations: tuple
-    worst_julia_margin: Optional[float]
-    passed: bool
-
-
-def validate_self_map(m: HoloMap, samples: int = 400, seed: int = 0) -> ValidationReport:
-    """Empirically check the self-map property and the Julia inequality.
-
-    Points are drawn deterministically from the stratified sampler; each
-    image must lie in the domain, and when a multiplier is claimed the
-    Julia margin must be nonnegative (up to rounding slack).  Returns the
-    worst observed margin, normalized by the input height.
-    """
-    violations = []
-    worst = None
-    for i in range(samples):
-        if m.domain == "siegel":
-            q = sample_siegel_point(m.dim, seed, i)
-        else:
-            q = sample_ball_point(m.dim, seed, i)
-        try:
-            image = m.evaluator(q)
-        except DomainError as exc:
-            violations.append((i, q, None, f"image rejected: {exc}"))
-            continue
-        if m.domain == "siegel":
-            h_in = siegel_height(q)
-            h_out = siegel_height(image)
-            margin = (h_out - m.multiplier * h_in) / h_in
-        else:
-            from .geometry import horoball_value
-
-            v_in = horoball_value(q, m.dw)
-            v_out = horoball_value(image, m.dw)
-            # Julia: value(phi(p)) <= c * value(p)
-            margin = (m.multiplier * v_in - v_out) / v_in
-        worst = margin if worst is None else min(worst, margin)
-        if margin < -MULTIPLIER_CONSISTENCY * 1e3:  # 1e-9 relative slack
-            violations.append((i, q, image, f"julia margin {margin!r}"))
-    return ValidationReport(
-        samples=samples,
-        violations=tuple(violations),
-        worst_julia_margin=worst,
-        passed=not violations,
-    )
 
 
 # -- Catalog -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from valiron.geometry import (
     DomainError,
     KoranyiRegion,
     LinearProjectionAtInfinity,
+    NonFiniteError,
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
@@ -90,7 +91,10 @@ class TestModels:
         for w in ([1e200], [huge]):
             with pytest.raises(DomainError, match=r"Siegel domain: Re z - \|\|w\|\|\^2 = -inf$"):
                 SiegelPoint(2, w)
-        for coords in ([inf], [1e200], [0.5, 1e200], [huge]):
+        for coords in ([inf], [complex(0, inf)], [0.5, inf]):
+            with pytest.raises(NonFiniteError, match="^non-finite coordinates$"):
+                BallPoint(coords)
+        for coords in ([1e200], [0.5, 1e200], [huge]):
             with pytest.raises(DomainError, match=r"unit ball: \|\|p\|\|\^2 = inf$"):
                 BallPoint(coords)
 

@@ -25,10 +25,10 @@ from valiron.limits import (
     NO_LIMIT_FACTOR,
     TAIL_VALUES,
     ApproachFamily,
+    SweepPlan,
     c_special_family,
     e0_limit,
     e_limit,
-    estimate_limit,
     generate_sequences,
     jwc_check,
     k_limit,
@@ -276,13 +276,14 @@ class TestVerdicts:
                     assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(
                         want), (n_traces, case, tol)
 
-    def test_estimate_limit_on_linear_map(self):
+    def test_one_family_sweep_on_linear_map(self):
         m = make_siegel_linear(2.0, 2)
 
         def h(q):
             return m(q).z / q.z
 
-        v = estimate_limit(h, koranyi_family(2.0, 2), tol=1e-6)
+        plan = SweepPlan(0)
+        v = plan.verdict(h, plan.sweep((koranyi_family(2.0, 2),)), 1e-6)
         assert v.exists and v.value == pytest.approx(2.0, abs=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Map constructors, catalog, iteration, and self-map validation."""
+"""Map constructors, catalog, iteration, and the package's exports."""
 
 import cmath
 import math
@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valiron
 from valiron.geometry import (
     INFINITY,
     DomainError,
     SiegelAutomorphism,
     SiegelPoint,
     apply_automorphism,
-    siegel_height,
 )
 from valiron.maps import (
     HoloMap,
@@ -28,9 +28,6 @@ from valiron.maps import (
     make_siegel_linear,
     make_siegel_map_from_ball,
     make_valiron_example,
-    sample_ball_point,
-    sample_siegel_point,
-    validate_self_map,
 )
 
 from conftest import sample_siegel
@@ -163,24 +160,12 @@ class TestConjugation:
         assert mc.multiplier == m.multiplier
 
 
-class TestSamplingAndValidation:
-    @given(seed=st.integers(0, 10_000), index=st.integers(0, 500), n_dim=st.integers(1, 4))
-    @settings(max_examples=80, deadline=None)
-    def test_samples_are_domain_points(self, seed, index, n_dim):
-        q = sample_siegel_point(n_dim, seed, index)
-        assert siegel_height(q) > 0
-        p = sample_ball_point(n_dim, seed, index)
-        assert float(np.sum(np.abs(p.coords) ** 2)) < 1.0
-
-    def test_sampling_is_counter_deterministic(self):
-        a = sample_siegel_point(2, 5, 9)
-        b = sample_siegel_point(2, 5, 9)
-        c = sample_siegel_point(2, 5, 10)
-        assert a == b
-        assert a != c
-
-    def test_catalog_maps_validate(self):
-        for name, m in catalog().items():
-            report = validate_self_map(m, samples=300, seed=0)
-            assert report.passed, f"{name}: {report.violations[:2]}"
-            assert report.worst_julia_margin > -1e-9
+def test_the_package_exports_each_public_name_once():
+    names = valiron.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(valiron, name) for name in names)
+    star = {}
+    exec("from valiron import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(names)
+    assert not {"validate_self_map", "estimate_limit"} & set(names)

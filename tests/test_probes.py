@@ -45,7 +45,6 @@ from valiron.limits import (
     e0_limit,
     e_families,
     e_limit,
-    estimate_limit,
     family_label,
     first_coordinate_ratio_fn,
     generate_sequences,
@@ -375,8 +374,11 @@ def test_a_point_function_and_a_map_probe_give_the_same_verdict():
         # numpy's quotient on one row, as the probe divides its rows
         return complex(np.divide(m(q).z, q.z))
 
-    got = estimate_limit(first_coordinate_ratio_fn(m), fam, extra=3, seed=7)
-    assert verdict_key(got) == verdict_key(estimate_limit(h, fam, extra=3, seed=7))
+    def one_family(probe):
+        plan = SweepPlan(7)
+        return plan.verdict(probe, plan.sweep((fam,), 3), DEFAULT_TOL)
+
+    assert verdict_key(one_family(first_coordinate_ratio_fn(m))) == verdict_key(one_family(h))
 
 
 # -- errors ----------------------------------------------------------------------------
