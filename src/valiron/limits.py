@@ -48,7 +48,7 @@ from .geometry import (
     check_siegel_arrays,
     max_kobayashi,
 )
-from .maps import HoloMap, _rng_for, evaluate_batch
+from .maps import HoloMap, evaluate_batch
 
 DEFAULT_LADDER = tuple(10.0 ** k for k in range(1, 8))
 DEFAULT_TOL = 1e-3
@@ -222,6 +222,12 @@ def _drawn_seed(family: ApproachFamily, rng: np.random.Generator) -> ApproachSee
     s = rng.uniform(0.0, s_max) if s_max > 0 else 0.0
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return ApproachSeed(theta, s, _unit_direction(family.n_dim, phase))
+
+
+def _rng_for(seed: int, index: int) -> np.random.Generator:
+    # counter-based: each index owns an independent stream, so determinism
+    # holds regardless of evaluation order
+    return np.random.default_rng((int(seed), int(index)))
 
 
 def _generate(counts: Iterable[tuple], seed: int) -> tuple:

@@ -111,8 +111,9 @@ class HoloMap:
     batch=None)`` is ``m`` evaluated point by point.
 
     ``conjugation`` is ``(inner, t)`` on the map ``t o inner o t^-1`` that
-    ``conjugate_map`` made; ``compute_orbit`` steps its orbits on ``inner``,
-    so ``replace`` with another ``batch`` needs ``conjugation=None`` too.
+    ``conjugate_map`` made; ``compute_orbit`` and the renormalized step (in
+    ``renorm``) step on ``inner``, so ``replace`` with another ``batch``
+    needs ``conjugation=None`` too.
     """
 
     domain: str
@@ -354,16 +355,18 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
 def conjugate_map(m: HoloMap, t) -> HoloMap:
     """Conjugated map T o phi o T^-1 for an automorphism T fixing infinity.
 
-    It keeps ``(m, t)`` as its ``conjugation``, and its orbits telescope,
+    It keeps ``(m, t)`` as its ``conjugation``, and its iterates telescope,
     ``(T phi T^-1)^n = T phi^n T^-1``: ``compute_orbit`` gives T of the
-    orbit of ``m``, in one array call, and carries that inner orbit.
+    orbit of ``m``, in one array call, and carries that inner orbit.  The
+    renormalized step and ``sigma_at`` step the rows of T^-1(q) on ``m``
+    and take only the first coordinate of T of the images (see ``renorm``).
 
-    Its ``batch``, which ``evaluate_batch`` and the renormalized step call,
-    applies the triples ``(x, y, a)`` of T^-1 and T, each as one
-    translation and one scale (``apply_automorphism_arrays``).  Between
-    them, ``evaluate_batch`` checks the rows of T^-1(q) and of their images
-    under ``m``, which it steps point by point if ``m`` is a black box.  The
-    rows of T(m(T^-1(q))) are checked by the caller.
+    Its ``batch``, which ``evaluate_batch`` calls, applies the triples
+    ``(x, y, a)`` of T^-1 and T, each as one translation and one scale
+    (``apply_automorphism_arrays``).  Between them, ``evaluate_batch``
+    checks the rows of T^-1(q) and of their images under ``m``, which it
+    steps point by point if ``m`` is a black box.  The rows of
+    T(m(T^-1(q))) are checked by the caller.
     """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")
@@ -408,12 +411,6 @@ def iterate(m: HoloMap, q: Point, n: int) -> Point:
         cur = m.evaluator(cur)
         _check_scale(cur)
     return cur
-
-
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    # counter-based: each index owns an independent stream, so determinism
-    # holds regardless of evaluation order
-    return np.random.default_rng((int(seed), int(index)))
 
 
 # -- Catalog -------------------------------------------------------------------

@@ -34,6 +34,15 @@ run_valiron stores the pairs it used on the result, and
 ValironResult.sigma_at replays the same step over the stored pairs for new
 points, so off-grid values come from the very recursion that produced the
 grid values, without evaluating the base orbit again.
+
+A conjugated map T o phi o T^-1 (``conjugate_map``) is renormalized on its
+inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  The
+stored rows are R_n = L_{x_n}(phi^n(T^-1 q)), and a step evaluates phi alone,
+with the checks above; x_n is still Re pi_1 of the conjugated base orbit.
+Only the first coordinate of T is taken of the images, once per step, and
+packed by x_{n+1}: that column is sigma_{n+1}, tested for finiteness.
+sigma_at maps its points by T^-1 once, replays the inner steps, and takes
+the first coordinate of T once, at the end.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from .dynamics import (
 from .geometry import (
     BallPoint,
     DomainError,
+    NonFiniteError,
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
@@ -157,8 +167,10 @@ class RenormalizedState:
     ``z``/``w`` hold S_n on the rows: row 0 is the normalizing base orbit,
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
     on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
-    and ``sigma_img`` are read from these rows when the state is made.
-    ``log_x`` is the base scale in log-space; ``scales`` is the pair
+    and ``sigma_img`` are read from ``sigma_col`` when the state is made:
+    for a conjugated map, whose rows are the inner rows R_n, the first
+    coordinate of T of the rows packed by x_n; else None, which reads
+    ``z``.  ``log_x`` is the base scale in log-space; ``scales`` is the pair
     (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
 
     ``advance`` also notes on the state it makes what the check of its rows,
@@ -172,20 +184,23 @@ class RenormalizedState:
     z: np.ndarray
     w: np.ndarray
     scales: tuple = ()
+    sigma_col: Optional[np.ndarray] = None
     _top: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z.setflags(write=False)
         self.w.setflags(write=False)
-        g = len(self.z) // 2 + 1
-        self.__dict__.update(base_sigma=complex(self.z[0]), sigma=self.z[1:g], sigma_img=self.z[g:])
+        col = self.z if self.sigma_col is None else self.sigma_col
+        col.setflags(write=False)
+        g = len(col) // 2 + 1
+        self.__dict__.update(base_sigma=complex(col[0]), sigma=col[1:g], sigma_img=col[g:])
 
     @property
     def x(self) -> float:
         return math.exp(self.log_x)
 
     def magnitude(self) -> float:
-        """Largest stored component magnitude (boundedness diagnostic)."""
+        """Largest component magnitude of the rows ``z``/``w`` (boundedness diagnostic)."""
         mag = np.max(np.abs(self.z))
         return float(max(mag, np.max(np.abs(self.w))) if self.w.size else mag)
 
@@ -195,11 +210,15 @@ def _pack(z: np.ndarray, w: np.ndarray, x: float):
     return z / x, w / math.sqrt(x)
 
 
-def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional[float] = None,
-          checked: bool = False):
-    """(L_{n+1} o phi o L_n^{-1}) on rows of S_n, as (z, w, x_{n+1}, top).
+def _stepper(m: HoloMap) -> tuple:
+    """``(phi, t)``: the map a renormalized step of ``m`` evaluates, and the T
+    whose first coordinate gives sigma (None where that is the rows' own)."""
+    return (m, None) if m.conjugation is None else m.conjugation
 
-    x_{n+1} is ``x_next`` if given, else Re z of row 0's checked image (> 0).
+
+def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, checked: bool = False):
+    """phi o L_n^{-1} on rows of S_n, as the images' (z, w, top), not yet packed.
+
     The de-normalized rows are checked unless ``checked`` says that they
     pass; ``top`` is what the check of the images returns with
     ``_clearance``, which is asked for up to ``_CLEAR_MAX_DIM`` coordinates.
@@ -207,9 +226,23 @@ def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, x_next: Optional
     z, w = x_n * z, math.sqrt(x_n) * w
     if not checked:
         _check_inputs(m, z, w)
-    z, w, top = _images(m, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
-    x_next = float(z[0].real) if x_next is None else x_next
-    return (*_pack(z, w, x_next), x_next, top)
+    return _images(m, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
+
+
+def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
+                  x_next: Optional[float] = None) -> tuple:
+    """pi_1 of T on the image rows of an inner step, packed by x_{n+1}, and x_{n+1}.
+
+    x_{n+1} is ``x_next`` if given, else Re pi_1 of T of row 0, the base.
+    Raises NonFiniteError, as the check of a row would, where pi_1 is not
+    finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = apply_automorphism_arrays(t, z, w)[0]
+    if not np.isfinite(col).all():
+        raise NonFiniteError("non-finite coordinates")
+    x_next = float(col[0].real) if x_next is None else x_next
+    return col / x_next, x_next
 
 
 def _passes_again(top: float, x_next: float, x_after: float) -> bool:
@@ -249,8 +282,13 @@ def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> Renorm
     img_z, img_w, _ = _images(m, points.z, points.w)
     x0 = base.z.real
     z = np.concatenate(([base.z], points.z, img_z))
-    z, w = _pack(z, np.concatenate((base.w[None, :], points.w, img_w)), x0)
-    return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w)
+    w = np.concatenate((base.w[None, :], points.w, img_w))
+    col, t = None, _stepper(m)[1]
+    if t is not None:
+        # the rows of T^-1 are checked by the first step, in full
+        col, (z, w) = z / x0, apply_automorphism_arrays(t.inverse(), z, w)
+    z, w = _pack(z, w, x0)
+    return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w, sigma_col=col)
 
 
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
@@ -258,7 +296,9 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
 
     Every row (base, grid and grid images) is de-normalized by x_n and
     mapped in one array evaluation; the base image gives x_{n+1}, which
-    normalizes them all.  The input rows are checked, all before any image
+    normalizes them all.  A conjugated map's inner rows are mapped by its
+    inner map, and x_{n+1} and sigma are read from the first coordinate of
+    T of the images.  The input rows are checked, all before any image
     row, unless the state's ``_top`` proves that they pass
     (``_passes_again``); so a step that rejects several rows may name
     another row than stepping the base first would.  De-normalizing needs
@@ -273,9 +313,16 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     x_n = state.x
     # _top is finite only on a state that advance made, whose scales are set
     checked = state._top < math.inf and _passes_again(state._top, state.scales[1], x_n)
-    z, w, x_next, top = _step(m, state.z, state.w, x_n, checked=checked)
+    phi, t = _stepper(m)
+    z, w, top = _step(phi, state.z, state.w, x_n, checked=checked)
+    if t is None:
+        col, x_next = None, float(z[0].real)
+    else:
+        col, x_next = _sigma_column(t, z, w)
+    z, w = _pack(z, w, x_next)
     nxt = RenormalizedState(
-        n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next)
+        n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next),
+        sigma_col=col,
     )
     object.__setattr__(nxt, "_top", top)
     return nxt
@@ -347,6 +394,9 @@ class ValironResult:
         exactly the pipeline that produced the grid samples, with the same
         input checks as ``advance``.  ``_top`` is what a check of the points
         returned with clearance, if the caller made one (``residual_at``).
+        A conjugated map's replay maps the points by T^-1 once, steps them
+        on the inner map, whose first step checks them in full, and takes
+        the first coordinate of T of the last images.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -355,15 +405,21 @@ class ValironResult:
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
-        top, x_prev = _top, self.base.z.real
-        sigma, v = _pack(batch.z, batch.w, x_prev)
+        z, w, top, x_prev = batch.z, batch.w, _top, self.base.z.real
+        if not self.scale_pairs:
+            return z / x_prev
+        phi, t = _stepper(self.map)
+        if t is not None:
+            z, w, top = *apply_automorphism_arrays(t.inverse(), z, w), math.inf
+        sigma, v = _pack(z, w, x_prev)
         # the points take the full input check, unless their clearance proves
         # that they pass it; so do the images at later steps
         for x_n, x_next in self.scale_pairs:
             checked = _passes_again(top, x_prev, x_n)
-            sigma, v, _, top = _step(self.map, sigma, v, x_n, x_next, checked)
+            z, w, top = _step(phi, sigma, v, x_n, checked)
+            sigma, v = _pack(z, w, x_next)
             x_prev = x_next
-        return sigma
+        return sigma if t is None else _sigma_column(t, z, w, x_prev)[0]
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
@@ -371,7 +427,8 @@ class ValironResult:
         One map evaluation gives the images; one replay of sigma runs over
         the points and the images stacked.  The points and the images are
         checked once each, with clearance, so that the replay's first step
-        need not check them again.
+        need not check them again; a conjugated map's replay steps T^-1 of
+        them, which its first step checks.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -549,8 +606,11 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
 
     def transported_sigma(points):
         points = SiegelBatch.from_points(points)
-        pre = SiegelBatch(*apply_automorphism_arrays(t_inv, points.z, points.w))
-        return factor * result.sigma_at(pre)
+        pre = apply_automorphism_arrays(t_inv, points.z, points.w)
+        # checked once, with clearance, so that the replay's first step need
+        # not check the rows again
+        top = check_siegel_arrays(*pre, _clearance=points.w.shape[1] < _CLEAR_MAX_DIM)
+        return factor * result.sigma_at(SiegelBatch._checked(*pre), _top=top)
 
     drift = sigma_z0.imag / sigma_z0.real
     return replace(

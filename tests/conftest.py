@@ -5,7 +5,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from valiron.maps import _rng_for
+from valiron.geometry import SiegelAutomorphism
+from valiron.limits import _rng_for
+
+# the automorphism chains that CI conjugates its report-all map by
+CHAIN_FACTORS = {
+    "scale(4); translate(1)": (SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])),
+    "scale(3, 1); translate(0.5-0.25j)": (SiegelAutomorphism.scale(3.0, 1.0),
+                                          SiegelAutomorphism.translate([0.5 - 0.25j])),
+}
+CHAINS = {name: SiegelAutomorphism.composite(f) for name, f in CHAIN_FACTORS.items()}
 
 # (index, label, passed, detail), filled by tests/test_acceptance.py
 _ACCEPTANCE_RESULTS = []

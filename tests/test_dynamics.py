@@ -41,16 +41,8 @@ from valiron.maps import (
     make_valiron_example,
 )
 
-from conftest import sample_siegel
+from conftest import CHAIN_FACTORS, CHAINS, sample_siegel
 import oracle as O
-
-# the automorphism chains that CI conjugates its report-all map by
-CHAIN_FACTORS = {
-    "scale(4); translate(1)": (SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])),
-    "scale(3, 1); translate(0.5-0.25j)": (SiegelAutomorphism.scale(3.0, 1.0),
-                                          SiegelAutomorphism.translate([0.5 - 0.25j])),
-}
-CHAINS = {name: SiegelAutomorphism.composite(f) for name, f in CHAIN_FACTORS.items()}
 
 
 def test_tail_start():

@@ -17,10 +17,8 @@ from valiron.geometry import (
     koranyi_contains,
     koranyi_region_at_infinity,
     project,
-    siegel_height,
 )
 from valiron.limits import (
-    C0_SWEEP,
     M_SWEEP,
     NO_LIMIT_FACTOR,
     TAIL_VALUES,
@@ -34,7 +32,6 @@ from valiron.limits import (
     k_limit,
     koranyi_family,
     left_inverse_ratio_check,
-    probe_family,
     projection_distance,
     projection_invariance_check,
     radial_family,

@@ -17,7 +17,6 @@ from valiron.geometry import (
     apply_automorphism,
 )
 from valiron.maps import (
-    HoloMap,
     PsiChoice,
     ScaleOverflowError,
     catalog,

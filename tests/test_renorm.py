@@ -1,5 +1,6 @@
 """Renormalization pipeline: states, convergence, transport, ball side."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from valiron.maps import (
     make_siegel_linear,
     make_valiron_example,
 )
-from valiron import maps, renorm
+from valiron import geometry, maps, renorm
 from valiron.dynamics import compute_orbit
 from valiron.renorm import (
     LOG_SCALE_CEILING,
@@ -48,7 +49,8 @@ from valiron.renorm import (
     schroder_residual,
 )
 
-from conftest import sample_siegel
+from conftest import CHAIN_FACTORS, CHAINS, sample_siegel
+import oracle as O
 
 
 class TestGrid:
@@ -182,6 +184,7 @@ class TestRunValiron:
             make_valiron_example(2.0, PsiChoice("oscillating")),
             make_halfplane_affine(2.0, 1.0, 1),
             conjugate_map(make_siegel_linear(2.0, 2), SiegelAutomorphism.scale(4.0)),
+            *(conjugate_map(make_halfplane_affine(2.0, 1.0, 2), t) for t in CHAINS.values()),
         )
         for m in maps:
             result = run_valiron(m)
@@ -208,6 +211,42 @@ class TestRunValiron:
         assert np.array_equal(counted.sigma_at(pts), result.sigma_at(pts))
         assert batch_rows == [len(pts)] * result.n_stop
         assert scalar_calls == []
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_a_conjugated_sigma_is_near_the_exact_sigma(self, chain):
+        """sigma_n at n_stop against pi_1 psi^n(q) / Re pi_1 psi^n(base) in mpmath,
+        psi the exact conjugate of halfplane_affine(2, 1, 2) by the chain.
+
+        The reference takes the chain's triple composed exactly; an image row
+        is the run's own double image of its grid point.  Measured, worst
+        relative error on the grid, on the images and of the normalization:
+        5.6e-16, 6.3e-16, 1.3e-16 for scale(4); translate(1) and 7.7e-16,
+        8.8e-16, 3.2e-16 for scale(3, 1); translate(0.5-0.25j).  Stepping
+        T o phi o T^-1 itself read 1.5e-15, 1.5e-15, 2.4e-17 and 1.5e-15,
+        1.4e-15, 2.2e-17.
+        """
+        lam, b = 2.0, 1.0
+        result = run_valiron(conjugate_map(make_halfplane_affine(lam, b, 2), CHAINS[chain]))
+        assert result.converged and result.n_stop == 54
+        triple = functools.reduce(O.then, [O.triple(f) for f in CHAIN_FACTORS[chain]])
+        forward, back, phi = O.fused(triple), O.fused(O.inverse(triple)), O.affine(lam, b)
+
+        def first(q):
+            z, w = back(O.exact(complex(q.z)), O.row(q.w))
+            for _ in range(result.n_stop):
+                z, w = phi(z, w)
+            return forward(z, w)[0].v
+
+        def worst(points, got):
+            return max(float(abs(s - first(q) / x_n) / abs(first(q) / x_n)) for q, s in zip(points, got))
+
+        base = first(SiegelPoint(1.0, np.zeros(1)))
+        x_n = base.real
+        points = result.grid.points
+        images = [result.map.evaluator(q) for q in points]
+        assert worst(points, result.sigma) <= 1.2e-15
+        assert worst(images, result.sigma_image) <= 1.2e-15
+        assert float(abs(result.normalization - base / x_n) / abs(base / x_n)) <= 5e-16
 
     def test_scalar_cost_does_not_grow_with_the_grid(self, monkeypatch):
         """A batch map steps the grid on arrays: grid size adds no scalar work."""
@@ -337,6 +376,8 @@ class TestRunValiron:
         (make_siegel_linear(2.0, 2), 994),
         (make_halfplane_affine(2.0, 1.0, 2), 994),
         (make_siegel_linear(1.5, 3), 1700),
+        # the inner rows are de-normalized: T^-1 puts them a factor 3 or 4 above the rows of the map
+        *((conjugate_map(make_halfplane_affine(2.0, 1.0, 2), t), 992) for t in CHAINS.values()),
     ])
     def test_the_scale_ceiling_stops_the_run(self, m, n_stop):
         result = run_valiron(m, tol=0.0, n_max=3000)
@@ -408,6 +449,59 @@ class TestInputChecks:
         result.sigma_at(pts)
         assert calls == [8] * (result.n_stop + 1)
 
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_a_conjugated_step_evaluates_the_inner_map_on_checked_rows(self, chain, monkeypatch):
+        """A conjugated ``advance`` and ``sigma_at`` call the inner map's batch
+        alone, never the conjugated map's or ``evaluate_batch``.  The first
+        step checks every row that the inner map then gets; each step checks
+        each inner image once."""
+        inner_rows, outer_rows, nested = [], [], []
+        base = make_halfplane_affine(2.0, 1.0, 2)
+
+        def inner_batch(z, w):
+            inner_rows.append((z.copy(), w.copy()))
+            return base.batch(z, w)
+
+        conj = conjugate_map(replace(base, batch=inner_batch), CHAINS[chain])
+        m = replace(conj, batch=lambda z, w: outer_rows.append(len(z)) or conj.batch(z, w))
+        grid = default_grid(2)
+        rows = 1 + 2 * len(grid)
+        state = initial_state(m, grid, SiegelPoint(1.0, np.zeros(1)))
+        assert outer_rows == [len(grid)]
+        outer_rows.clear()
+        inner_rows.clear()
+        evaluate = maps.evaluate_batch
+        monkeypatch.setattr(maps, "evaluate_batch", lambda *a: nested.append(a) or evaluate(*a))
+        checks = []
+        check = maps.check_siegel_arrays
+
+        def counting_check(z, w, **kwargs):
+            checks.append((z.copy(), w.copy()))
+            return check(z, w, **kwargs)
+
+        monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
+        for k in range(4):
+            state = advance(state, m)
+            assert [len(z) for z, _ in inner_rows] == [rows]
+            # the first step checks its inputs, T^-1 of the rows, before the map
+            # runs; then each step checks its images
+            assert [len(z) for z, _ in checks] == [rows] * (2 if k == 0 else 1)
+            if k == 0:
+                assert checks[0][0].tobytes() == inner_rows[0][0].tobytes()
+                assert checks[0][1].tobytes() == inner_rows[0][1].tobytes()
+            inner_rows.clear()
+            checks.clear()
+        assert outer_rows == [] and nested == []
+        result = run_valiron(m, n_max=12)
+        for calls in (inner_rows, outer_rows, nested, checks):
+            calls.clear()
+        pts = [sample_siegel(2, s, 64) for s in range(8)]
+        result.sigma_at(pts)
+        assert [len(z) for z, _ in inner_rows] == [8] * result.n_stop
+        assert [len(z) for z, _ in checks] == [8] * (result.n_stop + 1)
+        assert outer_rows == [] and nested == []
+
     def test_grid_and_residual_rows_are_checked_once(self, monkeypatch):
         """``initial_state`` checks only the grid's images: the grid was checked
         when it was built.  ``residual_at`` checks its points and their images
@@ -430,6 +524,25 @@ class TestInputChecks:
         band = SiegelPoint(1.0 + 1.5 * BOUNDARY_SLACK, [1.0])
         result.residual_at(pts + [band])
         assert calls == [9, 9, 18] + [18] * result.n_stop
+
+    def test_a_transported_result_checks_each_row_once(self, monkeypatch):
+        """``sigma_at`` of a transported result checks T^-1 of its points once,
+        with clearance, and the replay's first step does not check them again.
+        ``residual_at`` checks the points, then the transported map's image
+        step checks T^-1 of them, their inner images and the images, and the
+        replay T^-1 of the points and the images stacked."""
+        result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")), n_max=12)
+        moved = conjugation_transport(result, CHAINS["scale(3, 1); translate(0.5-0.25j)"])
+        pts = [sample_siegel(2, s, 61) for s in range(8)]
+        want_sigma, want_residual = moved.sigma_at(pts), moved.residual_at(pts)
+        calls = self._counted(monkeypatch)
+        # a checked SiegelBatch would check its rows in geometry
+        monkeypatch.setattr(geometry, "check_siegel_arrays", renorm.check_siegel_arrays)
+        assert np.array_equal(moved.sigma_at(pts), want_sigma)
+        assert calls == [8] * (result.n_stop + 1)
+        calls.clear()
+        assert np.array_equal(moved.residual_at(pts), want_residual)
+        assert calls == [8, 8, 8, 8] + [16] * (result.n_stop + 1)
 
     def test_a_bad_grid_or_residual_point_gives_the_error_of_its_check(self):
         """Each row keeps the check, and the error, of ``SiegelPoint``: a grid row

@@ -56,6 +56,7 @@ from valiron.limits import (
     ApproachSeed,
     SweepPlan,
     _generate,
+    _rng_for,
     c_special_family,
     e0_families,
     e_families,
@@ -67,7 +68,7 @@ from valiron.limits import (
     radial_family,
     zero_special_family,
 )
-from valiron.maps import _rng_for, catalog
+from valiron.maps import catalog
 
 from conftest import sample_siegel
 
