@@ -272,7 +272,7 @@ def _arg_sigma_diagnostic(result) -> list:
     """Argument of sigma along the positive real ray; informational only."""
     rays = [10.0 ** k for k in range(0, 7)]
     try:
-        values = result.sigma_at(SiegelBatch(rays, np.zeros((len(rays), result.base.dim - 1))))
+        values = result.sigma_at(SiegelBatch(rays, np.zeros((len(rays), result.map.dim - 1))))
     except (DomainError, ArithmeticError) as exc:
         return [f"arg sigma unavailable: {exc}"]
     lines = ["arg sigma along the real ray (diagnostic, no pass/fail contract):"]
@@ -396,6 +396,8 @@ def run_command(
     verbose: bool = False,
 ) -> int:
     """Execute the configured pipeline; returns the process exit code."""
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
     out_dir = out_dir or cfg.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seed if seed is None else seed

@@ -113,6 +113,8 @@ def _validate(cfg: ExperimentConfig, lines: dict) -> None:
         raise ConfigError(f"{where('tol')}tol must be > 0")
     if not cfg.limit_tol > 0.0:
         raise ConfigError(f"{where('limit_tol')}limit_tol must be > 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"{where('seed')}seed must be >= 0")
     if not 1 <= cfg.ladder_max <= 12:
         raise ConfigError(f"{where('ladder_max')}ladder_max must lie in [1, 12]")
     if cfg.command != "classify" and cfg.map_name is None:

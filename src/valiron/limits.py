@@ -527,26 +527,6 @@ class SweepPlan:
         )
 
 
-def probe_family(
-    probes: Sequence[Callable[[SiegelPoint], complex]],
-    families: Sequence[ApproachFamily],
-    extra: int = 0,
-    seed: int = 0,
-) -> list:
-    """Value traces of each probe along every family.
-
-    Each family is probed along its canonical seeds plus ``extra``
-    sequences drawn from ``seed``, through a plan of this one sweep: the
-    ``MapProbe``s of one map share a single ``evaluate_batch`` of it, and
-    any other probe is a point function, called point by point.  Returns,
-    for each probe, its labelled ``(family_label, seq_index, values)``
-    traces, family by family.
-    """
-    plan = SweepPlan(seed)
-    sweep = plan.sweep(families, extra)
-    return [plan.traces(h, sweep) for h in probes]
-
-
 def _pairs(values: np.ndarray) -> np.ndarray:
     """``values[(i + d) % n]`` at ``[d, i]`` for d = 0 .. n // 2: every pair i <= j once.
 

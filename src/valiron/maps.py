@@ -190,9 +190,11 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
 
     Returns ``(z, w, top)``, where ``top`` is what ``check_siegel_arrays``
     returns of the images with ``_clearance``: inf for a black box, whose
-    images were checked as points.
+    images were checked as points.  Rows of another width raise DomainError.
     """
     _check_siegel_side(m)
+    if w.shape[1] != m.dim - 1:
+        raise DomainError(f"points of dimension {w.shape[1] + 1} for a map of dimension {m.dim}")
     if m.batch is None:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)

@@ -3,10 +3,11 @@
 For a hyperbolic self-map phi of H^N with Denjoy-Wolff point at infinity and
 multiplier lam > 1, the normalized first coordinates
 
-    sigma_n(Z) = pi_1(phi^n(Z)) / x_n,   x_n = Re pi_1(phi^n(base)),
+    sigma_n(Z) = pi_1(phi^n(Z)) / x_n,   x_n = Re pi_1(phi^n(1, 0)),
 
-converge to a solution of sigma o phi = lam sigma.  This module advances the
-renormalized state
+converge to the solution of sigma o phi = lam sigma, unique up to a positive
+factor, with Re sigma(1, 0) = 1 at the base (1, 0), the Cayley image of the
+ball's origin.  This module advances the renormalized state
 
     S_n(Z) = (pi_1(phi^n(Z)) / x_n,  pi_w(phi^n(Z)) / sqrt(x_n))
 
@@ -77,6 +78,7 @@ from .geometry import (
 )
 from .maps import (
     HoloMap,
+    SCALE_LIMIT,
     ScaleOverflowError,
     _check_inputs,
     _images,
@@ -91,7 +93,7 @@ PROBE_MIN_STEPS = 32
 PROBE_MAX_STEPS = 64
 PROBE_TARGET_HEIGHT = 1e8
 # ln of the largest base scale at which states can still be de-normalized
-LOG_SCALE_CEILING = math.log(1e300)
+LOG_SCALE_CEILING = math.log(SCALE_LIMIT)
 # _passes_again holds for rows of at most _CLEAR_MAX_DIM coordinates, whose
 # checked images and packed rows stay below _CLEAR_MAX_SIZE, de-normalized by
 # a ratio r in _CLEAR_RATIO to the scale they were packed by
@@ -164,7 +166,7 @@ def default_grid(n_dim: int) -> EvaluationGrid:
 class RenormalizedState:
     """State of the pipeline after n steps, as one read-only stack of rows.
 
-    ``z``/``w`` hold S_n on the rows: row 0 is the normalizing base orbit,
+    ``z``/``w`` hold S_n on the rows: row 0 is the orbit of the base (1, 0),
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
     on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
     and ``sigma_img`` are read from ``sigma_col`` when the state is made:
@@ -203,6 +205,16 @@ class RenormalizedState:
         """Largest component magnitude of the rows ``z``/``w`` (boundedness diagnostic)."""
         mag = np.max(np.abs(self.z))
         return float(max(mag, np.max(np.abs(self.w))) if self.w.size else mag)
+
+
+def _base(dim: int) -> SiegelPoint:
+    """The base point (1, 0) of H^dim, at which Re sigma = 1."""
+    return SiegelPoint(1.0, np.zeros(dim - 1, dtype=np.complex128))
+
+
+def _schroder_defect(s_img: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
+    """|s_img - lam s| / (1 + |s|) on arrays of sigma(phi q) and sigma(q)."""
+    return np.abs(s_img - lam * s) / (1.0 + np.abs(s))
 
 
 def _pack(z: np.ndarray, w: np.ndarray, x: float):
@@ -274,9 +286,10 @@ def _passes_again(top: float, x_next: float, x_after: float) -> bool:
     return low <= x_after / x_next <= high
 
 
-def initial_state(m: HoloMap, grid: EvaluationGrid, base: SiegelPoint) -> RenormalizedState:
-    points = grid.points
-    if base.dim != points.dim:
+def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
+    """S_0 on the rows: the base (1, 0), the grid and the grid's images."""
+    points, base = grid.points, _base(m.dim)
+    if points.dim != m.dim:
         raise DomainError("points of different dimensions")
     # the grid was checked when it was built: only its images are checked
     img_z, img_w, _ = _images(m, points.z, points.w)
@@ -345,28 +358,12 @@ def _over_ceiling(state: RenormalizedState) -> bool:
     return state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
 
 
-def intertwining_identity_check(state: RenormalizedState, m: HoloMap) -> float:
-    """Max relative deviation of sigma_n(phi(Z)) = (x_{n+1}/x_n) sigma_{n+1}(Z).
-
-    The identity is algebraic, so the deviation measures only rounding; a
-    mis-cached scale breaks it immediately, which is what this guards.
-    """
-    nxt = advance(state, m)
-    x_n, x_next = nxt.scales
-    ratio = x_next / x_n
-    lhs = state.sigma_img
-    rhs = ratio * nxt.sigma
-    scale = np.maximum(1.0, np.abs(rhs))
-    return float(np.max(np.abs(lhs - rhs) / scale))
-
-
 @dataclass(frozen=True)
 class ValironResult:
     """Converged (or truncated) output of the renormalization pipeline."""
 
     map: HoloMap
     grid: EvaluationGrid
-    base: SiegelPoint
     multiplier: float
     multiplier_uncertainty: float
     drift: float
@@ -383,7 +380,6 @@ class ValironResult:
     warnings: tuple
     base_orbit: Orbit
     scale_pairs: tuple
-    trace: tuple = ()
     _sigma_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def sigma_at(self, points: Sequence[SiegelPoint], _top: float = math.inf) -> np.ndarray:
@@ -405,7 +401,7 @@ class ValironResult:
         if self._sigma_fn is not None:
             return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
-        z, w, top, x_prev = batch.z, batch.w, _top, self.base.z.real
+        z, w, top, x_prev = batch.z, batch.w, _top, 1.0  # x_0, Re z of the base (1, 0)
         if not self.scale_pairs:
             return z / x_prev
         phi, t = _stepper(self.map)
@@ -442,17 +438,14 @@ class ValironResult:
         s = self.sigma_at(SiegelBatch._checked(
             np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))),
             _top=max(top, top_img))
-        return np.abs(s[n:] - self.multiplier * s[:n]) / (1.0 + np.abs(s[:n]))
+        return _schroder_defect(s[n:], s[:n], self.multiplier)
 
 
-def schroder_residual(m: HoloMap, sigma: Callable[[SiegelPoint], complex], q: SiegelPoint,
-                      lam: Optional[float] = None) -> float:
-    """Normalized defect of the Schroder equation at one point."""
-    if lam is None:
-        lam = m.multiplier
+def schroder_residual(m: HoloMap, sigma: Callable[[SiegelPoint], complex], q: SiegelPoint) -> float:
+    """Normalized defect of the Schroder equation at one point, against ``m.multiplier``."""
     sq = complex(sigma(q))
     s_img = complex(sigma(m.evaluator(q)))
-    return abs(s_img - lam * sq) / (1.0 + abs(sq))
+    return abs(s_img - m.multiplier * sq) / (1.0 + abs(sq))
 
 
 def _multiplier_excess_decays(probe: Orbit) -> bool:
@@ -478,18 +471,18 @@ def _multiplier_excess_decays(probe: Orbit) -> bool:
 def run_valiron(
     m: HoloMap,
     grid: Optional[EvaluationGrid] = None,
-    base: Optional[SiegelPoint] = None,
     tol: float = 1e-8,
     n_max: int = 200,
-    record_trace: bool = False,
 ) -> ValironResult:
     """Run the renormalization pipeline to convergence.
 
-    Stops once the sup-grid Cauchy increment |sigma_{n+1} - sigma_n| stays
-    below ``tol`` for CONSECUTIVE_CAUCHY consecutive steps, else at
-    ``n_max`` with ``converged = False``.  A base orbit that is only
-    C-special (not special) is outside the construction's hypotheses; the
-    run proceeds but the result is flagged.
+    The orbit of the base (1, 0) fixes the scales x_n and Re sigma(1, 0) = 1;
+    ``grid`` defaults to ``default_grid``.  Stops once the sup-grid Cauchy
+    increment |sigma_{n+1} - sigma_n| stays below ``tol`` for
+    CONSECUTIVE_CAUCHY consecutive steps, else at ``n_max`` with
+    ``converged = False``.  A base orbit that is only C-special (not
+    special) is outside the construction's hypotheses; the run proceeds but
+    the result is flagged.
 
     Raises NotTendingToInfinityError, DegenerateGridError, or
     NonHyperbolicError when the inputs do not describe a hyperbolic
@@ -499,15 +492,13 @@ def run_valiron(
         m = make_siegel_map_from_ball(m)
     if grid is None:
         grid = default_grid(m.dim)
-    if base is None:
-        base = SiegelPoint(1.0, np.zeros(m.dim - 1, dtype=np.complex128))
 
     warnings: list = []
 
     # probe adaptively: enough growth to classify and estimate, but not so
     # far that maps wrapped in coordinate changes lose boundary precision;
     # a slow orbit is continued, not recomputed
-    probe = compute_orbit(m, base, PROBE_MIN_STEPS)
+    probe = compute_orbit(m, _base(m.dim), PROBE_MIN_STEPS)
     if probe.cutoff is None and probe.x[-1] < PROBE_TARGET_HEIGHT:
         probe = compute_orbit(m, probe, PROBE_MAX_STEPS)
     classification = classify_sequence(probe.points)
@@ -524,8 +515,7 @@ def run_valiron(
             f"(residual witness {classification.a_witness:.3g}); proceeding"
         )
 
-    state = initial_state(m, grid, base)
-    trace = [state] if record_trace else []
+    state = initial_state(m, grid)
     scale_pairs: list = []
     cauchy: list = []
     consecutive = 0
@@ -542,8 +532,6 @@ def run_valiron(
         cauchy.append(step)
         scale_pairs.append(nxt.scales)
         state = nxt
-        if record_trace:
-            trace.append(state)
         if step < tol:
             consecutive += 1
             if consecutive >= CONSECUTIVE_CAUCHY:
@@ -552,11 +540,10 @@ def run_valiron(
         else:
             consecutive = 0
 
-    residuals = np.abs(state.sigma_img - lam.value * state.sigma) / (1.0 + np.abs(state.sigma))
+    residuals = _schroder_defect(state.sigma_img, state.sigma, lam.value)
     return ValironResult(
         map=m,
         grid=grid,
-        base=base,
         multiplier=lam.value,
         multiplier_uncertainty=lam.uncertainty,
         drift=drift.value,
@@ -573,7 +560,6 @@ def run_valiron(
         warnings=tuple(warnings),
         base_orbit=probe,
         scale_pairs=tuple(scale_pairs),
-        trace=tuple(trace),
     )
 
 
@@ -587,11 +573,8 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
     normalized so that Re sigma~(1, 0) = 1; the multiplier is unchanged.
     The grid is moved to T(grid) and the samples rescaled accordingly.
     """
-    one = SiegelPoint(1.0, np.zeros(result.map.dim - 1, dtype=np.complex128))
-    if result.base != one:
-        raise DomainError("transport is normalized at base (1, 0)")
     t_inv = t.inverse()
-    z0 = apply_automorphism(t_inv, one)
+    z0 = apply_automorphism(t_inv, _base(result.map.dim))
     sigma_z0 = complex(result.sigma_at([z0])[0])
     if not sigma_z0.real > 0.0:
         raise DomainError("transport normalizer must have positive real part")
@@ -602,7 +585,7 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
     sigma = factor * result.sigma
     # phi_c(T Z) = T(phi Z), so the image samples transport by the same factor
     sigma_image = factor * result.sigma_image
-    residuals = np.abs(sigma_image - result.multiplier * sigma) / (1.0 + np.abs(sigma))
+    residuals = _schroder_defect(sigma_image, sigma, result.multiplier)
 
     def transported_sigma(points):
         points = SiegelBatch.from_points(points)

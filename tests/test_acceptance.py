@@ -55,7 +55,7 @@ from valiron.maps import (
     make_siegel_linear,
     make_valiron_example,
 )
-from valiron.renorm import run_valiron
+from valiron.renorm import advance, default_grid, initial_state, run_valiron
 
 from conftest import sample_ball, sample_siegel
 
@@ -321,10 +321,18 @@ def test_criterion_8_overflow_stability(acceptance):
         with pytest.raises(ScaleOverflowError):
             iterate(m, start, 1100)
 
-        result = run_valiron(m, tol=0.0, n_max=200, record_trace=True)
+        result = run_valiron(m, tol=0.0, n_max=200)
         assert result.n_stop == 200
         assert not any("scale ceiling" in w for w in result.warnings)
-        magnitudes = [state.magnitude() for state in result.trace]
+        # the run's 201 states, stepped again: each step takes the run's scale
+        # pair, and the last state holds the run's sigma bit for bit
+        state = initial_state(m, default_grid(2))
+        magnitudes = [state.magnitude()]
+        for pair in result.scale_pairs:
+            state = advance(state, m)
+            assert state.scales == pair
+            magnitudes.append(state.magnitude())
+        assert state.sigma.tobytes() == result.sigma.tobytes()
         assert all(math.isfinite(v) for v in magnitudes)
         assert max(magnitudes) < 100.0
         assert np.all(np.isfinite(result.sigma))

@@ -67,6 +67,11 @@ class TestConfig:
         msg = str(err.value)
         assert "line 3" in msg and "hyperbolicity requires a multiplier > 1" in msg
 
+    def test_negative_seed_rejected_with_line_number(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("command = limits\nmap = siegel_linear\nlambda = 2\nN = 2\nseed = -1\n")
+        assert str(err.value) == "line 5: seed must be >= 0"
+
     def test_lambda_equal_one_rejected(self):
         bad = "command = orbit\nmap = siegel_linear\nlambda = 1.0\nN = 2\n"
         with pytest.raises(ConfigError, match="hyperbolicity"):
@@ -461,6 +466,26 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_b), "--seed", "2"]) == 0
         capsys.readouterr()
         assert (out_a / "limits.csv").read_bytes() != (out_b / "limits.csv").read_bytes()
+
+    def test_a_negative_seed_exits_one_before_any_output(self, tmp_path, capsys):
+        """In the config, the error names its line; as ``--seed``, it comes before any sweep."""
+        text = "command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+        assert _run(tmp_path, text + "seed = -1\n") == 1
+        assert capsys.readouterr() == ("", "error: line 6: seed must be >= 0\n")
+        assert main(["run", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: line 6: seed must be >= 0\n")
+        assert _run(tmp_path, text, "--seed", "-1") == 1
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_a_start_of_another_dimension_exits_one(self, tmp_path, capsys):
+        text = ("command = orbit\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+                "start = 2, 0.1, 0.1\n")
+        assert _run(tmp_path, text) == 1
+        assert capsys.readouterr() == (
+            "", "error: points of dimension 3 for a map of dimension 2\n")
+        assert not (tmp_path / "orbit.csv").exists()
 
 
 CONJUGATED = (

@@ -16,11 +16,13 @@ from valiron.geometry import (
     SiegelPoint,
     apply_automorphism,
 )
+from valiron.dynamics import compute_orbit
 from valiron.maps import (
     PsiChoice,
     ScaleOverflowError,
     catalog,
     conjugate_map,
+    evaluate_batch,
     iterate,
     make_ball_map_from_siegel,
     make_halfplane_affine,
@@ -106,6 +108,24 @@ class TestConstructors:
             assert m.domain == "siegel"
             assert m.multiplier > 1
             assert m.dw is INFINITY
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_points_of_another_dimension_are_rejected(self, name):
+        """A batch would broadcast over rows of any width: each evaluation
+        path raises instead, one dimension up and one down."""
+        m = catalog()[name]
+        for dim in (m.dim + 1, m.dim - 1):
+            if dim < 1:
+                continue
+            q = SiegelPoint(3.0, np.full(dim - 1, 0.25))
+            message = f"points of dimension {dim} for a map of dimension {m.dim}"
+            for evaluate in (
+                lambda: m(q),
+                lambda: evaluate_batch(m, np.array([q.z]), q.w[None, :]),
+                lambda: compute_orbit(m, q, 3),
+            ):
+                with pytest.raises(DomainError, match=message):
+                    evaluate()
 
 
 class TestBallTransport:

@@ -44,7 +44,6 @@ from valiron.renorm import (
     conjugation_transport,
     default_grid,
     initial_state,
-    intertwining_identity_check,
     run_valiron,
     schroder_residual,
 )
@@ -121,7 +120,7 @@ class TestGrid:
 class TestStateAdvance:
     def test_linear_map_stabilizes_immediately(self):
         m = make_siegel_linear(2.0, 2)
-        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        state = initial_state(m, default_grid(2))
         zs = np.array([p.z for p in default_grid(2).points])
         nxt = advance(state, m)
         assert np.max(np.abs(nxt.sigma - zs)) < 1e-14
@@ -129,14 +128,20 @@ class TestStateAdvance:
 
     def test_intertwining_identity(self):
         m = make_valiron_example(2.0, PsiChoice("cayley"))
-        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        state = initial_state(m, default_grid(2))
         for _ in range(5):
             state = advance(state, m)
-        assert intertwining_identity_check(state, m) < 1e-12
+        # sigma_n(phi(Z)) = (x_{n+1} / x_n) sigma_{n+1}(Z) holds but for rounding;
+        # a mis-cached scale breaks it at once
+        nxt = advance(state, m)
+        x_n, x_next = nxt.scales
+        rhs = (x_next / x_n) * nxt.sigma
+        deviation = np.max(np.abs(state.sigma_img - rhs) / np.maximum(1.0, np.abs(rhs)))
+        assert deviation < 1e-12
 
     def test_log_scale_stays_linear(self):
         m = make_siegel_linear(2.0, 1)
-        state = initial_state(m, default_grid(1), SiegelPoint(1.0))
+        state = initial_state(m, default_grid(1))
         for _ in range(150):
             state = advance(state, m)
         assert state.log_x == pytest.approx(150 * math.log(2.0), rel=1e-12)
@@ -151,7 +156,7 @@ class TestStateAdvance:
         counted = replace(m, evaluator=lambda q: scalar_calls.append(q) or m.evaluator(q),
                           batch=lambda z, w: batch_rows.append(len(z)) or m.batch(z, w))
         grid = default_grid(m.dim)
-        state = initial_state(counted, grid, SiegelPoint(1.0, np.zeros(m.dim - 1)))
+        state = initial_state(counted, grid)
         batch_rows.clear()
         for _ in range(3):
             state = advance(state, counted)
@@ -191,6 +196,32 @@ class TestRunValiron:
             images = [result.map.evaluator(p) for p in result.grid.points]
             assert np.array_equal(result.sigma_at(result.grid.points), result.sigma)
             assert np.array_equal(result.sigma_at(images), result.sigma_image)
+
+    def test_the_base_point_pins_the_normalization(self):
+        """Re sigma(1, 0) = 1 within 2^-52, and sigma_at((1, 0)) is the
+        normalization bit for bit, on every catalog map and on the CI chains."""
+        cat = catalog()
+        maps = [*cat.values(), *(conjugate_map(m, t) for m in cat.values() if m.dim == 2
+                                 for t in CHAINS.values())]
+        for m in maps:
+            result = run_valiron(m)
+            assert abs(result.normalization.real - 1.0) <= 2.0 ** -52, m.name
+            at_base = result.sigma_at([SiegelPoint(1.0, np.zeros(m.dim - 1))])
+            assert at_base.tobytes() == np.array([result.normalization]).tobytes(), m.name
+
+    def test_points_of_another_dimension_are_rejected(self):
+        """sigma_at and residual_at raise on rows that a batch would broadcast over."""
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        result = run_valiron(m)
+        results = (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"])),
+                   conjugation_transport(result, SiegelAutomorphism.scale(4.0)))
+        for res in results:
+            for dim in (1, 3):
+                q = SiegelPoint(3.0, np.full(dim - 1, 0.25))
+                for evaluate in (res.sigma_at, res.residual_at):
+                    # T^-1 of a conjugated map may reject the width first, by its translation
+                    with pytest.raises(DomainError, match="dimension"):
+                        evaluate([q])
 
     def test_sigma_at_evaluates_only_the_probes(self):
         """One batch call of len(pts) rows per stored step, no scalar call."""
@@ -392,7 +423,7 @@ class TestRunValiron:
         m = make_halfplane_affine(2.0, 1.0, 2)
 
         def last_state(screen):
-            state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+            state = initial_state(m, default_grid(2))
             while True:
                 exact = state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
                 if screen and state.n:
@@ -435,7 +466,7 @@ class TestInputChecks:
         m = catalog()[name]
         result = run_valiron(m, n_max=12)
         grid = default_grid(m.dim)
-        state = initial_state(m, grid, SiegelPoint(1.0, np.zeros(m.dim - 1)))
+        state = initial_state(m, grid)
         calls = self._counted(monkeypatch)
         per_step = []
         for _ in range(result.n_stop):
@@ -466,7 +497,7 @@ class TestInputChecks:
         m = replace(conj, batch=lambda z, w: outer_rows.append(len(z)) or conj.batch(z, w))
         grid = default_grid(2)
         rows = 1 + 2 * len(grid)
-        state = initial_state(m, grid, SiegelPoint(1.0, np.zeros(1)))
+        state = initial_state(m, grid)
         assert outer_rows == [len(grid)]
         outer_rows.clear()
         inner_rows.clear()
@@ -513,7 +544,7 @@ class TestInputChecks:
         pts = [sample_siegel(2, s, 61) for s in range(8)]
         want = result.residual_at(pts)
         calls = self._counted(monkeypatch)
-        initial_state(m, grid, SiegelPoint(1.0, np.zeros(1)))
+        initial_state(m, grid)
         assert calls == [len(grid)]
         calls.clear()
         assert np.array_equal(result.residual_at(pts), want)
@@ -566,7 +597,7 @@ class TestInputChecks:
         m = replace(base, batch=batch)
         outside = error(lambda: SiegelPoint(6.0, [10.0]))
         grid = EvaluationGrid([SiegelPoint(3.0, [0.0]), SiegelPoint(5.0, [0.0])])
-        assert error(lambda: initial_state(m, grid, SiegelPoint(1.0, [0.0]))) == outside
+        assert error(lambda: initial_state(m, grid)) == outside
         result = run_valiron(m, n_max=12)
         assert error(lambda: result.residual_at([SiegelPoint(3.0, [0.0])])) == outside
 
@@ -583,7 +614,7 @@ class TestInputChecks:
             return z, w
 
         m = replace(base, batch=batch)
-        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        state = initial_state(m, default_grid(2))
         calls = self._counted(monkeypatch)
         per_step = []
         for _ in range(6):
@@ -608,7 +639,7 @@ class TestInputChecks:
             return z, w
 
         m = replace(base, batch=batch)
-        state = initial_state(m, default_grid(2), SiegelPoint(1.0, np.zeros(1)))
+        state = initial_state(m, default_grid(2))
         for _ in range(6):
             state = advance(state, m)
         assert state._top < math.inf  # the next step skips its input check
