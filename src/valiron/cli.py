@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +26,6 @@ from .dynamics import (
 from .geometry import (
     DomainError,
     LinearProjectionAtInfinity,
-    SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
 )
@@ -41,7 +39,6 @@ from .limits import (
 )
 from .maps import (
     HoloMap,
-    PsiChoice,
     catalog,
     conjugate_map,
     make_halfplane_affine,
@@ -68,114 +65,30 @@ class CliError(ValueError):
     pass
 
 
-# -- Config value parsing ------------------------------------------------------
-
-
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.strip().replace(" ", ""))
-    except ValueError:
-        raise CliError(f"cannot parse complex number from {text!r}") from None
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    text = text.strip()
-    if not text:
-        return np.zeros(0, dtype=np.complex128)
-    return np.array([_parse_complex(part) for part in text.split(",")], dtype=np.complex128)
-
-
-def _parse_point(text: str) -> SiegelPoint:
-    vals = _parse_vector(text)
-    if vals.size == 0:
-        raise CliError("a point needs at least the z coordinate")
-    return SiegelPoint(complex(vals[0]), vals[1:])
-
-
-def _parse_psi(text: str) -> PsiChoice:
-    text = text.strip()
-    if text == "cayley":
-        return PsiChoice("cayley")
-    if text == "oscillating":
-        return PsiChoice("oscillating")
-    match = re.fullmatch(r"constant\(([^)]*)\)", text)
-    if match:
-        return PsiChoice("constant", _parse_complex(match.group(1)))
-    raise CliError(
-        f"psi must be constant(<value>), cayley or oscillating, got {text!r}"
-    )
-
-
-def _parse_conjugate(text: str) -> SiegelAutomorphism:
-    factors = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        match = re.fullmatch(r"(scale|translate)\(([^)]*)\)", item)
-        if not match:
-            raise CliError(
-                f"conjugate items must be scale(x[,y]) or translate(a1,...), got {item!r}"
-            )
-        kind, args = match.group(1), match.group(2)
-        if kind == "scale":
-            vals = [float(v) for v in args.split(",")]
-            if len(vals) == 1:
-                factors.append(SiegelAutomorphism.scale(vals[0]))
-            elif len(vals) == 2:
-                factors.append(SiegelAutomorphism.scale(vals[0], vals[1]))
-            else:
-                raise CliError("scale takes one or two real arguments")
-        else:
-            factors.append(SiegelAutomorphism.translate(_parse_vector(args)))
-    if not factors:
-        raise CliError("empty conjugate chain")
-    return SiegelAutomorphism.composite(factors)
-
-
 def build_map(cfg: ExperimentConfig) -> HoloMap:
     if cfg.map_name == "siegel_linear":
         m = make_siegel_linear(cfg.lam, cfg.n_dim)
     elif cfg.map_name == "halfplane_affine":
         m = make_halfplane_affine(cfg.lam, cfg.b, cfg.n_dim)
-    elif cfg.map_name == "valiron_example":
-        m = make_valiron_example(cfg.a_mult, _parse_psi(cfg.psi))
     else:
-        raise CliError(f"config selects no map (map = {cfg.map_name!r})")
-    if cfg.conjugate:
-        m = conjugate_map(m, _parse_conjugate(cfg.conjugate))
+        m = make_valiron_example(cfg.a_mult, cfg.psi)
+    if cfg.conjugate is not None:
+        m = conjugate_map(m, cfg.conjugate)
     return m
 
 
 def build_grid(cfg: ExperimentConfig, n_dim: int) -> Optional[EvaluationGrid]:
     if cfg.grid_z is None:
         return None
-    zs = _parse_vector(cfg.grid_z)
-    if cfg.grid_w is None:
-        ws = [np.zeros(n_dim - 1, dtype=np.complex128)]
-    else:
-        ws = [_parse_vector(part) for part in cfg.grid_w.split(";")]
-        for w in ws:
-            if w.size != n_dim - 1:
-                raise CliError(
-                    f"grid_w vectors must have {n_dim - 1} entries, got {w.size}"
-                )
+    zs = np.array(cfg.grid_z, dtype=np.complex128)
+    ws = np.array(cfg.grid_w or [np.zeros(n_dim - 1)], dtype=np.complex128)
     # z-major, as the points z x w; the batch checks every row once
-    z, w = np.repeat(zs, len(ws)), np.tile(np.array(ws), (zs.size, 1))
+    z, w = np.repeat(zs, len(ws)), np.tile(ws, (zs.size, 1))
     return EvaluationGrid(SiegelBatch(z, w))
 
 
 def _ladder(cfg: ExperimentConfig) -> tuple:
     return tuple(10.0 ** k for k in range(1, cfg.ladder_max + 1))
-
-
-def _projection_vector(cfg: ExperimentConfig, n_dim: int) -> np.ndarray:
-    if cfg.a is None:
-        return np.zeros(n_dim - 1, dtype=np.complex128)
-    a = _parse_vector(cfg.a)
-    if a.size != n_dim - 1:
-        raise CliError(f"a must have {n_dim - 1} entries for an N = {n_dim} map")
-    return a
 
 
 # -- Pipelines -----------------------------------------------------------------
@@ -214,7 +127,7 @@ class _Run:
 
 
 def _start(cfg: ExperimentConfig, m: HoloMap) -> SiegelPoint:
-    return _parse_point(cfg.start) if cfg.start else SiegelPoint(1.0, np.zeros(m.dim - 1))
+    return cfg.start if cfg.start is not None else SiegelPoint(1.0, np.zeros(m.dim - 1))
 
 
 def _cmd_orbit(cfg, m, out_dir, run) -> tuple:
@@ -344,8 +257,7 @@ def _cmd_limits(cfg, m, out_dir, run) -> tuple:
 
 
 def _cmd_jwc(cfg, m, out_dir, run) -> tuple:
-    a = _projection_vector(cfg, m.dim)
-    rho = LinearProjectionAtInfinity(a)
+    rho = LinearProjectionAtInfinity(cfg.a or np.zeros(m.dim - 1))
     ladder = _ladder(cfg)
     report = run.plan.jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
     li = run.plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
@@ -357,10 +269,11 @@ def _cmd_jwc(cfg, m, out_dir, run) -> tuple:
         for label, si, values in verdict.traces
     ])
 
+    a = ", ".join(f"{format_float(v.real)} + {format_float(v.imag)}i" for v in cfg.a or ())
     lines = [
         "command = jwc",
         f"map = {_describe_map(m)}",
-        f"a = {cfg.a or 'zero vector'}",
+        f"a = {a or 'zero vector'}",
         _verdict_line("part1 (left-inverse ratio, E0)", report.part1),
         _verdict_line("part2 (off-geodesic gap, E0)", report.part2),
         f"jwc_passed = {str(report.passed).lower()}"

@@ -1,19 +1,31 @@
-"""Flat key=value experiment configuration.
+"""Flat key=value experiment configuration, parsed and checked before any command runs.
 
 Format: one `key = value` per line, `#` starts a comment, blank lines
-ignored.  Unknown keys and duplicate keys are hard parse errors carrying
-line numbers.  emit_config(parse_config(text)) is the canonical form of
-text (defaults made explicit, keys in fixed order, floats in shortest
-round-trip notation).
+ignored.  ``parse_config`` reads every value once into its typed form:
+`psi` a ``PsiChoice``, `conjugate` one composite ``SiegelAutomorphism``,
+`start` a ``SiegelPoint``, `grid_z` and `a` tuples of complex, `grid_w` a
+tuple of them (the README gives the grammar).  The map's dimension is `N`,
+or 2 for `valiron_example`; `start` has N entries, and each `grid_w`
+vector, `a` and a `conjugate` translation N - 1.  Every error, of a key or
+of a value's text, range or dimension, is a ``ConfigError`` naming the
+line of its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import cmath
+import re
+from dataclasses import dataclass
 from typing import Optional
 
+from .geometry import DomainError, SiegelAutomorphism, SiegelPoint
+from .maps import PsiChoice
+
 COMMANDS = ("orbit", "classify", "valiron", "limits", "jwc", "report-all")
-MAP_NAMES = ("siegel_linear", "halfplane_affine", "valiron_example")
+# each map and the keys it needs
+_NEEDS = {"siegel_linear": ("lambda", "N"), "halfplane_affine": ("lambda", "b", "N"),
+          "valiron_example": ("A", "psi")}
+MAP_NAMES = tuple(_NEEDS)
 
 
 class ConfigError(ValueError):
@@ -28,13 +40,13 @@ class ExperimentConfig:
     b: Optional[float] = None
     a_mult: Optional[float] = None
     n_dim: Optional[int] = None
-    psi: Optional[str] = None
-    conjugate: Optional[str] = None
-    start: Optional[str] = None
+    psi: Optional[PsiChoice] = None
+    conjugate: Optional[SiegelAutomorphism] = None
+    start: Optional[SiegelPoint] = None
     points: Optional[str] = None
-    grid_z: Optional[str] = None
-    grid_w: Optional[str] = None
-    a: Optional[str] = None
+    grid_z: Optional[tuple] = None
+    grid_w: Optional[tuple] = None
+    a: Optional[tuple] = None
     n_max: int = 200
     tol: float = 1e-8
     seed: int = 0
@@ -43,7 +55,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
 
-# config key -> (field name, type tag), in the canonical emission order
+# config key -> (field name, type tag)
 _KEYS = {
     "command": ("command", "command"),
     "map": ("map_name", "map"),
@@ -51,13 +63,13 @@ _KEYS = {
     "b": ("b", "float"),
     "A": ("a_mult", "float"),
     "N": ("n_dim", "int"),
-    "psi": ("psi", "str"),
-    "conjugate": ("conjugate", "str"),
-    "start": ("start", "str"),
+    "psi": ("psi", "psi"),
+    "conjugate": ("conjugate", "conjugate"),
+    "start": ("start", "point"),
     "points": ("points", "str"),
-    "grid_z": ("grid_z", "str"),
-    "grid_w": ("grid_w", "str"),
-    "a": ("a", "str"),
+    "grid_z": ("grid_z", "vector"),
+    "grid_w": ("grid_w", "vectors"),
+    "a": ("a", "vector"),
     "n_max": ("n_max", "int"),
     "tol": ("tol", "float"),
     "seed": ("seed", "int"),
@@ -67,31 +79,98 @@ _KEYS = {
 }
 
 
-def _convert(key: str, raw: str, lineno: int):
-    _, tag = _KEYS[key]
-    if tag == "command":
-        if raw not in COMMANDS:
+# -- Value grammar -------------------------------------------------------------
+
+
+def _parse_complex(text: str) -> complex:
+    try:
+        return complex(text.strip().replace(" ", ""))
+    except ValueError:
+        raise ConfigError(f"cannot parse complex number from {text!r}") from None
+
+
+def _parse_vector(text: str) -> tuple:
+    text = text.strip()
+    return tuple(_parse_complex(part) for part in text.split(",")) if text else ()
+
+
+def _parse_vectors(text: str) -> tuple:
+    return tuple(_parse_vector(part) for part in text.split(";"))
+
+
+def _parse_point(text: str) -> SiegelPoint:
+    vals = _parse_vector(text)
+    if not vals:
+        raise ConfigError("a point needs at least the z coordinate")
+    return SiegelPoint(vals[0], vals[1:])
+
+
+def _parse_psi(text: str) -> PsiChoice:
+    text = text.strip()
+    if text == "cayley":
+        return PsiChoice("cayley")
+    if text == "oscillating":
+        return PsiChoice("oscillating")
+    match = re.fullmatch(r"constant\(([^)]*)\)", text)
+    if match:
+        return PsiChoice("constant", _parse_complex(match.group(1)))
+    raise ConfigError(f"psi must be constant(<value>), cayley or oscillating, got {text!r}")
+
+
+def _parse_conjugate(text: str) -> SiegelAutomorphism:
+    factors = []
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        match = re.fullmatch(r"(scale|translate)\(([^)]*)\)", item)
+        if not match:
             raise ConfigError(
-                f"line {lineno}: command must be one of {', '.join(COMMANDS)}, got {raw!r}"
+                f"conjugate items must be scale(x[,y]) or translate(a1,...), got {item!r}"
             )
+        kind, args = match.group(1), match.group(2)
+        if kind == "scale":
+            try:
+                vals = [float(v) for v in args.split(",")]
+            except ValueError:
+                vals = []
+            if len(vals) not in (1, 2):
+                raise ConfigError("scale takes one or two real arguments")
+            factors.append(SiegelAutomorphism.scale(*vals))
+        else:
+            factors.append(SiegelAutomorphism.translate(_parse_vector(args)))
+    if not factors:
+        raise ConfigError("empty conjugate chain")
+    return SiegelAutomorphism.composite(factors)
+
+
+_PARSERS = {
+    "psi": _parse_psi,
+    "conjugate": _parse_conjugate,
+    "point": _parse_point,
+    "vector": _parse_vector,
+    "vectors": _parse_vectors,
+}
+_CHOICES = {"command": COMMANDS, "map": MAP_NAMES}
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
+
+
+def _value(key: str, raw: str):
+    """The typed value of ``key``; its errors do not name the line yet."""
+    tag = _KEYS[key][1]
+    if tag in _CHOICES:
+        if raw not in _CHOICES[tag]:
+            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[tag])}, got {raw!r}")
         return raw
-    if tag == "map":
-        if raw not in MAP_NAMES:
-            raise ConfigError(
-                f"line {lineno}: map must be one of {', '.join(MAP_NAMES)}, got {raw!r}"
-            )
-        return raw
-    if tag == "int":
+    if tag in _NUMBERS:
+        cast, need = _NUMBERS[tag]
         try:
-            return int(raw)
+            return cast(raw)
         except ValueError:
-            raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {raw!r}") from None
-    if tag == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {raw!r}") from None
-    return raw
+            raise ConfigError(f"key {key!r} needs {need}, got {raw!r}") from None
+    if tag in ("point", "conjugate", "str") and not raw:
+        return None  # an empty start, chain, points or out leaves the key unset
+    return _PARSERS[tag](raw) if tag in _PARSERS else raw
 
 
 def _validate(cfg: ExperimentConfig, lines: dict) -> None:
@@ -121,14 +200,30 @@ def _validate(cfg: ExperimentConfig, lines: dict) -> None:
         raise ConfigError(f"command {cfg.command!r} needs a map")
     if cfg.command == "classify" and cfg.map_name is None and cfg.points is None:
         raise ConfigError("classify needs either a map + start or a points file")
-    if cfg.map_name == "siegel_linear" and (cfg.lam is None or cfg.n_dim is None):
-        raise ConfigError("siegel_linear needs keys lambda and N")
-    if cfg.map_name == "halfplane_affine" and (
-        cfg.lam is None or cfg.b is None or cfg.n_dim is None
-    ):
-        raise ConfigError("halfplane_affine needs keys lambda, b and N")
-    if cfg.map_name == "valiron_example" and (cfg.a_mult is None or cfg.psi is None):
-        raise ConfigError("valiron_example needs keys A and psi")
+    if cfg.map_name is None:
+        return
+    needs = _NEEDS[cfg.map_name]
+    if any(key not in lines for key in needs):
+        raise ConfigError(f"{cfg.map_name} needs keys {', '.join(needs[:-1])} and {needs[-1]}")
+    n = 2 if cfg.map_name == "valiron_example" else cfg.n_dim
+    if cfg.n_dim not in (None, n):
+        raise ConfigError(f"{where('N')}valiron_example has dimension 2, got N = {cfg.n_dim}")
+
+    def check(key: str, label: str, want: int, got: int) -> None:
+        if got != want:
+            raise ConfigError(f"{where(key)}{label} must have {want} entries for an N = {n} map, "
+                              f"got {got}")
+
+    if cfg.start is not None:
+        check("start", "start", n, cfg.start.dim)
+    for w in cfg.grid_w or ():
+        check("grid_w", "grid_w vectors", n - 1, len(w))
+    if cfg.a is not None:
+        check("a", "a", n - 1, len(cfg.a))
+        if not all(map(cmath.isfinite, cfg.a)):
+            raise ConfigError(f"{where('a')}non-finite projection direction a")
+    if cfg.conjugate is not None and cfg.conjugate.a.size:  # no translation fits every N
+        check("conjugate", "conjugate translations", n - 1, cfg.conjugate.a.size)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -150,27 +245,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines_seen[key]})"
             )
         lines_seen[key] = lineno
-        values[_KEYS[key][0]] = _convert(key, raw, lineno)
+        try:
+            values[_KEYS[key][0]] = _value(key, raw)
+        except (ConfigError, DomainError) as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     if "command" not in values:
         raise ConfigError("missing required key 'command'")
     cfg = ExperimentConfig(**values)
     _validate(cfg, lines_seen)
     return cfg
-
-
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
-    by_field = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    out = []
-    for key in _KEYS:
-        value = by_field[_KEYS[key][0]]
-        if value is None:
-            continue
-        out.append(f"{key} = {_render(value)}")
-    return "\n".join(out) + "\n"

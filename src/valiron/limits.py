@@ -665,12 +665,12 @@ def w_growth_fn(m: HoloMap) -> MapProbe:
 
 
 def jwc_check(m: HoloMap, rho: LinearProjectionAtInfinity, tol: float = DEFAULT_TOL,
-              ladder: tuple = DEFAULT_LADDER, seed: int = 0) -> JWCReport:
+              ladder: tuple = DEFAULT_LADDER) -> JWCReport:
     """Check (1) E0-lim rho~ o phi / rho~ = lam and (2) E0-lim ||phi - rho o phi|| / |rho~| = 0.
 
     Both parts read one evaluation of ``m`` along the canonical E0 sweep.
     """
-    return SweepPlan(seed).jwc_check(m, rho, tol, ladder)
+    return SweepPlan().jwc_check(m, rho, tol, ladder)
 
 
 @dataclass(frozen=True)
@@ -739,7 +739,6 @@ def left_inverse_ratio_check(
     rho: LinearProjectionAtInfinity,
     tol: float = DEFAULT_TOL,
     ladder: tuple = DEFAULT_LADDER,
-    seed: int = 0,
 ) -> LeftInverseReport:
     """E-limit transfer: if phi_1/z has an E-limit, rho~ o phi / rho~ shares it.
 
@@ -749,4 +748,4 @@ def left_inverse_ratio_check(
     tends to 0.  The three probes read one evaluation of ``m`` along the
     canonical E sweep.
     """
-    return SweepPlan(seed).left_inverse_ratio_check(m, rho, tol, ladder)
+    return SweepPlan().left_inverse_ratio_check(m, rho, tol, ladder)

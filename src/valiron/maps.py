@@ -331,6 +331,9 @@ def make_siegel_map_from_ball(m: HoloMap) -> HoloMap:
     """Inverse transport: conjugate a ball-side map onto the Siegel domain."""
     if m.domain != "ball":
         raise DomainError("expected a ball-side map")
+    # the Cayley transform sends e_1, and only e_1, to infinity
+    if m.dw != e1_direction(m.dim):
+        raise DomainError("the Cayley transport needs the Denjoy-Wolff point e_1")
     if m.twin is not None and m.twin.domain == "siegel":
         return m.twin
 

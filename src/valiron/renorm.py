@@ -398,9 +398,12 @@ class ValironResult:
             points = tuple(points)
         if not len(points):
             return np.zeros(0, dtype=np.complex128)
-        if self._sigma_fn is not None:
-            return self._sigma_fn(points)
         batch = SiegelBatch.from_points(points)
+        if batch.w.shape[1] != self.map.dim - 1:  # a run with no stored step evaluates nothing
+            raise DomainError(
+                f"points of dimension {batch.w.shape[1] + 1} for a map of dimension {self.map.dim}")
+        if self._sigma_fn is not None:
+            return self._sigma_fn(batch)
         z, w, top, x_prev = batch.z, batch.w, _top, 1.0  # x_0, Re z of the base (1, 0)
         if not self.scale_pairs:
             return z / x_prev

@@ -8,10 +8,21 @@ import numpy as np
 import pytest
 
 from valiron import cli, dynamics
-from valiron.cli import _parse_vector, build_grid, build_map, main, run_command
-from valiron.config import ConfigError, ExperimentConfig, emit_config, parse_config
+from valiron.cli import build_grid, build_map, main, run_command
+from valiron.config import (
+    ConfigError,
+    ExperimentConfig,
+    _parse_vector,
+    _parse_vectors,
+    parse_config,
+)
 from valiron.dynamics import compute_orbit
-from valiron.geometry import DomainError, LinearProjectionAtInfinity, SiegelPoint
+from valiron.geometry import (
+    DomainError,
+    LinearProjectionAtInfinity,
+    SiegelAutomorphism,
+    SiegelPoint,
+)
 from valiron.limits import e0_limit, e_limit, first_coordinate_ratio_fn, jwc_check, k_limit
 from valiron.maps import (
     PsiChoice,
@@ -40,7 +51,8 @@ class TestConfig:
         assert cfg.command == "valiron"
         assert cfg.map_name == "valiron_example"
         assert cfg.a_mult == 2.0
-        assert cfg.psi == "constant(0.5)"
+        assert cfg.psi == PsiChoice("constant", 0.5)
+        assert cfg.grid_z == (2, 4 + 1j) and cfg.grid_w == ((0.5,), (0.25 + 0.25j,))
 
     def test_comments_and_blanks_are_skipped(self):
         cfg = parse_config(
@@ -50,15 +62,6 @@ class TestConfig:
             + "map = siegel_linear  # inline comment\nlambda = 2\nN = 2\n"
         )
         assert cfg.command == "orbit" and cfg.lam == 2.0
-
-    def test_emit_parse_round_trip(self):
-        cfg = parse_config(VALIRON_CONFIG)
-        assert parse_config(emit_config(cfg)) == cfg
-
-    def test_emit_is_canonical(self):
-        text = emit_config(parse_config(VALIRON_CONFIG))
-        shuffled = "\n".join(reversed(text.strip().splitlines())) + "\n"
-        assert emit_config(parse_config(shuffled)) == text
 
     def test_multiplier_below_one_rejected_with_line_number(self):
         bad = "command = valiron\nmap = valiron_example\nA = 0.5\npsi = constant(0.5)\n"
@@ -116,6 +119,67 @@ class TestConfig:
         assert q.z != direct(SiegelPoint(3.0, np.array([1.0 + 0j]))).z
 
 
+AFFINE = "command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+EXAMPLE = "command = valiron\nmap = valiron_example\nA = 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # malformed values of each parsed key
+    (EXAMPLE + "psi = bogus\n",
+     "line 4: psi must be constant(<value>), cayley or oscillating, got 'bogus'"),
+    (EXAMPLE + "psi = constant(1+)\n", "line 4: cannot parse complex number from '1+'"),
+    (EXAMPLE + "psi = constant(2)\n", "line 4: constant psi needs |param| < 1"),
+    (AFFINE + "conjugate = scale(x)\n", "line 6: scale takes one or two real arguments"),
+    (AFFINE + "conjugate = scale(1, 2, 3)\n", "line 6: scale takes one or two real arguments"),
+    (AFFINE + "conjugate = shear(1)\n",
+     "line 6: conjugate items must be scale(x[,y]) or translate(a1,...), got 'shear(1)'"),
+    (AFFINE + "conjugate = ;\n", "line 6: empty conjugate chain"),
+    (AFFINE + "conjugate = scale(0)\n", "line 6: scale-translate requires x > 0"),
+    (AFFINE + "conjugate = translate(1); translate(1, 2)\n",
+     "line 6: translation vector dimension mismatch"),
+    (AFFINE + "start = 1+, 0\n", "line 6: cannot parse complex number from '1+'"),
+    (AFFINE + "start = , 0\n", "line 6: cannot parse complex number from ''"),
+    (AFFINE + "start = 0.5, 1\n",
+     "line 6: not strictly inside the Siegel domain: Re z - ||w||^2 = -0.5"),
+    (AFFINE + "start = nan, 0\n", "line 6: non-finite coordinates"),
+    (AFFINE + "grid_z = 2, x\n", "line 6: cannot parse complex number from ' x'"),
+    (AFFINE + "grid_w = 0.1; 0.2j+\n", "line 6: cannot parse complex number from '0.2j+'"),
+    (AFFINE + "a = 1j, \n", "line 6: cannot parse complex number from ''"),
+    (AFFINE + "a = nan\n", "line 6: non-finite projection direction a"),
+    (AFFINE + "a = 1e999j\n", "line 6: non-finite projection direction a"),
+    # values of another dimension than the map's
+    (AFFINE + "start = 2, 0.1, 0.1\n", "line 6: start must have 2 entries for an N = 2 map, got 3"),
+    ("command = orbit\nstart = 2\nmap = siegel_linear\nlambda = 2\nN = 3\n",
+     "line 2: start must have 3 entries for an N = 3 map, got 1"),
+    (AFFINE + "grid_z = 2\ngrid_w = 0.1; 0.1, 0.2\n",
+     "line 7: grid_w vectors must have 1 entries for an N = 2 map, got 2"),
+    (AFFINE + "a = 1, 2\n", "line 6: a must have 1 entries for an N = 2 map, got 2"),
+    (AFFINE + "conjugate = scale(4); translate(1, 2)\n",
+     "line 6: conjugate translations must have 1 entries for an N = 2 map, got 2"),
+    (EXAMPLE + "psi = cayley\na = 1, 2\n", "line 5: a must have 1 entries for an N = 2 map, got 2"),
+    (EXAMPLE + "psi = cayley\nN = 3\n", "line 5: valiron_example has dimension 2, got N = 3"),
+])
+def test_a_bad_value_is_a_config_error_on_its_line(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_values_are_typed_once():
+    """Signed zeros survive; an empty start, chain, points or out leaves the key unset."""
+    cfg = parse_config(AFFINE + "start = 1-0j, -0\nconjugate = scale(4); translate(1)\n"
+                                "a = 0.5\ngrid_z = 2, -0\n")
+    assert cfg.start == SiegelPoint(1.0, [0.0])
+    assert np.signbit([cfg.start.z.imag, cfg.start.w[0].real]).all()
+    assert cfg.conjugate == SiegelAutomorphism.composite(
+        [SiegelAutomorphism.scale(4.0), SiegelAutomorphism.translate([1.0])])
+    assert cfg.a == (0.5,) and np.signbit(cfg.grid_z[1].real)
+    empty = parse_config(AFFINE + "start =\nconjugate =\npoints =\nout =\n")
+    assert (empty.start, empty.conjugate, empty.points, empty.out) == (None,) * 4
+    with pytest.raises(ConfigError, match="classify needs either a map"):
+        parse_config("command = classify\npoints =\n")
+
+
 def _outcome(fn, *args):
     """The value of fn(*args), or the type and message of what it raised."""
     try:
@@ -142,12 +206,12 @@ def _outcome(fn, *args):
 def test_grid_rows_and_errors_are_the_point_by_point_ones(n_dim, grid_z, grid_w):
     """build_grid checks one batch; its rows, and its errors, are those of the
     grid of points z x w, made and checked one at a time."""
-    cfg = ExperimentConfig(command="valiron", grid_z=grid_z, grid_w=grid_w)
-    ws = [np.zeros(n_dim - 1)] if grid_w is None else [_parse_vector(v) for v in grid_w.split(";")]
+    cfg = ExperimentConfig(command="valiron", grid_z=_parse_vector(grid_z),
+                           grid_w=None if grid_w is None else _parse_vectors(grid_w))
+    ws = [np.zeros(n_dim - 1)] if grid_w is None else cfg.grid_w
 
     def by_points():
-        zs = _parse_vector(grid_z)
-        return EvaluationGrid([SiegelPoint(complex(z), w) for z in zs for w in ws])
+        return EvaluationGrid([SiegelPoint(z, w) for z in cfg.grid_z for w in ws])
 
     want, got = _outcome(by_points), _outcome(build_grid, cfg, n_dim)
     if isinstance(want, tuple):
@@ -254,7 +318,7 @@ class TestCli:
     def test_a_bad_conjugation_is_rejected_when_built(self, tmp_path, capsys, chain, message):
         code = _run(tmp_path, VALIRON_CONFIG + f"conjugate = {chain}\n")
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: line 7: {message}\n"
         assert not (tmp_path / "valiron.csv").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
@@ -373,7 +437,7 @@ class TestCli:
         assert code == 0
         rho = LinearProjectionAtInfinity(np.array([0.5 + 0j]))
         ladder = tuple(10.0 ** k for k in range(1, 7))
-        report = jwc_check(make_halfplane_affine(2.0, 1.0, 2), rho, ladder=ladder, seed=3)
+        report = jwc_check(make_halfplane_affine(2.0, 1.0, 2), rho, ladder=ladder)
         expect = _trace_rows(report.part1.traces, "part1:")
         expect += _trace_rows(report.part2.traces, "part2:")
         assert _csv_rows(tmp_path / "jwc.csv") == expect
@@ -479,12 +543,25 @@ class TestCli:
         assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
+    @pytest.mark.parametrize("line, message", [
+        ("start = 1+, 0", "cannot parse complex number from '1+'"),
+        ("start = 0.5, 1", "not strictly inside the Siegel domain: Re z - ||w||^2 = -0.5"),
+        ("a = 1, 2", "a must have 1 entries for an N = 2 map, got 2"),
+    ])
+    def test_a_bad_value_exits_one_before_any_output(self, tmp_path, capsys, line, message):
+        """A value that report-all reads late still fails before any file is written."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(AFFINE + f"n_max = 60\n{line}\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: line 7: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     def test_a_start_of_another_dimension_exits_one(self, tmp_path, capsys):
         text = ("command = orbit\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
                 "start = 2, 0.1, 0.1\n")
         assert _run(tmp_path, text) == 1
         assert capsys.readouterr() == (
-            "", "error: points of dimension 3 for a map of dimension 2\n")
+            "", "error: line 6: start must have 2 entries for an N = 2 map, got 3\n")
         assert not (tmp_path / "orbit.csv").exists()
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import valiron
 from valiron.geometry import (
     INFINITY,
+    BoundaryDirection,
     DomainError,
     SiegelAutomorphism,
     SiegelPoint,
@@ -146,6 +148,14 @@ class TestBallTransport:
         via = back(q)
         assert abs(via.z - direct.z) < 1e-10 * max(1, abs(direct.z))
         assert np.max(np.abs(via.w - direct.w)) < 1e-10
+
+    @pytest.mark.parametrize("twin", [True, False])
+    def test_a_denjoy_wolff_point_other_than_e1_is_rejected(self, twin):
+        """The Cayley transform sends only e_1 to infinity, with or without a twin."""
+        ball = make_ball_map_from_siegel(make_halfplane_affine(2.0, 1.0, 2))
+        ball = replace(ball, dw=BoundaryDirection([-1.0, 0.0]), twin=ball.twin if twin else None)
+        with pytest.raises(DomainError, match="Denjoy-Wolff point e_1"):
+            make_siegel_map_from_ball(ball)
 
 
 class TestIterate:

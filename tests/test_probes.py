@@ -156,20 +156,20 @@ def ref_sweep(h, kind, n_dim, tol=DEFAULT_TOL, ladder=DEFAULT_LADDER, extra=0, s
     return verdict_from_traces(rounded, tol), traces
 
 
-def ref_jwc(m, rho, tol, ladder, seed):
-    v1 = ref_sweep(ratio(m, rho), "E0", m.dim, tol, ladder, 0, seed)
-    v2 = ref_sweep(gap(m, rho), "E0", m.dim, tol, ladder, 0, seed)
+def ref_jwc(m, rho, tol, ladder):
+    v1 = ref_sweep(ratio(m, rho), "E0", m.dim, tol, ladder)
+    v2 = ref_sweep(gap(m, rho), "E0", m.dim, tol, ladder)
     ok = (v1[0].exists and v2[0].exists and abs(v1[0].value - m.multiplier) <= tol
           and abs(v2[0].value) <= tol)
     return JWCReport(part1=v1, part2=v2, multiplier=m.multiplier, passed=ok)
 
 
-def ref_left_inverse(m, rho, tol, ladder, seed):
-    prereq = ref_sweep(phi1_ratio(m), "E", m.dim, tol, ladder, 0, seed)
+def ref_left_inverse(m, rho, tol, ladder):
+    prereq = ref_sweep(phi1_ratio(m), "E", m.dim, tol, ladder)
     if not prereq[0].exists:
         return LeftInverseReport("inconclusive", None, None, prereq, m.multiplier, False)
-    rv = ref_sweep(ratio(m, rho), "E", m.dim, tol, ladder, 0, seed)
-    dv = ref_sweep(wgrowth(m), "E", m.dim, tol, ladder, 0, seed)
+    rv = ref_sweep(ratio(m, rho), "E", m.dim, tol, ladder)
+    dv = ref_sweep(wgrowth(m), "E", m.dim, tol, ladder)
     ok = (rv[0].exists and dv[0].exists and abs(rv[0].value - m.multiplier) <= tol
           and abs(dv[0].value) <= tol)
     return LeftInverseReport("confirmed" if ok else "failed", rv, dv, prereq, m.multiplier, ok)
@@ -312,8 +312,8 @@ def test_checks_equal_the_scalar_probes(name):
     m = MAPS[name]
     for rho in _projections(m.dim):
         for check, ref in ((jwc_check, ref_jwc), (left_inverse_ratio_check, ref_left_inverse)):
-            assert_report(check(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2),
-                          ref(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2))
+            assert_report(check(m, rho, DEFAULT_TOL, DEFAULT_LADDER),
+                          ref(m, rho, DEFAULT_TOL, DEFAULT_LADDER))
 
 
 @pytest.mark.parametrize("name, status", [
@@ -324,7 +324,7 @@ def test_checks_equal_the_scalar_probes(name):
 def test_the_compared_ratio_checks_reach_every_branch(name, status):
     m = MAPS[name]
     rho = _projections(m.dim)[-1]
-    assert left_inverse_ratio_check(m, rho, DEFAULT_TOL, DEFAULT_LADDER, 2).status == status
+    assert left_inverse_ratio_check(m, rho, DEFAULT_TOL, DEFAULT_LADDER).status == status
 
 
 @pytest.mark.parametrize(
@@ -346,7 +346,7 @@ def test_a_shared_plan_gives_each_sweep_what_it_gives_alone(name):
             alone(h, m.dim, ladder=LADDER, extra=extra, seed=5)), alone.__name__
     for check in ("jwc_check", "left_inverse_ratio_check"):
         got = outcome(lambda: getattr(plan, check)(m, rho, ladder=LADDER), report_key)
-        want = outcome(lambda: globals()[check](m, rho, ladder=LADDER, seed=5), report_key)
+        want = outcome(lambda: globals()[check](m, rho, ladder=LADDER), report_key)
         assert got == want, check
     with pytest.raises(ValueError, match="declared before"):
         plan.sweep(k_families(m.dim, LADDER), 3)

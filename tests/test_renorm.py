@@ -223,6 +223,20 @@ class TestRunValiron:
                     with pytest.raises(DomainError, match="dimension"):
                         evaluate([q])
 
+    def test_a_run_with_no_stored_step_checks_the_dimension(self):
+        """sigma_at of an n_max = 0 run evaluates no map, yet rejects rows of
+        another width, as residual_at does; rows of the right width are z / 1."""
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        result = run_valiron(m, n_max=0)
+        results = (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"]), n_max=0),
+                   conjugation_transport(result, SiegelAutomorphism.scale(4.0)))
+        for res in results:
+            assert res.scale_pairs == ()
+            q = SiegelPoint(3.0, [0.5, 0.5])
+            with pytest.raises(DomainError, match="points of dimension 3 for a map of dimension 2"):
+                res.sigma_at([q])
+        assert result.sigma_at([SiegelPoint(3.0, [0.5])]).tolist() == [3.0]
+
     def test_sigma_at_evaluates_only_the_probes(self):
         """One batch call of len(pts) rows per stored step, no scalar call."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
