@@ -786,12 +786,15 @@ class LinearProjectionAtInfinity:
     rho_a(z, w) = (z + 2 ||a||^2 + 2 <w, a>, -a); a = 0 recovers the
     first-coordinate projection p_1(z, w) = (z, 0).  The left inverse
     rho~_a(z, w) = z + ||a||^2 + 2 <w, a> maps H^N into the half-plane.
+    Every entry of ``a`` is finite.
     """
 
     a: np.ndarray
 
     def __init__(self, a: Iterable[complex]):
         arr = _as_complex_vector(a)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("non-finite projection direction")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 

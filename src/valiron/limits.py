@@ -18,14 +18,14 @@ rungs; each sequence is a ``SiegelBatch``.  A ``SweepPlan`` holds every
 sweep of a command set: one pass generates the rows of every distinct
 family, with the most sequences any sweep asks of it, and checks them once,
 and the map is evaluated once over them, with ``maps.evaluate_batch``.  The
-probed functions of the map's images are ``MapProbe``s, computed only on
-the rows a sweep reads and shared by every sweep that reads them; each is
-one numpy expression, whose error against the same formula in exact
-arithmetic its docstring states, and a row's value does not depend on the
-other rows.  Any other function ``h`` of a point is evaluated point by
-point.  ``k_limit``, ``e_limit``, ``e0_limit``, ``jwc_check`` and
-``left_inverse_ratio_check`` run a plan of their own sweeps; ``valiron
-run`` builds one plan for all the sweeps of its commands.
+probed functions of the map's images are ``MapProbe``s, each computed in
+one call over every row of the plan and shared by every sweep that reads
+it; each is one numpy expression, whose error against the same formula in
+exact arithmetic its docstring states, and a row's value does not depend on
+the other rows.  Any other function ``h`` of a point is evaluated point by
+point, once on every row.  ``k_limit``, ``e_limit``, ``e0_limit``,
+``jwc_check`` and ``left_inverse_ratio_check`` run a plan of their own
+sweeps; ``valiron run`` builds one plan for all the sweeps of its commands.
 """
 
 from __future__ import annotations
@@ -349,14 +349,6 @@ def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
     return SiegelBatch._checked(z, w)
 
 
-def _take(batch: SiegelBatch, rows: np.ndarray) -> SiegelBatch:
-    """The batch of the given distinct rows, in increasing order."""
-    if rows.size == len(batch):
-        return batch
-    z, w = batch.z[rows], batch.w[rows]
-    return SiegelBatch._checked(z, w)
-
-
 @functools.lru_cache(maxsize=64)
 def k_families(n_dim: int, ladder: tuple = DEFAULT_LADDER) -> tuple:
     """The K-limit sweep: one Koranyi family per amplitude M in M_SWEEP."""
@@ -393,10 +385,12 @@ class SweepPlan:
     sequences reads the first ones of the larger generation.
 
     Each map is evaluated once, with ``evaluate_batch``, over the whole
-    batch.  A probe is computed only on the rows its sweeps read, and only
-    once: ``MapProbe``s of the same map and function share their values.
-    Maps and probes are row-wise, so every value has the bits the sweep
-    gives alone.
+    batch, and each probe is computed once over it: a ``MapProbe`` in one
+    call, which ``MapProbe``s of the same map and function share, and a
+    plain ``h`` point by point, in row order.  A trace is a slice of those
+    values, held as complex.  Maps and probes are row-wise, so every value
+    has the bits the sweep gives alone; but a row that no sweep of the
+    probe reads is computed too, and an error there is raised.
     """
 
     def __init__(self, seed: int = 0):
@@ -405,7 +399,7 @@ class SweepPlan:
         self._offsets: dict = {}  # family -> (first row, sequences generated)
         self._points: Optional[SiegelBatch] = None
         self._images: dict = {}  # id(map) -> (map, images of every row)
-        self._values: dict = {}  # probe key -> (probe, values, rows computed)
+        self._values: dict = {}  # probe key -> (probe, values of every row)
 
     def sweep(self, families: Sequence[ApproachFamily], extra: int = 0) -> tuple:
         """Declare a sweep: the canonical seeds plus ``extra`` drawn sequences of each family.
@@ -432,39 +426,31 @@ class SweepPlan:
             self._points = SiegelBatch._checked(z, w)
         return self._points
 
-    def _probe_values(self, probe, need: np.ndarray) -> np.ndarray:
-        """Values of ``probe`` over the batch, computed where the mask ``need`` is set."""
+    def _probe_values(self, probe) -> np.ndarray:
+        """Values of ``probe`` on every row of the plan, computed once, as complex."""
         key = (id(probe.m), probe.f) if isinstance(probe, MapProbe) else id(probe)
         if key not in self._values:
-            n = len(self._points)
-            self._values[key] = (probe, np.empty(n, np.complex128), np.zeros(n, bool))
-        _, values, done = self._values[key]
-        todo = np.flatnonzero(need & ~done)
-        if todo.size:
-            points = _take(self._points, todo)
+            points = self._stack()
             if isinstance(probe, MapProbe):
                 if id(probe.m) not in self._images:
-                    self._images[id(probe.m)] = (probe.m, _images(probe.m, self._points))
-                values[todo] = probe.f(points, _take(self._images[id(probe.m)][1], todo))
+                    self._images[id(probe.m)] = (probe.m, _images(probe.m, points))
+                values = probe.f(points, self._images[id(probe.m)][1])
             else:
-                values[todo] = [probe(p) for p in points]
-            done[todo] = True
-        return values
+                values = [probe(p) for p in points]
+            self._values[key] = (probe, np.asarray(values, np.complex128))
+        return self._values[key][1]
 
     def traces(self, probe: Callable[[SiegelPoint], complex], sweep: tuple) -> list:
         """Labelled ``(family_label, seq_index, values)`` traces of ``probe`` along ``sweep``."""
         families, extra = self.sweep(*sweep)
-        need = np.zeros(len(self._stack()), bool)
-        spans = []  # (family_label, seq_index, rows of the sequence)
+        values = self._probe_values(probe)
+        traces = []
         for fam in families:
             start, generated = self._offsets[fam]
             label, rungs = family_label(fam), len(fam.ladder)
-            read = min(len(fam.seeds) + extra, generated)
-            need[start:start + read * rungs] = True
-            spans += [(label, i, slice(start + i * rungs, start + (i + 1) * rungs))
-                      for i in range(read)]
-        values = self._probe_values(probe, need)
-        return [(label, i, values[r]) for label, i, r in spans]
+            traces += [(label, i, values[start + i * rungs:start + (i + 1) * rungs])
+                       for i in range(min(len(fam.seeds) + extra, generated))]
+        return traces
 
     def verdict(self, probe, sweep: tuple, tol: float = DEFAULT_TOL) -> "LimitVerdict":
         """``verdict_from_traces`` of the traces of ``probe`` along ``sweep``."""
@@ -472,10 +458,11 @@ class SweepPlan:
 
     def jwc_check(self, m: HoloMap, rho: LinearProjectionAtInfinity,
                   tol: float = DEFAULT_TOL, ladder: tuple = DEFAULT_LADDER) -> "JWCReport":
-        """See the function ``jwc_check``; both parts read the canonical E0 sweep."""
+        """See the function ``jwc_check``; both parts read ``CHECK_SWEEPS[0]``."""
         if m.domain != "siegel":
             raise DomainError("jwc_check expects a Siegel-side map")
-        sweep = self.sweep(e0_families(m.dim, ladder))
+        families, extra = CHECK_SWEEPS[0]
+        sweep = self.sweep(families(m.dim, ladder), extra)
         t1 = self.traces(projection_ratio_fn(m, rho), sweep)
         t2 = self.traces(projection_gap_fn(m, rho), sweep)
         v1, v2 = verdict_from_traces(t1, tol), verdict_from_traces(t2, tol)
@@ -490,10 +477,11 @@ class SweepPlan:
     def left_inverse_ratio_check(self, m: HoloMap, rho: LinearProjectionAtInfinity,
                                  tol: float = DEFAULT_TOL,
                                  ladder: tuple = DEFAULT_LADDER) -> "LeftInverseReport":
-        """See the function ``left_inverse_ratio_check``; its probes read the canonical E sweep."""
+        """See the function ``left_inverse_ratio_check``; its probes read ``CHECK_SWEEPS[1]``."""
         if m.domain != "siegel":
             raise DomainError("left_inverse_ratio_check expects a Siegel-side map")
-        sweep = self.sweep(e_families(m.dim, ladder))
+        families, extra = CHECK_SWEEPS[1]
+        sweep = self.sweep(families(m.dim, ladder), extra)
         prereq_traces, ratio_traces, growth_traces = [
             self.traces(h, sweep)
             for h in (first_coordinate_ratio_fn(m), projection_ratio_fn(m, rho), w_growth_fn(m))

@@ -2,18 +2,19 @@
 
 A map is an evaluator plus metadata (Denjoy-Wolff point, boundary
 multiplier, optional closed-form intertwining function).  A Siegel-side map
-may be defined by ``batch``, the map on arrays of points, alone; its
-evaluator is then a one-row call.  The catalog holds hyperbolic examples
-whose Schroder solutions are known, used as oracles, each defined so:
+may be defined by ``batch``, the map on arrays of points, or by the pair
+``(inner, T)`` of ``conjugate_map`` alone; its evaluator is then a one-row
+call.  The catalog holds hyperbolic examples whose Schroder solutions are
+known, used as oracles, each defined so:
 
 * ``make_siegel_linear``      (z, w) -> (lam z, sqrt(lam) w)
 * ``make_halfplane_affine``   (z, w) -> (lam z + i b, sqrt(lam) w)
 * ``make_valiron_example``    (z, w) -> (A z + A w^2 psi(z), 0) on H^2
 
 ``evaluate_batch`` runs a Siegel-side map on arrays of points through
-``batch``; black boxes alone go point by point.  Evaluators are pure;
-per-point work is independent, so results never depend on evaluation order,
-and a row gets the same bits alone as inside any batch.
+``batch``, or T and the inner map; black boxes alone go point by point.
+Evaluators are pure; per-point work is independent, so results never depend
+on evaluation order, and a row gets the same bits alone as inside any batch.
 """
 
 from __future__ import annotations
@@ -104,16 +105,14 @@ class HoloMap:
     ``batch`` is the map on arrays of Siegel points: ``batch(z, w)`` with
     ``z`` of shape (n,) and ``w`` of shape (n, N-1) returns the images'
     ``(z, w)`` in the same shapes.  It validates neither its input nor its
-    output; ``evaluate_batch`` does both.  A Siegel map given ``batch``
-    alone gets a one-row call of it as its ``evaluator``, which checks
-    the image; the input point was checked when it was made.
-    ``dataclasses.replace`` keeps that evaluator, so ``replace(m,
-    batch=None)`` is ``m`` evaluated point by point.
-
-    ``conjugation`` is ``(inner, t)`` on the map ``t o inner o t^-1`` that
-    ``conjugate_map`` made; ``compute_orbit`` and the renormalized step (in
-    ``renorm``) step on ``inner``, so ``replace`` with another ``batch``
-    needs ``conjugation=None`` too.
+    output; ``evaluate_batch`` does both.  ``conjugation`` is ``(inner,
+    t)`` on the map ``t o inner o t^-1`` that ``conjugate_map`` made;
+    ``evaluate_batch``, ``compute_orbit`` and the renormalized step (in
+    ``renorm``) all step on ``inner``.  A map has one of the two, not both.
+    A Siegel map given either gets a one-row ``_images`` as its
+    ``evaluator``, which checks the image; the input point was checked when
+    it was made.  ``dataclasses.replace`` keeps that evaluator, so
+    ``replace(m, batch=None)`` is ``m`` evaluated point by point.
     """
 
     domain: str
@@ -145,8 +144,10 @@ class HoloMap:
                 raise DomainError("ball map needs a BoundaryDirection Denjoy-Wolff point")
             if not 0.0 < self.multiplier < 1.0:
                 raise DomainError("ball-side multiplier must satisfy 0 < c < 1")
+        if self.batch is not None and self.conjugation is not None:
+            raise DomainError("a map has a batch or a conjugation, not both")
         if self.evaluator is None:
-            if self.domain != "siegel" or self.batch is None:
+            if self.domain != "siegel" or self.batch is None and self.conjugation is None:
                 raise DomainError("a map needs an evaluator, or a batch on the Siegel side")
             object.__setattr__(self, "evaluator", partial(_evaluate_one, self))
 
@@ -160,8 +161,7 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
     arrays of the same shapes.  Every input row is checked as
     ``SiegelPoint`` checks it, before any row is mapped; then ``_images``
-    maps the rows and checks the images: a map with ``batch`` runs on the
-    whole arrays, a black box point by point.
+    maps the rows and checks the images.
     """
     _check_inputs(m, z, w)
     return _images(m, z, w)[:2]
@@ -183,10 +183,12 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
 
     Only the images are checked, once each.  An orbit steps through this:
     each step's input row is the checked start or the previous checked
-    image, bit for bit.  A black box is still evaluated point by point: it
+    image, bit for bit.  A map with ``batch`` runs on the whole arrays.  A
+    conjugate ``t o inner o t^-1`` applies T^-1 (``apply_automorphism_arrays``),
+    checks those rows as ``evaluate_batch`` does, maps them by ``_images`` of
+    ``inner`` and applies T.  A black box is evaluated point by point: it
     gets each row as a ``SiegelPoint`` over a read-only row of one copy of
-    ``w``, not checked again, and returns points, which were checked when
-    they were made.
+    ``w``, not checked again, and returns points, checked when made.
 
     Returns ``(z, w, top)``, where ``top`` is what ``check_siegel_arrays``
     returns of the images with ``_clearance``: inf for a black box, whose
@@ -195,14 +197,20 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
     _check_siegel_side(m)
     if w.shape[1] != m.dim - 1:
         raise DomainError(f"points of dimension {w.shape[1] + 1} for a map of dimension {m.dim}")
-    if m.batch is None:
+    if m.conjugation is not None:
+        phi, t = m.conjugation
+        pre = apply_automorphism_arrays(t.inverse(), z, w)
+        _check_inputs(phi, *pre)
+        z, w = apply_automorphism_arrays(t, *_images(phi, *pre)[:2])
+    elif m.batch is None:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)
         images = [m.evaluator(_checked_point(zi, wi)) for zi, wi in zip(z.tolist(), w)]
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         w_out = np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
         return z_out, w_out, math.inf
-    z, w = m.batch(z, w)
+    else:
+        z, w = m.batch(z, w)
     if _clearance:
         return z, w, check_siegel_arrays(z, w, _clearance=True)
     check_siegel_arrays(z, w)
@@ -365,21 +373,12 @@ def conjugate_map(m: HoloMap, t) -> HoloMap:
     orbit of ``m``, in one array call, and carries that inner orbit.  The
     renormalized step and ``sigma_at`` step the rows of T^-1(q) on ``m``
     and take only the first coordinate of T of the images (see ``renorm``).
-
-    Its ``batch``, which ``evaluate_batch`` calls, applies the triples
-    ``(x, y, a)`` of T^-1 and T, each as one translation and one scale
-    (``apply_automorphism_arrays``).  Between them, ``evaluate_batch``
-    checks the rows of T^-1(q) and of their images under ``m``, which it
-    steps point by point if ``m`` is a black box.  The rows of
-    T(m(T^-1(q))) are checked by the caller.
+    ``evaluate_batch`` maps T^-1(q) by ``m`` and applies T (see
+    ``_images``).  Raises ``NonFiniteError`` where T^-1 is not finite.
     """
     if m.domain != "siegel":
         raise DomainError("conjugation is implemented on the Siegel side")
-    t_inv = t.inverse()
-
-    def batch(z: np.ndarray, w: np.ndarray) -> tuple:
-        pre = apply_automorphism_arrays(t_inv, z, w)
-        return apply_automorphism_arrays(t, *evaluate_batch(m, *pre))
+    t.inverse()  # every evaluation applies T^-1: it must be finite
 
     return HoloMap(
         domain="siegel",
@@ -389,7 +388,6 @@ def conjugate_map(m: HoloMap, t) -> HoloMap:
         intertwiner=None,
         name=m.name + "_conj",
         params=dict(m.params),
-        batch=batch,
         conjugation=(m, t),
     )
 

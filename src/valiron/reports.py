@@ -113,7 +113,10 @@ def read_points_csv(path) -> SiegelBatch:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     # (re, im) column pairs read as complex columns
     coords = np.array(rows, dtype=np.float64).reshape(len(rows), len(header)).view(np.complex128)
     return SiegelBatch(coords[:, 0], coords[:, 1:])

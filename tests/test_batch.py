@@ -102,7 +102,7 @@ def _cases() -> dict:
     cayley = make_valiron_example(3.0, PsiChoice("cayley"))
     cases["cayley round trip"] = (
         make_siegel_map_from_ball(make_ball_map_from_siegel(cayley)), O.valiron(3.0, "cayley"))
-    # black boxes: evaluate_batch steps them point by point, in conjugate_map's batch too;
+    # black boxes: evaluate_batch steps them point by point, inside a conjugate too;
     # the oracle takes both Cayley transforms of each of the two transports
     black_box = _black_box()
     through = O.through_the_ball(O.valiron(3.0, "cayley"))
@@ -153,9 +153,20 @@ class TestEvaluateBatch:
         assert set(CATALOG_ORACLES) == set(catalog())
         assert all(cases[name][0].batch is not None for name in catalog())
         assert cases["cayley round trip"][0].batch is not None
-        assert cases["conjugated affine N=3"][0].batch is not None
         assert cases["twin-less cayley transport"][0].batch is None
-        assert cases["conjugated twin-less cayley transport"][0].batch is not None
+        # a conjugate is its (inner, T) pair alone, whatever its inner map
+        for name, inner in (("conjugated affine N=3", "batch"),
+                            ("conjugated twin-less cayley transport", "black box")):
+            m = cases[name][0]
+            assert m.batch is None and m.conjugation is not None, name
+            assert (m.conjugation[0].batch is None) == (inner == "black box"), name
+        # evaluating a conjugate calls its inner map's batch once, on every row
+        base, t = cases["conjugated affine N=3"][0].conjugation
+        rows = []
+        m = conjugate_map(replace(base, batch=lambda z, w: rows.append(len(z)) or base.batch(z, w)), t)
+        z, w = _draws(3)
+        evaluate_batch(m, z, w)
+        assert rows == [len(z)]
 
     def test_a_map_needs_an_evaluator_or_a_siegel_batch(self):
         with pytest.raises(DomainError, match="needs an evaluator"):
@@ -163,6 +174,14 @@ class TestEvaluateBatch:
         ball = make_ball_map_from_siegel(make_halfplane_affine(2.0, 1.0, 2))
         with pytest.raises(DomainError, match="needs an evaluator"):
             HoloMap(domain="ball", dim=2, dw=ball.dw, multiplier=0.5, batch=lambda z, w: (z, w))
+
+    def test_a_map_has_a_batch_or_a_conjugation_not_both(self):
+        conj = conjugate_map(make_halfplane_affine(2.0, 1.0, 2), SiegelAutomorphism.scale(4.0))
+        base = conj.conjugation[0]
+        for both in (lambda: replace(conj, batch=base.batch),
+                     lambda: replace(base, conjugation=conj.conjugation)):
+            with pytest.raises(DomainError, match="^a map has a batch or a conjugation, not both$"):
+                both()
 
     def test_checks_input_and_output_rows(self):
         m = make_halfplane_affine(2.0, 1.0, 2)

@@ -342,6 +342,15 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: cannot read points: ")
 
+    def test_a_points_field_that_is_no_number_names_its_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("re_z,im_z,re_w1,im_w1\n2,0,0.1,0\n3,x,0.1,0\n")
+        code = _run(tmp_path, f"command = classify\npoints = {path}\n")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: could not convert string to float: 'x'\n")
+        assert not (tmp_path / "orbit.csv").exists()
+
     def test_orbit_command_writes_estimates(self, tmp_path):
         code = _run(
             tmp_path,

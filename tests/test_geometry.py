@@ -407,6 +407,13 @@ class TestProjections:
         assert len({rho([1, 2]), rho([1, 2]), rho([2, 1])}) == 2
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [[math.nan], [math.inf], [0.5, complex(0.0, -math.inf)],
+                                   np.array([complex(math.nan, 1.0)])])
+    def test_a_non_finite_projection_vector_is_rejected_without_warning(self, a):
+        with pytest.raises(NonFiniteError, match="^non-finite projection direction$"):
+            LinearProjectionAtInfinity(a)
+
+    @pytest.mark.filterwarnings("error")
     def test_a_huge_projection_vector_gives_no_warning(self):
         batch = SiegelBatch.from_points([sample_siegel(2, seed, 34) for seed in range(3)])
         rho = LinearProjectionAtInfinity([1e200])

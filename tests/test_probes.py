@@ -39,6 +39,7 @@ from valiron.limits import (
     T_SWEEP,
     JWCReport,
     LeftInverseReport,
+    MapProbe,
     SweepPlan,
     c_special_family,
     e0_families,
@@ -352,6 +353,59 @@ def test_a_shared_plan_gives_each_sweep_what_it_gives_alone(name):
         plan.sweep(k_families(m.dim, LADDER), 3)
 
 
+def _all_sweeps(plan, n_dim):
+    """Every sweep of a report-all run, declared on ``plan``."""
+    return [plan.sweep(families(n_dim, LADDER), extra)
+            for families, extra in cli._SWEEPS["limits"] + CHECK_SWEEPS]
+
+
+def test_a_map_probe_is_one_call_over_the_whole_plan():
+    """A probe's function runs once per plan, on every row, however many
+    sweeps read it, and a probe of the same map and function shares it."""
+    m, calls = _counting(MAPS["conjugated affine N=3"])
+    lengths = []
+
+    def f(points, images):
+        lengths.append((len(points), len(images)))
+        return images.z / points.z
+
+    plan = SweepPlan(seed=5)
+    sweeps = _all_sweeps(plan, m.dim)
+    probe = MapProbe(m, f)
+    traces = [plan.traces(p, sweep) for sweep in sweeps for p in (probe, MapProbe(m, f))]
+    rows = len(plan._stack())
+    assert lengths == [(rows, rows)]
+    assert calls == {"batch": 1, "evaluator": 0}
+    assert sum(len(values) for sweep in traces for _, _, values in sweep) > rows
+    # a plain point function is evaluated once on every row too
+    seen = []
+    plan.traces(lambda q: seen.append(q) or q.z, sweeps[0])
+    plan.traces(seen.append, sweeps[-1])
+    assert len(seen) == 2 * rows
+
+
+def test_a_plain_function_in_a_one_sweep_plan_sees_the_rows_it_reads():
+    seen = []
+    verdict = k_limit(lambda q: seen.append(q) or q.z, 2, ladder=LADDER, extra=1, seed=3)
+    assert len(seen) == sum(len(values) for _, _, values in verdict.traces)
+
+
+def test_every_trace_is_complex_whatever_the_probe_returns():
+    """Real probe values are held as complex, so a verdict's mean sums them as
+    complex numbers, whatever the dtype the probe returned."""
+    m = MAPS["halfplane_affine(2,1,2)"]
+    rho = _projections(2)[-1]
+    plan = SweepPlan(seed=5)
+    sweeps = _all_sweeps(plan, m.dim)
+    probes = (projection_gap_fn(m, rho), w_growth_fn(m), first_coordinate_ratio_fn(m),
+              MapProbe(m, lambda points, images: np.ones(len(points), np.float32)),
+              lambda q: float(q.z.real), lambda q: 1)
+    for probe in probes:
+        for sweep in sweeps:
+            assert {values.dtype for _, _, values in plan.traces(probe, sweep)} == {
+                np.dtype(np.complex128)}
+
+
 def test_a_probe_called_on_one_point_is_the_scalar_probe():
     m = MAPS["conjugated affine N=3"]
     rho = _projections(3)[1]
@@ -420,17 +474,20 @@ def test_a_projection_leaving_the_domain_raises_the_scalar_error():
 
 
 def _counting(m):
+    """``m`` with its evaluator and its batch counted; a conjugate's batch is its inner map's."""
     calls = {"batch": 0, "evaluator": 0}
 
-    def evaluator(q):
-        calls["evaluator"] += 1
-        return m.evaluator(q)
+    def count(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+        return counted
 
-    def batch(z, w):
-        calls["batch"] += 1
-        return m.batch(z, w)
-
-    return replace(m, evaluator=evaluator, batch=batch), calls
+    if m.conjugation is not None:
+        inner, t = m.conjugation
+        m = conjugate_map(replace(inner, batch=count("batch", inner.batch)), t)
+        return replace(m, evaluator=count("evaluator", m.evaluator)), calls
+    return replace(m, evaluator=count("evaluator", m.evaluator), batch=count("batch", m.batch)), calls
 
 
 @pytest.mark.parametrize(
