@@ -235,7 +235,9 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
     Returns inf, unless ``_clearance`` is passed (the renormalized step
     alone does) and every row clears twice the slack, ``Re z - ||w||^2 >
     2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``: then the largest ``max(1, |z|,
-    ||w||^2)`` of the rows, on the bits of the test.
+    ||w||^2)`` of the rows, on the bits of the test.  numpy tests twice the
+    slack first: a clear row is inside, and a non-finite row is never clear,
+    so the plain test, and the row test, run only where some row is not clear.
     """
     if z.shape[0] <= FEW_ROWS:
         if _clearance:
@@ -243,17 +245,16 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
         for zi, wi in zip(z.tolist(), w.tolist()):
             _check_row(zi, wi)
         return math.inf
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the tests
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.hypot(z.real, z.imag), nsq)
         np.maximum(scale, 1.0, out=scale)
         height = z.real - nsq
+        if np.count_nonzero(height > 2.0 * BOUNDARY_SLACK * scale) == len(height):
+            return float(scale.max()) if _clearance else math.inf
         inside = height > BOUNDARY_SLACK * scale
-    if not inside.all():
-        for i in np.flatnonzero(~inside):
-            _check_row(complex(z[i]), w[i].tolist())
-    if _clearance and (height > 2.0 * BOUNDARY_SLACK * scale).all():
-        return float(scale.max())
+    for i in np.flatnonzero(~inside):
+        _check_row(complex(z[i]), w[i].tolist())
     return math.inf
 
 
@@ -268,10 +269,11 @@ def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
 
 
 def _norm_sq_rows(w: np.ndarray) -> np.ndarray:
-    """``norm_sq`` of every row, bit for bit: the columns are added in order."""
+    """``norm_sq`` of every row, bit for bit: the columns are added in order,
+    from the first (``norm_sq`` adds it to +0.0, which is exact)."""
     sq = w.real * w.real + w.imag * w.imag
-    total = np.zeros(len(sq))
-    for j in range(sq.shape[1]):
+    total = sq[:, 0] if sq.shape[1] else np.zeros(len(sq))
+    for j in range(1, sq.shape[1]):
         total += sq[:, j]
     return total
 

@@ -326,21 +326,23 @@ def family_label(family: ApproachFamily) -> str:
 
 @dataclass(frozen=True, eq=False)
 class MapProbe:
-    """A probed function of the map's images, ``h(q) = f(q, phi(q))``.
+    """A probed function of the map's images, ``h(q) = f(q, phi(q), *args)``.
 
-    ``f(points, images)`` takes the probed points and their images under
-    ``m`` as two ``SiegelBatch``es and returns the values of ``h`` row by
-    row, one numpy expression whose rows do not depend on each other.  A
-    sweep evaluates ``m`` once for all of its probes of that map; calling a
-    probe on one point evaluates that point alone.
+    ``f(points, images, *args)`` takes the probed points and their images
+    under ``m`` as two ``SiegelBatch``es, then ``args``, and returns the
+    values of ``h`` row by row, one numpy expression whose rows do not
+    depend on each other.  A sweep evaluates ``m`` once for all of its
+    probes of that map; calling a probe on one point evaluates that point
+    alone.
     """
 
     m: HoloMap
-    f: Callable[[SiegelBatch, SiegelBatch], np.ndarray]
+    f: Callable[..., np.ndarray]
+    args: tuple = ()
 
     def __call__(self, q: SiegelPoint) -> complex:
         points = SiegelBatch.from_points((q,))
-        return complex(self.f(points, _images(self.m, points))[0])
+        return complex(self.f(points, _images(self.m, points), *self.args)[0])
 
 
 def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
@@ -386,11 +388,12 @@ class SweepPlan:
 
     Each map is evaluated once, with ``evaluate_batch``, over the whole
     batch, and each probe is computed once over it: a ``MapProbe`` in one
-    call, which ``MapProbe``s of the same map and function share, and a
-    plain ``h`` point by point, in row order.  A trace is a slice of those
-    values, held as complex.  Maps and probes are row-wise, so every value
-    has the bits the sweep gives alone; but a row that no sweep of the
-    probe reads is computed too, and an error there is raised.
+    call, which ``MapProbe``s of the same map, function and argument
+    objects share, and a plain ``h`` point by point, in row order.  A trace
+    is a slice of those values, held as complex.  Maps and probes are
+    row-wise, so every value has the bits the sweep gives alone; but a row
+    that no sweep of the probe reads is computed too, and an error there is
+    raised.
     """
 
     def __init__(self, seed: int = 0):
@@ -399,7 +402,8 @@ class SweepPlan:
         self._offsets: dict = {}  # family -> (first row, sequences generated)
         self._points: Optional[SiegelBatch] = None
         self._images: dict = {}  # id(map) -> (map, images of every row)
-        self._values: dict = {}  # probe key -> (probe, values of every row)
+        # probe key -> (probe, values of every row); the probe keeps the keyed ids alive
+        self._values: dict = {}
 
     def sweep(self, families: Sequence[ApproachFamily], extra: int = 0) -> tuple:
         """Declare a sweep: the canonical seeds plus ``extra`` drawn sequences of each family.
@@ -428,13 +432,13 @@ class SweepPlan:
 
     def _probe_values(self, probe) -> np.ndarray:
         """Values of ``probe`` on every row of the plan, computed once, as complex."""
-        key = (id(probe.m), probe.f) if isinstance(probe, MapProbe) else id(probe)
+        key = (id(probe.m), probe.f, *map(id, probe.args)) if isinstance(probe, MapProbe) else id(probe)
         if key not in self._values:
             points = self._stack()
             if isinstance(probe, MapProbe):
                 if id(probe.m) not in self._images:
                     self._images[id(probe.m)] = (probe.m, _images(probe.m, points))
-                values = probe.f(points, self._images[id(probe.m)][1])
+                values = probe.f(points, self._images[id(probe.m)][1], *probe.args)
             else:
                 values = [probe(p) for p in points]
             self._values[key] = (probe, np.asarray(values, np.complex128))
@@ -609,17 +613,23 @@ def first_coordinate_ratio_fn(m: HoloMap) -> MapProbe:
     return MapProbe(m, _first_coordinate_ratio)
 
 
+def _projection_ratio(points: SiegelBatch, images: SiegelBatch, rho) -> np.ndarray:
+    return images.left_inverse(rho) / points.left_inverse(rho)
+
+
 def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
     """h(q) = (rho~ o phi)(q) / rho~(q), the left-inverse comparison ratio.
 
     The quotient of two ``SiegelBatch.left_inverse`` values: their errors,
     relative to their moduli, add to the 16 u of the division.
     """
+    return MapProbe(m, _projection_ratio, (rho,))
 
-    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-        return images.left_inverse(rho) / points.left_inverse(rho)
 
-    return MapProbe(m, f)
+def _projection_gap(points: SiegelBatch, images: SiegelBatch, rho) -> np.ndarray:
+    proj = images.project(rho)
+    dw_norm = np.sqrt(_norm_sq_rows(images.w - proj.w))
+    return np.hypot(np.abs(images.z - proj.z), dw_norm) / np.abs(points.left_inverse(rho))
 
 
 def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
@@ -630,13 +640,7 @@ def projection_gap_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:
     norm ``hypot(|dz|, ||dw||)``, which does not overflow where ``|dz|^2``
     would, and the division add a few u of the value.
     """
-
-    def f(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:
-        proj = images.project(rho)
-        dw_norm = np.sqrt(_norm_sq_rows(images.w - proj.w))
-        return np.hypot(np.abs(images.z - proj.z), dw_norm) / np.abs(points.left_inverse(rho))
-
-    return MapProbe(m, f)
+    return MapProbe(m, _projection_gap, (rho,))
 
 
 def _w_growth(points: SiegelBatch, images: SiegelBatch) -> np.ndarray:

@@ -24,17 +24,20 @@ is one stack of rows and a step is one map evaluation on arrays, which
 advances every row at once through the map's ``batch``; black boxes alone go
 point by point.  The probe orbit steps one row at a time.
 
-Each row is checked once per step, as an image.  The de-normalized inputs of
-a step are the previous step's checked images, rescaled by about 1, and are
-checked again only where ``_passes_again`` cannot prove that they pass: on
-the first step, after a black box, and where an image row lay within twice
-the slack of the boundary.
+Each row is checked once per step, as an image; the numpy check tests twice
+the slack first.  The de-normalized inputs of a step are the
+previous step's checked images, rescaled by about 1, and are checked again
+only where ``_passes_again`` cannot prove that they pass: on the first step,
+after a black box, and where an image row lay within twice the slack of the
+boundary.
 
-Each step fixes the scale pair (x_n, x_{n+1}) from the base orbit alone.
-run_valiron stores the pairs it used on the result, and
-ValironResult.sigma_at replays the same step over the stored pairs for new
-points, so off-grid values come from the very recursion that produced the
-grid values, without evaluating the base orbit again.
+One step kernel on arrays, ``_renorm``, serves run_valiron, which makes one
+state at the end, ``advance``, which wraps it for the state API, and
+ValironResult.sigma_at.  Each step fixes the scale pair (x_n, x_{n+1}) from
+the base orbit alone; run_valiron stores the pairs it used on the result,
+and sigma_at replays the kernel over them for new points, so off-grid values
+come from the very recursion that produced the grid values, without
+evaluating the base orbit again.
 
 A conjugated map T o phi o T^-1 (``conjugate_map``) is renormalized on its
 inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  The
@@ -203,8 +206,12 @@ class RenormalizedState:
 
     def magnitude(self) -> float:
         """Largest component magnitude of the rows ``z``/``w`` (boundedness diagnostic)."""
-        mag = np.max(np.abs(self.z))
-        return float(max(mag, np.max(np.abs(self.w))) if self.w.size else mag)
+        return _magnitude(self.z, self.w)
+
+
+def _magnitude(z: np.ndarray, w: np.ndarray) -> float:
+    mag = np.max(np.abs(z))
+    return float(max(mag, np.max(np.abs(w))) if w.size else mag)
 
 
 def _base(dim: int) -> SiegelPoint:
@@ -228,17 +235,28 @@ def _stepper(m: HoloMap) -> tuple:
     return (m, None) if m.conjugation is None else m.conjugation
 
 
-def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, x_n: float, checked: bool = False):
-    """phi o L_n^{-1} on rows of S_n, as the images' (z, w, top), not yet packed.
+def _renorm(phi: HoloMap, t: Optional[SiegelAutomorphism], z: np.ndarray, w: np.ndarray,
+            x_n: float, top: float, x_prev: float, x_next: Optional[float] = None) -> tuple:
+    """L_{n+1} o phi o L_n^{-1} on rows of S_n packed by ``x_prev``, as the
+    images' ``(z, w, col, top, x_next)``, packed by x_{n+1}.
 
-    The de-normalized rows are checked unless ``checked`` says that they
-    pass; ``top`` is what the check of the images returns with
-    ``_clearance``, which is asked for up to ``_CLEAR_MAX_DIM`` coordinates.
+    The de-normalized rows are checked unless ``_passes_again`` proves from
+    ``top``, what their check as images returned (inf: none), that they
+    pass; the images' check, with clearance up to ``_CLEAR_MAX_DIM``
+    coordinates, gives the new ``top``.  x_{n+1} is ``x_next`` if given,
+    else read from row 0, the base.  ``col`` is the sigma column: the packed
+    z, or with a ``t``, pi_1 of T of the images (``_sigma_column``).
     """
     z, w = x_n * z, math.sqrt(x_n) * w
-    if not checked:
-        _check_inputs(m, z, w)
-    return _images(m, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
+    if not _passes_again(top, x_prev, x_n):
+        _check_inputs(phi, z, w)
+    z, w, top = _images(phi, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
+    if t is not None:
+        col, x_next = _sigma_column(t, z, w, x_next)
+    elif x_next is None:
+        x_next = float(z[0].real)
+    z, w = _pack(z, w, x_next)
+    return z, w, z if t is None else col, top, x_next
 
 
 def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
@@ -264,7 +282,7 @@ def _passes_again(top: float, x_next: float, x_after: float) -> bool:
     ``top`` is what the images' check returned with clearance; if finite,
     each row (z, w) had Q = norm_sq(w) and H = Re z - Q > 2 s M, with
     s = BOUNDARY_SLACK and M = max(1, |z|, Q) <= top.  Let r = x_after /
-    x_next, u = 2^-53, and N <= _CLEAR_MAX_DIM (``_step`` asks for no
+    x_next, u = 2^-53, and N <= _CLEAR_MAX_DIM (``_renorm`` asks for no
     clearance beyond).  As top and top / x_next are at most _CLEAR_MAX_SIZE
     and r <= 5/4, nothing overflows.
     Packing (a complex quotient by a real: a reciprocal, perhaps subnormal,
@@ -307,55 +325,50 @@ def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
-    Every row (base, grid and grid images) is de-normalized by x_n and
-    mapped in one array evaluation; the base image gives x_{n+1}, which
-    normalizes them all.  A conjugated map's inner rows are mapped by its
-    inner map, and x_{n+1} and sigma are read from the first coordinate of
-    T of the images.  The input rows are checked, all before any image
-    row, unless the state's ``_top`` proves that they pass
-    (``_passes_again``); so a step that rejects several rows may name
+    ``_renorm`` maps every row (base, grid and grid images) in one array
+    evaluation, a conjugated map's inner rows by its inner map.  The input
+    rows are checked, all before any image row, unless the state's ``_top``
+    proves that they pass; so a step that rejects several rows may name
     another row than stepping the base first would.  De-normalizing needs
     x_n as a float, so a scale ceiling still exists; it is checked up-front
     (``_over_ceiling``) and raised loudly instead of silently producing
     infinities.
     """
-    if _over_ceiling(state):
+    # x_prev is read only where _top is finite, on a state that advance made,
+    # whose scales are set
+    x_prev = state.scales[1] if state.scales else 1.0
+    if _over_ceiling(state.log_x, state.z, state.w, state._top, x_prev):
         raise ScaleOverflowError(
             "de-normalized evaluation would exceed the double-precision range"
         )
     x_n = state.x
-    # _top is finite only on a state that advance made, whose scales are set
-    checked = state._top < math.inf and _passes_again(state._top, state.scales[1], x_n)
     phi, t = _stepper(m)
-    z, w, top = _step(phi, state.z, state.w, x_n, checked=checked)
-    if t is None:
-        col, x_next = None, float(z[0].real)
-    else:
-        col, x_next = _sigma_column(t, z, w)
-    z, w = _pack(z, w, x_next)
+    z, w, col, top, x_next = _renorm(phi, t, state.z, state.w, x_n, state._top, x_prev)
     nxt = RenormalizedState(
         n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next),
-        sigma_col=col,
+        sigma_col=None if t is None else col,
     )
     object.__setattr__(nxt, "_top", top)
     return nxt
 
 
-def _over_ceiling(state: RenormalizedState) -> bool:
-    """Whether log_x + log(max(1, magnitude())) exceeds LOG_SCALE_CEILING.
+def _over_ceiling(log_x: float, z: np.ndarray, w: np.ndarray, top: float, x_prev: float) -> bool:
+    """Whether log_x + log(max(1, M)) exceeds LOG_SCALE_CEILING, with M the
+    largest component magnitude of the rows ``z``/``w``.
 
-    A finite ``_top`` bounds the rows before they were packed by x_n =
-    ``scales[1]``: each stored |z| is within 12 u of at most t = top / x_n,
-    each |w_j| within (N / 2 + 8) u of at most sqrt(t).  That bound is
-    tested first, and the exact magnitude only where the bound fails: log is
-    monotone, so the verdict is the same.
+    A finite ``top``, what the check of the rows as images returned with
+    clearance, bounds them before they were packed by ``x_prev``: each
+    stored |z| is within 12 u of at most t = top / x_prev, each |w_j| within
+    (N / 2 + 8) u of at most sqrt(t).  That bound is tested first, and the
+    exact magnitude only where the bound fails: log is monotone, so the
+    verdict is the same.
     """
-    if state._top < math.inf:
-        t = state._top / state.scales[1]
+    if top < math.inf:
+        t = top / x_prev
         bound = max(t, math.sqrt(t)) * (1.0 + _MAGNITUDE_SLACK)
-        if state.log_x + math.log(max(1.0, bound)) <= LOG_SCALE_CEILING:
+        if log_x + math.log(max(1.0, bound)) <= LOG_SCALE_CEILING:
             return False
-    return state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
+    return log_x + math.log(max(1.0, _magnitude(z, w))) > LOG_SCALE_CEILING
 
 
 @dataclass(frozen=True)
@@ -410,15 +423,14 @@ class ValironResult:
         phi, t = _stepper(self.map)
         if t is not None:
             z, w, top = *apply_automorphism_arrays(t.inverse(), z, w), math.inf
-        sigma, v = _pack(z, w, x_prev)
         # the points take the full input check, unless their clearance proves
-        # that they pass it; so do the images at later steps
-        for x_n, x_next in self.scale_pairs:
-            checked = _passes_again(top, x_prev, x_n)
-            z, w, top = _step(phi, sigma, v, x_n, checked)
-            sigma, v = _pack(z, w, x_next)
-            x_prev = x_next
-        return sigma if t is None else _sigma_column(t, z, w, x_prev)[0]
+        # that they pass it; so do the images at later steps.  T is applied
+        # to the images of the last step alone
+        last = len(self.scale_pairs) - 1
+        for k, (x_n, x_next) in enumerate(self.scale_pairs):
+            z, w, col, top, x_prev = _renorm(
+                phi, t if k == last else None, z, w, x_n, top, x_prev, x_next)
+        return col
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
@@ -518,23 +530,31 @@ def run_valiron(
             f"(residual witness {classification.a_witness:.3g}); proceeding"
         )
 
+    # the steps of advance, on the arrays of the rows; one state is made at the end
     state = initial_state(m, grid)
-    scale_pairs: list = []
-    cauchy: list = []
+    phi, t = _stepper(m)
+    log_x, z, w, sigma = state.log_x, state.z, state.w, state.sigma
+    top, x_prev, g = math.inf, 1.0, len(grid) + 1
+    scale_pairs, cauchy = [], []
     consecutive = 0
     converged = False
     for _ in range(n_max):
         try:
-            nxt = advance(state, m)
-        except ScaleOverflowError:
+            if _over_ceiling(log_x, z, w, top, x_prev):
+                raise ScaleOverflowError
+            x_n = math.exp(log_x)
+            z, w, col, top, x_next = _renorm(phi, t, z, w, x_n, top, x_prev)
+        except ScaleOverflowError:  # a black box that iterates raw may raise it too
             warnings.append(
-                f"scale ceiling reached at step {state.n}; stopping before n_max"
+                f"scale ceiling reached at step {len(cauchy)}; stopping before n_max"
             )
             break
-        step = float(np.max(np.abs(nxt.sigma - state.sigma)))
+        log_x += math.log(x_next / x_n)
+        x_prev = x_next
+        scale_pairs.append((x_n, x_next))
+        step = float(np.abs(col[1:g] - sigma).max())
         cauchy.append(step)
-        scale_pairs.append(nxt.scales)
-        state = nxt
+        sigma = col[1:g]
         if step < tol:
             consecutive += 1
             if consecutive >= CONSECUTIVE_CAUCHY:
@@ -542,6 +562,9 @@ def run_valiron(
                 break
         else:
             consecutive = 0
+    if scale_pairs:
+        state = RenormalizedState(n=len(cauchy), log_x=log_x, z=z, w=w, scales=scale_pairs[-1],
+                                  sigma_col=None if t is None else col)
 
     residuals = _schroder_defect(state.sigma_img, state.sigma, lam.value)
     return ValironResult(

@@ -259,15 +259,16 @@ def _pool(n_dim: int):
 
 
 def _probe_forms(m, rho) -> dict:
-    def probe(f):
+    def probe(f, *args):
         def run(z, w):
             points = SiegelBatch._checked(z, w)
-            return f(points, SiegelBatch._checked(*evaluate_batch(m, z, w)))
+            return f(points, SiegelBatch._checked(*evaluate_batch(m, z, w)), *args)
         return run
 
+    ratio, gap = projection_ratio_fn(m, rho), projection_gap_fn(m, rho)
     return {"first coordinate ratio": probe(_first_coordinate_ratio),
-            "projection ratio": probe(projection_ratio_fn(m, rho).f),
-            "projection gap": probe(projection_gap_fn(m, rho).f),
+            "projection ratio": probe(ratio.f, *ratio.args),
+            "projection gap": probe(gap.f, *gap.args),
             "w growth": probe(_w_growth)}
 
 
@@ -545,9 +546,40 @@ class TestCheckSiegelArrays:
         w = np.zeros((2, 0), dtype=np.complex128)
         for rows in _paddings(np.array([1.0 + 5j, 2.0]), w):
             check_siegel_arrays(*rows)
+            assert check_siegel_arrays(*rows, _clearance=True) == abs(1.0 + 5j)
         for rows in _paddings(np.array([1.0, -1.0 + 0j]), w):
             with pytest.raises(DomainError, match="strictly inside"):
                 check_siegel_arrays(*rows)
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_rows_in_the_band_pass_and_are_not_clear(self, n_dim):
+        """A row between one and two slack edges from the boundary passes the
+        check, alone and behind clear rows, but leaves no clearance; without
+        it the clear rows return their largest scale."""
+        w_size = 0.5 if n_dim == 2 else 0.0
+        band = w_size ** 2 + 1.5 * BOUNDARY_SLACK  # scale 1: the height is 1.5 slack edges
+        z = np.array([2.0, 3.0 + 1j, band, 2.0 + 0j])
+        w = np.full((4, n_dim - 1), w_size + 0j)
+        assert BOUNDARY_SLACK < band - norm_sq(w[2]) < 2.0 * BOUNDARY_SLACK
+        for rows in _paddings(z, w):
+            assert check_siegel_arrays(*rows) == math.inf
+            assert check_siegel_arrays(*rows, _clearance=True) == math.inf
+        for rows in _paddings(z[[0, 1, 3]], w[[0, 1, 3]]):
+            assert check_siegel_arrays(*rows, _clearance=True) == abs(3.0 + 1j)
+
+    def test_a_non_finite_row_behind_clear_rows_gives_the_error_of_the_first_bad_row(self):
+        nan, inf = math.nan, math.inf
+        bad = [(complex(nan, 0.0), 0.5), (complex(inf, 0.0), 0.5), (2.0, complex(inf, 0.0)),
+               (2.0, complex(0.0, nan)), (0.1 + 0j, 0.5)]
+        for first in bad:
+            for second in bad:
+                z = np.array([2.0, 3.0 + 1j, first[0], second[0]], dtype=np.complex128)
+                w = np.array([[0.5], [0.5], [first[1]], [second[1]]], dtype=np.complex128)
+                want = _verdict(SiegelPoint, first[0], [first[1]])
+                assert want is not None
+                for rows in _paddings(z, w):
+                    assert _verdict(check_siegel_arrays, *rows) == want
+                    assert _verdict(lambda *r: check_siegel_arrays(*r, _clearance=True), *rows) == want
 
 
 @lru_cache(maxsize=None)

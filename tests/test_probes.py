@@ -564,6 +564,25 @@ def test_report_all_generates_and_evaluates_each_sweep_once(tmp_path, monkeypatc
     assert (counts["batch"], counts["evaluator"], counts["passes"]) == (1, 0, 1)
 
 
+def test_report_all_computes_the_left_inverse_ratio_once(tmp_path, monkeypatch, capsys):
+    """jwc_check and left_inverse_ratio_check probe the same ratio, of one map
+    and one projection: the plan computes it once, on its 1,176 rows, not
+    once per check."""
+    rows = []
+    ratio = limits._projection_ratio
+
+    def counted(points, images, rho):
+        rows.append(len(points))
+        return ratio(points, images, rho)
+
+    monkeypatch.setattr(limits, "_projection_ratio", counted)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\nN = 2\n"
+                   "n_max = 60\nseed = 1\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert rows == [1176]
+
+
 # -- limits.csv --------------------------------------------------------------------
 
 

@@ -445,7 +445,8 @@ class TestRunValiron:
                     assert state.magnitude() <= max(t, math.sqrt(t)) * (1.0 + 1e-9) < math.inf
                 else:
                     object.__setattr__(state, "_top", math.inf)
-                assert renorm._over_ceiling(state) == exact
+                x_prev = state.scales[1] if state.scales else 1.0
+                assert renorm._over_ceiling(state.log_x, state.z, state.w, state._top, x_prev) == exact
                 try:
                     state = advance(state, m)
                 except ScaleOverflowError:
@@ -456,6 +457,58 @@ class TestRunValiron:
         assert screened.n == exact.n == 994
         assert screened.log_x == exact.log_x
         assert np.array_equal(screened.z, exact.z) and np.array_equal(screened.w, exact.w)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+class TestRunAndAdvance:
+    """``run_valiron`` steps the rows on arrays, and ``advance`` steps a state,
+    through one step kernel: the run is ``advance`` repeated, bit for bit,
+    and ``sigma_at`` of the grid replays it."""
+
+    CHAIN = CHAINS["scale(3, 1); translate(0.5-0.25j)"]
+
+    @pytest.mark.parametrize("m, kwargs, n_stop", [
+        (make_halfplane_affine(1.2, 1.0, 2), {}, 104),
+        (conjugate_map(make_halfplane_affine(2.0, 1.0, 2), CHAIN), {}, 54),
+        (replace(make_halfplane_affine(1.2, 1.0, 2), batch=None), {}, 104),
+        (make_siegel_linear(2.0, 2), {"tol": 0.0, "n_max": 3000}, 994),
+        (conjugate_map(make_halfplane_affine(2.0, 1.0, 2), CHAIN), {"tol": 0.0, "n_max": 3000}, 992),
+    ], ids=["affine", "conjugated", "black box", "ceiling", "conjugated ceiling"])
+    def test_the_run_is_advance_repeated(self, m, kwargs, n_stop, monkeypatch):
+        made = []
+
+        class Spy(renorm.RenormalizedState):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(renorm, "RenormalizedState", Spy)
+        result = run_valiron(m, **kwargs)
+        monkeypatch.undo()
+        assert result.n_stop == n_stop
+        run = made[-1]  # the state the run made at its end
+        state = initial_state(m, result.grid)
+        cauchy, pairs = [], []
+        for _ in range(n_stop):
+            nxt = advance(state, m)
+            cauchy.append(float(np.max(np.abs(nxt.sigma - state.sigma))))
+            pairs.append(nxt.scales)
+            state = nxt
+        if n_stop in (992, 994):  # the run stopped at the ceiling, as advance does
+            with pytest.raises(ScaleOverflowError):
+                advance(state, m)
+        assert (state.n, state.log_x) == (run.n, run.log_x)
+        assert _bits(state.z) == _bits(run.z) and _bits(state.w) == _bits(run.w)
+        assert _bits(state.sigma) == _bits(result.sigma)
+        assert _bits(state.sigma_img) == _bits(result.sigma_image)
+        residuals = renorm._schroder_defect(state.sigma_img, state.sigma, result.multiplier)
+        assert _bits(residuals) == _bits(result.schroder_residuals)
+        assert _bits(cauchy) == _bits(result.cauchy_history)
+        assert _bits(pairs) == _bits(result.scale_pairs)
+        assert _bits(result.sigma_at(result.grid.points)) == _bits(result.sigma)
 
 
 class TestInputChecks:
