@@ -33,9 +33,10 @@ import numpy as np
 BOUNDARY_SLACK = 1e-12      # relative slack on strict domain inequalities
 MEMBERSHIP_BAND = 1e-9      # ambiguity band around region boundaries
 UNIT_NORM_SLACK = 1e-12     # allowed deviation of boundary directions from norm 1
-# check_siegel_arrays tests up to this many rows on Python floats: the array
-# test costs 12 to 20 us at any size, the float test 1 to 1.5 us a row
-# (crossover measured at about 10 rows for N = 5, 12 to 16 for N = 2 and 3)
+# check_siegel_arrays tests up to this many rows in one pass on Python floats:
+# the array test costs 10 to 15 us at any size, the pass about 0.4 us a row at
+# N = 2 and 1.7 us at N = 10 (the two cost the same at about 24 rows for N = 2,
+# 16 for N = 3, 12 for N = 5 and 8 for N = 10); the sigma_at replay has 8 rows
 FEW_ROWS = 8
 
 
@@ -227,24 +228,41 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
     when ``SiegelPoint(z[i], w[i])`` rejects it, with the error of the first
-    rejected row.  Up to ``FEW_ROWS`` rows go through the row test of
-    ``SiegelPoint``.  Above, numpy takes the same inequality on the same
-    bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot`` is
-    Python's ``abs``), and the row test gives the error of a rejected row.
+    rejected row.
 
     Returns inf, unless ``_clearance`` is passed (the renormalized step
     alone does) and every row clears twice the slack, ``Re z - ||w||^2 >
     2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``: then the largest ``max(1, |z|,
-    ||w||^2)`` of the rows, on the bits of the test.  numpy tests twice the
-    slack first: a clear row is inside, and a non-finite row is never clear,
-    so the plain test, and the row test, run only where some row is not clear.
+    ||w||^2)`` of the rows, on the bits of the test.  Both forms test twice
+    the slack first: a clear row is inside, and a non-finite row is never
+    clear, so the row test of ``SiegelPoint``, ``_check_row``, runs only on
+    a row that is not clear, and gives its error.  Up to ``FEW_ROWS`` rows
+    are tested in one pass on Python floats, with ``norm_sq`` summed inline
+    and the scale raised from ``|z|`` by comparisons, so that a NaN modulus
+    leaves it NaN, as ``np.maximum`` does.  Above, numpy takes the same
+    inequality on the same bits (``_norm_sq_rows`` is ``norm_sq`` row by
+    row, ``np.hypot`` is Python's ``abs``).
     """
     if z.shape[0] <= FEW_ROWS:
-        if _clearance:
-            return max(map(_check_row, z.tolist(), w.tolist()), default=1.0)
+        top, clear = 1.0, 2.0 * BOUNDARY_SLACK
         for zi, wi in zip(z.tolist(), w.tolist()):
-            _check_row(zi, wi)
-        return math.inf
+            nsq = 0.0
+            for c in wi:
+                nsq += c.real * c.real + c.imag * c.imag
+            try:
+                scale = abs(zi)
+            except OverflowError:  # from finite parts: the row test raises the row's error
+                scale = math.nan
+            if nsq > scale:
+                scale = nsq
+            if scale < 1.0:
+                scale = 1.0
+            if zi.real - nsq > clear * scale:
+                if scale > top:
+                    top = scale
+            else:
+                top = _check_row(zi, wi)  # raises, or returns inf: not clear
+        return top if _clearance else math.inf
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the tests
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.hypot(z.real, z.imag), nsq)
@@ -271,7 +289,12 @@ def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:
 def _norm_sq_rows(w: np.ndarray) -> np.ndarray:
     """``norm_sq`` of every row, bit for bit: the columns are added in order,
     from the first (``norm_sq`` adds it to +0.0, which is exact)."""
-    sq = w.real * w.real + w.imag * w.imag
+    if w.dtype == np.complex128 and w.flags.c_contiguous:
+        sq = w.view(np.float64)
+        sq = sq * sq
+        sq = sq[:, 0::2] + sq[:, 1::2]
+    else:
+        sq = w.real * w.real + w.imag * w.imag
     total = sq[:, 0] if sq.shape[1] else np.zeros(len(sq))
     for j in range(1, sq.shape[1]):
         total += sq[:, j]

@@ -181,12 +181,14 @@ def _check_siegel_side(m: HoloMap) -> None:
 def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) -> tuple:
     """``evaluate_batch`` on rows that already passed the checks of ``SiegelPoint``.
 
-    Only the images are checked, once each.  An orbit steps through this:
-    each step's input row is the checked start or the previous checked
-    image, bit for bit.  A map with ``batch`` runs on the whole arrays.  A
-    conjugate ``t o inner o t^-1`` applies T^-1 (``apply_automorphism_arrays``),
-    checks those rows as ``evaluate_batch`` does, maps them by ``_images`` of
-    ``inner`` and applies T.  A black box is evaluated point by point: it
+    Only the images are checked, once each.  Every evaluation of a map on
+    rows passes here, and an orbit steps through this: each step's input
+    row is the checked start or the previous checked image, bit for bit.
+    The side and the width are tested first; then a map with ``batch``, the
+    common case, runs on the whole arrays.  A conjugate ``t o inner o
+    t^-1`` applies T^-1 (``apply_automorphism_arrays``), checks those rows
+    as ``evaluate_batch`` does, maps them by ``_images`` of ``inner`` and
+    applies T.  A black box is evaluated point by point: it
     gets each row as a ``SiegelPoint`` over a read-only row of one copy of
     ``w``, not checked again, and returns points, checked when made.
 
@@ -194,27 +196,25 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
     returns of the images with ``_clearance``: inf for a black box, whose
     images were checked as points.  Rows of another width raise DomainError.
     """
-    _check_siegel_side(m)
+    if m.domain != "siegel":  # tested inline: the helper is a call per step
+        _check_siegel_side(m)
     if w.shape[1] != m.dim - 1:
         raise DomainError(f"points of dimension {w.shape[1] + 1} for a map of dimension {m.dim}")
-    if m.conjugation is not None:
+    if m.batch is not None:
+        z, w = m.batch(z, w)
+    elif m.conjugation is not None:
         phi, t = m.conjugation
         pre = apply_automorphism_arrays(t.inverse(), z, w)
         _check_inputs(phi, *pre)
         z, w = apply_automorphism_arrays(t, *_images(phi, *pre)[:2])
-    elif m.batch is None:
+    else:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)
         images = [m.evaluator(_checked_point(zi, wi)) for zi, wi in zip(z.tolist(), w)]
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         w_out = np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
         return z_out, w_out, math.inf
-    else:
-        z, w = m.batch(z, w)
-    if _clearance:
-        return z, w, check_siegel_arrays(z, w, _clearance=True)
-    check_siegel_arrays(z, w)
-    return z, w, math.inf
+    return z, w, check_siegel_arrays(z, w, _clearance=_clearance)
 
 
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:

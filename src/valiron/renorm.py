@@ -58,6 +58,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    INFINITY_THRESHOLD,
+    MIN_TAIL,
     Orbit,
     SequenceClassification,
     classify_sequence,
@@ -165,7 +167,7 @@ def default_grid(n_dim: int) -> EvaluationGrid:
         np.repeat(z_values, len(w_values)), np.tile(w_values, (len(z_values), 1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenormalizedState:
     """State of the pipeline after n steps, as one read-only stack of rows.
 
@@ -181,7 +183,8 @@ class RenormalizedState:
     ``advance`` also notes on the state it makes what the check of its rows,
     as images, returned with clearance (``_top``, see ``_passes_again``);
     on a state made otherwise, ``replace`` included, it is inf, and the
-    next step takes the full tests.
+    next step takes the full tests.  A state is compared, and hashed, by
+    identity: its arrays have no truth value.
     """
 
     n: int
@@ -371,9 +374,12 @@ def _over_ceiling(log_x: float, z: np.ndarray, w: np.ndarray, top: float, x_prev
     return log_x + math.log(max(1.0, _magnitude(z, w))) > LOG_SCALE_CEILING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValironResult:
-    """Converged (or truncated) output of the renormalization pipeline."""
+    """Converged (or truncated) output of the renormalization pipeline.
+
+    Compared, and hashed, by identity, as a ``RenormalizedState`` is.
+    """
 
     map: HoloMap
     grid: EvaluationGrid
@@ -483,6 +489,27 @@ def _multiplier_excess_decays(probe: Orbit) -> bool:
     return late < 0.1 and late <= 0.85 * early
 
 
+def _escape_probe(m: HoloMap, probe: Orbit, n_max: int) -> Orbit:
+    """The probe, continued until the escape test of ``classify_sequence`` can
+    decide, if it ends below INFINITY_THRESHOLD on a hyperbolic-looking orbit.
+
+    A slow hyperbolic map (lam below 100^(1/64)) needs about log(100 / |z|) /
+    log(lam) more steps, for the multiplier estimate lam, and MIN_TAIL more
+    for the tail; the probe takes at most max(n_max, PROBE_MAX_STEPS) steps,
+    and ``compute_orbit`` stops it at the scale ceiling.  A probe that ends
+    above the threshold, was cut, or looks parabolic is returned as it is,
+    for the checks of ``run_valiron`` to reject.
+    """
+    mod = abs(complex(probe.points.z[-1]))
+    if probe.cutoff is not None or not mod < INFINITY_THRESHOLD:
+        return probe
+    lam = estimate_multiplier(probe).value
+    if lam <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):
+        return probe
+    extra = math.ceil(math.log(INFINITY_THRESHOLD / mod) / math.log(lam)) + MIN_TAIL
+    return compute_orbit(m, probe, min(len(probe) - 1 + extra, max(n_max, PROBE_MAX_STEPS)))
+
+
 def run_valiron(
     m: HoloMap,
     grid: Optional[EvaluationGrid] = None,
@@ -497,7 +524,9 @@ def run_valiron(
     CONSECUTIVE_CAUCHY consecutive steps, else at ``n_max`` with
     ``converged = False``.  A base orbit that is only C-special (not
     special) is outside the construction's hypotheses; the run proceeds but
-    the result is flagged.
+    the result is flagged.  The base orbit is probed first, for at most 64
+    steps unless a slow hyperbolic map needs more to escape (see
+    ``_escape_probe``).
 
     Raises NotTendingToInfinityError, DegenerateGridError, or
     NonHyperbolicError when the inputs do not describe a hyperbolic
@@ -515,7 +544,7 @@ def run_valiron(
     # a slow orbit is continued, not recomputed
     probe = compute_orbit(m, _base(m.dim), PROBE_MIN_STEPS)
     if probe.cutoff is None and probe.x[-1] < PROBE_TARGET_HEIGHT:
-        probe = compute_orbit(m, probe, PROBE_MAX_STEPS)
+        probe = _escape_probe(m, compute_orbit(m, probe, PROBE_MAX_STEPS), n_max)
     classification = classify_sequence(probe.points)
     lam = estimate_multiplier(probe)
     if lam.value <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):

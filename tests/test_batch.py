@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle as O
 from valiron.geometry import (
@@ -477,7 +479,85 @@ def _paddings(z: np.ndarray, w: np.ndarray):
            np.concatenate([np.full((FEW_ROWS, w.shape[1]), 0.5 + 0j), w]))
 
 
+# the kinds of row the property test draws, each at a random size and direction:
+# clear of twice the slack, between one and two slack edges, a few ulps from
+# either edge; and, at most twice in a draw, outside, non-finite or overflowing
+GOOD_ROWS = ("clear", "band", "edge")
+BAD_ROWS = ("outside", "nan z", "inf z", "nan w", "inf w", "w overflow", "z overflow",
+            "z overflow, nan w")
+
+
+@st.composite
+def _drawn_rows(draw):
+    """0 to FEW_ROWS + 3 rows, N in (1, 2, 3, 10), of the kinds above; ``w`` may be
+    a strided view, not C-contiguous."""
+    n_dim = draw(st.sampled_from((1, 2, 3, 10)))
+    n = draw(st.integers(0, FEW_ROWS + 3))
+    kinds = draw(st.lists(st.sampled_from(GOOD_ROWS), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        kinds[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z, w = np.empty(len(kinds), dtype=np.complex128), np.empty((len(kinds), n_dim - 1), dtype=np.complex128)
+    for i, kind in enumerate(kinds):
+        size = 10.0 ** rng.uniform(-3.0, 6.0)
+        wi = (rng.normal(size=n_dim - 1) + 1j * rng.normal(size=n_dim - 1)) * math.sqrt(size / max(n_dim - 1, 1))
+        y = size * rng.uniform(-1.0, 1.0)
+        wsq = norm_sq(wi)
+        k = {"clear": 10.0 ** rng.uniform(0.4, 12.0), "band": rng.uniform(1.0, 2.0),
+             "outside": rng.uniform(-2.0, 1.0)}.get(kind, 3.0)
+        zi = complex(wsq + k * BOUNDARY_SLACK * max(1.0, abs(complex(wsq, y)), wsq), y)
+        if kind == "edge":  # a few ulps from one or two slack edges
+            edge = wsq + rng.integers(1, 3) * BOUNDARY_SLACK * max(1.0, abs(complex(wsq, y)), wsq)
+            zi = complex(edge + rng.integers(-2, 3) * math.ulp(edge), y)
+        bad = (math.nan if kind.startswith("nan") or kind.endswith("nan w") else
+               math.inf * rng.choice((-1.0, 1.0)))
+        part = rng.integers(2)
+        if kind.endswith(" z"):
+            zi = complex(bad, zi.imag) if part else complex(zi.real, bad)
+        elif kind.endswith(" w") and n_dim > 1:
+            j = rng.integers(n_dim - 1)
+            wi[j] = complex(bad, wi[j].imag) if part else complex(wi[j].real, bad)
+        elif kind == "w overflow" and n_dim > 1:
+            wi[rng.integers(n_dim - 1)] = 1e200
+        if kind.startswith("z overflow"):
+            zi = complex(1.7e308, 1.7e308)
+        z[i], w[i] = zi, wi
+    if draw(st.booleans()):
+        wide = np.zeros((len(kinds), 2 * (n_dim - 1)), dtype=np.complex128)
+        wide[:, ::2] = w
+        w = wide[:, ::2]
+    return z, w
+
+
+def _per_row(z, w, clearance: bool) -> float:
+    """``check_siegel_arrays`` by its definition: each row as ``SiegelPoint`` checks
+    it, in order, then the clearance of the rows, each computed on Python floats."""
+    top = 1.0
+    for zi, wi in zip(z, w):
+        SiegelPoint(zi, wi)
+        wsq, zi = norm_sq(wi), complex(zi)
+        scale = max(1.0, abs(zi), wsq)
+        top = max(top, scale if zi.real - wsq > 2.0 * BOUNDARY_SLACK * scale else math.inf)
+    return top if clearance else math.inf
+
+
+def _outcome(check, *args, **kwargs):
+    """The returned float's bits, or the exception's type and message."""
+    try:
+        return check(*args, **kwargs).hex()
+    except (DomainError, OverflowError) as exc:  # abs(z) may overflow from finite parts
+        return type(exc), str(exc)
+
+
 class TestCheckSiegelArrays:
+    @given(rows=_drawn_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_row_definition(self, rows):
+        z, w = rows
+        for clearance in (False, True):
+            assert (_outcome(check_siegel_arrays, z, w, _clearance=clearance)
+                    == _outcome(_per_row, z, w, clearance))
+
     def _rows(self):
         nan, inf = math.nan, math.inf
         rows = [

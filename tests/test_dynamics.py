@@ -142,9 +142,9 @@ class TestOrbit:
         rows = []
         check = geometry.check_siegel_arrays
 
-        def counting_check(z, w):
+        def counting_check(z, w, **kwargs):
             rows.append(len(z))
-            check(z, w)
+            return check(z, w, **kwargs)
 
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
         monkeypatch.setattr(geometry, "check_siegel_arrays", counting_check)

@@ -32,7 +32,7 @@ from valiron.maps import (
     make_valiron_example,
 )
 from valiron import geometry, maps, renorm
-from valiron.dynamics import compute_orbit
+from valiron.dynamics import NotTendingToInfinityError, compute_orbit
 from valiron.renorm import (
     LOG_SCALE_CEILING,
     DegenerateGridError,
@@ -403,6 +403,51 @@ class TestRunValiron:
         )
         with pytest.raises(NonHyperbolicError):
             run_valiron(parabolic)
+
+    def test_a_slow_parabolic_map_does_not_escape_the_probe(self):
+        """z + 0.1 looks parabolic on its 64-step probe, which is not continued:
+        the escape test rejects it, with the final |z| = 7.4."""
+        parabolic = HoloMap(
+            domain="siegel",
+            dim=1,
+            evaluator=lambda q: SiegelPoint(q.z + 0.1),
+            dw=INFINITY,
+            multiplier=2.0,
+            name="slow parabolic",
+        )
+        with pytest.raises(NotTendingToInfinityError, match=r"final \|z\| = 7\.39"):
+            run_valiron(parabolic)
+
+    @pytest.mark.parametrize("lam, n_max", [(1.07, 200), (1.05, 200), (1.02, 2000)])
+    def test_slow_hyperbolic_maps_converge(self, lam, n_max):
+        """Below lam = 100^(1/64) the 64-step probe ends short of |z| = 100 and is
+        continued until the escape test can decide; the run then converges to
+        the closed form.  The affine map's sigma_n approach sigma geometrically,
+        by 1/lam a step, so the Cauchy stop leaves up to tol lam / (lam - 1)."""
+        tol = 1e-8
+        linear = run_valiron(make_siegel_linear(lam, 2), tol=tol, n_max=n_max)
+        assert linear.converged and len(linear.base_orbit) > PROBE_MAX_STEPS + 1
+        z = linear.grid.points.z
+        assert np.max(np.abs(linear.sigma - z)) <= tol
+        affine = run_valiron(make_halfplane_affine(lam, 0.01, 2), tol=tol, n_max=2000)
+        assert affine.converged
+        drift = 0.01 / (lam - 1.0)
+        assert np.max(np.abs(affine.sigma - (z + 1j * drift))) <= tol * lam / (lam - 1.0)
+        # the default n_max caps the probe: at lam = 1.02 it ends short of 100
+        if n_max > 200:
+            with pytest.raises(NotTendingToInfinityError):
+                run_valiron(make_siegel_linear(lam, 2), tol=tol)
+
+    def test_states_and_results_compare_by_identity(self):
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        grid = default_grid(2)
+        for make in (lambda: initial_state(m, grid), lambda: run_valiron(m, n_max=5)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+        state = initial_state(m, grid)
+        moved = replace(state, n=7)
+        assert moved.n == 7 and moved != state and moved.z is state.z
 
     def test_outside_hypotheses_flag(self):
         t = SiegelAutomorphism.translate(np.array([1.0 + 0j]))
