@@ -197,20 +197,14 @@ class SiegelPoint:
         return hash((self.z, tuple(self.w.tolist())))
 
 
-def _check_row(z: complex, w: list) -> float:
-    """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside.
-
-    Returns the row's scale ``max(1, |z|, ||w||^2)`` if its height clears
-    twice the slack, else inf (see ``check_siegel_arrays``).
-    """
+def _check_row(z: complex, w: list) -> None:
+    """Membership test of ``SiegelPoint``: a finite ``w`` whose ``norm_sq`` overflows is outside."""
     nsq = norm_sq(w)
     if not (cmath.isfinite(z) and (nsq < math.inf or all(map(cmath.isfinite, w)))):
         raise NonFiniteError("non-finite coordinates")
     height = z.real - nsq
-    scale = max(1.0, abs(z), nsq)
-    if not height > BOUNDARY_SLACK * scale:
+    if not height > BOUNDARY_SLACK * max(1.0, abs(z), nsq):
         raise DomainError(f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}")
-    return scale if height > 2.0 * BOUNDARY_SLACK * scale else math.inf
 
 
 def _one_row(q: SiegelPoint) -> "SiegelBatch":
@@ -223,28 +217,27 @@ def siegel_height(q: SiegelPoint) -> float:
     return float(_one_row(q).height()[0])
 
 
-def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = False) -> float:
+def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> float:
     """Apply the checks of ``SiegelPoint`` to every row of ``(z, w)``.
 
     ``z`` has shape (n,) and ``w`` shape (n, N-1).  A row is rejected exactly
     when ``SiegelPoint(z[i], w[i])`` rejects it, with the error of the first
     rejected row.
 
-    Returns inf, unless ``_clearance`` is passed (the renormalized step
-    alone does) and every row clears twice the slack, ``Re z - ||w||^2 >
-    2 BOUNDARY_SLACK max(1, |z|, ||w||^2)``: then the largest ``max(1, |z|,
-    ||w||^2)`` of the rows, on the bits of the test.  Both forms test twice
-    the slack first: a clear row is inside, and a non-finite row is never
-    clear, so the row test of ``SiegelPoint``, ``_check_row``, runs only on
-    a row that is not clear, and gives its error.  Up to ``FEW_ROWS`` rows
-    are tested in one pass on Python floats, with ``norm_sq`` summed inline
-    and the scale raised from ``|z|`` by comparisons, so that a NaN modulus
-    leaves it NaN, as ``np.maximum`` does.  Above, numpy takes the same
-    inequality on the same bits (``_norm_sq_rows`` is ``norm_sq`` row by
-    row, ``np.hypot`` is Python's ``abs``).
+    Returns the largest ``max(1, |z|, ||w||^2)`` of the rows (1 for none),
+    on the bits of the test; inside H^N it bounds every component, which
+    the scale ceiling of the renormalized step reads.  The membership
+    inequality is tested once per row; a non-finite row fails it, so the
+    row test of ``SiegelPoint``, ``_check_row``, runs only on a failing
+    row, and gives its error.  Up to ``FEW_ROWS`` rows are tested in one
+    pass on Python floats, with ``norm_sq`` summed inline and the scale
+    raised from ``|z|`` by comparisons, so that a NaN modulus leaves it
+    NaN, as ``np.maximum`` does.  Above, numpy takes the same inequality on
+    the same bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot``
+    is Python's ``abs``).
     """
     if z.shape[0] <= FEW_ROWS:
-        top, clear = 1.0, 2.0 * BOUNDARY_SLACK
+        top = 1.0
         for zi, wi in zip(z.tolist(), w.tolist()):
             nsq = 0.0
             for c in wi:
@@ -257,23 +250,20 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray, *, _clearance: bool = Fals
                 scale = nsq
             if scale < 1.0:
                 scale = 1.0
-            if zi.real - nsq > clear * scale:
-                if scale > top:
-                    top = scale
-            else:
-                top = _check_row(zi, wi)  # raises, or returns inf: not clear
-        return top if _clearance else math.inf
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the tests
+            if not zi.real - nsq > BOUNDARY_SLACK * scale:
+                _check_row(zi, wi)  # raises the row's error
+            if scale > top:
+                top = scale
+        return top
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
         nsq = _norm_sq_rows(w)
         scale = np.maximum(np.hypot(z.real, z.imag), nsq)
         np.maximum(scale, 1.0, out=scale)
-        height = z.real - nsq
-        if np.count_nonzero(height > 2.0 * BOUNDARY_SLACK * scale) == len(height):
-            return float(scale.max()) if _clearance else math.inf
-        inside = height > BOUNDARY_SLACK * scale
-    for i in np.flatnonzero(~inside):
-        _check_row(complex(z[i]), w[i].tolist())
-    return math.inf
+        inside = z.real - nsq > BOUNDARY_SLACK * scale
+    if np.count_nonzero(inside) < len(inside):
+        for i in np.flatnonzero(~inside):
+            _check_row(complex(z[i]), w[i].tolist())
+    return float(scale.max())
 
 
 def _checked_point(z: complex, w: np.ndarray) -> SiegelPoint:

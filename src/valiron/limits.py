@@ -17,7 +17,7 @@ A family is generated as one array computation over its seeds and ladder
 rungs; each sequence is a ``SiegelBatch``.  A ``SweepPlan`` holds every
 sweep of a command set: one pass generates the rows of every distinct
 family, with the most sequences any sweep asks of it, and checks them once,
-and the map is evaluated once over them, with ``maps.evaluate_batch``.  The
+and the map is evaluated once over them, with ``maps._images``.  The
 probed functions of the map's images are ``MapProbe``s, each computed in
 one call over every row of the plan and shared by every sweep that reads
 it; each is one numpy expression, whose error against the same formula in
@@ -48,7 +48,7 @@ from .geometry import (
     check_siegel_arrays,
     max_kobayashi,
 )
-from .maps import HoloMap, evaluate_batch
+from .maps import HoloMap, _images
 
 DEFAULT_LADDER = tuple(10.0 ** k for k in range(1, 8))
 DEFAULT_TOL = 1e-3
@@ -333,7 +333,7 @@ class MapProbe:
     values of ``h`` row by row, one numpy expression whose rows do not
     depend on each other.  A sweep evaluates ``m`` once for all of its
     probes of that map; calling a probe on one point evaluates that point
-    alone.
+    alone, checked when it was made.
     """
 
     m: HoloMap
@@ -342,13 +342,8 @@ class MapProbe:
 
     def __call__(self, q: SiegelPoint) -> complex:
         points = SiegelBatch.from_points((q,))
-        return complex(self.f(points, _images(self.m, points), *self.args)[0])
-
-
-def _images(m: HoloMap, points: SiegelBatch) -> SiegelBatch:
-    """The images of the rows under ``m``, each row checked."""
-    z, w = evaluate_batch(m, points.z, points.w)
-    return SiegelBatch._checked(z, w)
+        images = SiegelBatch._checked(*_images(self.m, points.z, points.w)[:2])
+        return complex(self.f(points, images, *self.args)[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -386,7 +381,7 @@ class SweepPlan:
     index has its own counter-based stream), so a sweep that reads fewer
     sequences reads the first ones of the larger generation.
 
-    Each map is evaluated once, with ``evaluate_batch``, over the whole
+    Each map is evaluated once, with ``maps._images``, over the whole
     batch, and each probe is computed once over it: a ``MapProbe`` in one
     call, which ``MapProbe``s of the same map, function and argument
     objects share, and a plain ``h`` point by point, in row order.  A trace
@@ -437,7 +432,9 @@ class SweepPlan:
             points = self._stack()
             if isinstance(probe, MapProbe):
                 if id(probe.m) not in self._images:
-                    self._images[id(probe.m)] = (probe.m, _images(probe.m, points))
+                    # the rows were checked when generated: only their images are checked
+                    images = SiegelBatch._checked(*_images(probe.m, points.z, points.w)[:2])
+                    self._images[id(probe.m)] = (probe.m, images)
                 values = probe.f(points, self._images[id(probe.m)][1], *probe.args)
             else:
                 values = [probe(p) for p in points]

@@ -178,23 +178,25 @@ def _check_siegel_side(m: HoloMap) -> None:
         raise DomainError("evaluate_batch expects a Siegel-side map")
 
 
-def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) -> tuple:
+def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     """``evaluate_batch`` on rows that already passed the checks of ``SiegelPoint``.
 
     Only the images are checked, once each.  Every evaluation of a map on
-    rows passes here, and an orbit steps through this: each step's input
-    row is the checked start or the previous checked image, bit for bit.
-    The side and the width are tested first; then a map with ``batch``, the
-    common case, runs on the whole arrays.  A conjugate ``t o inner o
-    t^-1`` applies T^-1 (``apply_automorphism_arrays``), checks those rows
-    as ``evaluate_batch`` does, maps them by ``_images`` of ``inner`` and
-    applies T.  A black box is evaluated point by point: it
-    gets each row as a ``SiegelPoint`` over a read-only row of one copy of
-    ``w``, not checked again, and returns points, checked when made.
+    rows passes here, and an orbit or a renormalized run steps through
+    this: each step's input rows are the checked start or the previous
+    checked images, bit for bit.  The side and the width are tested first;
+    then a map with ``batch``, the common case, runs on the whole arrays.
+    A conjugate ``t o inner o t^-1`` applies T^-1
+    (``apply_automorphism_arrays``), checks those rows as
+    ``evaluate_batch`` does, maps them by ``_images`` of ``inner`` and
+    applies T.  A black box is evaluated point by point: it gets each row
+    as a ``SiegelPoint`` over a read-only row of one copy of ``w``, not
+    checked again, and returns points, checked when made.
 
     Returns ``(z, w, top)``, where ``top`` is what ``check_siegel_arrays``
-    returns of the images with ``_clearance``: inf for a black box, whose
-    images were checked as points.  Rows of another width raise DomainError.
+    returns of the images, a bound of every component: inf for a black
+    box, whose images were checked as points.  Rows of another width raise
+    DomainError.
     """
     if m.domain != "siegel":  # tested inline: the helper is a call per step
         _check_siegel_side(m)
@@ -214,7 +216,7 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray, _clearance: bool = False) 
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         w_out = np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
         return z_out, w_out, math.inf
-    return z, w, check_siegel_arrays(z, w, _clearance=_clearance)
+    return z, w, check_siegel_arrays(z, w)
 
 
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:

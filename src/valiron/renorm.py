@@ -7,46 +7,40 @@ multiplier lam > 1, the normalized first coordinates
 
 converge to the solution of sigma o phi = lam sigma, unique up to a positive
 factor, with Re sigma(1, 0) = 1 at the base (1, 0), the Cayley image of the
-ball's origin.  This module advances the renormalized state
+ball's origin.  This module steps the rows phi^n(Z) themselves: each step
+evaluates phi on the previous step's checked images, bit for bit, checks
+the new images once, and reads x_{n+1} = Re z of the base image and the
+sigma column pi_1 / x_{n+1}.  The renormalized state
 
     S_n(Z) = (pi_1(phi^n(Z)) / x_n,  pi_w(phi^n(Z)) / sqrt(x_n))
 
-one step at a time via S_{n+1} = (L_{n+1} o phi o L_n^{-1})(S_n), which keeps
-every stored quantity O(1) and stores the base scale in log-space.  The
-update is algebraically identical to direct iteration.  It still forms
-x_n S_n to evaluate phi, so it stops at the same scale ceiling (x_n ~ 1e300)
-as direct iteration; the state is tested against it before every step,
-through an upper bound of its magnitude that the previous step's image check
-yields, and exactly only where that bound reaches the ceiling.
+is packed only where a ``RenormalizedState`` is made: by ``initial_state``,
+by each ``advance`` and at the end of a run.  As the rows are the raw
+iterates, a run stops at the scale ceiling (components near 1e300) of
+direct iteration; the image check returns a bound of every component,
+which is tested against it before each step.
 
-The base orbit, the grid and the grid images share the scales, so the state
-is one stack of rows and a step is one map evaluation on arrays, which
-advances every row at once through the map's ``batch``; black boxes alone go
-point by point.  The probe orbit steps one row at a time.
+The base orbit, the grid and the grid images share the scales, so the rows
+are one stack and a step is one map evaluation on arrays, which advances
+every row at once through the map's ``batch``; black boxes alone go point
+by point.  The probe orbit steps one row at a time.
 
-Each row is checked once per step, as an image; the numpy check tests twice
-the slack first.  The de-normalized inputs of a step are the
-previous step's checked images, rescaled by about 1, and are checked again
-only where ``_passes_again`` cannot prove that they pass: on the first step,
-after a black box, and where an image row lay within twice the slack of the
-boundary.
+One step, ``_step``, serves run_valiron, which makes one state at the end,
+and ``advance``, which wraps it for the state API and keeps the raw rows
+on the state it makes.  A state made otherwise (``replace`` included) is
+de-normalized and checked in full before its step.  run_valiron stores the
+scale pair (x_n, x_{n+1}) of each step on the result; ValironResult.sigma_at
+steps new points as many times and divides by the last x_{n+1}, so
+off-grid values come from the very recursion that produced the grid
+values, without evaluating the base orbit again.
 
-One step kernel on arrays, ``_renorm``, serves run_valiron, which makes one
-state at the end, ``advance``, which wraps it for the state API, and
-ValironResult.sigma_at.  Each step fixes the scale pair (x_n, x_{n+1}) from
-the base orbit alone; run_valiron stores the pairs it used on the result,
-and sigma_at replays the kernel over them for new points, so off-grid values
-come from the very recursion that produced the grid values, without
-evaluating the base orbit again.
-
-A conjugated map T o phi o T^-1 (``conjugate_map``) is renormalized on its
+A conjugated map T o phi o T^-1 (``conjugate_map``) is stepped on its
 inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  The
-stored rows are R_n = L_{x_n}(phi^n(T^-1 q)), and a step evaluates phi alone,
-with the checks above; x_n is still Re pi_1 of the conjugated base orbit.
-Only the first coordinate of T is taken of the images, once per step, and
-packed by x_{n+1}: that column is sigma_{n+1}, tested for finiteness.
-sigma_at maps its points by T^-1 once, replays the inner steps, and takes
-the first coordinate of T once, at the end.
+rows are phi^n(T^-1 q), with T^-1 of the rows checked once where
+``initial_state`` or ``sigma_at`` makes them; a step evaluates phi alone,
+and x_n is still Re pi_1 of the conjugated base orbit.  Only the first
+coordinate of T is taken of the images, once per step, and divided by
+x_{n+1}: that column is sigma_{n+1}, tested for finiteness.
 """
 
 from __future__ import annotations
@@ -85,7 +79,6 @@ from .maps import (
     HoloMap,
     SCALE_LIMIT,
     ScaleOverflowError,
-    _check_inputs,
     _images,
     conjugate_map,
     make_siegel_map_from_ball,
@@ -99,14 +92,6 @@ PROBE_MAX_STEPS = 64
 PROBE_TARGET_HEIGHT = 1e8
 # ln of the largest base scale at which states can still be de-normalized
 LOG_SCALE_CEILING = math.log(SCALE_LIMIT)
-# _passes_again holds for rows of at most _CLEAR_MAX_DIM coordinates, whose
-# checked images and packed rows stay below _CLEAR_MAX_SIZE, de-normalized by
-# a ratio r in _CLEAR_RATIO to the scale they were packed by
-_CLEAR_MAX_DIM = 1000
-_CLEAR_MAX_SIZE = 1e300
-_CLEAR_RATIO = (0.75, 1.25)
-# relative excess of a state's magnitude bound over the rounded magnitude
-_MAGNITUDE_SLACK = 1e-9
 
 
 class DegenerateGridError(ValueError):
@@ -175,16 +160,18 @@ class RenormalizedState:
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
     on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
     and ``sigma_img`` are read from ``sigma_col`` when the state is made:
-    for a conjugated map, whose rows are the inner rows R_n, the first
-    coordinate of T of the rows packed by x_n; else None, which reads
-    ``z``.  ``log_x`` is the base scale in log-space; ``scales`` is the pair
+    for a conjugated map, whose rows are the inner rows phi^n(T^-1 Z)
+    packed by x_n, the first coordinate of T of the raw rows over x_n;
+    else None, which reads ``z``.  ``log_x`` is the base scale in log-space; ``scales`` is the pair
     (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
 
-    ``advance`` also notes on the state it makes what the check of its rows,
-    as images, returned with clearance (``_top``, see ``_passes_again``);
-    on a state made otherwise, ``replace`` included, it is inf, and the
-    next step takes the full tests.  A state is compared, and hashed, by
-    identity: its arrays have no truth value.
+    ``initial_state`` and ``advance`` also keep on the state they make its
+    raw rows, the checked phi^n(Z), with the bound of their components
+    that their check returned (inf: not known) and x_n (``_raw``); the
+    next step evaluates them.  On a state made otherwise, ``replace``
+    included, it is None, and the next step de-normalizes the state and
+    checks it in full.  A state is compared, and hashed, by identity: its
+    arrays have no truth value.
     """
 
     n: int
@@ -193,7 +180,7 @@ class RenormalizedState:
     w: np.ndarray
     scales: tuple = ()
     sigma_col: Optional[np.ndarray] = None
-    _top: float = field(default=math.inf, init=False, repr=False, compare=False)
+    _raw: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z.setflags(write=False)
@@ -227,39 +214,33 @@ def _schroder_defect(s_img: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray
     return np.abs(s_img - lam * s) / (1.0 + np.abs(s))
 
 
-def _pack(z: np.ndarray, w: np.ndarray, x: float):
-    """Renormalized coordinates (z / x, w / sqrt(x)) of the rows."""
-    return z / x, w / math.sqrt(x)
-
-
 def _stepper(m: HoloMap) -> tuple:
     """``(phi, t)``: the map a renormalized step of ``m`` evaluates, and the T
     whose first coordinate gives sigma (None where that is the rows' own)."""
     return (m, None) if m.conjugation is None else m.conjugation
 
 
-def _renorm(phi: HoloMap, t: Optional[SiegelAutomorphism], z: np.ndarray, w: np.ndarray,
-            x_n: float, top: float, x_prev: float, x_next: Optional[float] = None) -> tuple:
-    """L_{n+1} o phi o L_n^{-1} on rows of S_n packed by ``x_prev``, as the
-    images' ``(z, w, col, top, x_next)``, packed by x_{n+1}.
+def _step(phi: HoloMap, t: Optional[SiegelAutomorphism], z: np.ndarray, w: np.ndarray,
+          top: float) -> tuple:
+    """One step of the raw rows phi^n(Z): ``(z, w, top, col, x_next)`` of the images.
 
-    The de-normalized rows are checked unless ``_passes_again`` proves from
-    ``top``, what their check as images returned (inf: none), that they
-    pass; the images' check, with clearance up to ``_CLEAR_MAX_DIM``
-    coordinates, gives the new ``top``.  x_{n+1} is ``x_next`` if given,
-    else read from row 0, the base.  ``col`` is the sigma column: the packed
-    z, or with a ``t``, pi_1 of T of the images (``_sigma_column``).
+    ``top`` bounds every component of the rows (inf: not known, then the
+    largest is measured); past SCALE_LIMIT the images may leave the double
+    range, and ScaleOverflowError is raised instead.  ``_images`` checks
+    the images once and returns their bound.  x_{n+1} is Re z of row 0,
+    the base, or with a ``t``, Re pi_1 of T of it; ``col`` is the sigma
+    column, the images' z, or pi_1 of T of them (``_sigma_column``), over
+    x_{n+1}.
     """
-    z, w = x_n * z, math.sqrt(x_n) * w
-    if not _passes_again(top, x_prev, x_n):
-        _check_inputs(phi, z, w)
-    z, w, top = _images(phi, z, w, _clearance=w.shape[1] < _CLEAR_MAX_DIM)
+    if (top if top < math.inf else _magnitude(z, w)) > SCALE_LIMIT:
+        raise ScaleOverflowError("evaluation would exceed the double-precision range")
+    z, w, top = _images(phi, z, w)
     if t is not None:
-        col, x_next = _sigma_column(t, z, w, x_next)
-    elif x_next is None:
+        col, x_next = _sigma_column(t, z, w)
+    else:
         x_next = float(z[0].real)
-    z, w = _pack(z, w, x_next)
-    return z, w, z if t is None else col, top, x_next
+        col = z / x_next
+    return z, w, top, col, x_next
 
 
 def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
@@ -278,33 +259,16 @@ def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
     return col / x_next, x_next
 
 
-def _passes_again(top: float, x_next: float, x_after: float) -> bool:
-    """Whether image rows of a step, packed by ``x_next`` and de-normalized by
-    ``x_after`` at the next step, provably pass that step's input check.
-
-    ``top`` is what the images' check returned with clearance; if finite,
-    each row (z, w) had Q = norm_sq(w) and H = Re z - Q > 2 s M, with
-    s = BOUNDARY_SLACK and M = max(1, |z|, Q) <= top.  Let r = x_after /
-    x_next, u = 2^-53, and N <= _CLEAR_MAX_DIM (``_renorm`` asks for no
-    clearance beyond).  As top and top / x_next are at most _CLEAR_MAX_SIZE
-    and r <= 5/4, nothing overflows.
-    Packing (a complex quotient by a real: a reciprocal, perhaps subnormal,
-    then a product) and de-normalizing (one product) put each part of z
-    within 6 u of r times its value, and each part of w within 6 u of
-    sqrt(r) times its value (the two square roots included), up to an
-    absolute 2^-51 from underflow (2^-1075 times x_after < 2^1024).  As
-    norm_sq is within N u of the exact sum, the new Q' is within (2N + 13) u
-    of r Q; with |Re z| <= (1 + 2 u) M, the new height, rounded, exceeds
-    r M (2 s - K u) (1 - 2 u) - 2^-51 with K = 2N + 20, and the new scale is
-    at most max(1, r M (1 + K u)).  Where that scale is 1 the test needs a
-    height above s, which holds as r M >= 3/4 and 0.75 K u < s / 2;
-    elsewhere it needs a height above s r M (1 + K u), which holds as
-    2 K u < s.  K <= 2020 meets both with room to spare.
-    """
-    if not (top <= _CLEAR_MAX_SIZE and top / x_next <= _CLEAR_MAX_SIZE):
-        return False
-    low, high = _CLEAR_RATIO
-    return low <= x_after / x_next <= high
+def _made(n: int, z: np.ndarray, w: np.ndarray, top: float, x: float,
+          col: Optional[np.ndarray], scales: tuple = ()) -> RenormalizedState:
+    """The state of the raw rows ``z``/``w`` at step ``n`` and scale ``x``: S_n =
+    (z / x, w / sqrt(x)), with the rows, their bound ``top`` and x kept for the next step."""
+    z.setflags(write=False)
+    w.setflags(write=False)
+    state = RenormalizedState(n=n, log_x=math.log(x), z=z / x, w=w / math.sqrt(x), scales=scales,
+                              sigma_col=col)
+    object.__setattr__(state, "_raw", (z, w, top, x))
+    return state
 
 
 def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
@@ -314,64 +278,38 @@ def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
         raise DomainError("points of different dimensions")
     # the grid was checked when it was built: only its images are checked
     img_z, img_w, _ = _images(m, points.z, points.w)
-    x0 = base.z.real
     z = np.concatenate(([base.z], points.z, img_z))
     w = np.concatenate((base.w[None, :], points.w, img_w))
-    col, t = None, _stepper(m)[1]
+    col, top, t = None, math.inf, _stepper(m)[1]
     if t is not None:
-        # the rows of T^-1 are checked by the first step, in full
-        col, (z, w) = z / x0, apply_automorphism_arrays(t.inverse(), z, w)
-    z, w = _pack(z, w, x0)
-    return RenormalizedState(n=0, log_x=math.log(x0), z=z, w=w, sigma_col=col)
+        # sigma_0 is the z of the rows; the first step evaluates their T^-1, checked once
+        col, (z, w) = z, apply_automorphism_arrays(t.inverse(), z, w)
+        top = check_siegel_arrays(z, w)
+    return _made(0, z, w, top, base.z.real, col)
 
 
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
-    ``_renorm`` maps every row (base, grid and grid images) in one array
-    evaluation, a conjugated map's inner rows by its inner map.  The input
-    rows are checked, all before any image row, unless the state's ``_top``
-    proves that they pass; so a step that rejects several rows may name
-    another row than stepping the base first would.  De-normalizing needs
-    x_n as a float, so a scale ceiling still exists; it is checked up-front
-    (``_over_ceiling``) and raised loudly instead of silently producing
-    infinities.
+    ``_step`` maps every raw row (base, grid and grid images) in one array
+    evaluation, a conjugated map's inner rows by its inner map, and checks
+    the images once.  A state with no raw rows (made by ``replace``, say)
+    is de-normalized by x_n and checked in full first, all before any
+    image row.  The raw rows reach the double range where direct iteration
+    does, so the scale ceiling is tested before the step and raised loudly
+    instead of silently producing infinities.
     """
-    # x_prev is read only where _top is finite, on a state that advance made,
-    # whose scales are set
-    x_prev = state.scales[1] if state.scales else 1.0
-    if _over_ceiling(state.log_x, state.z, state.w, state._top, x_prev):
-        raise ScaleOverflowError(
-            "de-normalized evaluation would exceed the double-precision range"
-        )
-    x_n = state.x
     phi, t = _stepper(m)
-    z, w, col, top, x_next = _renorm(phi, t, state.z, state.w, x_n, state._top, x_prev)
-    nxt = RenormalizedState(
-        n=state.n + 1, log_x=state.log_x + math.log(x_next / x_n), z=z, w=w, scales=(x_n, x_next),
-        sigma_col=None if t is None else col,
-    )
-    object.__setattr__(nxt, "_top", top)
-    return nxt
-
-
-def _over_ceiling(log_x: float, z: np.ndarray, w: np.ndarray, top: float, x_prev: float) -> bool:
-    """Whether log_x + log(max(1, M)) exceeds LOG_SCALE_CEILING, with M the
-    largest component magnitude of the rows ``z``/``w``.
-
-    A finite ``top``, what the check of the rows as images returned with
-    clearance, bounds them before they were packed by ``x_prev``: each
-    stored |z| is within 12 u of at most t = top / x_prev, each |w_j| within
-    (N / 2 + 8) u of at most sqrt(t).  That bound is tested first, and the
-    exact magnitude only where the bound fails: log is monotone, so the
-    verdict is the same.
-    """
-    if top < math.inf:
-        t = top / x_prev
-        bound = max(t, math.sqrt(t)) * (1.0 + _MAGNITUDE_SLACK)
-        if log_x + math.log(max(1.0, bound)) <= LOG_SCALE_CEILING:
-            return False
-    return log_x + math.log(max(1.0, _magnitude(z, w))) > LOG_SCALE_CEILING
+    if state._raw is None:
+        if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
+            raise ScaleOverflowError("evaluation would exceed the double-precision range")
+        x_n = state.x
+        z, w = x_n * state.z, math.sqrt(x_n) * state.w
+        top = check_siegel_arrays(z, w)
+    else:
+        z, w, top, x_n = state._raw
+    z, w, top, col, x_next = _step(phi, t, z, w, top)
+    return _made(state.n + 1, z, w, top, x_next, None if t is None else col, (x_n, x_next))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,17 +339,16 @@ class ValironResult:
     scale_pairs: tuple
     _sigma_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    def sigma_at(self, points: Sequence[SiegelPoint], _top: float = math.inf) -> np.ndarray:
+    def sigma_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Evaluate the converged sigma at arbitrary points.
 
-        Replays the renormalized step over the stored scale pairs, so the
-        points ride along the same base orbit and off-grid probes use
-        exactly the pipeline that produced the grid samples, with the same
-        input checks as ``advance``.  ``_top`` is what a check of the points
-        returned with clearance, if the caller made one (``residual_at``).
-        A conjugated map's replay maps the points by T^-1 once, steps them
-        on the inner map, whose first step checks them in full, and takes
-        the first coordinate of T of the last images.
+        Steps the points as many times as the run stepped, each step one
+        ``_images`` that checks the images once, and divides by the run's
+        last x_{n+1}: the points ride along the same base orbit, and
+        off-grid probes use exactly the pipeline that produced the grid
+        samples.  A conjugated map's replay maps the points by T^-1 once,
+        checks those rows, steps them on the inner map, and takes the first
+        coordinate of T of the last images.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -423,42 +360,34 @@ class ValironResult:
                 f"points of dimension {batch.w.shape[1] + 1} for a map of dimension {self.map.dim}")
         if self._sigma_fn is not None:
             return self._sigma_fn(batch)
-        z, w, top, x_prev = batch.z, batch.w, _top, 1.0  # x_0, Re z of the base (1, 0)
+        z, w = batch.z, batch.w
         if not self.scale_pairs:
-            return z / x_prev
+            return z / 1.0  # x_0, Re z of the base (1, 0)
         phi, t = _stepper(self.map)
         if t is not None:
-            z, w, top = *apply_automorphism_arrays(t.inverse(), z, w), math.inf
-        # the points take the full input check, unless their clearance proves
-        # that they pass it; so do the images at later steps.  T is applied
-        # to the images of the last step alone
-        last = len(self.scale_pairs) - 1
-        for k, (x_n, x_next) in enumerate(self.scale_pairs):
-            z, w, col, top, x_prev = _renorm(
-                phi, t if k == last else None, z, w, x_n, top, x_prev, x_next)
-        return col
+            z, w = apply_automorphism_arrays(t.inverse(), z, w)
+            check_siegel_arrays(z, w)
+        for _ in self.scale_pairs:
+            z, w, _ = _images(phi, z, w)
+        x_last = self.scale_pairs[-1][1]
+        return z / x_last if t is None else _sigma_column(t, z, w, x_last)[0]
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
 
-        One map evaluation gives the images; one replay of sigma runs over
-        the points and the images stacked.  The points and the images are
-        checked once each, with clearance, so that the replay's first step
-        need not check them again; a conjugated map's replay steps T^-1 of
-        them, which its first step checks.
+        One map evaluation gives the images, checked once; one replay of
+        sigma runs over the points, checked when they were made, and the
+        images stacked.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
         if not len(points):
             return np.zeros(0)
         points = SiegelBatch.from_points(points)
-        clear = points.w.shape[1] < _CLEAR_MAX_DIM
-        top = check_siegel_arrays(points.z, points.w, _clearance=clear)
-        img_z, img_w, top_img = _images(self.map, points.z, points.w, _clearance=clear)
+        img_z, img_w, _ = _images(self.map, points.z, points.w)
         n = len(points)
         s = self.sigma_at(SiegelBatch._checked(
-            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))),
-            _top=max(top, top_img))
+            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))))
         return _schroder_defect(s[n:], s[:n], self.multiplier)
 
 
@@ -559,28 +488,24 @@ def run_valiron(
             f"(residual witness {classification.a_witness:.3g}); proceeding"
         )
 
-    # the steps of advance, on the arrays of the rows; one state is made at the end
+    # the steps of advance, on the raw rows; one state is made at the end
     state = initial_state(m, grid)
     phi, t = _stepper(m)
-    log_x, z, w, sigma = state.log_x, state.z, state.w, state.sigma
-    top, x_prev, g = math.inf, 1.0, len(grid) + 1
+    z, w, top, x_n = state._raw
+    sigma, g = state.sigma, len(grid) + 1
     scale_pairs, cauchy = [], []
     consecutive = 0
     converged = False
     for _ in range(n_max):
         try:
-            if _over_ceiling(log_x, z, w, top, x_prev):
-                raise ScaleOverflowError
-            x_n = math.exp(log_x)
-            z, w, col, top, x_next = _renorm(phi, t, z, w, x_n, top, x_prev)
+            z, w, top, col, x_next = _step(phi, t, z, w, top)
         except ScaleOverflowError:  # a black box that iterates raw may raise it too
             warnings.append(
                 f"scale ceiling reached at step {len(cauchy)}; stopping before n_max"
             )
             break
-        log_x += math.log(x_next / x_n)
-        x_prev = x_next
         scale_pairs.append((x_n, x_next))
+        x_n = x_next
         step = float(np.abs(col[1:g] - sigma).max())
         cauchy.append(step)
         sigma = col[1:g]
@@ -592,8 +517,7 @@ def run_valiron(
         else:
             consecutive = 0
     if scale_pairs:
-        state = RenormalizedState(n=len(cauchy), log_x=log_x, z=z, w=w, scales=scale_pairs[-1],
-                                  sigma_col=None if t is None else col)
+        state = _made(len(cauchy), z, w, top, x_n, None if t is None else col, scale_pairs[-1])
 
     residuals = _schroder_defect(state.sigma_img, state.sigma, lam.value)
     return ValironResult(
@@ -643,12 +567,8 @@ def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> Valir
     residuals = _schroder_defect(sigma_image, sigma, result.multiplier)
 
     def transported_sigma(points):
-        points = SiegelBatch.from_points(points)
-        pre = apply_automorphism_arrays(t_inv, points.z, points.w)
-        # checked once, with clearance, so that the replay's first step need
-        # not check the rows again
-        top = check_siegel_arrays(*pre, _clearance=points.w.shape[1] < _CLEAR_MAX_DIM)
-        return factor * result.sigma_at(SiegelBatch._checked(*pre), _top=top)
+        # T^-1 of the points, checked once as the batch is built
+        return factor * result.sigma_at(SiegelBatch(*apply_automorphism_arrays(t_inv, points.z, points.w)))
 
     drift = sigma_z0.imag / sigma_z0.real
     return replace(

@@ -529,16 +529,14 @@ def _drawn_rows(draw):
     return z, w
 
 
-def _per_row(z, w, clearance: bool) -> float:
+def _per_row(z, w) -> float:
     """``check_siegel_arrays`` by its definition: each row as ``SiegelPoint`` checks
-    it, in order, then the clearance of the rows, each computed on Python floats."""
+    it, in order, then the largest scale of the rows, each computed on Python floats."""
     top = 1.0
     for zi, wi in zip(z, w):
         SiegelPoint(zi, wi)
-        wsq, zi = norm_sq(wi), complex(zi)
-        scale = max(1.0, abs(zi), wsq)
-        top = max(top, scale if zi.real - wsq > 2.0 * BOUNDARY_SLACK * scale else math.inf)
-    return top if clearance else math.inf
+        top = max(top, abs(complex(zi)), norm_sq(wi))
+    return top
 
 
 def _outcome(check, *args, **kwargs):
@@ -553,10 +551,7 @@ class TestCheckSiegelArrays:
     @given(rows=_drawn_rows())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_row_definition(self, rows):
-        z, w = rows
-        for clearance in (False, True):
-            assert (_outcome(check_siegel_arrays, z, w, _clearance=clearance)
-                    == _outcome(_per_row, z, w, clearance))
+        assert _outcome(check_siegel_arrays, *rows) == _outcome(_per_row, *rows)
 
     def _rows(self):
         nan, inf = math.nan, math.inf
@@ -625,27 +620,38 @@ class TestCheckSiegelArrays:
     def test_one_dimensional_rows(self):
         w = np.zeros((2, 0), dtype=np.complex128)
         for rows in _paddings(np.array([1.0 + 5j, 2.0]), w):
-            check_siegel_arrays(*rows)
-            assert check_siegel_arrays(*rows, _clearance=True) == abs(1.0 + 5j)
+            assert check_siegel_arrays(*rows) == abs(1.0 + 5j)
         for rows in _paddings(np.array([1.0, -1.0 + 0j]), w):
             with pytest.raises(DomainError, match="strictly inside"):
                 check_siegel_arrays(*rows)
 
     @pytest.mark.parametrize("n_dim", [1, 2])
-    def test_rows_in_the_band_pass_and_are_not_clear(self, n_dim):
+    def test_rows_in_the_band_pass_and_count_in_the_largest_scale(self, n_dim):
         """A row between one and two slack edges from the boundary passes the
-        check, alone and behind clear rows, but leaves no clearance; without
-        it the clear rows return their largest scale."""
+        check, alone and behind other rows, and its scale counts in the
+        returned bound like any other row's."""
         w_size = 0.5 if n_dim == 2 else 0.0
         band = w_size ** 2 + 1.5 * BOUNDARY_SLACK  # scale 1: the height is 1.5 slack edges
         z = np.array([2.0, 3.0 + 1j, band, 2.0 + 0j])
         w = np.full((4, n_dim - 1), w_size + 0j)
         assert BOUNDARY_SLACK < band - norm_sq(w[2]) < 2.0 * BOUNDARY_SLACK
         for rows in _paddings(z, w):
-            assert check_siegel_arrays(*rows) == math.inf
-            assert check_siegel_arrays(*rows, _clearance=True) == math.inf
-        for rows in _paddings(z[[0, 1, 3]], w[[0, 1, 3]]):
-            assert check_siegel_arrays(*rows, _clearance=True) == abs(3.0 + 1j)
+            assert check_siegel_arrays(*rows) == abs(3.0 + 1j)
+        for rows in _paddings(z[2:3], w[2:3]):
+            assert check_siegel_arrays(*rows) == (2.0 if len(rows[0]) > 1 else 1.0)
+
+    def test_the_largest_scale_bounds_every_component(self):
+        """Inside H^N, |w_j|^2 <= ||w||^2 < Re z <= |z|: the returned
+        ``max(1, |z|, ||w||^2)`` bounds every component of every row."""
+        rng = np.random.default_rng(3)
+        for n_dim in (1, 2, 3, 10):
+            for size in (1e-3, 1.0, 1e6, 1e250):
+                w = (rng.normal(size=(40, n_dim - 1)) + 1j * rng.normal(size=(40, n_dim - 1)))
+                w *= math.sqrt(size / max(n_dim - 1, 1))
+                z = _norm_sq_rows(w) + size * (rng.uniform(0.01, 1.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40))
+                for rows in ((z, w), (z[:FEW_ROWS], w[:FEW_ROWS])):
+                    top = check_siegel_arrays(*rows)
+                    assert max(map(abs, rows[0].tolist() + rows[1].ravel().tolist())) <= top
 
     def test_a_non_finite_row_behind_clear_rows_gives_the_error_of_the_first_bad_row(self):
         nan, inf = math.nan, math.inf
@@ -659,65 +665,3 @@ class TestCheckSiegelArrays:
                 assert want is not None
                 for rows in _paddings(z, w):
                     assert _verdict(check_siegel_arrays, *rows) == want
-                    assert _verdict(lambda *r: check_siegel_arrays(*r, _clearance=True), *rows) == want
-
-
-@lru_cache(maxsize=None)
-def _rescaling_pairs() -> tuple:
-    """(x_next, x_after) of real renormalized runs to the scale ceiling: the rows
-    of a step are packed by x_next and de-normalized by x_after at the next."""
-    from valiron.renorm import run_valiron
-
-    pairs = []
-    for m in (make_halfplane_affine(2.0, 1.0, 2), make_siegel_linear(1.5, 3)):
-        scales = run_valiron(m, tol=0.0, n_max=3000).scale_pairs
-        pairs += [(a[1], b[0]) for a, b in zip(scales[:-1], scales[1:])]
-    return tuple(pairs)
-
-
-def _near_the_band(n_dim: int, rows: int, seed: int):
-    """Rows at scales 1e-3 to 1e250 whose height is 1 to 3 times the slack edge,
-    drawn densely near 1 and near 2 times it."""
-    rng = np.random.default_rng(seed)
-    size = 10.0 ** rng.uniform(-3.0, 250.0, rows)
-    w = (rng.normal(size=(rows, n_dim - 1)) + 1j * rng.normal(size=(rows, n_dim - 1)))
-    w *= np.sqrt(size / max(n_dim - 1, 1))[:, None]
-    y = size * rng.uniform(-1.0, 1.0, rows)
-    v = rng.uniform(0.0, 1.0, rows) ** 4
-    k = np.where(rng.uniform(size=rows) < 0.5, 1.0 + 2.0 * v, 2.0 + np.sign(rng.normal(size=rows)) * v)
-    z = []
-    for wi, yi, ki in zip(w, y, k):
-        wsq = norm_sq(wi)
-        z.append(complex(wsq + ki * BOUNDARY_SLACK * max(1.0, abs(complex(wsq, yi)), wsq), yi))
-    z = np.array(z)
-    # a height drawn at the edge may round to just outside it
-    inside = [_verdict(check_siegel_arrays, z[i:i + 1], w[i:i + 1]) is None for i in range(rows)]
-    return z[inside], w[inside]
-
-
-class TestClearance:
-    """A row that the image check calls clear passes the exact check again after
-    the next renormalized step rescales it, which is what lets that step skip it."""
-
-    @pytest.mark.parametrize("n_dim", [1, 2, 3, 10])
-    def test_clear_rows_pass_after_rescaling(self, n_dim):
-        from valiron.renorm import _CLEAR_RATIO, _pack
-
-        z, w = _near_the_band(n_dim, 400, seed=n_dim)
-        top = np.array([check_siegel_arrays(z[i:i + 1], w[i:i + 1], _clearance=True)
-                        for i in range(len(z))])
-        clear = top < math.inf
-        assert 50 < clear.sum() < len(z) - 50
-        # the whole-array path reports what the rows report alone, and only when asked
-        assert check_siegel_arrays(z[clear], w[clear], _clearance=True) == top[clear].max()
-        assert check_siegel_arrays(z[clear], w[clear]) == math.inf
-        assert check_siegel_arrays(z, w, _clearance=True) == math.inf
-        z, w = z[clear], w[clear]
-        pairs = _rescaling_pairs()
-        ratios = [after / nxt for nxt, after in pairs]
-        assert min(ratios) < 1.0 < max(ratios)
-        assert _CLEAR_RATIO[0] <= min(ratios) and max(ratios) <= _CLEAR_RATIO[1]
-        for x_next, x_after in pairs:
-            packed_z, packed_w = _pack(z, w, x_next)
-            # as the next step de-normalizes them, then checks them exactly
-            check_siegel_arrays(x_after * packed_z, math.sqrt(x_after) * packed_w)

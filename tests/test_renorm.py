@@ -466,7 +466,7 @@ class TestRunValiron:
         (make_siegel_linear(2.0, 2), 994),
         (make_halfplane_affine(2.0, 1.0, 2), 994),
         (make_siegel_linear(1.5, 3), 1700),
-        # the inner rows are de-normalized: T^-1 puts them a factor 3 or 4 above the rows of the map
+        # T^-1 puts the inner rows a factor 3 or 4 above the rows of the map
         *((conjugate_map(make_halfplane_affine(2.0, 1.0, 2), t), 992) for t in CHAINS.values()),
     ])
     def test_the_scale_ceiling_stops_the_run(self, m, n_stop):
@@ -475,33 +475,38 @@ class TestRunValiron:
         assert result.n_stop == n_stop
         assert result.warnings[-1] == f"scale ceiling reached at step {n_stop}; stopping before n_max"
 
-    def test_the_magnitude_bound_does_not_move_the_ceiling(self):
-        """The bound from a step's image check is at least the state's magnitude,
-        the screened ceiling test gives the exact test's verdict, and states
-        whose ``_top`` is inf stop at the same state as states that screen."""
+    def test_the_image_bound_does_not_move_the_ceiling(self):
+        """The bound that a step's image check returns is at least the largest
+        component of the raw rows, and a state made by ``replace``, which has
+        no raw rows and is de-normalized and checked in full, stops at the
+        same step as the states that ``advance`` made."""
         m = make_halfplane_affine(2.0, 1.0, 2)
 
-        def last_state(screen):
+        def last_state(keep_raw):
             state = initial_state(m, default_grid(2))
             while True:
-                exact = state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING
-                if screen and state.n:
-                    t = state._top / state.scales[1]
-                    assert state.magnitude() <= max(t, math.sqrt(t)) * (1.0 + 1e-9) < math.inf
-                else:
-                    object.__setattr__(state, "_top", math.inf)
-                x_prev = state.scales[1] if state.scales else 1.0
-                assert renorm._over_ceiling(state.log_x, state.z, state.w, state._top, x_prev) == exact
+                z, w, top, _ = state._raw
+                assert max(map(abs, z.tolist() + w.ravel().tolist())) <= top or state.n == 0
+                if not keep_raw:
+                    state = replace(state)
+                    assert state._raw is None
                 try:
                     state = advance(state, m)
                 except ScaleOverflowError:
-                    assert exact
                     return state
 
-        screened, exact = last_state(True), last_state(False)
-        assert screened.n == exact.n == 994
-        assert screened.log_x == exact.log_x
-        assert np.array_equal(screened.z, exact.z) and np.array_equal(screened.w, exact.w)
+        kept, replaced = last_state(True), last_state(False)
+        assert kept.n == replaced.n == 994
+        assert kept.log_x == pytest.approx(replaced.log_x, rel=1e-12)
+
+    @pytest.mark.parametrize("lam, b", [(1.2, 1.0), (1.05, 0.5)])
+    def test_a_long_run_stays_on_the_closed_form(self, lam, b):
+        """Each step evaluates the checked images themselves, not rescaled
+        copies of them, so 3000 steps leave sigma within 1e-14 of z + i b / (lam - 1)."""
+        result = run_valiron(make_halfplane_affine(lam, b, 2), tol=0.0, n_max=3000)
+        assert result.n_stop == 3000
+        want = result.grid.points.z + 1j * b / (lam - 1.0)
+        assert np.max(np.abs(result.sigma - want) / np.abs(want)) < 1e-14
 
 
 def _bits(a) -> bytes:
@@ -557,24 +562,24 @@ class TestRunAndAdvance:
 
 
 class TestInputChecks:
-    """A step checks its de-normalized inputs only where the previous image
-    check cannot prove that they pass; every other check, and every error, stays."""
+    """A step evaluates the previous step's checked images and checks its own
+    images once: each row is checked once per step, and every error stays."""
 
     @staticmethod
     def _counted(monkeypatch):
         calls = []
         check = maps.check_siegel_arrays
 
-        def counting_check(z, w, **kwargs):
+        def counting_check(z, w):
             calls.append(len(z))
-            return check(z, w, **kwargs)
+            return check(z, w)
 
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
         monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
         return calls
 
     @pytest.mark.parametrize("name", sorted(catalog()))
-    def test_a_clear_step_is_one_check(self, name, monkeypatch):
+    def test_each_step_is_one_check(self, name, monkeypatch):
         m = catalog()[name]
         result = run_valiron(m, n_max=12)
         grid = default_grid(m.dim)
@@ -586,18 +591,17 @@ class TestInputChecks:
             per_step.append(calls.copy())
             calls.clear()
         rows = 1 + 2 * len(grid)
-        # the first step checks the inputs and the images, then each step its images
-        assert per_step == [[rows, rows]] + [[rows]] * (result.n_stop - 1)
+        assert per_step == [[rows]] * result.n_stop
         pts = [sample_siegel(m.dim, s, 64) for s in range(8)]
         result.sigma_at(pts)
-        assert calls == [8] * (result.n_stop + 1)
+        assert calls == [8] * result.n_stop
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_a_conjugated_step_evaluates_the_inner_map_on_checked_rows(self, chain, monkeypatch):
         """A conjugated ``advance`` and ``sigma_at`` call the inner map's batch
-        alone, never an evaluation of the conjugated map.  The first step
-        checks every row that the inner map then gets; each step checks each
-        inner image once."""
+        alone, never an evaluation of the conjugated map.  ``initial_state``
+        checks T^-1 of its rows, which the first step's inner map then gets;
+        each step checks each inner image once."""
         inner_rows, outer_rows = [], []
         base = make_halfplane_affine(2.0, 1.0, 2)
 
@@ -613,28 +617,30 @@ class TestInputChecks:
                             lambda phi, z, w, **kw: outer_rows.append(len(z)) or images(phi, z, w, **kw))
         grid = default_grid(2)
         rows = 1 + 2 * len(grid)
-        state = initial_state(m, grid)
-        assert outer_rows == [len(grid)]
-        outer_rows.clear()
-        inner_rows.clear()
         checks = []
         check = maps.check_siegel_arrays
 
-        def counting_check(z, w, **kwargs):
+        def counting_check(z, w):
             checks.append((z.copy(), w.copy()))
-            return check(z, w, **kwargs)
+            return check(z, w)
 
         monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
         monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
+        state = initial_state(m, grid)
+        assert outer_rows == [len(grid)]
+        # the grid's images, then T^-1 of every row, which the first step maps
+        assert [len(z) for z, _ in checks] == [len(grid)] * 3 + [rows]
+        first = checks[-1]
+        outer_rows.clear()
+        inner_rows.clear()
+        checks.clear()
         for k in range(4):
             state = advance(state, m)
             assert [len(z) for z, _ in inner_rows] == [rows]
-            # the first step checks its inputs, T^-1 of the rows, before the map
-            # runs; then each step checks its images
-            assert [len(z) for z, _ in checks] == [rows] * (2 if k == 0 else 1)
+            assert [len(z) for z, _ in checks] == [rows]
             if k == 0:
-                assert checks[0][0].tobytes() == inner_rows[0][0].tobytes()
-                assert checks[0][1].tobytes() == inner_rows[0][1].tobytes()
+                assert first[0].tobytes() == inner_rows[0][0].tobytes()
+                assert first[1].tobytes() == inner_rows[0][1].tobytes()
             inner_rows.clear()
             checks.clear()
         assert outer_rows == []
@@ -649,9 +655,9 @@ class TestInputChecks:
 
     def test_grid_and_residual_rows_are_checked_once(self, monkeypatch):
         """``initial_state`` checks only the grid's images: the grid was checked
-        when it was built.  ``residual_at`` checks its points and their images
-        once each, with clearance, so the replay's first step checks neither
-        again, unless a row lies within twice the slack of the boundary."""
+        when it was built.  ``residual_at`` checks the images of its points,
+        which were checked when they were made, then each replay step its
+        images, a row in the slack band included."""
         m = make_valiron_example(2.0, PsiChoice("oscillating"))
         result = run_valiron(m, n_max=12)
         grid = default_grid(2)
@@ -662,20 +668,18 @@ class TestInputChecks:
         assert calls == [len(grid)]
         calls.clear()
         assert np.array_equal(result.residual_at(pts), want)
-        assert calls == [8, 8] + [16] * result.n_stop
-        # a point between one and two slack edges from the boundary passes its
-        # check but does not clear it: the first replay step checks every row
+        assert calls == [8] + [16] * result.n_stop
+        # a point between one and two slack edges from the boundary is stepped as any other
         calls.clear()
         band = SiegelPoint(1.0 + 1.5 * BOUNDARY_SLACK, [1.0])
         result.residual_at(pts + [band])
-        assert calls == [9, 9, 18] + [18] * result.n_stop
+        assert calls == [9] + [18] * result.n_stop
 
     def test_a_transported_result_checks_each_row_once(self, monkeypatch):
         """``sigma_at`` of a transported result checks T^-1 of its points once,
-        with clearance, and the replay's first step does not check them again.
-        ``residual_at`` checks the points, then the transported map's image
-        step checks T^-1 of them, their inner images and the images, and the
-        replay T^-1 of the points and the images stacked."""
+        then each replay step its images.  ``residual_at``'s image step checks
+        T^-1 of the points, their inner images and the images, and the replay
+        T^-1 of the points and the images stacked, then each step's images."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")), n_max=12)
         moved = conjugation_transport(result, CHAINS["scale(3, 1); translate(0.5-0.25j)"])
         pts = [sample_siegel(2, s, 61) for s in range(8)]
@@ -687,7 +691,7 @@ class TestInputChecks:
         assert calls == [8] * (result.n_stop + 1)
         calls.clear()
         assert np.array_equal(moved.residual_at(pts), want_residual)
-        assert calls == [8, 8, 8, 8] + [16] * (result.n_stop + 1)
+        assert calls == [8, 8, 8] + [16] * (result.n_stop + 1)
 
     def test_a_bad_grid_or_residual_point_gives_the_error_of_its_check(self):
         """Each row keeps the check, and the error, of ``SiegelPoint``: a grid row
@@ -715,9 +719,10 @@ class TestInputChecks:
         result = run_valiron(m, n_max=12)
         assert error(lambda: result.residual_at([SiegelPoint(3.0, [0.0])])) == outside
 
-    def test_an_image_in_the_band_makes_the_next_step_check_its_inputs(self, monkeypatch):
+    def test_a_run_through_a_band_row_checks_each_image_once(self, monkeypatch):
         """An image row between one and two slack edges from the boundary passes
-        its check but does not clear it, so the next step checks its inputs."""
+        its check, and the next steps map it as it is: each step checks its
+        images once, and the run converges to the closed form."""
         base = make_siegel_linear(2.0, 2)
 
         def batch(z, w):
@@ -735,15 +740,35 @@ class TestInputChecks:
             state = advance(state, m)
             per_step.append(len(calls))
             calls.clear()
-        # the linear map keeps the row in the band, so every later step checks its inputs
-        assert per_step == [2, 1, 1, 2, 2, 2]
-        height = float(state.z[-1].real - norm_sq(state.w[-1]))
-        assert BOUNDARY_SLACK < height / abs(state.z[-1]) < 2.0 * BOUNDARY_SLACK
+        assert per_step == [1] * 6
+        # the linear map keeps the row in the band
+        z, w = state._raw[:2]
+        height = float(z[-1].real - norm_sq(w[-1]))
+        assert BOUNDARY_SLACK < height / abs(z[-1]) < 2.0 * BOUNDARY_SLACK
+        result = run_valiron(m, tol=0.0, n_max=12)
+        assert result.n_stop == 12
+        assert np.array_equal(result.sigma, result.grid.points.z)
+
+    def test_a_state_made_by_replace_is_checked_in_full(self, monkeypatch):
+        """A state with no raw rows, as ``replace`` makes it, is de-normalized by
+        x_n and checked in full before its step, which lands within rounding of
+        the step of the state it copies."""
+        m = make_halfplane_affine(1.2, 1.0, 2)
+        grid = default_grid(2)
+        state = initial_state(m, grid)
+        for _ in range(5):
+            state = advance(state, m)
+        kept = advance(state, m)
+        calls = self._counted(monkeypatch)
+        copied = advance(replace(state), m)
+        assert calls == [1 + 2 * len(grid)] * 2
+        assert copied.n == kept.n and copied._raw is not None
+        assert np.max(np.abs(copied.sigma - kept.sigma)) < 1e-14
 
     @pytest.mark.parametrize("value", [complex(0.5, 1.0), complex(math.nan, 0.0)])
     def test_an_image_outside_the_domain_gives_the_error_of_its_check(self, value):
-        """An image that leaves H^N after steps that skipped their input checks
-        raises the error of SiegelPoint on the first bad row."""
+        """An image that leaves H^N, mapped from rows that were checked only as
+        images, raises the error of SiegelPoint on the first bad row."""
         base = make_siegel_linear(2.0, 2)
 
         def batch(z, w):
@@ -756,8 +781,7 @@ class TestInputChecks:
         state = initial_state(m, default_grid(2))
         for _ in range(6):
             state = advance(state, m)
-        assert state._top < math.inf  # the next step skips its input check
-        w_bad = base.batch(state.z, math.sqrt(state.x) * state.w)[1][-2]
+        w_bad = base.batch(*state._raw[:2])[1][-2]
         with pytest.raises(DomainError) as want:
             SiegelPoint(value, w_bad)
         with pytest.raises(type(want.value)) as got:
