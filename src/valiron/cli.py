@@ -173,9 +173,10 @@ def _cmd_classify(cfg, m, out_dir, run) -> tuple:
     else:
         orbit = compute_orbit(m, _start(cfg, m), cfg.n_max)
         source = f"orbit of {_describe_map(m)}"
+    # a sequence that cannot be classified is an error: no orbit.csv without a summary
+    cls = classify_sequence(orbit.points)
     path = os.path.join(out_dir, "orbit.csv")
     write_orbit_csv(path, orbit)
-    cls = classify_sequence(orbit.points)
     lines = ["command = classify", f"source = {source}", f"points = {len(orbit)}"]
     lines += _classification_lines(cls)
     return EXIT_OK, lines, [path]

@@ -4,9 +4,9 @@ All numbers render via %.17g: 17 significant digits, which read back as
 the same double but are not its shortest form (0.1 is written
 0.10000000000000001).  Newlines are always "\n" and row order follows input
 order, so identical inputs give byte-identical files.  A table is written
-chunk by chunk, each chunk one ``%`` over a template of its rows, across
-trace boundaries in the limit traces; text fields are quoted as
-``csv.writer`` quotes them.
+chunk by chunk, each chunk one ``%`` over a template of its rows that holds
+``%s`` fields; within a chunk each distinct double, told apart by its bits,
+is formatted once.  Text fields are quoted as ``csv.writer`` quotes them.
 """
 
 from __future__ import annotations
@@ -28,11 +28,27 @@ def format_float(x: float) -> str:
 CHUNK_ROWS = 4096
 
 
-def _write_rows(handle, templates: Sequence[str], fields: np.ndarray) -> None:
-    """``templates[i] % tuple(fields[i])`` for every row i, one ``%`` per chunk of rows."""
-    for start in range(0, len(templates), CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        handle.write("".join(templates[start:stop]) % tuple(fields[start:stop].ravel().tolist()))
+def _write_chunk(handle, template: str, fields: np.ndarray) -> None:
+    """``template % (the %.17g text of each value of fields, in order)``.
+
+    Values are keyed by their bits, not by ``==``: -0.0 and 0.0 print apart,
+    and every NaN prints ``nan``.
+    """
+    bits = np.ascontiguousarray(fields, dtype=np.float64).reshape(-1).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = ("%.17g\n" * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    handle.write(template % tuple(np.array(text.split("\n"), dtype=object)[inverse].tolist()))
+
+
+def _write_rows(handle, row: str, fields: np.ndarray, index: bool = False) -> None:
+    """One ``row`` template per row of ``fields``, one ``%`` per chunk of rows.
+
+    With ``index``, each row starts with its row number, before ``row``.
+    """
+    for start in range(0, len(fields), CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, len(fields))
+        rows = row.join(map(str, range(start, stop))) + row if index else row * (stop - start)
+        _write_chunk(handle, rows, fields[start:stop])
 
 
 def write_orbit_csv(path, orbit: Orbit) -> None:
@@ -40,7 +56,7 @@ def write_orbit_csv(path, orbit: Orbit) -> None:
     fields = np.column_stack((orbit.x, orbit.y, orbit.w_norm_sq, orbit.x - orbit.w_norm_sq))
     with open(path, "w", newline="") as handle:
         handle.write("n,x_n,y_n,w_norm_sq,height\n")
-        _write_rows(handle, [f"{i},%.17g,%.17g,%.17g,%.17g\n" for i in range(n)], fields[:n])
+        _write_rows(handle, ",%s,%s,%s,%s\n", fields[:n], index=True)
 
 
 def write_valiron_csv(path, batch: SiegelBatch, sigma: np.ndarray, residuals: np.ndarray) -> None:
@@ -53,23 +69,23 @@ def write_valiron_csv(path, batch: SiegelBatch, sigma: np.ndarray, residuals: np
         batch.z.real, batch.z.imag, np.ascontiguousarray(batch.w).view(np.float64),
         sigma.real, sigma.imag, residuals,
     ))
-    row = ",".join(["%.17g"] * fields.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        _write_rows(handle, [row] * len(batch), fields)
+        _write_rows(handle, ",".join(["%s"] * fields.shape[1]) + "\n", fields)
 
 
-def write_limits_csv(path, traces: Iterable[tuple]) -> None:
-    """Traces are (family_label, seq_id, values); one row per value, k from 1.
+def _limits_chunks(traces: Iterable[tuple]):
+    """(template, complex values) of the limit rows, chunk by chunk of whole traces.
 
-    The values of all traces are formatted together, one ``%`` per chunk of
-    rows; each row's template starts with its quoted label and sequence fields.
+    A chunk closes once it holds ``CHUNK_ROWS`` rows.  The rows of a trace are
+    one join of the shared tails ``k,%s,%s`` on the trace's quoted label and
+    sequence fields.
     """
     line = io.StringIO()
     quoted = csv.writer(line, lineterminator="\n")
     heads: dict = {}  # a label or sequence field -> its field as csv.writer quotes it, % escaped
-    tails: list = []  # the row template after the heads, for k = 1, 2, ...
-    templates, columns = [], [np.empty(0, dtype=np.complex128)]
+    tails = [""]  # "", then the row template after the heads, for k = 1, 2, ...
+    pieces, columns, rows = [], [], 0
     for family, seq_id, values in traces:
         seq_id = str(seq_id)
         for text in (family, seq_id):
@@ -78,21 +94,30 @@ def write_limits_csv(path, traces: Iterable[tuple]) -> None:
                 line.truncate()
                 quoted.writerow([text, ""])
                 heads[text] = line.getvalue()[:-1].replace("%", "%%")
-        values = np.asarray(values, dtype=np.complex128).ravel()
-        if values.size > len(tails):
-            tails += [f"{k},%.17g,%.17g\n" for k in range(len(tails) + 1, values.size + 1)]
-        prefix = heads[family] + heads[seq_id]
-        templates += [prefix + tail for tail in tails[:values.size]]
+        n = np.size(values)
+        if n >= len(tails):
+            tails += [f"{k},%s,%s\n" for k in range(len(tails), n + 1)]
+        pieces.append((heads[family] + heads[seq_id]).join(tails[:n + 1]))
         columns.append(values)
+        rows += n
+        if rows >= CHUNK_ROWS:
+            yield "".join(pieces), np.concatenate(columns, axis=None, dtype=np.complex128)
+            pieces, columns, rows = [], [], 0
+    if rows:
+        yield "".join(pieces), np.concatenate(columns, axis=None, dtype=np.complex128)
+
+
+def write_limits_csv(path, traces: Iterable[tuple]) -> None:
+    """Traces are (family_label, seq_id, values); one row per value, k from 1."""
     with open(path, "w", newline="") as handle:
         handle.write("family,seq_id,k,re_h,im_h\n")
-        _write_rows(handle, templates, np.concatenate(columns).view(np.float64).reshape(-1, 2))
+        for template, values in _limits_chunks(traces):
+            _write_chunk(handle, template, values.view(np.float64))
 
 
 def write_summary(path, lines: Sequence[str]) -> None:
     with open(path, "w", newline="") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        handle.write("".join(line + "\n" for line in lines))
 
 
 def read_points_csv(path) -> SiegelBatch:

@@ -351,6 +351,16 @@ class TestCli:
             f"error: {path}: line 3: could not convert string to float: 'x'\n")
         assert not (tmp_path / "orbit.csv").exists()
 
+    @pytest.mark.parametrize("body", ["", "2,0,0.1,0\n"], ids=["empty body", "one row"])
+    def test_too_few_points_to_classify_write_no_file(self, tmp_path, capsys, body):
+        path = tmp_path / "pts.csv"
+        path.write_text("re_z,im_z,re_w1,im_w1\n" + body)
+        code = _run(tmp_path, f"command = classify\npoints = {path}\n")
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least 2 points to classify\n"
+        assert not (tmp_path / "orbit.csv").exists()
+        assert not (tmp_path / "summary.txt").exists()
+
     def test_orbit_command_writes_estimates(self, tmp_path):
         code = _run(
             tmp_path,

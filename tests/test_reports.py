@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
-from valiron import reports
+from valiron import cli, reports
+from valiron.config import parse_config
 from valiron.dynamics import compute_orbit
 from valiron.geometry import SiegelBatch, SiegelPoint
 from valiron.maps import make_siegel_linear
@@ -143,3 +145,82 @@ def test_limits_csv_is_written_as_by_the_per_trace_writer(tmp_path, monkeypatch,
         want = io.StringIO()
         _per_trace_limits_csv(want, traces)
         assert _read(path) == want.getvalue(), name
+
+
+# -- each distinct double formatted once per chunk, told apart by its bits ------------
+
+_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123], dtype=np.uint64)
+# -0.0 next to 0.0; NaNs of both signs and one with a payload; +-inf and the least subnormal
+REPEATED = np.concatenate(([-0.0, 0.0], _BITS.view(np.float64),
+                           [math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0, 0.1, 2.0]))
+
+
+def _repeating(rng, n: int) -> np.ndarray:
+    """``n`` values drawn from REPEATED, after one pass over it in order."""
+    return np.concatenate((REPEATED, rng.choice(REPEATED, n)))[:n]
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im with the bits of both parts kept, where re + 1j * im would not keep them."""
+    return np.column_stack((re, im)).view(np.complex128).ravel()
+
+
+@pytest.mark.parametrize("rows", [1, 3, reports.CHUNK_ROWS])
+def test_repeated_values_print_by_their_bits(tmp_path, monkeypatch, rows):
+    """Every writer against its reference, on columns that repeat each odd value many
+    times, across chunk boundaries and, in the limit traces, across trace boundaries."""
+    monkeypatch.setattr(reports, "CHUNK_ROWS", rows)
+    rng = np.random.default_rng(rows)
+
+    x = _repeating(rng, 40)
+    orbit = _Columns(x, _repeating(rng, 40), _repeating(rng, 40))
+    with np.errstate(invalid="ignore"):
+        write_orbit_csv(tmp_path / "orbit.csv", orbit)
+        assert _read(tmp_path / "orbit.csv") == _reference_orbit_csv(orbit)
+
+    # the points repeat too: a point and its copy with -0.0 for 0.0
+    points = [SiegelPoint(complex(2.0, y), [complex(0.5, y)]) for y in (0.0, -0.0) * 8]
+    sigma = _complex(_repeating(rng, 16), _repeating(rng, 16))
+    residuals = _repeating(rng, 16)
+    write_valiron_csv(tmp_path / "valiron.csv", SiegelBatch.from_points(points), sigma, residuals)
+    assert _read(tmp_path / "valiron.csv") == _reference_valiron_csv(points, sigma, residuals)
+
+    traces = []
+    for i in range(12):
+        n = int(rng.integers(0, 6))
+        traces.append(("koranyi(M=2)" if i % 2 else "radial", i % 3,
+                       _complex(_repeating(rng, n), _repeating(rng, n)[::-1])))
+    write_limits_csv(tmp_path / "limits.csv", traces)
+    want = io.StringIO()
+    _per_trace_limits_csv(want, traces)
+    assert _read(tmp_path / "limits.csv") == want.getvalue()
+
+
+@pytest.mark.parametrize("body", [
+    "map = valiron_example\nA = 2\npsi = oscillating\n",
+    "map = halfplane_affine\nlambda = 2\nb = 1\nN = 2\nconjugate = scale(4); translate(1)\n",
+], ids=["valiron_example oscillating", "conjugated affine"])
+def test_report_all_traces_and_orbit_are_written_as_by_the_reference(tmp_path, monkeypatch,
+                                                                     body):
+    """The limit traces and the orbit of a real report-all run, fed to the writers and to
+    their references alike."""
+    written: dict = {}
+
+    def limits(path, traces):
+        traces = list(traces)
+        want = io.StringIO()
+        _per_trace_limits_csv(want, traces)
+        written[path] = want.getvalue()
+        write_limits_csv(path, traces)
+
+    def orbit(path, orb):
+        written[path] = _reference_orbit_csv(orb)
+        write_orbit_csv(path, orb)
+
+    monkeypatch.setattr(cli, "write_limits_csv", limits)
+    monkeypatch.setattr(cli, "write_orbit_csv", orbit)
+    cfg = parse_config(f"command = report-all\n{body}seed = 11\n")
+    cli.run_command(cfg, out_dir=str(tmp_path))
+    assert sorted(os.path.basename(p) for p in written) == ["jwc.csv", "limits.csv", "orbit.csv"]
+    for path, want in written.items():
+        assert _read(path) == want, path
