@@ -3,7 +3,10 @@
 Each run executes one pipeline selected by the config's `command` key,
 writes CSV data plus a plain-text summary into the output directory, and
 exits 0 on success, 2 when the pipeline completed with an
-outside-hypotheses warning, 1 on any error.
+outside-hypotheses warning, 1 on any error.  Each command returns its
+files as pending writer calls, ``(writer, file name, *args)``; they are
+made only once every command has succeeded, so a run that fails writes
+no file.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def _start(cfg: ExperimentConfig, m: HoloMap) -> SiegelPoint:
     return cfg.start if cfg.start is not None else SiegelPoint(1.0, np.zeros(m.dim - 1))
 
 
-def _cmd_orbit(cfg, m, out_dir, run) -> tuple:
+def _cmd_orbit(cfg, m, run) -> tuple:
     start = _start(cfg, m)
     probe = run.probe
     # continuing the probe gives the orbit of its first row, so that row must
@@ -140,8 +143,6 @@ def _cmd_orbit(cfg, m, out_dir, run) -> tuple:
             and probe.points.w[0].tobytes() == start.w.tobytes()):
         start = probe
     orbit = compute_orbit(m, start, cfg.n_max)
-    path = os.path.join(out_dir, "orbit.csv")
-    write_orbit_csv(path, orbit)
     lines = [
         "command = orbit",
         f"map = {_describe_map(m)}",
@@ -160,10 +161,10 @@ def _cmd_orbit(cfg, m, out_dir, run) -> tuple:
         lines += _classification_lines(summary.classification)
     except ValueError as exc:
         lines.append(f"estimates unavailable: {exc}")
-    return EXIT_OK, lines, [path]
+    return EXIT_OK, lines, [(write_orbit_csv, "orbit.csv", orbit)]
 
 
-def _cmd_classify(cfg, m, out_dir, run) -> tuple:
+def _cmd_classify(cfg, m, run) -> tuple:
     if cfg.points:
         try:
             orbit = Orbit(map=m, points=read_points_csv(cfg.points))
@@ -173,13 +174,9 @@ def _cmd_classify(cfg, m, out_dir, run) -> tuple:
     else:
         orbit = compute_orbit(m, _start(cfg, m), cfg.n_max)
         source = f"orbit of {_describe_map(m)}"
-    # a sequence that cannot be classified is an error: no orbit.csv without a summary
-    cls = classify_sequence(orbit.points)
-    path = os.path.join(out_dir, "orbit.csv")
-    write_orbit_csv(path, orbit)
     lines = ["command = classify", f"source = {source}", f"points = {len(orbit)}"]
-    lines += _classification_lines(cls)
-    return EXIT_OK, lines, [path]
+    lines += _classification_lines(classify_sequence(orbit.points))
+    return EXIT_OK, lines, [(write_orbit_csv, "orbit.csv", orbit)]
 
 
 def _arg_sigma_diagnostic(result) -> list:
@@ -195,12 +192,10 @@ def _arg_sigma_diagnostic(result) -> list:
     return lines
 
 
-def _cmd_valiron(cfg, m, out_dir, run) -> tuple:
+def _cmd_valiron(cfg, m, run) -> tuple:
     grid = build_grid(cfg, m.dim)
     result = run_valiron(m, grid=grid, tol=cfg.tol, n_max=cfg.n_max)
     run.probe = result.base_orbit
-    path = os.path.join(out_dir, "valiron.csv")
-    write_valiron_csv(path, result.grid.points, result.sigma, result.schroder_residuals)
     lines = [
         "command = valiron",
         f"map = {_describe_map(m)}",
@@ -220,7 +215,9 @@ def _cmd_valiron(cfg, m, out_dir, run) -> tuple:
         lines.append(f"warning: {w}")
     lines += _arg_sigma_diagnostic(result)
     code = EXIT_WARNING if result.outside_hypotheses else EXIT_OK
-    return code, lines, [path]
+    write = (write_valiron_csv, "valiron.csv", result.grid.points, result.sigma,
+             result.schroder_residuals)
+    return code, lines, [write]
 
 
 def _verdict_line(label: str, verdict) -> str:
@@ -236,7 +233,7 @@ def _verdict_line(label: str, verdict) -> str:
     return f"{label}: inconclusive (spread {format_float(verdict.spread)})"
 
 
-def _cmd_limits(cfg, m, out_dir, run) -> tuple:
+def _cmd_limits(cfg, m, run) -> tuple:
     h = first_coordinate_ratio_fn(m)
     ladder = _ladder(cfg)
     plan = run.plan
@@ -244,8 +241,6 @@ def _cmd_limits(cfg, m, out_dir, run) -> tuple:
         plan.verdict(h, plan.sweep(families(m.dim, ladder), extra), cfg.limit_tol)
         for families, extra in _SWEEPS["limits"]
     )
-    path = os.path.join(out_dir, "limits.csv")
-    write_limits_csv(path, vk.traces + ve.traces + v0.traces)
     lines = [
         "command = limits",
         f"map = {_describe_map(m)}",
@@ -254,22 +249,20 @@ def _cmd_limits(cfg, m, out_dir, run) -> tuple:
         _verdict_line("E-limit", ve),
         _verdict_line("E0-limit", v0),
     ]
-    return EXIT_OK, lines, [path]
+    return EXIT_OK, lines, [(write_limits_csv, "limits.csv", vk.traces + ve.traces + v0.traces)]
 
 
-def _cmd_jwc(cfg, m, out_dir, run) -> tuple:
+def _cmd_jwc(cfg, m, run) -> tuple:
     rho = LinearProjectionAtInfinity(cfg.a or np.zeros(m.dim - 1))
     ladder = _ladder(cfg)
     report = run.plan.jwc_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
     li = run.plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
 
-    path = os.path.join(out_dir, "jwc.csv")
-    write_limits_csv(path, [
+    traces = [
         (f"{tag}:{label}", si, values)
         for tag, verdict in (("part1", report.part1), ("part2", report.part2))
         for label, si, values in verdict.traces
-    ])
-
+    ]
     a = ", ".join(f"{format_float(v.real)} + {format_float(v.imag)}i" for v in cfg.a or ())
     lines = [
         "command = jwc",
@@ -285,7 +278,7 @@ def _cmd_jwc(cfg, m, out_dir, run) -> tuple:
         lines.append(_verdict_line("  ratio (E)", li.ratio_verdict))
     if li.derivative_verdict is not None:
         lines.append(_verdict_line("  w-growth (E)", li.derivative_verdict))
-    return EXIT_OK, lines, [path]
+    return EXIT_OK, lines, [(write_limits_csv, "jwc.csv", traces)]
 
 
 _COMMANDS = {
@@ -327,20 +320,21 @@ def run_command(
             run.plan.sweep(families(m.dim, ladder), extra)
     code = EXIT_OK
     lines: list = []
-    paths: list = []
+    writes: list = []
     for name in names:
-        sub_code, sub_lines, sub_paths = _COMMANDS[name](cfg, m, out_dir, run)
+        sub_code, sub_lines, sub_writes = _COMMANDS[name](cfg, m, run)
         code = max(code, sub_code)
         if lines:
             lines.append("")
         lines += sub_lines
-        paths += sub_paths
+        writes += sub_writes
+    writes.append((write_summary, "summary.txt", lines))
 
-    summary_path = os.path.join(out_dir, "summary.txt")
-    write_summary(summary_path, lines)
-    paths.append(summary_path)
-    for p in paths:
-        print(f"wrote {p}")
+    # every command has succeeded: only now is a file written
+    for writer, name, *args in writes:
+        path = os.path.join(out_dir, name)
+        writer(path, *args)
+        print(f"wrote {path}")
     if verbose:
         for line in lines:
             print(line)

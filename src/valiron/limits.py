@@ -611,7 +611,9 @@ def first_coordinate_ratio_fn(m: HoloMap) -> MapProbe:
 
 
 def _projection_ratio(points: SiegelBatch, images: SiegelBatch, rho) -> np.ndarray:
-    return images.left_inverse(rho) / points.left_inverse(rho)
+    # a non-finite quotient is rejected where the ratio is read, not warned about here
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return images.left_inverse(rho) / points.left_inverse(rho)
 
 
 def projection_ratio_fn(m: HoloMap, rho: LinearProjectionAtInfinity) -> MapProbe:

@@ -46,8 +46,8 @@ x_{n+1}: that column is sigma_{n+1}, tested for finiteness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .dynamics import (
     INFINITY_THRESHOLD,
     MIN_TAIL,
     Orbit,
+    OrbitTooShortError,
     SequenceClassification,
     classify_sequence,
     compute_orbit,
@@ -63,16 +64,12 @@ from .dynamics import (
     tail_start,
 )
 from .geometry import (
-    BallPoint,
     DomainError,
     NonFiniteError,
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
-    apply_automorphism,
     apply_automorphism_arrays,
-    cayley_to_ball,
-    cayley_to_siegel,
     check_siegel_arrays,
 )
 from .maps import (
@@ -80,7 +77,6 @@ from .maps import (
     SCALE_LIMIT,
     ScaleOverflowError,
     _images,
-    conjugate_map,
     make_siegel_map_from_ball,
 )
 
@@ -200,8 +196,9 @@ class RenormalizedState:
 
 
 def _magnitude(z: np.ndarray, w: np.ndarray) -> float:
-    mag = np.max(np.abs(z))
-    return float(max(mag, np.max(np.abs(w))) if w.size else mag)
+    # np.hypot, as the row check takes |z|: np.abs of a complex array rounds apart from it
+    mag = np.max(np.hypot(z.real, z.imag))
+    return float(max(mag, np.max(np.hypot(w.real, w.imag))) if w.size else mag)
 
 
 def _base(dim: int) -> SiegelPoint:
@@ -337,7 +334,6 @@ class ValironResult:
     warnings: tuple
     base_orbit: Orbit
     scale_pairs: tuple
-    _sigma_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def sigma_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Evaluate the converged sigma at arbitrary points.
@@ -358,8 +354,6 @@ class ValironResult:
         if batch.w.shape[1] != self.map.dim - 1:  # a run with no stored step evaluates nothing
             raise DomainError(
                 f"points of dimension {batch.w.shape[1] + 1} for a map of dimension {self.map.dim}")
-        if self._sigma_fn is not None:
-            return self._sigma_fn(batch)
         z, w = batch.z, batch.w
         if not self.scale_pairs:
             return z / 1.0  # x_0, Re z of the base (1, 0)
@@ -389,13 +383,6 @@ class ValironResult:
         s = self.sigma_at(SiegelBatch._checked(
             np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))))
         return _schroder_defect(s[n:], s[:n], self.multiplier)
-
-
-def schroder_residual(m: HoloMap, sigma: Callable[[SiegelPoint], complex], q: SiegelPoint) -> float:
-    """Normalized defect of the Schroder equation at one point, against ``m.multiplier``."""
-    sq = complex(sigma(q))
-    s_img = complex(sigma(m.evaluator(q)))
-    return abs(s_img - m.multiplier * sq) / (1.0 + abs(sq))
 
 
 def _multiplier_excess_decays(probe: Orbit) -> bool:
@@ -459,7 +446,8 @@ def run_valiron(
 
     Raises NotTendingToInfinityError, DegenerateGridError, or
     NonHyperbolicError when the inputs do not describe a hyperbolic
-    approach to infinity.
+    approach to infinity; OrbitTooShortError, naming the probe's cutoff,
+    when the base orbit meets the scale ceiling too soon to estimate from.
     """
     if m.domain == "ball":
         m = make_siegel_map_from_ball(m)
@@ -475,7 +463,12 @@ def run_valiron(
     if probe.cutoff is None and probe.x[-1] < PROBE_TARGET_HEIGHT:
         probe = _escape_probe(m, compute_orbit(m, probe, PROBE_MAX_STEPS), n_max)
     classification = classify_sequence(probe.points)
-    lam = estimate_multiplier(probe)
+    try:
+        lam = estimate_multiplier(probe)
+    except OrbitTooShortError as exc:
+        if probe.cutoff is None:
+            raise
+        raise OrbitTooShortError(f"{exc} (base orbit stopped: {probe.cutoff})") from None
     if lam.value <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):
         raise NonHyperbolicError(
             f"multiplier estimate {lam.value!r} not bounded away from 1"
@@ -539,78 +532,4 @@ def run_valiron(
         warnings=tuple(warnings),
         base_orbit=probe,
         scale_pairs=tuple(scale_pairs),
-    )
-
-
-def conjugation_transport(result: ValironResult, t: SiegelAutomorphism) -> ValironResult:
-    """Transport a converged result to the conjugated map T o phi o T^-1.
-
-    With Z_0 = T^-1(1, 0), the transported solution is
-
-        sigma~(W) = sigma(T^-1 W) / Re sigma(Z_0),
-
-    normalized so that Re sigma~(1, 0) = 1; the multiplier is unchanged.
-    The grid is moved to T(grid) and the samples rescaled accordingly.
-    """
-    t_inv = t.inverse()
-    z0 = apply_automorphism(t_inv, _base(result.map.dim))
-    sigma_z0 = complex(result.sigma_at([z0])[0])
-    if not sigma_z0.real > 0.0:
-        raise DomainError("transport normalizer must have positive real part")
-    factor = 1.0 / sigma_z0.real
-
-    grid = result.grid.points
-    moved_grid = EvaluationGrid(SiegelBatch(*apply_automorphism_arrays(t, grid.z, grid.w)))
-    sigma = factor * result.sigma
-    # phi_c(T Z) = T(phi Z), so the image samples transport by the same factor
-    sigma_image = factor * result.sigma_image
-    residuals = _schroder_defect(sigma_image, sigma, result.multiplier)
-
-    def transported_sigma(points):
-        # T^-1 of the points, checked once as the batch is built
-        return factor * result.sigma_at(SiegelBatch(*apply_automorphism_arrays(t_inv, points.z, points.w)))
-
-    drift = sigma_z0.imag / sigma_z0.real
-    return replace(
-        result,
-        map=conjugate_map(result.map, t),
-        grid=moved_grid,
-        sigma=sigma,
-        sigma_image=sigma_image,
-        schroder_residuals=residuals,
-        drift=drift,
-        normalization=complex(1.0, drift),
-        warnings=result.warnings + ("transported by conjugation",),
-        _sigma_fn=transported_sigma,
-    )
-
-
-@dataclass(frozen=True)
-class BallSideTheta:
-    """Ball-side solution Theta = sigma o C of Theta o phi = (1/c) Theta."""
-
-    result: ValironResult
-    ball_points: tuple
-    theta: np.ndarray
-    residuals: np.ndarray
-
-    def theta_at(self, points: Sequence[BallPoint]) -> np.ndarray:
-        return self.result.sigma_at([cayley_to_siegel(p) for p in points])
-
-
-def ball_side_theta(result: ValironResult) -> BallSideTheta:
-    """Wrap a converged Siegel-side result as a ball-side intertwiner.
-
-    Theta(0) equals the normalization 1 + i L (origin maps to the base
-    point), Re Theta > 0 everywhere, and the residual against multiplier
-    1/c = lam is the transported Schroder defect.
-    """
-    if not result.converged:
-        raise DomainError("ball-side wrapper needs a converged result")
-    ball_points = tuple(cayley_to_ball(p) for p in result.grid.points)
-    return BallSideTheta(
-        result=result,
-        ball_points=ball_points,
-        theta=result.sigma.copy(),
-        residuals=result.schroder_residuals.copy(),
     )

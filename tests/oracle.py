@@ -17,7 +17,8 @@ The bounds are summed in doubles, whose own error is far below the slack
 of 2^-40 that ``within`` allows them.
 
 A test asserts ``within(got, x)``: the double ``got`` is within ``x.e`` of
-the exact ``x.v``.
+the exact ``x.v``.  The last section is in doubles: the sigma of a
+conjugated map, transported from a run of the map, and its Schroder defect.
 """
 
 import math
@@ -26,6 +27,8 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
+
+from valiron.geometry import SiegelBatch, apply_automorphism_arrays
 
 mp.dps = 50
 
@@ -542,3 +545,33 @@ def projection_gap(q: tuple, image: tuple, rho: Rho, li_q: X) -> X:
 
 def w_growth(q: tuple, image: tuple, rho: Rho, li_q: X) -> X:
     return sqrt(norm_sq(image[1])) / absolute(q[0])
+
+
+# -- sigma of a conjugated map, from the run of the map -------------------------
+#
+# These take doubles, not X values: they restate what a conjugation does to
+# sigma through the library's own replay, for the tests of that invariance.
+
+
+def transported_sigma(result, t) -> tuple:
+    """``(factor, sigma~)``: the sigma of T o phi o T^-1 from the run of phi.
+
+    sigma~(W) = factor * sigma(T^-1 W), on a ``SiegelBatch``, with
+    factor = 1 / Re sigma(T^-1 (1, 0)), so that Re sigma~(1, 0) = 1; the
+    multiplier is phi's.
+    """
+    t_inv = t.inverse()
+
+    def pulled_back(points):
+        return result.sigma_at(SiegelBatch(*apply_automorphism_arrays(t_inv, points.z, points.w)))
+
+    factor = 1.0 / pulled_back(SiegelBatch([1.0], np.zeros((1, result.map.dim - 1))))[0].real
+    return factor, lambda points: factor * pulled_back(points)
+
+
+def schroder_defect(sigma, m, lam: float, points) -> np.ndarray:
+    """|sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|) on a ``SiegelBatch``, phi = ``m``
+    evaluated point by point."""
+    s = sigma(points)
+    s_img = sigma(SiegelBatch.from_points([m(q) for q in points]))
+    return np.abs(s_img - lam * s) / (1.0 + np.abs(s))

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -582,6 +583,31 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "error: line 6: start must have 2 entries for an N = 2 map, got 3\n")
         assert not (tmp_path / "orbit.csv").exists()
+
+    def test_a_runtime_error_in_report_all_writes_no_file(self, tmp_path, capsys):
+        """All or nothing: valiron and limits succeed, then the jwc sweeps project
+        by a = 1e200 out of the domain.  The run exits 1 with one error line, no
+        warning, and no file in its output directory."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\n"
+                            "N = 3\na = 1e200, 0\nseed = 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: projected image left the Siegel domain: non-finite coordinates\n")
+        assert [str(w.message) for w in caught] == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_base_orbit_cut_by_the_scale_ceiling_names_its_cutoff(self, tmp_path, capsys):
+        """At lambda = 1e200 the probe overflows after one step: too short to
+        estimate from, and the message says why."""
+        code = _run(tmp_path, "command = report-all\nmap = siegel_linear\nlambda = 1e200\nN = 2\n")
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: multiplier estimation needs >= 16 points, got 2"
+                                           " (base orbit stopped: scale overflow at step 1)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 CONJUGATED = (

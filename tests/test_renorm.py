@@ -17,6 +17,8 @@ from valiron.geometry import (
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
+    apply_automorphism_arrays,
+    cayley_to_ball,
     cayley_to_siegel,
     norm_sq,
 )
@@ -40,12 +42,9 @@ from valiron.renorm import (
     NonHyperbolicError,
     PROBE_MAX_STEPS,
     advance,
-    ball_side_theta,
-    conjugation_transport,
     default_grid,
     initial_state,
     run_valiron,
-    schroder_residual,
 )
 
 from conftest import CHAIN_FACTORS, CHAINS, sample_siegel
@@ -147,6 +146,21 @@ class TestStateAdvance:
         assert state.log_x == pytest.approx(150 * math.log(2.0), rel=1e-12)
         assert math.isfinite(state.magnitude())
 
+    def test_the_magnitude_rounds_as_the_row_check(self):
+        """``_magnitude`` takes |z| as the row check does, by np.hypot: where |z|
+        is the largest component, it equals the bound the check returns."""
+        m = make_halfplane_affine(2.0, 1.0, 2)
+        state = initial_state(m, default_grid(2))
+        for _ in range(34):
+            state = advance(state, m)
+        z, w, top, _ = state._raw
+        assert renorm._magnitude(z, w) == top == geometry.check_siegel_arrays(z, w)
+        # np.abs of a complex array may round |z| apart from np.hypot
+        rng = np.random.default_rng(5)
+        x = np.exp(rng.uniform(0.0, 60.0, (64, 16)))
+        w = np.zeros((16, 1), dtype=np.complex128)
+        for z in x + 1j * x * rng.uniform(-1.0, 1.0, x.shape):
+            assert renorm._magnitude(z, w) == geometry.check_siegel_arrays(z, w)
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_a_step_is_one_array_evaluation(self, name):
@@ -213,9 +227,7 @@ class TestRunValiron:
         """sigma_at and residual_at raise on rows that a batch would broadcast over."""
         m = make_halfplane_affine(2.0, 1.0, 2)
         result = run_valiron(m)
-        results = (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"])),
-                   conjugation_transport(result, SiegelAutomorphism.scale(4.0)))
-        for res in results:
+        for res in (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"]))):
             for dim in (1, 3):
                 q = SiegelPoint(3.0, np.full(dim - 1, 0.25))
                 for evaluate in (res.sigma_at, res.residual_at):
@@ -228,9 +240,7 @@ class TestRunValiron:
         another width, as residual_at does; rows of the right width are z / 1."""
         m = make_halfplane_affine(2.0, 1.0, 2)
         result = run_valiron(m, n_max=0)
-        results = (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"]), n_max=0),
-                   conjugation_transport(result, SiegelAutomorphism.scale(4.0)))
-        for res in results:
+        for res in (result, run_valiron(conjugate_map(m, CHAINS["scale(4); translate(1)"]), n_max=0)):
             assert res.scale_pairs == ()
             q = SiegelPoint(3.0, [0.5, 0.5])
             with pytest.raises(DomainError, match="points of dimension 3 for a map of dimension 2"):
@@ -362,19 +372,17 @@ class TestRunValiron:
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
         pts = [sample_siegel(2, s, 61) for s in range(8)]
         assert np.max(result.residual_at(pts)) < 1e-9
+        # the scalar defect, against the map's own multiplier
         q = pts[0]
-        r = schroder_residual(result.map, lambda p: result.sigma_at([p])[0], q)
-        assert r < 1e-9
+        sq, s_img = result.sigma_at([q])[0], result.sigma_at([result.map.evaluator(q)])[0]
+        assert abs(s_img - result.map.multiplier * sq) / (1.0 + abs(sq)) < 1e-9
 
-    @pytest.mark.parametrize("transported", [False, True])
-    def test_residual_at_is_one_image_evaluation_and_one_replay(self, transported):
+    def test_residual_at_is_one_image_evaluation_and_one_replay(self):
         """One batch call of the map for the images, then one of the points and
         images stacked per stored step."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
         m, rows = result.map, []
         result = replace(result, map=replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
-        if transported:
-            result = conjugation_transport(result, SiegelAutomorphism.translate([0.5j]))
         pts = [sample_siegel(2, s, 61) for s in range(8)]
         s = result.sigma_at(pts)
         s_img = result.sigma_at([result.map.evaluator(p) for p in pts])
@@ -675,24 +683,6 @@ class TestInputChecks:
         result.residual_at(pts + [band])
         assert calls == [9] + [18] * result.n_stop
 
-    def test_a_transported_result_checks_each_row_once(self, monkeypatch):
-        """``sigma_at`` of a transported result checks T^-1 of its points once,
-        then each replay step its images.  ``residual_at``'s image step checks
-        T^-1 of the points, their inner images and the images, and the replay
-        T^-1 of the points and the images stacked, then each step's images."""
-        result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")), n_max=12)
-        moved = conjugation_transport(result, CHAINS["scale(3, 1); translate(0.5-0.25j)"])
-        pts = [sample_siegel(2, s, 61) for s in range(8)]
-        want_sigma, want_residual = moved.sigma_at(pts), moved.residual_at(pts)
-        calls = self._counted(monkeypatch)
-        # a checked SiegelBatch would check its rows in geometry
-        monkeypatch.setattr(geometry, "check_siegel_arrays", renorm.check_siegel_arrays)
-        assert np.array_equal(moved.sigma_at(pts), want_sigma)
-        assert calls == [8] * (result.n_stop + 1)
-        calls.clear()
-        assert np.array_equal(moved.residual_at(pts), want_residual)
-        assert calls == [8, 8, 8] + [16] * (result.n_stop + 1)
-
     def test_a_bad_grid_or_residual_point_gives_the_error_of_its_check(self):
         """Each row keeps the check, and the error, of ``SiegelPoint``: a grid row
         outside H^N when the grid is built, an image outside H^N in
@@ -790,6 +780,13 @@ class TestInputChecks:
 
 
 class TestTransport:
+    """sigma of T o phi o T^-1 is sigma of phi at T^-1, up to a positive factor."""
+
+    @staticmethod
+    def _moved_grid(result, t) -> SiegelBatch:
+        grid = result.grid.points
+        return SiegelBatch(*apply_automorphism_arrays(t, grid.z, grid.w))
+
     @pytest.mark.parametrize(
         "t",
         [
@@ -804,45 +801,49 @@ class TestTransport:
     )
     def test_transport_solves_the_conjugated_equation(self, t):
         result = run_valiron(make_siegel_linear(2.0, 2))
-        moved = conjugation_transport(result, t)
-        pts = moved.grid.points
-        assert float(np.max(moved.residual_at(pts))) < 1e-12
-        assert np.max(moved.schroder_residuals) < 1e-12
+        factor, sigma = O.transported_sigma(result, t)
+        lam = result.multiplier
+        pts = self._moved_grid(result, t)
+        assert float(np.max(O.schroder_defect(sigma, conjugate_map(result.map, t), lam, pts))) < 1e-12
+        # phi_c(T Z) = T(phi Z), so the grid samples transport by the same factor
+        s, s_img = factor * result.sigma, factor * result.sigma_image
+        assert np.max(np.abs(s_img - lam * s) / (1.0 + np.abs(s))) < 1e-12
         # normalization Re sigma~(1, 0) = 1 survives the transport
-        base_val = moved.sigma_at([SiegelPoint(1.0, np.zeros(1))])[0]
+        base_val = sigma(SiegelBatch([1.0], [[0.0]]))[0]
         assert base_val.real == pytest.approx(1.0, rel=1e-12)
 
     def test_transport_agrees_with_direct_pipeline(self):
         m = make_siegel_linear(2.0, 2)
         t = SiegelAutomorphism.translate(np.array([1.0 + 0j]))
-        moved = conjugation_transport(run_valiron(m), t)
+        result = run_valiron(m)
+        _, sigma = O.transported_sigma(result, t)
         direct = run_valiron(conjugate_map(m, t))
-        pts = moved.grid.points
-        diff = np.max(np.abs(moved.sigma_at(pts) - direct.sigma_at(pts)))
+        pts = self._moved_grid(result, t)
+        diff = np.max(np.abs(sigma(pts) - direct.sigma_at(pts)))
         assert diff < 1e-6
 
     def test_scale_conjugation_of_linear_map_is_identity_on_sigma(self):
         """T = dilation conjugates z -> lam z to itself, so sigma~ = z."""
         result = run_valiron(make_siegel_linear(2.0, 2))
-        moved = conjugation_transport(result, SiegelAutomorphism.scale(2.0))
-        pts = moved.grid.points
-        assert np.max(np.abs(moved.sigma_at(pts) - np.array([p.z for p in pts]))) < 1e-12
+        t = SiegelAutomorphism.scale(2.0)
+        _, sigma = O.transported_sigma(result, t)
+        pts = self._moved_grid(result, t)
+        assert np.max(np.abs(sigma(pts) - pts.z)) < 1e-12
 
 
 class TestBallSide:
     def test_theta_solves_ball_schroder(self):
+        """Theta = sigma o C solves Theta o psi = lam Theta for the ball map psi."""
         m = make_siegel_linear(2.0, 2)
         result = run_valiron(m)
-        theta = ball_side_theta(result)
+        assert result.converged
         ball_map = make_ball_map_from_siegel(m)
-        for p in theta.ball_points[:4]:
-            lhs = theta.theta_at([ball_map(p)])[0]
-            rhs = result.multiplier * theta.theta_at([p])[0]
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
-    def test_theta_matches_sigma_through_cayley(self):
-        result = run_valiron(make_valiron_example(2.0, PsiChoice("constant", 0.5)))
-        theta = ball_side_theta(result)
-        for p in theta.ball_points[:4]:
-            q = cayley_to_siegel(p)
-            assert abs(theta.theta_at([p])[0] - result.sigma_at([q])[0]) < 1e-12
+        def theta(p):
+            return result.sigma_at([cayley_to_siegel(p)])[0]
+
+        for q in list(result.grid.points)[:4]:
+            p = cayley_to_ball(q)
+            lhs = theta(ball_map(p))
+            rhs = result.multiplier * theta(p)
+            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
