@@ -121,8 +121,9 @@ class _Run:
     """What the commands of one ``run_command`` share.
 
     ``plan`` holds the limit sweeps of every command.  ``probe`` is the
-    probe orbit of the valiron command, kept so that the orbit command
-    continues it instead of stepping its first points again.
+    base orbit of the valiron command, row 0 of its renormalized stack,
+    kept so that the orbit command continues it instead of stepping its
+    first points again.
     """
 
     plan: SweepPlan

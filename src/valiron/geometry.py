@@ -204,7 +204,11 @@ def _check_row(z: complex, w: list) -> None:
         raise NonFiniteError("non-finite coordinates")
     height = z.real - nsq
     if not height > BOUNDARY_SLACK * max(1.0, abs(z), nsq):
-        raise DomainError(f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}")
+        message = f"not strictly inside the Siegel domain: Re z - ||w||^2 = {height!r}"
+        if height > 0.0:  # above the boundary, but within the slack of the test
+            slack = BOUNDARY_SLACK * max(1.0, abs(z), nsq)
+            message += f" <= {BOUNDARY_SLACK:g} * max(1, |z|, ||w||^2) = {slack!r}"
+        raise DomainError(message)
 
 
 def _one_row(q: SiegelPoint) -> "SiegelBatch":

@@ -23,7 +23,9 @@ which is tested against it before each step.
 The base orbit, the grid and the grid images share the scales, so the rows
 are one stack and a step is one map evaluation on arrays, which advances
 every row at once through the map's ``batch``; black boxes alone go point
-by point.  The probe orbit steps one row at a time.
+by point.  Row 0 is the base orbit that run_valiron classifies and
+estimates lambda and L from; it is stepped alone, one row at a time, only
+past the step where the stack stops.
 
 One step, ``_step``, serves run_valiron, which makes one state at the end,
 and ``advance``, which wraps it for the state API and keeps the raw rows
@@ -405,25 +407,60 @@ def _multiplier_excess_decays(probe: Orbit) -> bool:
     return late < 0.1 and late <= 0.85 * early
 
 
-def _escape_probe(m: HoloMap, probe: Orbit, n_max: int) -> Orbit:
-    """The probe, continued until the escape test of ``classify_sequence`` can
-    decide, if it ends below INFINITY_THRESHOLD on a hyperbolic-looking orbit.
+def _probe_steps(base: Orbit, n_max: int) -> Optional[int]:
+    """The step count at which the probe rule next reads the base orbit
+    ``base``, which has the count it named last (PROBE_MIN_STEPS first) or
+    was cut by the scale ceiling; None once ``base`` is the probe.
 
-    A slow hyperbolic map (lam below 100^(1/64)) needs about log(100 / |z|) /
-    log(lam) more steps, for the multiplier estimate lam, and MIN_TAIL more
-    for the tail; the probe takes at most max(n_max, PROBE_MAX_STEPS) steps,
-    and ``compute_orbit`` stops it at the scale ceiling.  A probe that ends
-    above the threshold, was cut, or looks parabolic is returned as it is,
-    for the checks of ``run_valiron`` to reject.
+    The rule reads 32 steps, then 64 if x_32 < PROBE_TARGET_HEIGHT.  A
+    64-step orbit that ends below INFINITY_THRESHOLD and looks hyperbolic
+    goes on until the escape test of ``classify_sequence`` can decide: a
+    slow map (lam below 100^(1/64)) needs about log(100 / |z|) / log(lam)
+    more steps, and MIN_TAIL more, up to max(n_max, PROBE_MAX_STEPS) in all.
     """
-    mod = abs(complex(probe.points.z[-1]))
-    if probe.cutoff is not None or not mod < INFINITY_THRESHOLD:
-        return probe
-    lam = estimate_multiplier(probe).value
-    if lam <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):
-        return probe
+    n = len(base) - 1
+    if base.cutoff is not None or n > PROBE_MAX_STEPS:
+        return None
+    if n == PROBE_MIN_STEPS:
+        return PROBE_MAX_STEPS if base.x[-1] < PROBE_TARGET_HEIGHT else None
+    mod = abs(complex(base.points.z[-1]))
+    if not mod < INFINITY_THRESHOLD:
+        return None
+    lam = estimate_multiplier(base).value
+    if lam <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(base):
+        return None
     extra = math.ceil(math.log(INFINITY_THRESHOLD / mod) / math.log(lam)) + MIN_TAIL
-    return compute_orbit(m, probe, min(len(probe) - 1 + extra, max(n_max, PROBE_MAX_STEPS)))
+    steps = min(n + extra, max(n_max, PROBE_MAX_STEPS))
+    return steps if steps > n else None
+
+
+def _row_orbit(m: HoloMap, row_z: list, row_w: list) -> Orbit:
+    """The base orbit of ``m`` from rows 0 of the stack's first steps, which
+    were checked when stepped.  A conjugated map's rows are inner rows: the
+    orbit carries them as ``inner``, and T maps them in one call."""
+    rows = SiegelBatch._checked(np.array(row_z), np.array(row_w))
+    if m.conjugation is None:
+        return Orbit(map=m, points=rows)
+    start = Orbit(map=m, points=SiegelBatch.from_points([_base(m.dim)]),
+                  inner=Orbit(map=m.conjugation[0], points=rows))
+    return compute_orbit(m, start, len(rows) - 1)
+
+
+def _gate(base: Orbit) -> tuple:
+    """``(classification, multiplier, drift)`` of the probe ``base``, or the
+    error of a base orbit that does not approach infinity hyperbolically."""
+    classification = classify_sequence(base.points)
+    try:
+        lam = estimate_multiplier(base)
+    except OrbitTooShortError as exc:
+        if base.cutoff is None:
+            raise
+        raise OrbitTooShortError(f"{exc} (base orbit stopped: {base.cutoff})") from None
+    if lam.value <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(base):
+        raise NonHyperbolicError(
+            f"multiplier estimate {lam.value!r} not bounded away from 1"
+        )
+    return classification, lam, estimate_drift(base)
 
 
 def run_valiron(
@@ -440,78 +477,96 @@ def run_valiron(
     CONSECUTIVE_CAUCHY consecutive steps, else at ``n_max`` with
     ``converged = False``.  A base orbit that is only C-special (not
     special) is outside the construction's hypotheses; the run proceeds but
-    the result is flagged.  The base orbit is probed first, for at most 64
-    steps unless a slow hyperbolic map needs more to escape (see
-    ``_escape_probe``).
+    the result is flagged.
+
+    The base orbit is row 0 of the stack.  Once it has the steps that the
+    probe rule reads (``_probe_steps``), the gate classifies it and
+    estimates lambda and L from it, and stops the run on a map it rejects.
+    If the stack stops first, row 0 goes on alone by ``compute_orbit``, from
+    the base if ``initial_state`` failed; an error of the stack is raised
+    only once the gate has passed, so the gate's own error comes first.
 
     Raises NotTendingToInfinityError, DegenerateGridError, or
     NonHyperbolicError when the inputs do not describe a hyperbolic
-    approach to infinity; OrbitTooShortError, naming the probe's cutoff,
-    when the base orbit meets the scale ceiling too soon to estimate from.
+    approach to infinity; OrbitTooShortError, naming the base orbit's
+    cutoff, when it meets the scale ceiling too soon to estimate from.
     """
     if m.domain == "ball":
         m = make_siegel_map_from_ball(m)
     if grid is None:
         grid = default_grid(m.dim)
 
-    warnings: list = []
+    # the steps of advance, on the raw rows; one state is made at the end.  An
+    # image that overflows fails its check: numpy's warning would say it twice
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, t = _stepper(m)
+        base = _base(m.dim)  # the base orbit, until it is the probe
+        probe_at = PROBE_MIN_STEPS  # None once the gate has passed
+        row_z, row_w, scale_pairs, cauchy = [], [], [], []
+        consecutive = 0
+        converged = False
+        ceiling = failed = None
+        try:
+            state = initial_state(m, grid)
+        except (ValueError, ArithmeticError) as exc:  # raised once the gate has passed
+            failed = exc
+        else:
+            z, w, top, x_n = state._raw
+            sigma, g = state.sigma, len(grid) + 1
+            row_z.append(z[0])
+            row_w.append(w[0])
+        for _ in range(n_max if failed is None else 0):
+            try:
+                z, w, top, col, x_next = _step(phi, t, z, w, top)
+            except ScaleOverflowError:  # a black box that iterates raw may raise it too
+                ceiling = len(cauchy)
+                break
+            except (ValueError, ArithmeticError) as exc:  # raised once the gate has passed
+                if probe_at is None:
+                    raise
+                failed = exc
+                break
+            scale_pairs.append((x_n, x_next))
+            x_n = x_next
+            step = float(np.abs(col[1:g] - sigma).max())
+            cauchy.append(step)
+            sigma = col[1:g]
+            if probe_at is not None:
+                row_z.append(z[0])
+                row_w.append(w[0].copy())
+                if len(cauchy) == probe_at:
+                    base = _row_orbit(m, row_z, row_w)
+                    probe_at = _probe_steps(base, n_max)
+                    if probe_at is None:
+                        classification, lam, drift = _gate(base)
+            if step < tol:
+                consecutive += 1
+                if consecutive >= CONSECUTIVE_CAUCHY:
+                    converged = True
+                    break
+            else:
+                consecutive = 0
+        if probe_at is not None:  # the stack stopped first: row 0 goes on alone
+            if row_z:
+                base = _row_orbit(m, row_z, row_w)
+            while probe_at is not None:
+                base = compute_orbit(m, base, probe_at)
+                probe_at = _probe_steps(base, n_max)
+            classification, lam, drift = _gate(base)
+            if failed is not None:
+                raise failed
+    if scale_pairs:
+        state = _made(len(cauchy), z, w, top, x_n, None if t is None else col, scale_pairs[-1])
 
-    # probe adaptively: enough growth to classify and estimate, but not so
-    # far that maps wrapped in coordinate changes lose boundary precision;
-    # a slow orbit is continued, not recomputed
-    probe = compute_orbit(m, _base(m.dim), PROBE_MIN_STEPS)
-    if probe.cutoff is None and probe.x[-1] < PROBE_TARGET_HEIGHT:
-        probe = _escape_probe(m, compute_orbit(m, probe, PROBE_MAX_STEPS), n_max)
-    classification = classify_sequence(probe.points)
-    try:
-        lam = estimate_multiplier(probe)
-    except OrbitTooShortError as exc:
-        if probe.cutoff is None:
-            raise
-        raise OrbitTooShortError(f"{exc} (base orbit stopped: {probe.cutoff})") from None
-    if lam.value <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):
-        raise NonHyperbolicError(
-            f"multiplier estimate {lam.value!r} not bounded away from 1"
-        )
-    drift = estimate_drift(probe)
     outside = not classification.special
+    warnings = []
     if outside:
         warnings.append(
             "outside-hypotheses: base orbit is only C-special "
             f"(residual witness {classification.a_witness:.3g}); proceeding"
         )
-
-    # the steps of advance, on the raw rows; one state is made at the end
-    state = initial_state(m, grid)
-    phi, t = _stepper(m)
-    z, w, top, x_n = state._raw
-    sigma, g = state.sigma, len(grid) + 1
-    scale_pairs, cauchy = [], []
-    consecutive = 0
-    converged = False
-    for _ in range(n_max):
-        try:
-            z, w, top, col, x_next = _step(phi, t, z, w, top)
-        except ScaleOverflowError:  # a black box that iterates raw may raise it too
-            warnings.append(
-                f"scale ceiling reached at step {len(cauchy)}; stopping before n_max"
-            )
-            break
-        scale_pairs.append((x_n, x_next))
-        x_n = x_next
-        step = float(np.abs(col[1:g] - sigma).max())
-        cauchy.append(step)
-        sigma = col[1:g]
-        if step < tol:
-            consecutive += 1
-            if consecutive >= CONSECUTIVE_CAUCHY:
-                converged = True
-                break
-        else:
-            consecutive = 0
-    if scale_pairs:
-        state = _made(len(cauchy), z, w, top, x_n, None if t is None else col, scale_pairs[-1])
-
+    if ceiling is not None:
+        warnings.append(f"scale ceiling reached at step {ceiling}; stopping before n_max")
     residuals = _schroder_defect(state.sigma_img, state.sigma, lam.value)
     return ValironResult(
         map=m,
@@ -530,6 +585,6 @@ def run_valiron(
         classification=classification,
         outside_hypotheses=outside,
         warnings=tuple(warnings),
-        base_orbit=probe,
+        base_orbit=base,
         scale_pairs=tuple(scale_pairs),
     )

@@ -17,8 +17,9 @@ The bounds are summed in doubles, whose own error is far below the slack
 of 2^-40 that ``within`` allows them.
 
 A test asserts ``within(got, x)``: the double ``got`` is within ``x.e`` of
-the exact ``x.v``.  The last section is in doubles: the sigma of a
-conjugated map, transported from a run of the map, and its Schroder defect.
+the exact ``x.v``.  The last sections are in doubles: the sigma of a
+conjugated map, transported from a run of the map, and its Schroder defect;
+and the probe of the base orbit, stepped alone by ``compute_orbit``.
 """
 
 import math
@@ -28,7 +29,16 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from valiron.geometry import SiegelBatch, apply_automorphism_arrays
+from valiron.dynamics import INFINITY_THRESHOLD, MIN_TAIL, compute_orbit, estimate_multiplier
+from valiron.geometry import SiegelBatch, SiegelPoint, apply_automorphism_arrays
+from valiron.maps import make_siegel_map_from_ball
+from valiron.renorm import (
+    HYPERBOLICITY_MARGIN,
+    PROBE_MAX_STEPS,
+    PROBE_MIN_STEPS,
+    PROBE_TARGET_HEIGHT,
+    _multiplier_excess_decays,
+)
 
 mp.dps = 50
 
@@ -575,3 +585,30 @@ def schroder_defect(sigma, m, lam: float, points) -> np.ndarray:
     s = sigma(points)
     s_img = sigma(SiegelBatch.from_points([m(q) for q in points]))
     return np.abs(s_img - lam * s) / (1.0 + np.abs(s))
+
+
+# -- the probe of the base orbit, stepped alone ------------------------------------
+
+
+def probe_orbit(m, n_max: int = 200):
+    """The orbit of the base (1, 0) that the gate of ``run_valiron`` reads.
+
+    ``compute_orbit`` steps it alone: 32 steps, then 64 if x_32 is below
+    PROBE_TARGET_HEIGHT.  A 64-step orbit that ends below INFINITY_THRESHOLD
+    and looks hyperbolic is continued by log(100 / |z|) / log(lam) + MIN_TAIL
+    steps, up to max(n_max, 64) steps in all; a cut orbit is taken as it is.
+    """
+    if m.domain == "ball":
+        m = make_siegel_map_from_ball(m)
+    probe = compute_orbit(m, SiegelPoint(1.0, np.zeros(m.dim - 1)), PROBE_MIN_STEPS)
+    if probe.cutoff is not None or not probe.x[-1] < PROBE_TARGET_HEIGHT:
+        return probe
+    probe = compute_orbit(m, probe, PROBE_MAX_STEPS)
+    mod = abs(complex(probe.points.z[-1]))
+    if probe.cutoff is not None or not mod < INFINITY_THRESHOLD:
+        return probe
+    lam = estimate_multiplier(probe).value
+    if lam <= 1.0 + HYPERBOLICITY_MARGIN or _multiplier_excess_decays(probe):
+        return probe
+    extra = math.ceil(math.log(INFINITY_THRESHOLD / mod) / math.log(lam)) + MIN_TAIL
+    return compute_orbit(m, probe, min(PROBE_MAX_STEPS + extra, max(n_max, PROBE_MAX_STEPS)))

@@ -1,12 +1,18 @@
 """Config parsing, CSV round-trips, and the command line end to end."""
 
+import contextlib
 import csv
+import io
+import math
 import os
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valiron import cli, dynamics
 from valiron.cli import build_grid, build_map, main, run_command
@@ -600,6 +606,28 @@ class TestCli:
         assert [str(w.message) for w in caught] == []
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_an_image_within_the_slack_of_the_boundary_names_the_slack(self, tmp_path, capsys):
+        """At b = 1e300 the base's first image 2 + 1e300i sits at height 2, far
+        below the slack 1e-12 |z|: the message says so, and no file is written."""
+        code = _run(tmp_path, "command = report-all\nmap = halfplane_affine\nlambda = 2\n"
+                              "b = 1e300\nN = 2\n")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: not strictly inside the Siegel domain: Re z - ||w||^2 = 2.0"
+                " <= 1e-12 * max(1, |z|, ||w||^2) = 1e+288\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_a_run_that_stops_before_the_gate_continues_its_probe(self, tmp_path, capsys):
+        """siegel_linear at lambda = 1.05 converges at step 3, before its base
+        orbit holds the 64 steps the probe reads: row 0 goes on alone to 64
+        steps, capped there by n_max = 60, and ends below |z| = 100."""
+        code = _run(tmp_path, "command = report-all\nmap = siegel_linear\nlambda = 1.05\nN = 2\n"
+                              "n_max = 60\nseed = 1\n")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: tail moduli must increase beyond 100; got final |z| = 22.704667199218342\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     def test_a_base_orbit_cut_by_the_scale_ceiling_names_its_cutoff(self, tmp_path, capsys):
         """At lambda = 1e200 the probe overflows after one step: too short to
         estimate from, and the message says why."""
@@ -622,6 +650,8 @@ class TestOrbitContinuesTheProbe:
     Each case runs ``valiron run`` and compares orbit.csv, byte for byte,
     with the orbit that ``compute_orbit`` computes afresh; ``steps`` counts
     the one-row orbit steps of the whole run.  The probe has 33 rows here.
+    It is row 0 of the renormalized stack, which converges at step 54: only
+    a run stopped before step 32 steps the rest of the probe alone.
     """
 
     def _run_and_fresh(self, tmp_path, monkeypatch, text, make_map=None):
@@ -651,14 +681,15 @@ class TestOrbitContinuesTheProbe:
         return code, counted
 
     @pytest.mark.parametrize("extra, steps", [
-        ("n_max = 60\n", 60),
-        # the probe is longer than the orbit: it is cut, not continued
-        ("n_max = 20\n", 32),
-        ("start = 2+1j, 0.3\nn_max = 60\n", 32 + 60),
+        ("n_max = 60\n", 60 - 32),
+        # the run stops at step 20, and the probe goes on alone to 32 steps; it
+        # is longer than the orbit, which is cut, not continued
+        ("n_max = 20\n", 32 - 20),
+        ("start = 2+1j, 0.3\nn_max = 60\n", 60),
         # == takes these starts for the base (1, 0), but they print otherwise
-        ("start = 1, -0\nn_max = 60\n", 32 + 60),
-        ("start = 1-0j, 0\nn_max = 60\n", 32 + 60),
-        ("start = 1, 0\nn_max = 60\n", 60),
+        ("start = 1, -0\nn_max = 60\n", 60),
+        ("start = 1-0j, 0\nn_max = 60\n", 60),
+        ("start = 1, 0\nn_max = 60\n", 60 - 32),
     ], ids=["continued", "cut", "other start", "w = -0", "y = -0", "start = base"])
     def test_report_all(self, tmp_path, monkeypatch, capsys, extra, steps):
         code, counted = self._run_and_fresh(
@@ -679,7 +710,8 @@ class TestOrbitContinuesTheProbe:
         orbit_part = (report_all / "summary.txt").read_text().split("\n\n")[-1]
         assert orbit_part == summary
 
-    @pytest.mark.parametrize("n_max, steps", [(40, 40), (20, 32)])
+    # the run converges at step 9, and the probe goes on alone to 32 steps
+    @pytest.mark.parametrize("n_max, steps", [(40, 40 - 9), (20, 32 - 9)])
     def test_black_box(self, tmp_path, monkeypatch, capsys, n_max, steps):
         def twin_less_cayley(cfg, build):
             ball = replace(make_ball_map_from_siegel(build(cfg)), twin=None)
@@ -696,3 +728,112 @@ class TestOrbitContinuesTheProbe:
             make_map=twin_less_cayley)
         assert code == 0
         assert counted == steps
+
+
+# -- the config grammar, drawn ---------------------------------------------------
+
+REPORT_FILES = ["jwc.csv", "limits.csv", "orbit.csv", "summary.txt", "valiron.csv"]
+_EXTREME = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-7, -1.0, 1e200, -1e200, 1e300, -1e300])
+_REALS = st.one_of(_EXTREME, st.floats(-1e3, 1e3))
+_SMALL = st.one_of(_EXTREME, st.floats(-0.3, 0.3))
+
+
+def _number(x: complex) -> str:
+    """``x`` as the config grammar reads it, with no parentheses."""
+    x = complex(x)
+    return f"{x.real!r}{x.imag:+}j"
+
+
+def _numbers(draw, n: int, reals=_REALS) -> str:
+    return ", ".join(_number(complex(draw(reals), draw(reals))) for _ in range(n))
+
+
+def _point(draw, n: int) -> str:
+    """N coordinates: extreme ones, or small w and a z above them, at most by far."""
+    if draw(st.booleans()):
+        return _numbers(draw, n)
+    w = [complex(draw(_SMALL), draw(_SMALL)) for _ in range(n - 1)]
+    x = sum(c.real * c.real + c.imag * c.imag for c in w) + 10.0 ** draw(st.floats(-2.0, 300.0))
+    return ", ".join(_number(c) for c in [complex(x, draw(_REALS)), *w])
+
+
+@st.composite
+def _configs(draw) -> str:
+    """A report-all config of any map kind, with extreme and small values."""
+    kind = draw(st.sampled_from(["siegel_linear", "halfplane_affine", "valiron_example"]))
+    lines = ["command = report-all", f"map = {kind}"]
+    lam = 1.0 + 10.0 ** draw(st.floats(-7.0, math.log10(1e200 - 1.0)))
+    if kind == "valiron_example":
+        n = 2
+        psi = draw(st.sampled_from(["cayley", "oscillating", "constant(0.5)", "constant(-0.9j)"]))
+        lines += [f"A = {lam!r}", f"psi = {psi}"]
+    else:
+        n = draw(st.integers(1, 10))
+        lines += [f"lambda = {lam!r}", f"N = {n}"]
+        if kind == "halfplane_affine":
+            lines.append(f"b = {draw(_REALS)!r}")
+    if draw(st.booleans()):
+        lines.append(f"start = {_point(draw, n)}")
+    if draw(st.booleans()):
+        grid = [_point(draw, 1) for _ in range(draw(st.integers(1, 3)))]
+        lines.append(f"grid_z = {', '.join(grid)}")
+    if n > 1 and draw(st.booleans()):
+        lines.append(f"a = {_numbers(draw, n - 1, _SMALL)}")
+    if draw(st.booleans()):
+        chain = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()) or n == 1:
+                scales = [repr(draw(st.one_of(_EXTREME, st.floats(0.1, 10.0))))
+                          for _ in range(draw(st.integers(1, 2)))]
+                chain.append(f"scale({', '.join(scales)})")
+            else:
+                chain.append(f"translate({_numbers(draw, n - 1, _SMALL)})")
+        lines.append(f"conjugate = {'; '.join(chain)}")
+    lines += [
+        f"n_max = {draw(st.integers(1, 80))}",
+        f"ladder_max = {draw(st.integers(1, 4))}",
+        f"tol = {draw(st.sampled_from([1e-300, 1e-12, 1e-8, 1e-3, 0.5]))!r}",
+        f"limit_tol = {draw(st.sampled_from([1e-300, 1e-9, 1e-3, 0.5]))!r}",
+        f"seed = {draw(st.integers(0, 3))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _run_quietly(config: str, out: str) -> tuple:
+    """``(exit code, stdout, stderr, warnings, {file: bytes})`` of ``valiron run``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", config, "--out", out])
+    files = {}
+    if os.path.isdir(out):
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as handle:
+                files[name] = handle.read()
+    return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], files
+
+
+class TestConfigGrammar:
+    """``valiron run`` on drawn configs ends in exit 0, 1 or 2, never in a
+    traceback or a warning.  Exit 1 prints one error line and writes no
+    file; exit 0 or 2 writes the five report files, and a second run of the
+    same config writes the same bytes."""
+
+    @given(text=_configs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_every_config_exits_cleanly(self, text):
+        with tempfile.TemporaryDirectory() as work:
+            config = os.path.join(work, "exp.cfg")
+            with open(config, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            code, _, err, caught, files = _run_quietly(config, os.path.join(work, "out"))
+            assert caught == []
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.count("\n") == 1 and err.startswith("error: ")
+                assert files == {}
+                return
+            assert sorted(files) == REPORT_FILES
+            again = _run_quietly(config, os.path.join(work, "again"))
+            assert again[0] == code and again[4] == files

@@ -59,6 +59,23 @@ class TestModels:
         q = SiegelPoint(0.26, np.array([0.5 + 0j]))
         assert q.x == 0.26 and q.dim == 2
 
+    def test_a_point_within_the_slack_names_it(self):
+        """A positive height that fails the relative slack gives the slack and its
+        scale; a height at or below 0 gives the height alone.  Both paths of the
+        array check raise the point's error."""
+        z = complex(2.0, 1e300)
+        message = ("not strictly inside the Siegel domain: Re z - ||w||^2 = 2.0"
+                   " <= 1e-12 * max(1, |z|, ||w||^2) = 1e+288")
+        for check in (lambda: SiegelPoint(z, [0.0]),
+                      lambda: check_siegel_arrays(np.array([z]), np.zeros((1, 1))),
+                      lambda: check_siegel_arrays(np.full(64, z), np.zeros((64, 1)))):
+            with pytest.raises(DomainError) as err:
+                check()
+            assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            SiegelPoint(0.25, [0.5])
+        assert str(err.value) == "not strictly inside the Siegel domain: Re z - ||w||^2 = 0.0"
+
     def test_points_reject_non_finite_coordinates(self):
         nan, inf = math.nan, math.inf
         for z, w in ((nan, [0]), (complex(1, nan), [0]), (2, [nan]), (complex(1, inf), [0])):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from valiron.geometry import (
     FEW_ROWS,
     INFINITY,
     DomainError,
+    NonFiniteError,
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
@@ -34,7 +36,7 @@ from valiron.maps import (
     make_valiron_example,
 )
 from valiron import geometry, maps, renorm
-from valiron.dynamics import NotTendingToInfinityError, compute_orbit
+from valiron.dynamics import NotTendingToInfinityError, OrbitTooShortError, compute_orbit
 from valiron.renorm import (
     LOG_SCALE_CEILING,
     DegenerateGridError,
@@ -351,12 +353,15 @@ class TestRunValiron:
         assert np.array_equal(fast.sigma_at(probes), slow.sigma_at(probes))
 
     def test_slow_probe_orbit_is_continued_not_recomputed(self):
+        """The run outlasts the probe: its 64 steps are row 0 of the stack, and
+        no row is stepped alone."""
         m = make_halfplane_affine(1.2, 1.0, 2)  # x_32 ~ 342: the probe goes on to 64 steps
         rows = []
         result = run_valiron(replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
         want = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), PROBE_MAX_STEPS)
-        # the probe steps one row at a time; the grid steps take 1 + 2 * 36 rows
-        assert rows.count(1) == PROBE_MAX_STEPS
+        # the grid's images, then the stacked steps of 1 + 2 * 36 rows
+        assert rows.count(1) == 0
+        assert rows == [36] + [73] * result.n_stop and result.n_stop > PROBE_MAX_STEPS
         assert result.base_orbit.points == want.points
         assert np.array_equal(result.base_orbit.x, want.x)
 
@@ -519,6 +524,110 @@ class TestRunValiron:
 
 def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
+
+
+def _shift_map(batch) -> HoloMap:
+    """A map of H^1 given by ``batch`` alone, declaring a multiplier it may not have."""
+    return HoloMap(domain="siegel", dim=1, dw=INFINITY, multiplier=2.0, batch=batch, name="shift")
+
+
+class TestBaseOrbit:
+    """The base orbit is row 0 of the stack.  It is the probe of the base
+    (1, 0), bit for bit: 32 steps, 64 if x_32 < 1e8, more where a slow
+    hyperbolic map has not yet escaped |z| = 100; row 0 is stepped alone only
+    past where the stack stops."""
+
+    CASES = {
+        **{name: (m, {}) for name, m in catalog().items()},
+        **{f"conjugated by {name}": (conjugate_map(make_halfplane_affine(2.0, 1.0, 2), t), {})
+           for name, t in CHAINS.items()},
+        "black box": (replace(make_halfplane_affine(2.0, 1.0, 2), batch=None), {}),
+        "ball side": (make_ball_map_from_siegel(make_siegel_linear(2.0, 2)), {}),
+        "escape extension": (make_siegel_linear(1.05, 2), {}),
+        "converged before the gate": (make_siegel_linear(2.0, 2), {"n_max": 3}),
+        "ceiling before the gate": (make_siegel_linear(1e10, 2), {"tol": 0.0}),
+        "conjugated, ceiling before the gate": (
+            conjugate_map(make_siegel_linear(1e10, 2), CHAINS["scale(4); translate(1)"]),
+            {"tol": 0.0}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_the_base_orbit_is_the_probe(self, name):
+        m, kw = self.CASES[name]
+        got = run_valiron(m, **kw).base_orbit
+        want = O.probe_orbit(m, kw.get("n_max", 200))
+        assert got.points.z.tobytes() == want.points.z.tobytes()
+        assert got.points.w.tobytes() == want.points.w.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.cutoff == want.cutoff
+        assert (got.inner is None) == (want.inner is None)
+        if want.inner is not None:
+            assert got.inner.points.z.tobytes() == want.inner.points.z.tobytes()
+            assert got.inner.points.w.tobytes() == want.inner.points.w.tobytes()
+
+    @pytest.mark.parametrize("lam, n_max, stack, probe", [
+        (2.0, 3, 3, 32),       # converged before the gate: 29 steps alone
+        (1.05, 200, 3, 103),   # and continued to escape |z| = 100: 100 alone
+        (1.2, 40, 40, 64),     # stopped at n_max before the 64 steps
+        (1.2, 200, 104, 64),   # the run outlasts the probe: none alone
+    ])
+    def test_row_0_goes_on_alone_only_past_the_stack(self, lam, n_max, stack, probe):
+        """One-row calls of the batch are the base orbit's steps past the
+        stack's last; the grid's images come first, in one call."""
+        m = make_halfplane_affine(lam, 1.0, 2) if lam == 1.2 else make_siegel_linear(lam, 2)
+        rows = []
+        result = run_valiron(replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)),
+                             n_max=n_max)
+        assert result.n_stop == stack and len(result.base_orbit) == probe + 1
+        assert rows == [36] + [73] * stack + [1] * max(0, probe - stack)
+
+    @pytest.mark.parametrize("shift, error", [(2.0, NonHyperbolicError),
+                                              (0.1, NotTendingToInfinityError)])
+    def test_a_map_that_fails_the_gate_stops_the_stack_there(self, shift, error):
+        """z + 2 and z + 0.1 are rejected by the gate at step 64, so the stack,
+        of the base, the 9 grid points and their images, steps 64 times."""
+        rows = []
+        m = _shift_map(lambda z, w: rows.append(len(z)) or (z + shift, w))
+        with pytest.raises(error):
+            run_valiron(m)
+        assert rows == [9] + [19] * PROBE_MAX_STEPS
+
+    def test_the_gate_comes_before_the_errors_of_the_grid_images(self):
+        """``initial_state`` runs first, but its error waits for the gate: a
+        parabolic map whose grid images leave the domain gets the gate's
+        error, and a hyperbolic one the error of the first such image."""
+        parabolic = _shift_map(lambda z, w: (np.where(z.imag == 0.0, z + 2.0, -z), w))
+        with pytest.raises(NonHyperbolicError):
+            run_valiron(parabolic)
+        hyperbolic = _shift_map(lambda z, w: (np.where(z.imag == 0.0, 2.0 * z, -z), w))
+        with pytest.raises(DomainError, match=r"Re z - \|\|w\|\|\^2 = -1\.0$"):
+            run_valiron(hyperbolic)
+
+    def test_a_step_error_before_the_gate_is_raised_after_it(self):
+        """A stack step that fails before the gate has decided leaves row 0 to
+        go on alone; the gate's error comes first, and the step's own error
+        follows a gate that passes.  Neither warns of the overflow."""
+        # rows off the real axis overflow on the second step, the base never
+        m = _shift_map(lambda z, w: (np.where(z.imag == 0.0, z + 2.0, 1e200 * z), w))
+        grid = EvaluationGrid([SiegelPoint(1e290, [0.0]), SiegelPoint(2.0, [0.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHyperbolicError):
+                run_valiron(m)
+            with pytest.raises(NonFiniteError):
+                run_valiron(make_siegel_linear(1e10, 2), grid)
+            with pytest.raises(OrbitTooShortError, match=r"got 2 \(base orbit stopped: "
+                               r"scale overflow at step 1\)$"):
+                run_valiron(make_siegel_linear(1e200, 2))
+
+    def test_a_ceiling_before_the_gate_keeps_the_warnings_in_order(self):
+        """The stack meets the scale ceiling at step 29, before the gate at 32:
+        the run stops there, and the warnings list the hypotheses first."""
+        m = conjugate_map(make_siegel_linear(1e10, 2), CHAINS["scale(4); translate(1)"])
+        result = run_valiron(m, tol=0.0)
+        assert result.n_stop == 29 and result.base_orbit.cutoff is not None
+        assert [w.split(":")[0] for w in result.warnings] == [
+            "outside-hypotheses", "scale ceiling reached at step 29; stopping before n_max"]
 
 
 class TestRunAndAdvance:
