@@ -260,9 +260,9 @@ def _cmd_jwc(cfg, m, run) -> tuple:
     li = run.plan.left_inverse_ratio_check(m, rho, tol=cfg.limit_tol, ladder=ladder)
 
     traces = [
-        (f"{tag}:{label}", si, values)
+        (f"{tag}:{label}", block)
         for tag, verdict in (("part1", report.part1), ("part2", report.part2))
-        for label, si, values in verdict.traces
+        for label, block in verdict.traces
     ]
     a = ", ".join(f"{format_float(v.real)} + {format_float(v.imag)}i" for v in cfg.a or ())
     lines = [

@@ -456,11 +456,15 @@ class SiegelBatch:
         The formula of ``kobayashi_tanh`` with the axis image ``(z, 0)`` put
         in: the cross term vanishes, the image has height ``Re z`` and
         ``z_Q + conj(z_P)`` is ``2 Re z``, so this rounds as the full
-        formula does on the projected rows, with the same error bound.
+        formula does on the projected rows, with the same error bound.  Rows
+        where ``2 Re z`` overflows take the ratio reduced, ``h / Re z``.
         """
-        x = self.z.real
+        x, h = self.z.real, self.height()
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = _height_ratio(self.height(), x, x + x)
+            two_x = x + x
+            ratio = _height_ratio(h, x, two_x)
+            if not two_x.max() < math.inf:
+                np.copyto(ratio, h / x, where=np.isinf(two_x) & np.isfinite(x))
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def kobayashi_tanh(self, other: "SiegelBatch") -> np.ndarray:

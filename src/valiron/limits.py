@@ -297,10 +297,10 @@ class LimitVerdict:
     status 'limit-exists' carries the mean tail value; 'no-limit' carries a
     witness pair taken from two distinct sequences whose tail values are
     separated by more than NO_LIMIT_FACTOR * tol; anything in between is
-    'inconclusive'.  ``traces`` holds the probed values as labelled
-    ``(family_label, seq_index, values)`` triples in probe order; the
-    verdict reads the last TAIL_VALUES of each, and the witness indices
-    ``(i, j, v_i, v_j, separation)`` count positions in ``traces``.
+    'inconclusive'.  ``traces`` holds the probed values as one ``(family_label,
+    block)`` per family in probe order, a sequence per row of its block; the
+    verdict reads the last TAIL_VALUES of each row, and the witness indices
+    ``(i, j, v_i, v_j, separation)`` count sequences, block after block.
     """
 
     status: str
@@ -385,10 +385,10 @@ class SweepPlan:
     batch, and each probe is computed once over it: a ``MapProbe`` in one
     call, which ``MapProbe``s of the same map, function and argument
     objects share, and a plain ``h`` point by point, in row order.  A trace
-    is a slice of those values, held as complex.  Maps and probes are
-    row-wise, so every value has the bits the sweep gives alone; but a row
-    that no sweep of the probe reads is computed too, and an error there is
-    raised.
+    is a family's ``(sequences, rungs)`` view of those values, held as
+    complex.  Maps and probes are row-wise, so every value has the bits the
+    sweep gives alone; but a row that no sweep of the probe reads is computed
+    too, and an error there is raised.
     """
 
     def __init__(self, seed: int = 0):
@@ -442,15 +442,14 @@ class SweepPlan:
         return self._values[key][1]
 
     def traces(self, probe: Callable[[SiegelPoint], complex], sweep: tuple) -> list:
-        """Labelled ``(family_label, seq_index, values)`` traces of ``probe`` along ``sweep``."""
+        """One ``(family_label, block)`` of ``probe`` per family of ``sweep``, a sequence a row."""
         families, extra = self.sweep(*sweep)
         values = self._probe_values(probe)
         traces = []
         for fam in families:
             start, generated = self._offsets[fam]
-            label, rungs = family_label(fam), len(fam.ladder)
-            traces += [(label, i, values[start + i * rungs:start + (i + 1) * rungs])
-                       for i in range(min(len(fam.seeds) + extra, generated))]
+            n, rungs = min(len(fam.seeds) + extra, generated), len(fam.ladder)
+            traces.append((family_label(fam), values[start:start + n * rungs].reshape(n, rungs)))
         return traces
 
     def verdict(self, probe, sweep: tuple, tol: float = DEFAULT_TOL) -> "LimitVerdict":
@@ -527,10 +526,10 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 
 
 def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
-    """Verdict from the last TAIL_VALUES values of each labelled trace."""
+    """Verdict from the last TAIL_VALUES values of each sequence, each row of a block."""
     traces = tuple(traces)
-    tails = [values[-min(TAIL_VALUES, values.size):] for _, _, values in traces]
-    flat = np.concatenate(tails)
+    tails = [block[:, -min(TAIL_VALUES, block.shape[1]):] for _, block in traces]
+    flat = np.concatenate(tails, axis=None)
     # v_i - v_j is -(v_j - v_i) exactly, so one difference per pair gives every
     # modulus; the diagonal stays, as x - x is NaN for a non-finite x
     with np.errstate(invalid="ignore"):
@@ -541,7 +540,8 @@ def verdict_from_traces(traces: Sequence[tuple], tol: float) -> LimitVerdict:
         # a limit carries no witness, so none is searched for
         return LimitVerdict(status="limit-exists", value=complex(np.mean(flat)),
                             spread=spread, tol=tol, witness=None, traces=traces)
-    owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
+    counts = np.concatenate([np.full(len(t), t.shape[1]) for t in tails])  # tail values a sequence
+    owner = np.repeat(np.arange(counts.size), counts)
     moduli[_pairs(owner) == owner] = 0.0  # a witness pairs two sequences
     separation = float(moduli.max())
     witness = None

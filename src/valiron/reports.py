@@ -75,31 +75,21 @@ def write_valiron_csv(path, batch: SiegelBatch, sigma: np.ndarray, residuals: np
 
 
 def _limits_chunks(traces: Iterable[tuple]):
-    """(template, complex values) of the limit rows, chunk by chunk of whole traces.
+    """(template, complex values) of the limit rows, chunk by chunk of whole families.
 
-    A chunk closes once it holds ``CHUNK_ROWS`` rows.  The rows of a trace are
-    one join of the shared tails ``k,%s,%s`` on the trace's quoted label and
-    sequence fields.
+    A chunk closes once it holds ``CHUNK_ROWS`` rows.  The rows of a sequence
+    are one join of the tails ``k,%s,%s`` on the family's quoted label and the
+    sequence's row in the block.
     """
-    line = io.StringIO()
-    quoted = csv.writer(line, lineterminator="\n")
-    heads: dict = {}  # a label or sequence field -> its field as csv.writer quotes it, % escaped
-    tails = [""]  # "", then the row template after the heads, for k = 1, 2, ...
     pieces, columns, rows = [], [], 0
-    for family, seq_id, values in traces:
-        seq_id = str(seq_id)
-        for text in (family, seq_id):
-            if text not in heads:
-                line.seek(0)
-                line.truncate()
-                quoted.writerow([text, ""])
-                heads[text] = line.getvalue()[:-1].replace("%", "%%")
-        n = np.size(values)
-        if n >= len(tails):
-            tails += [f"{k},%s,%s\n" for k in range(len(tails), n + 1)]
-        pieces.append((heads[family] + heads[seq_id]).join(tails[:n + 1]))
-        columns.append(values)
-        rows += n
+    for family, block in traces:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([family, ""])
+        head = line.getvalue()[:-1].replace("%", "%%")
+        tails = [""] + [f"{k},%s,%s\n" for k in range(1, block.shape[1] + 1)]
+        pieces += [f"{head}{i},".join(tails) for i in range(len(block))]
+        columns.append(block)
+        rows += block.size
         if rows >= CHUNK_ROWS:
             yield "".join(pieces), np.concatenate(columns, axis=None, dtype=np.complex128)
             pieces, columns, rows = [], [], 0
@@ -108,7 +98,7 @@ def _limits_chunks(traces: Iterable[tuple]):
 
 
 def write_limits_csv(path, traces: Iterable[tuple]) -> None:
-    """Traces are (family_label, seq_id, values); one row per value, k from 1."""
+    """Traces are (family_label, block), a sequence per block row: one row per value, k from 1."""
     with open(path, "w", newline="") as handle:
         handle.write("family,seq_id,k,re_h,im_h\n")
         for template, values in _limits_chunks(traces):

@@ -19,7 +19,8 @@ of 2^-40 that ``within`` allows them.
 A test asserts ``within(got, x)``: the double ``got`` is within ``x.e`` of
 the exact ``x.v``.  The last sections are in doubles: the sigma of a
 conjugated map, transported from a run of the map, and its Schroder defect;
-and the probe of the base orbit, stepped alone by ``compute_orbit``.
+the probe of the base orbit, stepped alone by ``compute_orbit``; and the
+limit traces and their verdict, one sequence at a time.
 """
 
 import math
@@ -31,6 +32,7 @@ from mpmath.libmp import from_man_exp
 
 from valiron.dynamics import INFINITY_THRESHOLD, MIN_TAIL, compute_orbit, estimate_multiplier
 from valiron.geometry import SiegelBatch, SiegelPoint, apply_automorphism_arrays
+from valiron.limits import NO_LIMIT_FACTOR, TAIL_VALUES, _pairs
 from valiron.maps import make_siegel_map_from_ball
 from valiron.renorm import (
     HYPERBOLICITY_MARGIN,
@@ -411,9 +413,16 @@ def kobayashi_tanh(p: tuple, q: tuple) -> X:
 
 
 def axis_tanh(z: X, w: list, nsq: X = None) -> X:
-    """tanh k((z, w), (z, 0)); ``nsq`` is ||w||^2, if already at hand."""
+    """tanh k((z, w), (z, 0)); ``nsq`` is ||w||^2, if already at hand.
+
+    Where 2 Re z overflows, the ratio 4 h x / (2 x)^2 is taken as the code
+    takes it, reduced to h / x.
+    """
     x = z.real
-    return tanh_from_heights(x - (norm_sq(w) if nsq is None else nsq), x, x + x)
+    h = x - (norm_sq(w) if nsq is None else nsq)
+    if (x + x).m > DBL_MAX:
+        return sqrt(clamp0(1 - h / x))
+    return tanh_from_heights(h, x, x + x)
 
 
 # -- maps --------------------------------------------------------------------------
@@ -612,3 +621,40 @@ def probe_orbit(m, n_max: int = 200):
         return probe
     extra = math.ceil(math.log(INFINITY_THRESHOLD / mod) / math.log(lam)) + MIN_TAIL
     return compute_orbit(m, probe, min(PROBE_MAX_STEPS + extra, max(n_max, PROBE_MAX_STEPS)))
+
+
+# -- limit traces, one sequence at a time --------------------------------------------
+
+
+def per_sequence(traces) -> list:
+    """The ``(label, block)`` traces of a family as ``(label, i, block[i])``, one per
+    sequence, family after family."""
+    return [(label, i, values) for label, block in traces for i, values in enumerate(block)]
+
+
+def per_sequence_verdict(traces, tol: float) -> tuple:
+    """``(status, value, spread, witness)`` of the verdict on ``(label, i, values)``
+    traces, one per sequence, as ``verdict_from_traces`` took them before it read
+    family blocks: the reference for the verdict on blocks, bit for bit."""
+    tails = [values[-min(TAIL_VALUES, values.size):] for _, _, values in traces]
+    flat = np.concatenate(tails)
+    with np.errstate(invalid="ignore"):
+        diffs = _pairs(flat) - flat
+    moduli = np.abs(diffs)
+    spread = float(moduli.max())
+    if spread < tol:
+        return "limit-exists", complex(np.mean(flat)), spread, None
+    owner = np.repeat(np.arange(len(tails)), [t.size for t in tails])
+    moduli[_pairs(owner) == owner] = 0.0
+    separation = float(moduli.max())
+    witness = None
+    if separation > 0.0:
+        ds, ends = np.nonzero(moduli == separation)
+        others = (ends + ds) % flat.size
+        ps, qs = np.minimum(ends, others), np.maximum(ends, others)
+        k = np.lexsort((qs, ps, owner[qs], owner[ps]))[0]
+        p, q = ps[k], qs[k]
+        witness = (int(owner[p]), int(owner[q]), complex(flat[p]), complex(flat[q]), separation)
+    if witness is not None and witness[4] > NO_LIMIT_FACTOR * tol:
+        return "no-limit", None, spread, witness
+    return "inconclusive", None, spread, witness

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle as O
 from valiron import cli, dynamics
 from valiron.cli import build_grid, build_map, main, run_command
 from valiron.config import (
@@ -268,7 +269,7 @@ def _csv_rows(path):
 def _trace_rows(traces, prefix=""):
     return [
         [prefix + label, str(si), str(k), format_float(v.real), format_float(v.imag)]
-        for label, si, values in traces
+        for label, si, values in O.per_sequence(traces)
         for k, v in enumerate(values, start=1)
     ]
 
@@ -837,3 +838,16 @@ class TestConfigGrammar:
             assert sorted(files) == REPORT_FILES
             again = _run_quietly(config, os.path.join(work, "again"))
             assert again[0] == code and again[4] == files
+
+    def test_a_base_orbit_at_the_double_ceiling_exits_with_one_error_line(self, tmp_path):
+        """A drawn config the derandomized draws miss: the base orbit of
+        siegel_linear at lambda = 1.03e44 ends at Re z = 1.19e308, where 2 Re z
+        overflows.  Its axis distance is finite there, so the gate classifies
+        the orbit and rejects its 8 points."""
+        config = tmp_path / "exp.cfg"
+        config.write_text("command = report-all\nmap = siegel_linear\n"
+                          "lambda = 1.0251885770626082e+44\nN = 3\nn_max = 1\n")
+        code, _, err, caught, files = _run_quietly(str(config), str(tmp_path / "out"))
+        assert (code, caught, files) == (1, [], {})
+        assert err == ("error: multiplier estimation needs >= 16 points, got 8"
+                       " (base orbit stopped: scale overflow at step 7)\n")

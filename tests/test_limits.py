@@ -1,6 +1,9 @@
 """Approach families, limit verdicts, and the boundary behavior checks."""
 
+import importlib.util
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle as O
+from conftest import CHAINS
+from valiron import cli, config, limits
 from valiron.geometry import (
     DomainError,
     LinearProjectionAtInfinity,
@@ -103,7 +108,8 @@ def _bits(x):
 
 
 def _labelled(*values):
-    return [("f", i, np.asarray(v, dtype=np.complex128)) for i, v in enumerate(values)]
+    """One one-row block per sequence, so sequences may hold any number of values."""
+    return [("f", np.asarray(v, dtype=np.complex128)[None, :]) for v in values]
 
 
 def _reference_verdict(tails, tol):
@@ -173,8 +179,8 @@ class TestVerdicts:
                 else:
                     values = 2.0 + 10.0 ** rng.uniform(-6, 0) * (
                         rng.normal(size=size) + 1j * rng.normal(size=size))
-                traces.append((f"f{i % 3}", i, values.astype(np.complex128)))
-            tails = [v[-min(TAIL_VALUES, v.size):] for _, _, v in traces]
+                traces.append((f"f{i % 3}", values.astype(np.complex128)[None, :]))
+            tails = [v[0, -min(TAIL_VALUES, v.size):] for _, v in traces]
             for tol in (1e-7, 1e-4, 1e-2, 10.0):
                 got = verdict_from_traces(traces, tol)
                 assert (got.status, got.value, got.spread, got.witness) == _reference_verdict(
@@ -196,10 +202,10 @@ class TestVerdicts:
                     rng.normal(size=size) + 1j * rng.normal(size=size))
                 hit = rng.uniform(size=size) < 0.1
                 values[hit] = rng.choice(odd, int(hit.sum()))
-                traces.append(("f", i, values.astype(np.complex128)))
-            tails = [v[-min(TAIL_VALUES, v.size):] for _, _, v in traces]
+                traces.append(values.astype(np.complex128))
+            tails = [v[-min(TAIL_VALUES, v.size):] for v in traces]
             for tol in (1e-4, 1e-2, 10.0):
-                got = verdict_from_traces(traces, tol)
+                got = verdict_from_traces(_labelled(*traces), tol)
                 want = _reference_verdict(tails, tol)
                 assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(want), (
                     case, tol)
@@ -272,6 +278,69 @@ class TestVerdicts:
                     want = _reference_verdict(tails, tol)
                     assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(
                         want), (n_traces, case, tol)
+
+    def test_blocks_give_the_verdict_of_their_sequences(self):
+        """Blocks of many rows, some empty, with ties and non-finite values: the
+        verdict of the same sequences one at a time, to the bit."""
+        rng = np.random.default_rng(15)
+        lattice = np.array([0.0, 1.0, 1j, np.nan, np.inf])
+        for case in range(150):
+            traces = []
+            for k in range(int(rng.integers(1, 5))):
+                shape = (int(rng.integers(k == 0, 5)), int(rng.integers(1, 8)))
+                if case % 2:
+                    values = rng.choice(lattice, shape)
+                else:
+                    values = 2.0 + 10.0 ** rng.uniform(-6, 0) * (
+                        rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                traces.append((f"f{k}", values.astype(np.complex128)))
+            for tol in (1e-7, 1e-2, 10.0):
+                got = verdict_from_traces(traces, tol)
+                want = O.per_sequence_verdict(O.per_sequence(traces), tol)
+                assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(want), (
+                    case, tol)
+
+    @pytest.mark.parametrize("configs", ["ci", "bench"])
+    def test_report_all_verdicts_are_those_of_their_sequences(self, tmp_path, monkeypatch,
+                                                              configs):
+        """Every verdict of the report-all configs that CI runs, and of the
+        benchmark's report_all configs of seeds 1, 2, 3 and 11: the verdict of
+        the same sequences one at a time, to the bit."""
+        if configs == "ci":
+            affine = "map = halfplane_affine\nlambda = 2\nb = 1\n"
+            bodies = [affine + "N = 2\nn_max = 60\n", affine + "N = 10\nn_max = 60\n",
+                      "map = halfplane_affine\nlambda = 1.02\nb = 1\nN = 3\nn_max = 2000\n",
+                      "map = siegel_linear\nlambda = 1.05\nN = 2\n",
+                      affine + "N = 3\na = 0.1, 0.2j\nladder_max = 9\nn_max = 60\n",
+                      # fails in its jwc sweeps, after the limits verdicts
+                      affine + "N = 3\na = 1e200, 0\n"]
+            bodies += [affine + f"N = 2\nconjugate = {chain}\nn_max = 60\n" for chain in CHAINS]
+            paths = []
+            for i, body in enumerate(bodies):
+                paths.append(tmp_path / f"ci{i}.cfg")
+                paths[-1].write_text(f"command = report-all\n{body}seed = 1\n")
+        else:
+            spec = importlib.util.spec_from_file_location(
+                "workloads", pathlib.Path(__file__).parents[1] / "bench" / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            valiron = types.SimpleNamespace(config=config)
+            paths = [path for seed in (1, 2, 3, 11) for _, path, _, _ in workloads.ReportAll(
+                valiron, seed, str(tmp_path / f"seed{seed}")).configs]
+        seen = []
+
+        def recorded(traces, tol):
+            got = verdict_from_traces(traces, tol)
+            seen.append((got, O.per_sequence_verdict(O.per_sequence(got.traces), tol)))
+            return got
+
+        monkeypatch.setattr(limits, "verdict_from_traces", recorded)
+        for i, path in enumerate(paths):
+            before = len(seen)
+            cli.main(["run", str(path), "--out", str(tmp_path / f"out{i}")])
+            assert len(seen) > before, path
+        for got, want in seen:
+            assert _bits((got.status, got.value, got.spread, got.witness)) == _bits(want)
 
     def test_one_family_sweep_on_linear_map(self):
         m = make_siegel_linear(2.0, 2)

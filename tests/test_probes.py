@@ -147,14 +147,15 @@ def _families(kind, n_dim, ladder):
 def ref_sweep(h, kind, n_dim, tol=DEFAULT_TOL, ladder=DEFAULT_LADDER, extra=0, seed=0):
     """(verdict, traces of oracle values): the verdict is that of the exact
     values rounded to doubles."""
-    traces = []
+    traces, blocks = [], []
     for fam in _families(kind, n_dim, ladder):
         label = family_label(fam)
-        for i, seq in enumerate(generate_sequences(fam, count=len(fam.seeds) + extra, seed=seed)):
-            traces.append((label, i, h.along(seq)))
-    rounded = [(label, i, np.array([x.double() for x in xs], dtype=np.complex128))
-               for label, i, xs in traces]
-    return verdict_from_traces(rounded, tol), traces
+        seqs = generate_sequences(fam, count=len(fam.seeds) + extra, seed=seed)
+        values = [h.along(seq) for seq in seqs]
+        traces += [(label, i, xs) for i, xs in enumerate(values)]
+        rounded = [[x.double() for x in xs] for xs in values]
+        blocks.append((label, np.array(rounded, np.complex128).reshape(len(seqs), len(fam.ladder))))
+    return verdict_from_traces(blocks, tol), traces
 
 
 def ref_jwc(m, rho, tol, ladder):
@@ -187,9 +188,10 @@ def assert_verdict(got, want):
     """
     verdict, traces = want
     assert got.status == verdict.status
-    assert [t[:2] for t in got.traces] == [t[:2] for t in traces]
+    got_traces = O.per_sequence(got.traces)
+    assert [t[:2] for t in got_traces] == [t[:2] for t in traces]
     slack, top, n = 0.0, 0.0, 0
-    for (_, _, values), (_, _, xs) in zip(got.traces, traces):
+    for (_, _, values), (_, _, xs) in zip(got_traces, traces):
         assert len(values) == len(xs)
         for g, x in zip(values, xs):
             assert O.within(g, x), (g, x.v, x.e)
@@ -238,7 +240,7 @@ def verdict_key(v):
     return (
         v.status, _bits(v.value), _bits(v.spread), _bits(v.tol),
         None if v.witness is None else tuple(map(_bits, v.witness)),
-        tuple((label, i, values.dtype.str, values.tobytes()) for label, i, values in v.traces),
+        tuple((label, block.shape, block.dtype.str, block.tobytes()) for label, block in v.traces),
     )
 
 
@@ -376,7 +378,7 @@ def test_a_map_probe_is_one_call_over_the_whole_plan():
     rows = len(plan._stack())
     assert lengths == [(rows, rows)]
     assert calls == {"batch": 1, "evaluator": 0}
-    assert sum(len(values) for sweep in traces for _, _, values in sweep) > rows
+    assert sum(block.size for sweep in traces for _, block in sweep) > rows
     # a plain point function is evaluated once on every row too
     seen = []
     plan.traces(lambda q: seen.append(q) or q.z, sweeps[0])
@@ -387,7 +389,7 @@ def test_a_map_probe_is_one_call_over_the_whole_plan():
 def test_a_plain_function_in_a_one_sweep_plan_sees_the_rows_it_reads():
     seen = []
     verdict = k_limit(lambda q: seen.append(q) or q.z, 2, ladder=LADDER, extra=1, seed=3)
-    assert len(seen) == sum(len(values) for _, _, values in verdict.traces)
+    assert len(seen) == sum(block.size for _, block in verdict.traces)
 
 
 def test_every_trace_is_complex_whatever_the_probe_returns():
@@ -402,7 +404,7 @@ def test_every_trace_is_complex_whatever_the_probe_returns():
               lambda q: float(q.z.real), lambda q: 1)
     for probe in probes:
         for sweep in sweeps:
-            assert {values.dtype for _, _, values in plan.traces(probe, sweep)} == {
+            assert {block.dtype for _, block in plan.traces(probe, sweep)} == {
                 np.dtype(np.complex128)}
 
 
@@ -601,15 +603,17 @@ def test_limits_csv_is_written_as_before(tmp_path, monkeypatch):
     odd = np.array([-0.0, complex(0.0, -0.0), 1e-310, -1e308 + 5e-324j,
                     complex(math.inf, math.nan), 2.0 + 1e-17j, 0.1 + 0.2j])
     rng = np.random.default_rng(3)
-    traces = [("koranyi(M=2)", 0, odd), ("part1:zero-special(C=0;T=0)", 11, odd[::-1]),
-              ("radial", 2, rng.normal(size=9) * 10.0 ** rng.integers(-30, 30, 9) + 0j),
+    traces = [("koranyi(M=2)", np.stack((odd, odd[::-1]))),
+              ("part1:zero-special(C=0;T=0)", odd[None, ::-1]),
+              ("radial", (rng.normal(size=9) * 10.0 ** rng.integers(-30, 30, 9) + 0j).reshape(3, 3)),
               # labels csv.writer quotes, and % signs the row template must escape
-              ("c-special(C=0,5;T=1)", 3, odd[:2]), ('say "limit"', 4, odd[2:5]),
-              ('%s, %%d and "%.17g"', 5, odd[1:4]), ("%", "6,%", odd[:1]),
-              ("no values", 7, odd[:0]), ("real values", 8, np.array([1.5, -0.0, 1e300]))]
+              ("c-special(C=0,5;T=1)", odd[:2, None]), ('say "limit"', odd[None, 2:5]),
+              ('%s, %%d and "%.17g"', odd[None, 1:4]), ("%", odd[None, :1]),
+              ("no sequences", odd[:0].reshape(0, 7)), ("no values", np.zeros((2, 0))),
+              ("real values", np.array([[1.5, -0.0, 1e300]]))]
     path = tmp_path / "limits.csv"
     for chunk_rows in (2, reports.CHUNK_ROWS):
         monkeypatch.setattr(reports, "CHUNK_ROWS", chunk_rows)
         write_limits_csv(path, traces)
         with open(path, newline="") as handle:
-            assert handle.read() == _reference_csv(traces), chunk_rows
+            assert handle.read() == _reference_csv(O.per_sequence(traces)), chunk_rows

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import oracle as O
 from valiron import cli, reports
 from valiron.config import parse_config
 from valiron.dynamics import compute_orbit
@@ -56,11 +57,11 @@ def _reference_valiron_csv(points, sigma, residuals) -> str:
 
 
 def _per_trace_limits_csv(handle, traces) -> None:
-    """The limits writer that formats one trace at a time."""
+    """The limits writer that formats one sequence at a time."""
     line = io.StringIO()
     quoted = csv.writer(line, lineterminator="\n")
     handle.write("family,seq_id,k,re_h,im_h\n")
-    for family, seq_id, values in traces:
+    for family, seq_id, values in O.per_sequence(traces):
         line.seek(0)
         line.truncate()
         quoted.writerow([family, str(seq_id), ""])
@@ -122,22 +123,22 @@ def test_valiron_csv_is_written_as_before(tmp_path, chunk_rows, n_dim):
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 7, reports.CHUNK_ROWS])
 def test_limits_csv_is_written_as_by_the_per_trace_writer(tmp_path, monkeypatch, rows):
-    """Chunks of ``rows`` rows: boundaries fall inside traces and between them."""
+    """Chunks of ``rows`` rows: boundaries fall inside families and between them."""
     monkeypatch.setattr(reports, "CHUNK_ROWS", rows)
     rng = np.random.default_rng(rows)
     odd = np.array([complex(a, b) for a, b in zip(ODD, ODD[::-1])])
     cases = {
         "no traces": [],
-        "empty traces": [("koranyi(M=2)", 0, odd[:0]), ("radial", 1, np.zeros(0))],
-        "one trace": [("zero-special(C=0;T=0)", 3, odd)],
+        "empty traces": [("koranyi(M=2)", odd[:0].reshape(0, 7)), ("radial", np.zeros((1, 0)))],
+        "one trace": [("zero-special(C=0;T=0)", odd[None, :])],
         "labels": [
-            ("c-special(C=0,5;T=1)", 0, odd[:3]), ('say "limit"', 1, odd[3:4]),
-            ('%s, %%d and "%.17g"', "2,%", odd[:0]), ("%", '"7"', odd[4:11]),
-            ("", "", odd[:2]), ("part1:koranyi(M=1.5)", 12, np.array([1.5, -0.0, 1e300])),
+            ("c-special(C=0,5;T=1)", odd[None, :3]), ('say "limit"', odd[None, 3:4]),
+            ('%s, %%d and "%.17g"', odd[:0].reshape(1, 0)), ("%", odd[None, 4:11]),
+            ("", odd[:2, None]), ("part1:koranyi(M=1.5)", np.array([[1.5, -0.0, 1e300]])),
         ],
-        "many": [(f"koranyi(M={m:g})", i, rng.normal(size=int(rng.integers(0, 9)))
+        "many": [(f"koranyi(M={m:g})", rng.normal(size=tuple(rng.integers(0, 9, 2)))
                   * 10.0 ** rng.integers(-30, 30) + 1j * rng.normal())
-                 for m in (1.5, 2.0, 4.0) for i in range(9)],
+                 for m in (1.5, 2.0, 4.0) for _ in range(3)],
     }
     for name, traces in cases.items():
         path = tmp_path / "limits.csv"
@@ -168,7 +169,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("rows", [1, 3, reports.CHUNK_ROWS])
 def test_repeated_values_print_by_their_bits(tmp_path, monkeypatch, rows):
     """Every writer against its reference, on columns that repeat each odd value many
-    times, across chunk boundaries and, in the limit traces, across trace boundaries."""
+    times, across chunk boundaries and, in the limit traces, across sequence and family
+    boundaries."""
     monkeypatch.setattr(reports, "CHUNK_ROWS", rows)
     rng = np.random.default_rng(rows)
 
@@ -186,10 +188,10 @@ def test_repeated_values_print_by_their_bits(tmp_path, monkeypatch, rows):
     assert _read(tmp_path / "valiron.csv") == _reference_valiron_csv(points, sigma, residuals)
 
     traces = []
-    for i in range(12):
-        n = int(rng.integers(0, 6))
-        traces.append(("koranyi(M=2)" if i % 2 else "radial", i % 3,
-                       _complex(_repeating(rng, n), _repeating(rng, n)[::-1])))
+    for i in range(6):
+        n, rungs = (int(k) for k in rng.integers(0, 6, 2))
+        values = _complex(_repeating(rng, n * rungs), _repeating(rng, n * rungs)[::-1])
+        traces.append(("koranyi(M=2)" if i % 2 else "radial", values.reshape(n, rungs)))
     write_limits_csv(tmp_path / "limits.csv", traces)
     want = io.StringIO()
     _per_trace_limits_csv(want, traces)
