@@ -14,6 +14,7 @@ line of its key.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -177,6 +178,10 @@ def _validate(cfg: ExperimentConfig, lines: dict) -> None:
     def where(key: str) -> str:
         return f"line {lines[key]}: " if key in lines else ""
 
+    for key, field_name in (("lambda", "lam"), ("b", "b"), ("A", "a_mult")):
+        val = getattr(cfg, field_name)
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"{where(key)}{key} = {val!r} is not finite")
     for key, field_name in (("lambda", "lam"), ("A", "a_mult")):
         val = getattr(cfg, field_name)
         if val is not None and not val > 1.0:

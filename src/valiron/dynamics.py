@@ -38,7 +38,7 @@ from .geometry import (
     max_kobayashi,
     siegel_height,
 )
-from .maps import SCALE_LIMIT, HoloMap, _images
+from .maps import SCALE_LIMIT, HoloMap, _entered, _images
 
 SPECIAL_RESIDUAL_TOL = 1e-6
 AMBIGUITY_BAND = 1e-9
@@ -151,9 +151,8 @@ def _conjugated_orbit(m: HoloMap, start: Union[SiegelPoint, Orbit], n_steps: int
         if n_steps <= 0:
             return Orbit(map=m, points=kept)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = apply_automorphism_arrays(t.inverse(), kept.z, kept.w)
             try:
-                check_siegel_arrays(*pre)
+                pre = _entered(m, kept.z, kept.w)[2:4]
             except (OverflowError, NonFiniteError):
                 return Orbit(map=m, points=kept, cutoff="scale overflow at step 0")
         inner = Orbit(map=phi, points=SiegelBatch._checked(*pre))

@@ -473,16 +473,25 @@ class SiegelBatch:
         Rows where the distance is 0 give 0, rows where it is infinite give
         values >= 1, and NaN stays NaN; ``max_kobayashi`` turns these into
         the largest distance.  Raises the ``OverflowError`` that the scalar
-        distance raises where ``abs`` overflows from finite parts.  With e
-        the error of the ratio ``4 h_P h_Q / |s|^2`` (a few u of it, more
-        where a height cancels), a value t is within min(e / t, sqrt(e)),
-        plus a rounding, of the exact one.
+        distance raises where ``abs`` overflows from finite parts.  Rows
+        where the sum ``s`` itself overflows, as ``2 Re z`` does from
+        Re z ~ 9e307, take half the sum and the ratio as ``(h_P / |s/2|)
+        (h_Q / |s/2|)``; on an axis pair this is ``axis_tanh``'s ``h / Re z``
+        bit for bit.  With e the error of the ratio ``4 h_P h_Q / |s|^2`` (a
+        few u of it, more where a height cancels), a value t is within
+        min(e / t, sqrt(e)), plus a rounding, of the exact one.
         """
         if self.dim != other.dim:
             raise DomainError("dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):
             s = other.z + self.z.conj() - 2.0 * _herm_rows(other.w, self.w)
-            ratio = _height_ratio(self.height(), other.height(), _abs_rows(s))
+            h_p, h_q, mod = self.height(), other.height(), _abs_rows(s)
+            ratio = _height_ratio(h_p, h_q, mod)
+            if not mod.max(initial=0.0) < math.inf:
+                over = ~np.isfinite(s)
+                half = _abs_rows(0.5 * other.z[over] + 0.5 * self.z[over].conj()
+                                 - _herm_rows(other.w[over], self.w[over]))
+                ratio[over] = (h_p[over] / half) * (h_q[over] / half)
             return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
     def project(self, rho: "LinearProjectionAtInfinity") -> "SiegelBatch":
@@ -790,13 +799,23 @@ def apply_automorphism_arrays(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarra
     finite part of an image whose other part overflows: numpy divides by x
     as by x + 0i, and 0 * inf is NaN.
     """
+    z_out = _first_coordinate(t, z, w)
     if t.a.size:
-        z, w = _shift_rows(z, w, t.a, "translation"), w + t.a
+        w = w + t.a
+    if t.x != 1.0:
+        w = w / math.sqrt(t.x)
+    return z_out, w
+
+
+def _first_coordinate(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """pi_1 of ``apply_automorphism_arrays``, bit for bit; ``z`` itself for the identity."""
+    if t.a.size:
+        z = _shift_rows(z, w, t.a, "translation")
     if t.y:
         z = z - 1j * t.y
     if t.x != 1.0:
-        z, w = z / t.x, w / math.sqrt(t.x)
-    return z, w
+        z = z / t.x
+    return z
 
 
 # -- Linear projections onto parallel axes -----------------------------------
@@ -849,7 +868,9 @@ def left_inverse_value(rho: LinearProjectionAtInfinity, q: SiegelPoint) -> compl
 def _halfplane_distances(z1, z2) -> np.ndarray:
     """``halfplane_distance`` of every pair of ``z1`` and ``z2``, which broadcast."""
     z1, z2 = np.asarray(z1, np.complex128), np.asarray(z2, np.complex128)
-    if (z1.real <= 0.0).any() or (z2.real <= 0.0).any():
+    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+        raise NonFiniteError("non-finite coordinates")
+    if not ((z1.real > 0.0).all() and (z2.real > 0.0).all()):
         raise DomainError("half-plane distance needs Re z > 0")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r = _abs_rows(z1 - z2) / _abs_rows(z1 + z2.conj())

@@ -13,6 +13,8 @@ known, used as oracles, each defined so:
 
 ``evaluate_batch`` runs a Siegel-side map on arrays of points through
 ``batch``, or T and the inner map; black boxes alone go point by point.
+The rows of a conjugate enter its inner map by T^-1 in one function,
+``_entered``, through which every evaluation, orbit, run and replay goes.
 Evaluators are pure; per-point work is independent, so results never depend
 on evaluation order, and a row gets the same bits alone as inside any batch.
 """
@@ -31,6 +33,8 @@ from .geometry import (
     BoundaryDirection,
     DomainError,
     INFINITY,
+    NonFiniteError,
+    SiegelAutomorphism,
     SiegelPoint,
     _checked_point,
     apply_automorphism_arrays,
@@ -43,6 +47,7 @@ from .geometry import (
 # Hard ceiling for raw iteration; past this the renormalized pipeline is the
 # only honest representation.
 SCALE_LIMIT = 1e300
+_IDENTITY = SiegelAutomorphism()  # the T that reads sigma off a map that is not a conjugate
 
 
 class ScaleOverflowError(OverflowError):
@@ -68,7 +73,7 @@ class PsiChoice:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if abs(self.param) >= 1.0:
+            if not abs(self.param) < 1.0:  # NaN fails too
                 raise DomainError("constant psi needs |param| < 1")
         elif self.kind not in ("cayley", "oscillating"):
             raise DomainError(f"unknown psi kind {self.kind!r}")
@@ -163,14 +168,9 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     ``SiegelPoint`` checks it, before any row is mapped; then ``_images``
     maps the rows and checks the images.
     """
-    _check_inputs(m, z, w)
-    return _images(m, z, w)[:2]
-
-
-def _check_inputs(m: HoloMap, z: np.ndarray, w: np.ndarray) -> None:
-    """The checks ``evaluate_batch`` makes before it maps any row."""
     _check_siegel_side(m)
     check_siegel_arrays(z, w)
+    return _images(m, z, w)[:2]
 
 
 def _check_siegel_side(m: HoloMap) -> None:
@@ -186,10 +186,9 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     this: each step's input rows are the checked start or the previous
     checked images, bit for bit.  The side and the width are tested first;
     then a map with ``batch``, the common case, runs on the whole arrays.
-    A conjugate ``t o inner o t^-1`` applies T^-1
-    (``apply_automorphism_arrays``), checks those rows as
-    ``evaluate_batch`` does, maps them by ``_images`` of ``inner`` and
-    applies T.  A black box is evaluated point by point: it gets each row
+    A conjugate ``t o inner o t^-1`` enters its rows (``_entered``), maps
+    them by ``_images`` of ``inner`` and applies T.  A black box is
+    evaluated point by point: it gets each row
     as a ``SiegelPoint`` over a read-only row of one copy of ``w``, not
     checked again, and returns points, checked when made.
 
@@ -205,10 +204,8 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     if m.batch is not None:
         z, w = m.batch(z, w)
     elif m.conjugation is not None:
-        phi, t = m.conjugation
-        pre = apply_automorphism_arrays(t.inverse(), z, w)
-        _check_inputs(phi, *pre)
-        z, w = apply_automorphism_arrays(t, *_images(phi, *pre)[:2])
+        phi, t, z, w, _ = _entered(m, z, w)
+        z, w = apply_automorphism_arrays(t, *_images(phi, z, w)[:2])
     else:
         w = w.copy()  # one copy for the batch: a box may keep its input points
         w.setflags(write=False)
@@ -219,6 +216,18 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     return z, w, check_siegel_arrays(z, w)
 
 
+def _entered(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
+    """``(phi, t, z, w, top)``: the map that steps the checked rows of ``m``, the T
+    whose first coordinate reads sigma off them, and the rows that ``phi`` steps.
+    The one place where rows are mapped by T^-1: a conjugate maps them and checks
+    them once (``top``, that check's bound); any other map keeps them, the identity and inf."""
+    if m.conjugation is None:
+        return m, _IDENTITY, z, w, math.inf
+    phi, t = m.conjugation
+    z, w = apply_automorphism_arrays(t.inverse(), z, w)
+    return phi, t, z, w, check_siegel_arrays(z, w)
+
+
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
     """``m(q)`` as a one-row ``_images`` (``q`` was checked when made), without overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,8 +236,16 @@ def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:
     return _checked_point(complex(z[0]), w[0])
 
 
+def _check_finite(*params: tuple) -> None:
+    """Raise NonFiniteError naming the first ``(name, value)`` pair whose value is not finite."""
+    for name, value in params:
+        if not math.isfinite(value):
+            raise NonFiniteError(f"non-finite map parameter {name} = {value!r}")
+
+
 def make_siegel_linear(lam: float, n_dim: int) -> HoloMap:
     """Hyperbolic linear model (z, w) -> (lam z, sqrt(lam) w); sigma = z."""
+    _check_finite(("lambda", lam))
     if not lam > 1.0:
         raise DomainError("hyperbolicity requires lam > 1")
     root = math.sqrt(lam)
@@ -253,6 +270,7 @@ def make_halfplane_affine(lam: float, b: float, n_dim: int) -> HoloMap:
 
     The drift constant is L = b / (lam - 1), so that sigma(phi) = lam sigma.
     """
+    _check_finite(("lambda", lam), ("b", b))
     if not lam > 1.0:
         raise DomainError("hyperbolicity requires lam > 1")
     root = math.sqrt(lam)
@@ -283,6 +301,7 @@ def make_valiron_example(a_mult: float, psi: PsiChoice) -> HoloMap:
     image is within a few u of |A z| + |A w^2 psi(z)| (psi's complex
     quotient, or log and exp, included).
     """
+    _check_finite(("A", a_mult))
     if not a_mult > 1.0:
         raise DomainError("hyperbolicity requires A > 1")
 
@@ -372,10 +391,10 @@ def conjugate_map(m: HoloMap, t) -> HoloMap:
 
     It keeps ``(m, t)`` as its ``conjugation``, and its iterates telescope,
     ``(T phi T^-1)^n = T phi^n T^-1``: ``compute_orbit`` gives T of the
-    orbit of ``m``, in one array call, and carries that inner orbit.  The
-    renormalized step and ``sigma_at`` step the rows of T^-1(q) on ``m``
-    and take only the first coordinate of T of the images (see ``renorm``).
-    ``evaluate_batch`` maps T^-1(q) by ``m`` and applies T (see
+    orbit of ``m``, in one array call, and carries that inner orbit.  Rows
+    enter ``m`` by T^-1 in ``_entered`` alone; the renormalized step,
+    ``sigma_at`` and ``residual_at`` take only the first coordinate of T
+    (see ``renorm``), and ``evaluate_batch`` applies T to the images (see
     ``_images``).  Raises ``NonFiniteError`` where T^-1 is not finite.
     """
     if m.domain != "siegel":

@@ -9,8 +9,8 @@ converge to the solution of sigma o phi = lam sigma, unique up to a positive
 factor, with Re sigma(1, 0) = 1 at the base (1, 0), the Cayley image of the
 ball's origin.  This module steps the rows phi^n(Z) themselves: each step
 evaluates phi on the previous step's checked images, bit for bit, checks
-the new images once, and reads x_{n+1} = Re z of the base image and the
-sigma column pi_1 / x_{n+1}.  The renormalized state
+the new images once, and reads the sigma column pi_1 / x_{n+1}, with
+x_{n+1} = Re pi_1 of the base image.  The renormalized state
 
     S_n(Z) = (pi_1(phi^n(Z)) / x_n,  pi_w(phi^n(Z)) / sqrt(x_n))
 
@@ -31,18 +31,18 @@ One step, ``_step``, serves run_valiron, which makes one state at the end,
 and ``advance``, which wraps it for the state API and keeps the raw rows
 on the state it makes.  A state made otherwise (``replace`` included) is
 de-normalized and checked in full before its step.  run_valiron stores the
-scale pair (x_n, x_{n+1}) of each step on the result; ValironResult.sigma_at
-steps new points as many times and divides by the last x_{n+1}, so
-off-grid values come from the very recursion that produced the grid
-values, without evaluating the base orbit again.
+scale pair (x_n, x_{n+1}) of each step on the result; ``sigma_at`` and
+``residual_at`` replay as many steps on new rows and read them out over the
+last x_{n+1}, so off-grid values come from the very recursion that produced
+the grid values, without evaluating the base orbit again.
 
 A conjugated map T o phi o T^-1 (``conjugate_map``) is stepped on its
-inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  The
-rows are phi^n(T^-1 q), with T^-1 of the rows checked once where
-``initial_state`` or ``sigma_at`` makes them; a step evaluates phi alone,
-and x_n is still Re pi_1 of the conjugated base orbit.  Only the first
-coordinate of T is taken of the images, once per step, and divided by
-x_{n+1}: that column is sigma_{n+1}, tested for finiteness.
+inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  Rows
+enter once, by T^-1 and one check (``maps._entered``), where
+``initial_state``, ``sigma_at`` or ``residual_at`` makes them; images are
+taken by phi alone, so no row is mapped by T and back.  The read-out takes
+pi_1 of T alone (T the identity for a map that is not a conjugate), once
+per step; that column is sigma_{n+1}, tested for finiteness.
 """
 
 from __future__ import annotations
@@ -71,13 +71,15 @@ from .geometry import (
     SiegelAutomorphism,
     SiegelBatch,
     SiegelPoint,
-    apply_automorphism_arrays,
+    _first_coordinate,
     check_siegel_arrays,
 )
 from .maps import (
     HoloMap,
     SCALE_LIMIT,
     ScaleOverflowError,
+    _IDENTITY,
+    _entered,
     _images,
     make_siegel_map_from_ball,
 )
@@ -157,10 +159,9 @@ class RenormalizedState:
     ``z``/``w`` hold S_n on the rows: row 0 is the orbit of the base (1, 0),
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
     on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
-    and ``sigma_img`` are read from ``sigma_col`` when the state is made:
-    for a conjugated map, whose rows are the inner rows phi^n(T^-1 Z)
-    packed by x_n, the first coordinate of T of the raw rows over x_n;
-    else None, which reads ``z``.  ``log_x`` is the base scale in log-space; ``scales`` is the pair
+    and ``sigma_img`` are read from ``sigma_col``, the sigma column of the
+    step that made the state (``_sigma_column``), when the state is made.
+    ``log_x`` is the base scale in log-space; ``scales`` is the pair
     (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
 
     ``initial_state`` and ``advance`` also keep on the state they make its
@@ -176,16 +177,15 @@ class RenormalizedState:
     log_x: float
     z: np.ndarray
     w: np.ndarray
+    sigma_col: np.ndarray
     scales: tuple = ()
-    sigma_col: Optional[np.ndarray] = None
     _raw: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z.setflags(write=False)
         self.w.setflags(write=False)
-        col = self.z if self.sigma_col is None else self.sigma_col
+        col, g = self.sigma_col, len(self.sigma_col) // 2 + 1
         col.setflags(write=False)
-        g = len(col) // 2 + 1
         self.__dict__.update(base_sigma=complex(col[0]), sigma=col[1:g], sigma_img=col[g:])
 
     @property
@@ -213,53 +213,42 @@ def _schroder_defect(s_img: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray
     return np.abs(s_img - lam * s) / (1.0 + np.abs(s))
 
 
-def _stepper(m: HoloMap) -> tuple:
-    """``(phi, t)``: the map a renormalized step of ``m`` evaluates, and the T
-    whose first coordinate gives sigma (None where that is the rows' own)."""
-    return (m, None) if m.conjugation is None else m.conjugation
-
-
-def _step(phi: HoloMap, t: Optional[SiegelAutomorphism], z: np.ndarray, w: np.ndarray,
-          top: float) -> tuple:
+def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, top: float) -> tuple:
     """One step of the raw rows phi^n(Z): ``(z, w, top, col, x_next)`` of the images.
 
-    ``top`` bounds every component of the rows (inf: not known, then the
-    largest is measured); past SCALE_LIMIT the images may leave the double
-    range, and ScaleOverflowError is raised instead.  ``_images`` checks
-    the images once and returns their bound.  x_{n+1} is Re z of row 0,
-    the base, or with a ``t``, Re pi_1 of T of it; ``col`` is the sigma
-    column, the images' z, or pi_1 of T of them (``_sigma_column``), over
-    x_{n+1}.
+    The rows entered ``m`` already (``_entered``), so its ``phi`` maps them
+    and its ``t`` reads the sigma column off the images.  ``top`` bounds
+    every component of the rows (inf: not known, then the largest is
+    measured); past SCALE_LIMIT the images may leave the double range, and
+    ScaleOverflowError is raised instead.  ``_images`` checks the images
+    once and returns their bound.
     """
     if (top if top < math.inf else _magnitude(z, w)) > SCALE_LIMIT:
         raise ScaleOverflowError("evaluation would exceed the double-precision range")
+    phi, t = m.conjugation or (m, _IDENTITY)
     z, w, top = _images(phi, z, w)
-    if t is not None:
-        col, x_next = _sigma_column(t, z, w)
-    else:
-        x_next = float(z[0].real)
-        col = z / x_next
-    return z, w, top, col, x_next
+    return (z, w, top, *_sigma_column(t, z, w))
 
 
 def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
                   x_next: Optional[float] = None) -> tuple:
-    """pi_1 of T on the image rows of an inner step, packed by x_{n+1}, and x_{n+1}.
+    """pi_1 of T on the rows that a step evaluates, packed by x_{n+1}, and x_{n+1}.
 
-    x_{n+1} is ``x_next`` if given, else Re pi_1 of T of row 0, the base.
-    Raises NonFiniteError, as the check of a row would, where pi_1 is not
-    finite.
+    T is ``_entered``'s: the identity, which hands back the rows' z, checked
+    with them, for a map that is not a conjugate.  x_{n+1} is ``x_next`` if
+    given, else Re pi_1 of T of row 0, the base.  Raises NonFiniteError, as
+    the check of a row would, where pi_1 is not finite; a caller that minds
+    the overflow warning holds ``np.errstate``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        col = apply_automorphism_arrays(t, z, w)[0]
-    if not np.isfinite(col).all():
+    col = _first_coordinate(t, z, w)
+    if col is not z and not np.isfinite(col).all():
         raise NonFiniteError("non-finite coordinates")
     x_next = float(col[0].real) if x_next is None else x_next
     return col / x_next, x_next
 
 
 def _made(n: int, z: np.ndarray, w: np.ndarray, top: float, x: float,
-          col: Optional[np.ndarray], scales: tuple = ()) -> RenormalizedState:
+          col: np.ndarray, scales: tuple = ()) -> RenormalizedState:
     """The state of the raw rows ``z``/``w`` at step ``n`` and scale ``x``: S_n =
     (z / x, w / sqrt(x)), with the rows, their bound ``top`` and x kept for the next step."""
     z.setflags(write=False)
@@ -270,20 +259,24 @@ def _made(n: int, z: np.ndarray, w: np.ndarray, top: float, x: float,
     return state
 
 
+def _stacked(m: HoloMap, z: np.ndarray, w: np.ndarray, first: int) -> tuple:
+    """``(phi, t, z, w, top, col)``: the checked rows ``z``/``w`` entered once
+    (``_entered``), with the images by ``phi`` of rows ``first:``, checked
+    once, stacked below; ``top`` bounds both checks (inf: not known), and
+    ``col``, sigma_0 of the stack, is the rows' own z, then pi_1 of T of the images."""
+    phi, t, z_in, w_in, top = _entered(m, z, w)
+    img_z, img_w, img_top = _images(phi, z_in[first:], w_in[first:])
+    col = np.concatenate((z, _sigma_column(t, img_z, img_w, 1.0)[0]))
+    return phi, t, np.concatenate((z_in, img_z)), np.concatenate((w_in, img_w)), max(top, img_top), col
+
+
 def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
-    """S_0 on the rows: the base (1, 0), the grid and the grid's images."""
+    """S_0 on the rows: the base (1, 0) and the grid, entered once, then the grid's images."""
     points, base = grid.points, _base(m.dim)
     if points.dim != m.dim:
         raise DomainError("points of different dimensions")
-    # the grid was checked when it was built: only its images are checked
-    img_z, img_w, _ = _images(m, points.z, points.w)
-    z = np.concatenate(([base.z], points.z, img_z))
-    w = np.concatenate((base.w[None, :], points.w, img_w))
-    col, top, t = None, math.inf, _stepper(m)[1]
-    if t is not None:
-        # sigma_0 is the z of the rows; the first step evaluates their T^-1, checked once
-        col, (z, w) = z, apply_automorphism_arrays(t.inverse(), z, w)
-        top = check_siegel_arrays(z, w)
+    z, w, top, col = _stacked(m, np.concatenate(([base.z], points.z)),
+                              np.concatenate((base.w[None, :], points.w)), 1)[2:]
     return _made(0, z, w, top, base.z.real, col)
 
 
@@ -298,7 +291,6 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     does, so the scale ceiling is tested before the step and raised loudly
     instead of silently producing infinities.
     """
-    phi, t = _stepper(m)
     if state._raw is None:
         if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
             raise ScaleOverflowError("evaluation would exceed the double-precision range")
@@ -307,8 +299,9 @@ def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
         top = check_siegel_arrays(z, w)
     else:
         z, w, top, x_n = state._raw
-    z, w, top, col, x_next = _step(phi, t, z, w, top)
-    return _made(state.n + 1, z, w, top, x_next, None if t is None else col, (x_n, x_next))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        z, w, top, col, x_next = _step(m, z, w, top)
+    return _made(state.n + 1, z, w, top, x_next, col, (x_n, x_next))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,53 +331,44 @@ class ValironResult:
     scale_pairs: tuple
 
     def sigma_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
-        """Evaluate the converged sigma at arbitrary points.
+        """Evaluate the converged sigma at arbitrary points by a replay of the run (``_replayed``)."""
+        return self._replayed(points, False)
 
-        Steps the points as many times as the run stepped, each step one
-        ``_images`` that checks the images once, and divides by the run's
-        last x_{n+1}: the points ride along the same base orbit, and
-        off-grid probes use exactly the pipeline that produced the grid
-        samples.  A conjugated map's replay maps the points by T^-1 once,
-        checks those rows, steps them on the inner map, and takes the first
-        coordinate of T of the last images.
+    def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
+        """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|), by one
+        replay of the points and their images stacked; on the grid, bit for bit
+        the run's ``schroder_residuals``."""
+        s = self._replayed(points, True)
+        n = len(s) // 2
+        return _schroder_defect(s[n:], s[:n], self.multiplier)
+
+    def _replayed(self, points: Sequence[SiegelPoint], images: bool) -> np.ndarray:
+        """sigma of the points, then of their images (``_stacked``) if ``images``.
+
+        The points, of the map's width, enter once, then ride along the base
+        orbit: they are stepped as many times as the run stepped, each step
+        one ``_images`` that checks the images once, and read out by
+        ``_sigma_column`` over the last x_{n+1}, as the run read the grid.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
         if not len(points):
             return np.zeros(0, dtype=np.complex128)
         batch = SiegelBatch.from_points(points)
-        if batch.w.shape[1] != self.map.dim - 1:  # a run with no stored step evaluates nothing
+        if batch.w.shape[1] != self.map.dim - 1:  # before the rows enter, even with no stored step
             raise DomainError(
                 f"points of dimension {batch.w.shape[1] + 1} for a map of dimension {self.map.dim}")
-        z, w = batch.z, batch.w
+        if images:
+            phi, t, z, w, _, col = _stacked(self.map, batch.z, batch.w, 0)
+        else:
+            phi, t, z, w, _ = _entered(self.map, batch.z, batch.w)
+            col = batch.z
         if not self.scale_pairs:
-            return z / 1.0  # x_0, Re z of the base (1, 0)
-        phi, t = _stepper(self.map)
-        if t is not None:
-            z, w = apply_automorphism_arrays(t.inverse(), z, w)
-            check_siegel_arrays(z, w)
+            return col / 1.0  # x_0, Re z of the base (1, 0)
         for _ in self.scale_pairs:
             z, w, _ = _images(phi, z, w)
-        x_last = self.scale_pairs[-1][1]
-        return z / x_last if t is None else _sigma_column(t, z, w, x_last)[0]
-
-    def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
-        """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|).
-
-        One map evaluation gives the images, checked once; one replay of
-        sigma runs over the points, checked when they were made, and the
-        images stacked.
-        """
-        if not isinstance(points, SiegelBatch):
-            points = tuple(points)
-        if not len(points):
-            return np.zeros(0)
-        points = SiegelBatch.from_points(points)
-        img_z, img_w, _ = _images(self.map, points.z, points.w)
-        n = len(points)
-        s = self.sigma_at(SiegelBatch._checked(
-            np.concatenate((points.z, img_z)), np.concatenate((points.w, img_w))))
-        return _schroder_defect(s[n:], s[:n], self.multiplier)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pi_1 raises
+            return _sigma_column(t, z, w, self.scale_pairs[-1][1])[0]
 
 
 def _multiplier_excess_decays(probe: Orbit) -> bool:
@@ -499,7 +483,6 @@ def run_valiron(
     # the steps of advance, on the raw rows; one state is made at the end.  An
     # image that overflows fails its check: numpy's warning would say it twice
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, t = _stepper(m)
         base = _base(m.dim)  # the base orbit, until it is the probe
         probe_at = PROBE_MIN_STEPS  # None once the gate has passed
         row_z, row_w, scale_pairs, cauchy = [], [], [], []
@@ -517,7 +500,7 @@ def run_valiron(
             row_w.append(w[0])
         for _ in range(n_max if failed is None else 0):
             try:
-                z, w, top, col, x_next = _step(phi, t, z, w, top)
+                z, w, top, col, x_next = _step(m, z, w, top)
             except ScaleOverflowError:  # a black box that iterates raw may raise it too
                 ceiling = len(cauchy)
                 break
@@ -556,7 +539,7 @@ def run_valiron(
             if failed is not None:
                 raise failed
     if scale_pairs:
-        state = _made(len(cauchy), z, w, top, x_n, None if t is None else col, scale_pairs[-1])
+        state = _made(len(cauchy), z, w, top, x_n, col, scale_pairs[-1])
 
     outside = not classification.special
     warnings = []

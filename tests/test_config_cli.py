@@ -851,3 +851,24 @@ class TestConfigGrammar:
         assert (code, caught, files) == (1, [], {})
         assert err == ("error: multiplier estimation needs >= 16 points, got 8"
                        " (base orbit stopped: scale overflow at step 7)\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, body", [
+        ("lambda", "map = halfplane_affine\nlambda = {}\nb = 1\nN = 2\n"),
+        ("b", "map = halfplane_affine\nlambda = 2\nb = {}\nN = 2\n"),
+        ("A", "map = valiron_example\nA = {}\npsi = cayley\n"),
+        ("psi", "map = valiron_example\nA = 2\npsi = constant({})\n"),
+    ])
+    def test_a_non_finite_map_parameter_names_its_line(self, tmp_path, key, body, value):
+        """Fixed cases the derandomized draws rarely hit: a NaN or infinite
+        lambda, b, A or constant psi is rejected when the config is parsed, with
+        one error line naming the key's line (3 or 4), not by a base orbit cut
+        at step 0."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"command = report-all\n{body.format(value)}seed = 1\n")
+        code, out, err, caught, files = _run_quietly(str(config), str(tmp_path / "out"))
+        assert (code, out, caught, files) == (1, "", [], {})
+        line = 1 + next(i for i, text in enumerate(body.splitlines(), 1)
+                        if text.startswith(f"{key} ="))
+        assert err.count("\n") == 1 and err.startswith(f"error: line {line}: "), err
+        assert "need at least 2 points" not in err

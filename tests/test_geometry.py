@@ -316,6 +316,18 @@ class TestKobayashi:
         with pytest.raises(DomainError, match="Re z > 0"):
             _halfplane_distances(1.0, np.append(z2, -1.0))
 
+    def test_halfplane_distance_rejects_non_finite_points(self):
+        """NaN passes a test for Re z <= 0, and inf one for Re z > 0: both are
+        rejected, in either argument and in any row of the array form."""
+        z2 = np.array([2.0, 3.0 + 1j])
+        for bad in (math.nan, math.inf, complex(1.0, math.nan), complex(1.0, -math.inf)):
+            with pytest.raises(NonFiniteError):
+                halfplane_distance(bad, 1.0)
+            with pytest.raises(NonFiniteError):
+                halfplane_distance(1.0, bad)
+            with pytest.raises(NonFiniteError):
+                _halfplane_distances(1.0, np.append(z2, bad))
+
     def test_stable_at_extreme_heights(self):
         # ball coordinates would round onto the sphere here
         p = SiegelPoint(2.0 ** 64, np.zeros(1))

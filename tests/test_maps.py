@@ -14,6 +14,7 @@ from valiron.geometry import (
     INFINITY,
     BoundaryDirection,
     DomainError,
+    NonFiniteError,
     SiegelAutomorphism,
     SiegelPoint,
     apply_automorphism,
@@ -63,6 +64,11 @@ class TestPsi:
         with pytest.raises(DomainError):
             PsiChoice("quadratic", 1.0)
 
+    def test_a_non_finite_constant_is_rejected(self):
+        for c in (math.nan, complex(0.0, math.nan), math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"\|param\| < 1"):
+                PsiChoice("constant", c)
+
 
 class TestConstructors:
     def test_linear_needs_hyperbolicity(self):
@@ -70,6 +76,21 @@ class TestConstructors:
             make_siegel_linear(1.0, 2)
         with pytest.raises(DomainError):
             make_valiron_example(0.5, PsiChoice("constant", 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_are_rejected(self, bad):
+        """A NaN or infinite lambda, b or A raises where the map is made, naming
+        the parameter, before a run can cut its base orbit at step 0."""
+        makers = {
+            "lambda": lambda: make_siegel_linear(bad, 2),
+            "b": lambda: make_halfplane_affine(2.0, bad, 2),
+            "A": lambda: make_valiron_example(bad, PsiChoice("cayley")),
+        }
+        for name, make in makers.items():
+            with pytest.raises(NonFiniteError, match=f"non-finite map parameter {name} = "):
+                make()
+        with pytest.raises(NonFiniteError, match="lambda"):
+            make_halfplane_affine(bad, 1.0, 2)
 
     def test_linear_action(self):
         m = make_siegel_linear(4.0, 2)
