@@ -193,10 +193,12 @@ def _validate(cfg: ExperimentConfig, lines: dict) -> None:
         raise ConfigError(f"{where('N')}N must be a positive dimension")
     if cfg.n_max < 1:
         raise ConfigError(f"{where('n_max')}n_max must be >= 1")
-    if not cfg.tol > 0.0:
-        raise ConfigError(f"{where('tol')}tol must be > 0")
-    if not cfg.limit_tol > 0.0:
-        raise ConfigError(f"{where('limit_tol')}limit_tol must be > 0")
+    for key in ("tol", "limit_tol"):  # an infinite tolerance would pass every test
+        val = getattr(cfg, key)
+        if not math.isfinite(val):
+            raise ConfigError(f"{where(key)}{key} = {val!r} is not finite")
+        if not val > 0.0:
+            raise ConfigError(f"{where(key)}{key} must be > 0")
     if cfg.seed < 0:
         raise ConfigError(f"{where('seed')}seed must be >= 0")
     if not 1 <= cfg.ladder_max <= 12:

@@ -230,15 +230,26 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> float:
 
     Returns the largest ``max(1, |z|, ||w||^2)`` of the rows (1 for none),
     on the bits of the test; inside H^N it bounds every component, which
-    the scale ceiling of the renormalized step reads.  The membership
-    inequality is tested once per row; a non-finite row fails it, so the
-    row test of ``SiegelPoint``, ``_check_row``, runs only on a failing
-    row, and gives its error.  Up to ``FEW_ROWS`` rows are tested in one
-    pass on Python floats, with ``norm_sq`` summed inline and the scale
-    raised from ``|z|`` by comparisons, so that a NaN modulus leaves it
-    NaN, as ``np.maximum`` does.  Above, numpy takes the same inequality on
-    the same bits (``_norm_sq_rows`` is ``norm_sq`` row by row, ``np.hypot``
-    is Python's ``abs``).
+    the scale ceiling of the renormalized step reads.  This is
+    ``_check_rows`` under its own ``np.errstate``; a caller that holds one
+    already, as every stepping loop does, calls ``_check_rows``.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
+        return _check_rows(z, w)
+
+
+def _check_rows(z: np.ndarray, w: np.ndarray) -> float:
+    """``check_siegel_arrays`` under the caller's ``np.errstate``: call it with
+    overflow and invalid warnings off.
+
+    The membership inequality is tested once per row; a non-finite row
+    fails it, so the row test of ``SiegelPoint``, ``_check_row``, runs only
+    on a failing row, and gives its error.  Up to ``FEW_ROWS`` rows are
+    tested in one pass on Python floats, with ``norm_sq`` summed inline and
+    the scale raised from ``|z|`` by comparisons, so that a NaN modulus
+    leaves it NaN, as ``np.maximum`` does.  Above, numpy takes the same
+    inequality on the same bits (``_norm_sq_rows`` is ``norm_sq`` row by
+    row, ``np.hypot`` is Python's ``abs``).
     """
     if z.shape[0] <= FEW_ROWS:
         top = 1.0
@@ -259,11 +270,10 @@ def check_siegel_arrays(z: np.ndarray, w: np.ndarray) -> float:
             if scale > top:
                 top = scale
         return top
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row fails the test
-        nsq = _norm_sq_rows(w)
-        scale = np.maximum(np.hypot(z.real, z.imag), nsq)
-        np.maximum(scale, 1.0, out=scale)
-        inside = z.real - nsq > BOUNDARY_SLACK * scale
+    nsq = _norm_sq_rows(w)
+    scale = np.maximum(np.hypot(z.real, z.imag), nsq)
+    np.maximum(scale, 1.0, out=scale)
+    inside = z.real - nsq > BOUNDARY_SLACK * scale
     if np.count_nonzero(inside) < len(inside):
         for i in np.flatnonzero(~inside):
             _check_row(complex(z[i]), w[i].tolist())

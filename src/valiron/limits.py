@@ -342,7 +342,8 @@ class MapProbe:
 
     def __call__(self, q: SiegelPoint) -> complex:
         points = SiegelBatch.from_points((q,))
-        images = SiegelBatch._checked(*_images(self.m, points.z, points.w)[:2])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            images = SiegelBatch._checked(*_images(self.m, points.z, points.w)[:2])
         return complex(self.f(points, images, *self.args)[0])
 
 
@@ -432,8 +433,10 @@ class SweepPlan:
             points = self._stack()
             if isinstance(probe, MapProbe):
                 if id(probe.m) not in self._images:
-                    # the rows were checked when generated: only their images are checked
-                    images = SiegelBatch._checked(*_images(probe.m, points.z, points.w)[:2])
+                    # the rows were checked when generated: only their images are
+                    # checked, and an image that overflows fails its check unwarned
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        images = SiegelBatch._checked(*_images(probe.m, points.z, points.w)[:2])
                     self._images[id(probe.m)] = (probe.m, images)
                 values = probe.f(points, self._images[id(probe.m)][1], *probe.args)
             else:

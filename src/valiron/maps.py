@@ -36,11 +36,11 @@ from .geometry import (
     NonFiniteError,
     SiegelAutomorphism,
     SiegelPoint,
+    _check_rows,
     _checked_point,
     apply_automorphism_arrays,
     cayley_to_ball,
     cayley_to_siegel,
-    check_siegel_arrays,
     e1_direction,
 )
 
@@ -166,11 +166,13 @@ def evaluate_batch(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     ``z`` has shape (n,) and ``w`` shape (n, N-1); the images come back as
     arrays of the same shapes.  Every input row is checked as
     ``SiegelPoint`` checks it, before any row is mapped; then ``_images``
-    maps the rows and checks the images.
+    maps the rows and checks the images, all under one ``np.errstate``: an
+    image that overflows fails its check, without numpy's warning.
     """
     _check_siegel_side(m)
-    check_siegel_arrays(z, w)
-    return _images(m, z, w)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_rows(z, w)
+        return _images(m, z, w)[:2]
 
 
 def _check_siegel_side(m: HoloMap) -> None:
@@ -195,7 +197,9 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     Returns ``(z, w, top)``, where ``top`` is what ``check_siegel_arrays``
     returns of the images, a bound of every component: inf for a black
     box, whose images were checked as points.  Rows of another width raise
-    DomainError.
+    DomainError.  The images are checked by ``_check_rows``, under the
+    caller's ``np.errstate``: every caller holds one, with overflow and
+    invalid warnings off, once per call or per stepping loop.
     """
     if m.domain != "siegel":  # tested inline: the helper is a call per step
         _check_siegel_side(m)
@@ -213,19 +217,20 @@ def _images(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
         z_out = np.array([q.z for q in images], dtype=np.complex128)
         w_out = np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape)
         return z_out, w_out, math.inf
-    return z, w, check_siegel_arrays(z, w)
+    return z, w, _check_rows(z, w)
 
 
 def _entered(m: HoloMap, z: np.ndarray, w: np.ndarray) -> tuple:
     """``(phi, t, z, w, top)``: the map that steps the checked rows of ``m``, the T
     whose first coordinate reads sigma off them, and the rows that ``phi`` steps.
     The one place where rows are mapped by T^-1: a conjugate maps them and checks
-    them once (``top``, that check's bound); any other map keeps them, the identity and inf."""
+    them once (``top``, that check's bound); any other map keeps them, the identity and inf.
+    The check runs under the caller's ``np.errstate``, as in ``_images``."""
     if m.conjugation is None:
         return m, _IDENTITY, z, w, math.inf
     phi, t = m.conjugation
     z, w = apply_automorphism_arrays(t.inverse(), z, w)
-    return phi, t, z, w, check_siegel_arrays(z, w)
+    return phi, t, z, w, _check_rows(z, w)
 
 
 def _evaluate_one(m: HoloMap, q: SiegelPoint) -> SiegelPoint:

@@ -20,10 +20,14 @@ iterates, a run stops at the scale ceiling (components near 1e300) of
 direct iteration; the image check returns a bound of every component,
 which is tested against it before each step.
 
-The base orbit, the grid and the grid images share the scales, so the rows
-are one stack and a step is one map evaluation on arrays, which advances
-every row at once through the map's ``batch``; black boxes alone go point
-by point.  Row 0 is the base orbit that run_valiron classifies and
+A state holds the base orbit, the grid and the grid images, which share
+the scales.  The grid's images are the grid's own orbit one step ahead,
+sigma_n(phi(Z)) = pi_1(phi^{n+1}(Z)) / x_n, so a step evaluates only the
+base and the images, one stack of 1 + G rows for a grid of G points, in
+one map evaluation on arrays through the map's ``batch`` (black boxes
+alone go point by point).  The images of step n, with their bound and
+their pi_1 column, are the grid rows of step n + 1, never evaluated or
+checked again.  Row 0 is the base orbit that run_valiron classifies and
 estimates lambda and L from; it is stepped alone, one row at a time, only
 past the step where the stack stops.
 
@@ -34,7 +38,8 @@ de-normalized and checked in full before its step.  run_valiron stores the
 scale pair (x_n, x_{n+1}) of each step on the result; ``sigma_at`` and
 ``residual_at`` replay as many steps on new rows and read them out over the
 last x_{n+1}, so off-grid values come from the very recursion that produced
-the grid values, without evaluating the base orbit again.
+the grid values, without evaluating the base orbit again.  The images of
+``residual_at``'s points are the points one step further on, as in a run.
 
 A conjugated map T o phi o T^-1 (``conjugate_map``) is stepped on its
 inner map, as its iterates telescope, (T phi T^-1)^n = T phi^n T^-1.  Rows
@@ -42,7 +47,10 @@ enter once, by T^-1 and one check (``maps._entered``), where
 ``initial_state``, ``sigma_at`` or ``residual_at`` makes them; images are
 taken by phi alone, so no row is mapped by T and back.  The read-out takes
 pi_1 of T alone (T the identity for a map that is not a conjugate), once
-per step; that column is sigma_{n+1}, tested for finiteness.
+per row, when the row is an image; that column is tested for finiteness.
+
+Every stepping loop and every one-shot entry holds one ``np.errstate`` per
+call, under which an image that overflows fails its check unwarned.
 """
 
 from __future__ import annotations
@@ -160,17 +168,19 @@ class RenormalizedState:
     then the grid points, then their phi-images (so sigma_n(phi(Z)) is always
     on hand).  ``base_sigma`` (a complex) and the read-only views ``sigma``
     and ``sigma_img`` are read from ``sigma_col``, the sigma column of the
-    step that made the state (``_sigma_column``), when the state is made.
-    ``log_x`` is the base scale in log-space; ``scales`` is the pair
-    (x_{n-1}, x_n) of the step that produced this state (empty for n = 0).
+    stack, when the state is made.  ``log_x`` is the base scale in
+    log-space; ``scales`` is the pair (x_{n-1}, x_n) of the step that
+    produced this state (empty for n = 0).
 
     ``initial_state`` and ``advance`` also keep on the state they make its
-    raw rows, the checked phi^n(Z), with the bound of their components
-    that their check returned (inf: not known) and x_n (``_raw``); the
-    next step evaluates them.  On a state made otherwise, ``replace``
-    included, it is None, and the next step de-normalizes the state and
-    checks it in full.  A state is compared, and hashed, by identity: its
-    arrays have no truth value.
+    raw rows as the next step reads them (``_raw``): the rows that it
+    evaluates, the base phi^n(1, 0) and the images phi^{n+1}(Z), and the
+    grid rows phi^n(Z), each checked, with the pi_1 column of T and the
+    bound of every component that their check returned (inf: not known),
+    and x_n.  On a state made otherwise, ``replace`` included, it is None,
+    and the next step de-normalizes the state and checks it in full.  A
+    state is compared, and hashed, by identity: its arrays have no truth
+    value.
     """
 
     n: int
@@ -213,95 +223,123 @@ def _schroder_defect(s_img: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray
     return np.abs(s_img - lam * s) / (1.0 + np.abs(s))
 
 
-def _step(m: HoloMap, z: np.ndarray, w: np.ndarray, top: float) -> tuple:
-    """One step of the raw rows phi^n(Z): ``(z, w, top, col, x_next)`` of the images.
+def _step(m: HoloMap, rows: tuple, grid: tuple) -> tuple:
+    """``(rows, grid)`` of step n + 1 from those of step n.
 
-    The rows entered ``m`` already (``_entered``), so its ``phi`` maps them
-    and its ``t`` reads the sigma column off the images.  ``top`` bounds
-    every component of the rows (inf: not known, then the largest is
-    measured); past SCALE_LIMIT the images may leave the double range, and
-    ScaleOverflowError is raised instead.  ``_images`` checks the images
-    once and returns their bound.
+    ``rows`` is ``(z, w, col, top)`` of the base phi^n(1, 0) and the grid
+    images phi^{n+1}(Z), the rows a step evaluates: ``col`` is pi_1 of T of
+    each (x_n times its sigma), ``top`` the bound their check returned.
+    ``grid`` is the same of the grid rows phi^n(Z).  The rows entered ``m``
+    (``_entered``): its ``phi`` maps them, ``_images`` checks the images
+    once, and the images of step n are the grid of step n + 1.  Past
+    SCALE_LIMIT (``_over_ceiling``) ScaleOverflowError is raised instead.
     """
-    if (top if top < math.inf else _magnitude(z, w)) > SCALE_LIMIT:
+    if _over_ceiling(rows, grid):
         raise ScaleOverflowError("evaluation would exceed the double-precision range")
     phi, t = m.conjugation or (m, _IDENTITY)
-    z, w, top = _images(phi, z, w)
-    return (z, w, top, *_sigma_column(t, z, w))
+    z, w, col, top = rows
+    img_z, img_w, img_top = _images(phi, z, w)
+    return (img_z, img_w, _pi1(t, img_z, img_w), img_top), (z[1:], w[1:], col[1:], top)
 
 
-def _sigma_column(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray,
-                  x_next: Optional[float] = None) -> tuple:
-    """pi_1 of T on the rows that a step evaluates, packed by x_{n+1}, and x_{n+1}.
+def _over_ceiling(rows: tuple, grid: tuple) -> bool:
+    """Whether ``rows`` and ``grid`` reach past SCALE_LIMIT, exactly as the
+    bound of one check of them all would.
+
+    It takes the larger of their bounds, the last two checks'.  After
+    ``initial_state``, or a state checked in full, the grid's bound covers
+    the base and the grid, so the larger is the bound of all the rows.
+    Later, the grid's bound is of the rows of the step before, which passed
+    this test: the larger passes SCALE_LIMIT exactly when the newer bound,
+    and so the bound of all the rows, does, and no row is measured again.
+    Where a bound is not known (inf: a black box's images, or the first
+    step of a map that is not a conjugate), the rows' largest component is
+    measured, as it always was there.
+    """
+    bound = max(rows[3], grid[3])
+    if bound == math.inf:
+        bound = max(_magnitude(*rows[:2]), _magnitude(*grid[:2]))
+    return bound > SCALE_LIMIT
+
+
+def _pi1(t: SiegelAutomorphism, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """pi_1 of T on rows that a step evaluates: x_n times their sigma column.
 
     T is ``_entered``'s: the identity, which hands back the rows' z, checked
-    with them, for a map that is not a conjugate.  x_{n+1} is ``x_next`` if
-    given, else Re pi_1 of T of row 0, the base.  Raises NonFiniteError, as
+    with them, for a map that is not a conjugate.  Raises NonFiniteError, as
     the check of a row would, where pi_1 is not finite; a caller that minds
     the overflow warning holds ``np.errstate``.
     """
     col = _first_coordinate(t, z, w)
     if col is not z and not np.isfinite(col).all():
         raise NonFiniteError("non-finite coordinates")
-    x_next = float(col[0].real) if x_next is None else x_next
-    return col / x_next, x_next
+    return col
 
 
-def _made(n: int, z: np.ndarray, w: np.ndarray, top: float, x: float,
-          col: np.ndarray, scales: tuple = ()) -> RenormalizedState:
-    """The state of the raw rows ``z``/``w`` at step ``n`` and scale ``x``: S_n =
-    (z / x, w / sqrt(x)), with the rows, their bound ``top`` and x kept for the next step."""
-    z.setflags(write=False)
-    w.setflags(write=False)
-    state = RenormalizedState(n=n, log_x=math.log(x), z=z / x, w=w / math.sqrt(x), scales=scales,
-                              sigma_col=col)
-    object.__setattr__(state, "_raw", (z, w, top, x))
+def _made(n: int, rows: tuple, grid: tuple, x: float, scales: tuple = ()) -> RenormalizedState:
+    """The state at step ``n`` and scale ``x`` of the raw ``rows`` and ``grid`` of a
+    step (``_step``): the stack [base, grid, images], S_n = (z / x, w / sqrt(x)),
+    with its column over x; ``rows``, ``grid`` and x are kept for the next step."""
+    (z, w, col, _), (g_z, g_w, g_col, _) = rows, grid
+    for a in (z, w, g_z, g_w):
+        a.setflags(write=False)
+    z_all, w_all = np.concatenate((z[:1], g_z, z[1:])), np.concatenate((w[:1], g_w, w[1:]))
+    state = RenormalizedState(n=n, log_x=math.log(x), z=z_all / x, w=w_all / math.sqrt(x),
+                              scales=scales, sigma_col=np.concatenate((col[:1], g_col, col[1:])) / x)
+    object.__setattr__(state, "_raw", (rows, grid, x))
     return state
 
 
-def _stacked(m: HoloMap, z: np.ndarray, w: np.ndarray, first: int) -> tuple:
-    """``(phi, t, z, w, top, col)``: the checked rows ``z``/``w`` entered once
-    (``_entered``), with the images by ``phi`` of rows ``first:``, checked
-    once, stacked below; ``top`` bounds both checks (inf: not known), and
-    ``col``, sigma_0 of the stack, is the rows' own z, then pi_1 of T of the images."""
-    phi, t, z_in, w_in, top = _entered(m, z, w)
-    img_z, img_w, img_top = _images(phi, z_in[first:], w_in[first:])
-    col = np.concatenate((z, _sigma_column(t, img_z, img_w, 1.0)[0]))
-    return phi, t, np.concatenate((z_in, img_z)), np.concatenate((w_in, img_w)), max(top, img_top), col
-
-
 def initial_state(m: HoloMap, grid: EvaluationGrid) -> RenormalizedState:
-    """S_0 on the rows: the base (1, 0) and the grid, entered once, then the grid's images."""
+    """S_0 on the rows: the base (1, 0) and the grid, entered once, then the grid's images.
+
+    The base and the grid are their own sigma_0; the images' is pi_1 of T.
+    The bounds of the two checks, of the entered rows (inf for a map that
+    is not a conjugate, whose rows are not checked again) and of the
+    images, together bound the first step's rows.
+    """
     points, base = grid.points, _base(m.dim)
     if points.dim != m.dim:
         raise DomainError("points of different dimensions")
-    z, w, top, col = _stacked(m, np.concatenate(([base.z], points.z)),
-                              np.concatenate((base.w[None, :], points.w)), 1)[2:]
-    return _made(0, z, w, top, base.z.real, col)
+    z0 = np.concatenate(([base.z], points.z))
+    with np.errstate(over="ignore", invalid="ignore"):  # an image that overflows fails its check
+        phi, t, z, w, top = _entered(m, z0, np.concatenate((base.w[None, :], points.w)))
+        img_z, img_w, img_top = _images(phi, z[1:], w[1:])
+        col = np.concatenate((z0[:1], _pi1(t, img_z, img_w)))
+    rows = (np.concatenate((z[:1], img_z)), np.concatenate((w[:1], img_w)), col, img_top)
+    return _made(0, rows, (z[1:], w[1:], points.z, top), base.z.real)
 
 
 def advance(state: RenormalizedState, m: HoloMap) -> RenormalizedState:
     """One renormalized step: S_{n+1} = (L_{n+1} o phi o L_n^{-1}) o S_n.
 
-    ``_step`` maps every raw row (base, grid and grid images) in one array
-    evaluation, a conjugated map's inner rows by its inner map, and checks
-    the images once.  A state with no raw rows (made by ``replace``, say)
-    is de-normalized by x_n and checked in full first, all before any
-    image row.  The raw rows reach the double range where direct iteration
-    does, so the scale ceiling is tested before the step and raised loudly
-    instead of silently producing infinities.
+    ``_step`` maps the base and the grid images in one array evaluation, a
+    conjugated map's inner rows by its inner map, and checks the images
+    once; the state's images become the grid of the state it makes.  A
+    state with no raw rows (made by ``replace``, say) is de-normalized by
+    x_n and checked in full first, all before any image row, and its
+    images' pi_1 column is read off the de-normalized rows.  The raw rows
+    reach the double range where direct iteration does, so the scale
+    ceiling is tested before the step and raised loudly instead of
+    silently producing infinities.
     """
-    if state._raw is None:
-        if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
-            raise ScaleOverflowError("evaluation would exceed the double-precision range")
-        x_n = state.x
-        z, w = x_n * state.z, math.sqrt(x_n) * state.w
-        top = check_siegel_arrays(z, w)
-    else:
-        z, w, top, x_n = state._raw
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        z, w, top, col, x_next = _step(m, z, w, top)
-    return _made(state.n + 1, z, w, top, x_next, col, (x_n, x_next))
+        if state._raw is None:
+            if state.log_x + math.log(max(1.0, state.magnitude())) > LOG_SCALE_CEILING:
+                raise ScaleOverflowError("evaluation would exceed the double-precision range")
+            x_n = state.x
+            z, w = x_n * state.z, math.sqrt(x_n) * state.w
+            top = check_siegel_arrays(z, w)
+            g = len(z) // 2 + 1
+            rows_z, rows_w = np.concatenate((z[:1], z[g:])), np.concatenate((w[:1], w[g:]))
+            t = m.conjugation[1] if m.conjugation else _IDENTITY
+            rows = (rows_z, rows_w, _pi1(t, rows_z, rows_w), top)
+            grid = (z[1:g], w[1:g], None, top)
+        else:
+            rows, grid, x_n = state._raw
+        rows, grid = _step(m, rows, grid)
+    x_next = float(rows[2][0].real)
+    return _made(state.n + 1, rows, grid, x_next, (x_n, x_next))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,19 +374,21 @@ class ValironResult:
 
     def residual_at(self, points: Sequence[SiegelPoint]) -> np.ndarray:
         """Schroder residual |sigma(phi q) - lam sigma(q)| / (1 + |sigma(q)|), by one
-        replay of the points and their images stacked; on the grid, bit for bit
-        the run's ``schroder_residuals``."""
+        replay of the points that takes one step more for their images; on the
+        grid, bit for bit the run's ``schroder_residuals``."""
         s = self._replayed(points, True)
         n = len(s) // 2
         return _schroder_defect(s[n:], s[:n], self.multiplier)
 
     def _replayed(self, points: Sequence[SiegelPoint], images: bool) -> np.ndarray:
-        """sigma of the points, then of their images (``_stacked``) if ``images``.
+        """sigma of the points, then of their images if ``images``.
 
         The points, of the map's width, enter once, then ride along the base
         orbit: they are stepped as many times as the run stepped, each step
-        one ``_images`` that checks the images once, and read out by
-        ``_sigma_column`` over the last x_{n+1}, as the run read the grid.
+        one ``_images`` that checks the images once, and read out by ``_pi1``
+        over the last x_{n+1}, as the run read the grid.  Their images are
+        the points one step further on, so ``images`` takes one step more
+        and reads the last two steps: each row is evaluated and checked once.
         """
         if not isinstance(points, SiegelBatch):
             points = tuple(points)
@@ -358,17 +398,17 @@ class ValironResult:
         if batch.w.shape[1] != self.map.dim - 1:  # before the rows enter, even with no stored step
             raise DomainError(
                 f"points of dimension {batch.w.shape[1] + 1} for a map of dimension {self.map.dim}")
-        if images:
-            phi, t, z, w, _, col = _stacked(self.map, batch.z, batch.w, 0)
-        else:
+        n = len(self.scale_pairs)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
             phi, t, z, w, _ = _entered(self.map, batch.z, batch.w)
-            col = batch.z
-        if not self.scale_pairs:
-            return col / 1.0  # x_0, Re z of the base (1, 0)
-        for _ in self.scale_pairs:
-            z, w, _ = _images(phi, z, w)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pi_1 raises
-            return _sigma_column(t, z, w, self.scale_pairs[-1][1])[0]
+            for _ in range(n):
+                z, w, _ = _images(phi, z, w)
+            if images:
+                img_z, img_w, _ = _images(phi, z, w)
+            col = _pi1(t, z, w) if n else batch.z  # sigma_0 of a point is its z
+            if images:
+                col = np.concatenate((col, _pi1(t, img_z, img_w)))
+        return col / (self.scale_pairs[-1][1] if n else 1.0)  # x_0 = Re z of (1, 0)
 
 
 def _multiplier_excess_decays(probe: Orbit) -> bool:
@@ -463,6 +503,11 @@ def run_valiron(
     special) is outside the construction's hypotheses; the run proceeds but
     the result is flagged.
 
+    Each step evaluates and checks the base and the grid images alone, 1 + G
+    rows for a grid of G points: the images of one step are the grid of the
+    next (``_step``), so a run evaluates G + (1 + G) n_stop rows, and its
+    final state is the stack [base, grid, images] of ``advance``.
+
     The base orbit is row 0 of the stack.  Once it has the steps that the
     probe rule reads (``_probe_steps``), the gate classifies it and
     estimates lambda and L from it, and stops the run on a map it rejects.
@@ -473,8 +518,12 @@ def run_valiron(
     Raises NotTendingToInfinityError, DegenerateGridError, or
     NonHyperbolicError when the inputs do not describe a hyperbolic
     approach to infinity; OrbitTooShortError, naming the base orbit's
-    cutoff, when it meets the scale ceiling too soon to estimate from.
+    cutoff, when it meets the scale ceiling too soon to estimate from; and
+    ValueError on a ``tol`` that is NaN, negative or infinite, which no
+    Cauchy stop could back (``tol = 0`` runs to ``n_max``).
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails it too
+        raise ValueError(f"tol = {tol!r}: need a finite tol >= 0")
     if m.domain == "ball":
         m = make_siegel_map_from_ball(m)
     if grid is None:
@@ -494,13 +543,13 @@ def run_valiron(
         except (ValueError, ArithmeticError) as exc:  # raised once the gate has passed
             failed = exc
         else:
-            z, w, top, x_n = state._raw
-            sigma, g = state.sigma, len(grid) + 1
-            row_z.append(z[0])
-            row_w.append(w[0])
+            rows, grid_rows, x_n = state._raw
+            sigma = state.sigma
+            row_z.append(rows[0][0])
+            row_w.append(rows[1][0])
         for _ in range(n_max if failed is None else 0):
             try:
-                z, w, top, col, x_next = _step(m, z, w, top)
+                rows, grid_rows = _step(m, rows, grid_rows)
             except ScaleOverflowError:  # a black box that iterates raw may raise it too
                 ceiling = len(cauchy)
                 break
@@ -509,14 +558,16 @@ def run_valiron(
                     raise
                 failed = exc
                 break
+            x_next = float(rows[2][0].real)
             scale_pairs.append((x_n, x_next))
             x_n = x_next
-            step = float(np.abs(col[1:g] - sigma).max())
+            sigma_next = grid_rows[2] / x_next
+            step = float(np.abs(sigma_next - sigma).max())
             cauchy.append(step)
-            sigma = col[1:g]
+            sigma = sigma_next
             if probe_at is not None:
-                row_z.append(z[0])
-                row_w.append(w[0].copy())
+                row_z.append(rows[0][0])
+                row_w.append(rows[1][0].copy())
                 if len(cauchy) == probe_at:
                     base = _row_orbit(m, row_z, row_w)
                     probe_at = _probe_steps(base, n_max)
@@ -539,7 +590,7 @@ def run_valiron(
             if failed is not None:
                 raise failed
     if scale_pairs:
-        state = _made(len(cauchy), z, w, top, x_n, col, scale_pairs[-1])
+        state = _made(len(cauchy), rows, grid_rows, x_n, scale_pairs[-1])
 
     outside = not classification.special
     warnings = []

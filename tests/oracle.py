@@ -19,8 +19,10 @@ of 2^-40 that ``within`` allows them.
 A test asserts ``within(got, x)``: the double ``got`` is within ``x.e`` of
 the exact ``x.v``.  The last sections are in doubles: the sigma of a
 conjugated map, transported from a run of the map, and its Schroder defect;
-the probe of the base orbit, stepped alone by ``compute_orbit``; and the
-limit traces and their verdict, one sequence at a time.
+the probe of the base orbit, stepped alone by ``compute_orbit``; the
+renormalized run as it stepped the whole stack of rows, base, grid and
+grid images, on every step; and the limit traces and their verdict, one
+sequence at a time.
 """
 
 import math
@@ -30,16 +32,30 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from valiron.dynamics import INFINITY_THRESHOLD, MIN_TAIL, compute_orbit, estimate_multiplier
-from valiron.geometry import SiegelBatch, SiegelPoint, apply_automorphism_arrays
+from valiron.dynamics import (
+    INFINITY_THRESHOLD,
+    MIN_TAIL,
+    classify_sequence,
+    compute_orbit,
+    estimate_multiplier,
+)
+from valiron.geometry import (
+    NonFiniteError,
+    SiegelBatch,
+    SiegelPoint,
+    apply_automorphism_arrays,
+    check_siegel_arrays,
+)
 from valiron.limits import NO_LIMIT_FACTOR, TAIL_VALUES, _pairs
-from valiron.maps import make_siegel_map_from_ball
+from valiron.maps import SCALE_LIMIT, make_siegel_map_from_ball
 from valiron.renorm import (
+    CONSECUTIVE_CAUCHY,
     HYPERBOLICITY_MARGIN,
     PROBE_MAX_STEPS,
     PROBE_MIN_STEPS,
     PROBE_TARGET_HEIGHT,
     _multiplier_excess_decays,
+    default_grid,
 )
 
 mp.dps = 50
@@ -621,6 +637,114 @@ def probe_orbit(m, n_max: int = 200):
         return probe
     extra = math.ceil(math.log(INFINITY_THRESHOLD / mod) / math.log(lam)) + MIN_TAIL
     return compute_orbit(m, probe, min(PROBE_MAX_STEPS + extra, max(n_max, PROBE_MAX_STEPS)))
+
+
+# -- the renormalized run, stepping the whole stack ------------------------------------
+
+
+def _stack_images(phi, z, w) -> tuple:
+    """The images of the rows under ``phi`` and the bound of their check: by
+    ``batch``, or point by point for a black box, whose bound is not known (inf)."""
+    if phi.batch is None:
+        images = [phi.evaluator(SiegelPoint(zi, wi)) for zi, wi in zip(z.tolist(), w)]
+        z = np.array([q.z for q in images], dtype=np.complex128)
+        return z, np.array([q.w for q in images], dtype=np.complex128).reshape(w.shape), math.inf
+    z, w = phi.batch(z, w)
+    return z, w, check_siegel_arrays(z, w)
+
+
+def _largest(z, w) -> float:
+    """The largest component modulus, each by np.hypot, as the row check takes |z|."""
+    return float(max(np.hypot(z.real, z.imag).max(), np.hypot(w.real, w.imag).max(initial=0.0)))
+
+
+def full_stack_run(m, grid=None, tol: float = 1e-8, n_max: int = 200) -> dict:
+    """The renormalized run as it was when every step mapped the whole stack
+    [base, grid, grid images], 1 + 2G rows for G grid points, and checked
+    every image: the reference, bit for bit, for the run that steps the base
+    and the images alone.
+
+    A conjugate T o phi o T^-1 enters its rows by T^-1 and steps them by
+    phi; the sigma column of a step is pi_1 of T of every row, over x_{n+1},
+    the real part of row 0's.  Before each step the scale ceiling tests the
+    bound that the last check of all rows returned, or their largest
+    component where no bound is known.  The run stops after
+    CONSECUTIVE_CAUCHY steps below ``tol``, at ``n_max`` or at the ceiling;
+    it restates a run whose gate passes, with the multiplier and the
+    classification of ``probe_orbit``.  Returns the fields of
+    ``ValironResult`` that the steps make, and ``base_rows``, the ``(z, w)``
+    of row 0 on every step.
+    """
+    if m.domain == "ball":
+        m = make_siegel_map_from_ball(m)
+    points = (default_grid(m.dim) if grid is None else grid).points
+    phi, t = m.conjugation or (m, None)
+    z = np.concatenate(([1.0 + 0j], points.z))
+    w = np.concatenate((np.zeros((1, m.dim - 1), dtype=np.complex128), points.w))
+
+    def column(z, w):
+        if t is None:
+            return z
+        col = apply_automorphism_arrays(t, z, w)[0]
+        if not np.isfinite(col).all():
+            raise NonFiniteError("non-finite coordinates")
+        return col
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        col, top = z, math.inf
+        if t is not None:
+            z, w = apply_automorphism_arrays(t.inverse(), z, w)
+            top = check_siegel_arrays(z, w)
+        img_z, img_w, img_top = _stack_images(phi, z[1:], w[1:])
+        col = np.concatenate((col, column(img_z, img_w)))
+        z, w, top = np.concatenate((z, img_z)), np.concatenate((w, img_w)), max(top, img_top)
+        g, x_n = len(points) + 1, 1.0
+        sigma, base_z, base_w = col[1:g], [z[0]], [w[0]]
+        pairs, cauchy, consecutive, converged, ceiling = [], [], 0, False, None
+        for _ in range(n_max):
+            if (top if top < math.inf else _largest(z, w)) > SCALE_LIMIT:
+                ceiling = len(cauchy)
+                break
+            z, w, top = _stack_images(phi, z, w)
+            col = column(z, w)
+            x_next = float(col[0].real)
+            col = col / x_next
+            pairs.append((x_n, x_next))
+            x_n = x_next
+            step = float(np.abs(col[1:g] - sigma).max())
+            cauchy.append(step)
+            sigma = col[1:g]
+            base_z.append(z[0])
+            base_w.append(w[0].copy())
+            if step < tol:
+                consecutive += 1
+                if consecutive >= CONSECUTIVE_CAUCHY:
+                    converged = True
+                    break
+            else:
+                consecutive = 0
+    probe = probe_orbit(m, n_max)
+    lam = estimate_multiplier(probe).value
+    classification = classify_sequence(probe.points)
+    warnings = []
+    if not classification.special:
+        warnings.append("outside-hypotheses: base orbit is only C-special "
+                        f"(residual witness {classification.a_witness:.3g}); proceeding")
+    if ceiling is not None:
+        warnings.append(f"scale ceiling reached at step {ceiling}; stopping before n_max")
+    s, s_img = col[1:g], col[g:]
+    return {
+        "sigma": s,
+        "sigma_image": s_img,
+        "schroder_residuals": np.abs(s_img - lam * s) / (1.0 + np.abs(s)),
+        "cauchy_history": tuple(cauchy),
+        "scale_pairs": tuple(pairs),
+        "n_stop": len(cauchy),
+        "converged": converged,
+        "warnings": tuple(warnings),
+        "normalization": complex(col[0]),
+        "base_rows": (np.array(base_z), np.array(base_w)),
+    }
 
 
 # -- limit traces, one sequence at a time --------------------------------------------

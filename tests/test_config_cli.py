@@ -872,3 +872,17 @@ class TestConfigGrammar:
                         if text.startswith(f"{key} ="))
         assert err.count("\n") == 1 and err.startswith(f"error: line {line}: "), err
         assert "need at least 2 points" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("key", ["tol", "limit_tol"])
+    def test_a_non_finite_tolerance_names_its_line(self, tmp_path, key, value):
+        """Fixed cases the derandomized draws never hit: an infinite tol would
+        pass every Cauchy test, and an infinite limit_tol every limit verdict,
+        so either is rejected when the config is parsed, with one error line
+        naming its line, and no file."""
+        config = tmp_path / "exp.cfg"
+        config.write_text("command = report-all\nmap = halfplane_affine\nlambda = 2\nb = 1\n"
+                          f"N = 2\n{key} = {value}\nseed = 1\n")
+        code, out, err, caught, files = _run_quietly(str(config), str(tmp_path / "out"))
+        assert (code, out, caught, files) == (1, "", [], {})
+        assert err == f"error: line 6: {key} = {float(value)!r} is not finite\n"

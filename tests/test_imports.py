@@ -1,9 +1,13 @@
-"""Every module of the package uses every name it imports.
+"""Static checks of the package source, on its syntax trees.
 
-No linter is part of the toolchain, so this is the one check that a deleted
-helper leaves no stray import behind.  A name counts as used where the
-module reads it, in code or in a quoted annotation, or lists it in
-``__all__``, which re-exports it.
+Every module uses every name it imports.  No linter is part of the
+toolchain, so this is the one check that a deleted helper leaves no stray
+import behind.  A name counts as used where the module reads it, in code
+or in a quoted annotation, or lists it in ``__all__``, which re-exports it.
+
+No ``with np.errstate(...)`` sits in the body of a ``for`` or ``while``
+loop: entering one costs about a microsecond, so a stepping loop holds one
+errstate around the whole loop, and the helpers it calls run under it.
 """
 
 import ast
@@ -52,3 +56,32 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert {n for n in _imported(tree) if n not in _read(tree)} == {"math", "path"}
+
+
+def _errstates_in_loops(tree: ast.AST) -> list:
+    """Lines of the ``with ....errstate(...)`` statements inside a loop's body."""
+    lines = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            for node in ast.walk(loop):
+                if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                        isinstance(item.context_expr, ast.Call)
+                        and isinstance(item.context_expr.func, ast.Attribute)
+                        and item.context_expr.func.attr == "errstate" for item in node.items):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_errstate_is_entered_per_loop_step(path):
+    lines = _errstates_in_loops(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} enters np.errstate inside a loop, on lines {lines}"
+
+
+def test_an_errstate_in_a_loop_is_found():
+    tree = ast.parse(
+        "with np.errstate(over='ignore'):\n    pass\n"
+        "for k in range(3):\n    if k:\n        with np.errstate(invalid='ignore'), open(f):\n"
+        "            pass\n"
+        "while True:\n    with numpy.errstate(over='ignore'):\n        break\n")
+    assert _errstates_in_loops(tree) == [5, 8]

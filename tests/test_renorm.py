@@ -37,6 +37,7 @@ from valiron.maps import (
 )
 from valiron import geometry, maps, renorm
 from valiron.dynamics import NotTendingToInfinityError, OrbitTooShortError, compute_orbit
+from valiron.limits import SweepPlan, first_coordinate_ratio_fn, k_families
 from valiron.renorm import (
     LOG_SCALE_CEILING,
     DegenerateGridError,
@@ -155,7 +156,7 @@ class TestStateAdvance:
         state = initial_state(m, default_grid(2))
         for _ in range(34):
             state = advance(state, m)
-        z, w, top, _ = state._raw
+        z, w, _, top = state._raw[0]
         assert renorm._magnitude(z, w) == top == geometry.check_siegel_arrays(z, w)
         # np.abs of a complex array may round |z| apart from np.hypot
         rng = np.random.default_rng(5)
@@ -166,7 +167,8 @@ class TestStateAdvance:
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_a_step_is_one_array_evaluation(self, name):
-        """Base, grid and grid images go through one call of the map's batch."""
+        """The base and the grid images go through one call of the map's batch;
+        the grid rows are the images of the step before, not evaluated again."""
         m = catalog()[name]
         scalar_calls, batch_rows = [], []
         counted = replace(m, evaluator=lambda q: scalar_calls.append(q) or m.evaluator(q),
@@ -176,7 +178,7 @@ class TestStateAdvance:
         batch_rows.clear()
         for _ in range(3):
             state = advance(state, counted)
-        assert batch_rows == [1 + 2 * len(grid)] * 3
+        assert batch_rows == [1 + len(grid)] * 3
         assert scalar_calls == []
 
 
@@ -376,9 +378,10 @@ class TestRunValiron:
         rows = []
         result = run_valiron(replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
         want = compute_orbit(m, SiegelPoint(1.0, np.zeros(1)), PROBE_MAX_STEPS)
-        # the grid's images, then the stacked steps of 1 + 2 * 36 rows
+        # the grid's images, then the steps of the base and the 36 images: each
+        # grid orbit point is evaluated once, G + (1 + G) n_stop rows for G = 36
         assert rows.count(1) == 0
-        assert rows == [36] + [73] * result.n_stop and result.n_stop > PROBE_MAX_STEPS
+        assert rows == [36] + [37] * result.n_stop and result.n_stop > PROBE_MAX_STEPS
         assert result.base_orbit.points == want.points
         assert np.array_equal(result.base_orbit.x, want.x)
 
@@ -400,8 +403,8 @@ class TestRunValiron:
         assert abs(s_img - result.map.multiplier * sq) / (1.0 + abs(sq)) < 1e-9
 
     def test_residual_at_is_one_image_evaluation_and_one_replay(self):
-        """One batch call of the map for the images, then one of the points and
-        images stacked per stored step."""
+        """One batch call of the points per stored step, and one more for their
+        images, which are the points one step on."""
         result = run_valiron(make_valiron_example(2.0, PsiChoice("oscillating")))
         m, rows = result.map, []
         result = replace(result, map=replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)))
@@ -411,7 +414,7 @@ class TestRunValiron:
         want = np.abs(s_img - result.multiplier * s) / (1.0 + np.abs(s))
         rows.clear()
         assert np.array_equal(result.residual_at(pts), want)
-        assert rows == [8] + [16] * result.n_stop
+        assert rows == [8] * (result.n_stop + 1)
         assert result.residual_at([]).shape == (0,)
 
     def test_ball_side_map_is_transported_in(self):
@@ -492,6 +495,13 @@ class TestRunValiron:
         assert not result.converged
         assert result.n_stop == 50
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf, -math.inf])
+    def test_a_tol_that_no_cauchy_stop_backs_is_rejected(self, tol):
+        """Every step passes a Cauchy test against an infinite tol, none against
+        a NaN or negative one; tol = 0 is legal and runs to n_max (above)."""
+        with pytest.raises(ValueError, match=r"need a finite tol >= 0"):
+            run_valiron(make_siegel_linear(2.0, 1), tol=tol)
+
     @pytest.mark.parametrize("m, n_stop", [
         (make_siegel_linear(2.0, 2), 994),
         (make_halfplane_affine(2.0, 1.0, 2), 994),
@@ -515,8 +525,9 @@ class TestRunValiron:
         def last_state(keep_raw):
             state = initial_state(m, default_grid(2))
             while True:
-                z, w, top, _ = state._raw
-                assert max(map(abs, z.tolist() + w.ravel().tolist())) <= top or state.n == 0
+                (z, w, _, top), (g_z, g_w, _, g_top), _ = state._raw
+                parts = z.tolist() + w.ravel().tolist() + g_z.tolist() + g_w.ravel().tolist()
+                assert max(map(abs, parts)) <= max(top, g_top) or state.n == 0
                 if not keep_raw:
                     state = replace(state)
                     assert state._raw is None
@@ -590,24 +601,25 @@ class TestBaseOrbit:
     ])
     def test_row_0_goes_on_alone_only_past_the_stack(self, lam, n_max, stack, probe):
         """One-row calls of the batch are the base orbit's steps past the
-        stack's last; the grid's images come first, in one call."""
+        stack's last; the grid's images come first, in one call, then each
+        step maps the base and the 36 images."""
         m = make_halfplane_affine(lam, 1.0, 2) if lam == 1.2 else make_siegel_linear(lam, 2)
         rows = []
         result = run_valiron(replace(m, batch=lambda z, w: rows.append(len(z)) or m.batch(z, w)),
                              n_max=n_max)
         assert result.n_stop == stack and len(result.base_orbit) == probe + 1
-        assert rows == [36] + [73] * stack + [1] * max(0, probe - stack)
+        assert rows == [36] + [37] * stack + [1] * max(0, probe - stack)
 
     @pytest.mark.parametrize("shift, error", [(2.0, NonHyperbolicError),
                                               (0.1, NotTendingToInfinityError)])
     def test_a_map_that_fails_the_gate_stops_the_stack_there(self, shift, error):
         """z + 2 and z + 0.1 are rejected by the gate at step 64, so the stack,
-        of the base, the 9 grid points and their images, steps 64 times."""
+        of the base and the images of the 9 grid points, steps 64 times."""
         rows = []
         m = _shift_map(lambda z, w: rows.append(len(z)) or (z + shift, w))
         with pytest.raises(error):
             run_valiron(m)
-        assert rows == [9] + [19] * PROBE_MAX_STEPS
+        assert rows == [9] + [10] * PROBE_MAX_STEPS
 
     def test_the_gate_comes_before_the_errors_of_the_grid_images(self):
         """``initial_state`` runs first, but its error waits for the gate: a
@@ -693,23 +705,77 @@ class TestRunAndAdvance:
         assert _bits(cauchy) == _bits(result.cauchy_history)
         assert _bits(pairs) == _bits(result.scale_pairs)
         assert _bits(result.sigma_at(result.grid.points)) == _bits(result.sigma)
+        assert _bits(result.residual_at(result.grid.points)) == _bits(result.schroder_residuals)
+
+
+class TestOneStackPerStep:
+    """A step evaluates and checks the base and the grid images alone: the
+    images of one step are the grid of the next.  The run equals, bit for
+    bit, the run that stepped the whole stack [base, grid, images] on every
+    step (``oracle.full_stack_run``), ceiling included."""
+
+    CONJUGATED = {f"conjugated by {name}": conjugate_map(make_halfplane_affine(2.0, 1.0, 2), t)
+                  for name, t in CHAINS.items()}
+    # name -> (map, run_valiron keywords, pinned n_stop or None)
+    CASES = {
+        **{name: (m, {}, None) for name, m in catalog().items()},
+        **{f"{name}, black box": (replace(m, batch=None), {}, None) for name, m in catalog().items()},
+        **{name: (m, {}, 54) for name, m in CONJUGATED.items()},
+        "halfplane_affine(1.02,1,3)": (make_halfplane_affine(1.02, 1.0, 3), {"n_max": 2000}, 933),
+        **{f"{name} to the ceiling": (m, {"tol": 0.0, "n_max": 3000}, n_stop) for name, (m, n_stop) in {
+            "siegel_linear(2,2)": (make_siegel_linear(2.0, 2), 994),
+            "halfplane_affine(2,1,2)": (make_halfplane_affine(2.0, 1.0, 2), 994),
+            "siegel_linear(1.5,3)": (make_siegel_linear(1.5, 3), 1700),
+            **{name: (m, 992) for name, m in CONJUGATED.items()}}.items()},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_the_run_equals_the_full_stack_run(self, name):
+        m, kw, n_stop = self.CASES[name]
+        got, want = run_valiron(m, **kw), O.full_stack_run(m, **kw)
+        assert n_stop in (None, got.n_stop)
+        for attr in ("sigma", "sigma_image", "schroder_residuals", "cauchy_history", "scale_pairs"):
+            assert _bits(getattr(got, attr)) == _bits(want[attr]), attr
+        assert (got.n_stop, got.converged, got.warnings) == \
+            (want["n_stop"], want["converged"], want["warnings"])
+        assert _bits([got.normalization]) == _bits([want["normalization"]])
+        # row 0 of the stack is the base orbit (a conjugate's inner orbit) where both reach
+        base = got.base_orbit.points if m.conjugation is None else got.base_orbit.inner.points
+        k = min(len(base), got.n_stop + 1)
+        assert _bits(base.z[:k]) == _bits(want["base_rows"][0][:k])
+        assert _bits(base.w[:k]) == _bits(want["base_rows"][1][:k])
+
+    def test_the_first_step_reads_the_bound_of_the_grid(self):
+        """The first step does not evaluate the grid, yet its bound, or its
+        largest component where no bound is known, enters the ceiling test, as
+        when every row was checked again: here the grid is the largest row."""
+        m = _shift_map(lambda z, w: (z / 1e10, w))
+        grid = EvaluationGrid([SiegelPoint(1e305), SiegelPoint(2.0)])
+        for phi in (m, conjugate_map(m, SiegelAutomorphism.scale(2.0))):
+            state = initial_state(phi, grid)
+            assert state._raw[0][3] < 1e300  # the images' bound alone
+            with pytest.raises(ScaleOverflowError):
+                advance(state, phi)
 
 
 class TestInputChecks:
     """A step evaluates the previous step's checked images and checks its own
-    images once: each row is checked once per step, and every error stays."""
+    images once: each row is checked once, and every error stays.  The
+    counters sit on the private check that ``maps._images`` and
+    ``maps._entered`` run, and on the public one of a state made by ``replace``."""
 
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        check = maps.check_siegel_arrays
 
-        def counting_check(z, w):
-            calls.append(len(z))
-            return check(z, w)
+        def counting(check):
+            def counting_check(z, w):
+                calls.append(len(z))
+                return check(z, w)
+            return counting_check
 
-        monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
-        monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(maps, "_check_rows", counting(geometry._check_rows))
+        monkeypatch.setattr(renorm, "check_siegel_arrays", counting(geometry.check_siegel_arrays))
         return calls
 
     @pytest.mark.parametrize("name", sorted(catalog()))
@@ -724,7 +790,7 @@ class TestInputChecks:
             state = advance(state, m)
             per_step.append(calls.copy())
             calls.clear()
-        rows = 1 + 2 * len(grid)
+        rows = 1 + len(grid)
         assert per_step == [[rows]] * result.n_stop
         pts = [sample_siegel(m.dim, s, 64) for s in range(8)]
         result.sigma_at(pts)
@@ -736,8 +802,8 @@ class TestInputChecks:
         ``residual_at`` call the inner map's batch alone, never an evaluation
         of the conjugated map.  ``initial_state`` checks T^-1 of the base and
         the grid once and the grid's inner images once, and the first step's
-        inner map gets those rows; each step checks each inner image once, and
-        no row is mapped by T and back."""
+        inner map gets the base and the images of those rows; each step checks
+        each inner image once, and no row is mapped by T and back."""
         inner_rows, outer_rows = [], []
         base = make_halfplane_affine(2.0, 1.0, 2)
 
@@ -754,26 +820,25 @@ class TestInputChecks:
         grid = default_grid(2)
         g = len(grid)
         checks = []
-        check = maps.check_siegel_arrays
+        check = geometry._check_rows
 
         def counting_check(z, w):
             checks.append((z.copy(), w.copy()))
             return check(z, w)
 
-        monkeypatch.setattr(maps, "check_siegel_arrays", counting_check)
-        monkeypatch.setattr(renorm, "check_siegel_arrays", counting_check)
+        monkeypatch.setattr(maps, "_check_rows", counting_check)
         state = initial_state(m, grid)
         assert outer_rows == []
         assert [len(z) for z, _ in inner_rows] == [g]
         # T^-1 of the base and the grid, then the grid's inner images
         assert [len(z) for z, _ in checks] == [1 + g, g]
-        first = [np.concatenate([c[k] for c in checks]) for k in (0, 1)]
+        first = [np.concatenate((checks[0][k][:1], checks[1][k])) for k in (0, 1)]
         inner_rows.clear()
         checks.clear()
         for k in range(4):
             state = advance(state, m)
-            assert [len(z) for z, _ in inner_rows] == [1 + 2 * g]
-            assert [len(z) for z, _ in checks] == [1 + 2 * g]
+            assert [len(z) for z, _ in inner_rows] == [1 + g]
+            assert [len(z) for z, _ in checks] == [1 + g]
             if k == 0:
                 assert first[0].tobytes() == inner_rows[0][0].tobytes()
                 assert first[1].tobytes() == inner_rows[0][1].tobytes()
@@ -791,15 +856,15 @@ class TestInputChecks:
         for calls in (inner_rows, checks):
             calls.clear()
         result.residual_at(pts)
-        assert [len(z) for z, _ in inner_rows] == [n] + [2 * n] * result.n_stop
-        assert [len(z) for z, _ in checks] == [n, n] + [2 * n] * result.n_stop
+        assert [len(z) for z, _ in inner_rows] == [n] * (result.n_stop + 1)
+        assert [len(z) for z, _ in checks] == [n] + [n] * (result.n_stop + 1)
         assert outer_rows == []
 
     def test_grid_and_residual_rows_are_checked_once(self, monkeypatch):
         """``initial_state`` checks only the grid's images: the grid was checked
-        when it was built.  ``residual_at`` checks the images of its points,
-        which were checked when they were made, then each replay step its
-        images, a row in the slack band included."""
+        when it was built.  ``residual_at`` checks the images of each replay
+        step of its points, which were checked when they were made, and of one
+        step more for their images, a row in the slack band included."""
         m = make_valiron_example(2.0, PsiChoice("oscillating"))
         result = run_valiron(m, n_max=12)
         grid = default_grid(2)
@@ -810,12 +875,12 @@ class TestInputChecks:
         assert calls == [len(grid)]
         calls.clear()
         assert np.array_equal(result.residual_at(pts), want)
-        assert calls == [8] + [16] * result.n_stop
+        assert calls == [8] * (result.n_stop + 1)
         # a point between one and two slack edges from the boundary is stepped as any other
         calls.clear()
         band = SiegelPoint(1.0 + 1.5 * BOUNDARY_SLACK, [1.0])
         result.residual_at(pts + [band])
-        assert calls == [9] + [18] * result.n_stop
+        assert calls == [9] * (result.n_stop + 1)
 
     def test_a_bad_grid_or_residual_point_gives_the_error_of_its_check(self):
         """Each row keeps the check, and the error, of ``SiegelPoint``: a grid row
@@ -846,7 +911,9 @@ class TestInputChecks:
     def test_a_run_through_a_band_row_checks_each_image_once(self, monkeypatch):
         """An image row between one and two slack edges from the boundary passes
         its check, and the next steps map it as it is: each step checks its
-        images once, and the run converges to the closed form."""
+        images once.  The images of a step are the grid of the next, so the
+        run carries the band row as its last grid row, with the linear map's
+        sigma of that row, and every other row on the closed form."""
         base = make_siegel_linear(2.0, 2)
 
         def batch(z, w):
@@ -866,12 +933,14 @@ class TestInputChecks:
             calls.clear()
         assert per_step == [1] * 6
         # the linear map keeps the row in the band
-        z, w = state._raw[:2]
+        z, w = state._raw[0][:2]
         height = float(z[-1].real - norm_sq(w[-1]))
         assert BOUNDARY_SLACK < height / abs(z[-1]) < 2.0 * BOUNDARY_SLACK
         result = run_valiron(m, tol=0.0, n_max=12)
         assert result.n_stop == 12
-        assert np.array_equal(result.sigma, result.grid.points.z)
+        assert np.array_equal(result.sigma[:-1], result.grid.points.z[:-1])
+        # phi^4 of the last grid point is the band row at x_3 = 8, and x_n = 2^n
+        assert result.sigma[-1] == 8.0 * (1.0 + 1.5 * BOUNDARY_SLACK) / 16.0
 
     def test_a_state_made_by_replace_is_checked_in_full(self, monkeypatch):
         """A state with no raw rows, as ``replace`` makes it, is de-normalized by
@@ -885,7 +954,7 @@ class TestInputChecks:
         kept = advance(state, m)
         calls = self._counted(monkeypatch)
         copied = advance(replace(state), m)
-        assert calls == [1 + 2 * len(grid)] * 2
+        assert calls == [1 + 2 * len(grid), 1 + len(grid)]
         assert copied.n == kept.n and copied._raw is not None
         assert np.max(np.abs(copied.sigma - kept.sigma)) < 1e-14
 
@@ -905,12 +974,68 @@ class TestInputChecks:
         state = initial_state(m, default_grid(2))
         for _ in range(6):
             state = advance(state, m)
-        w_bad = base.batch(*state._raw[:2])[1][-2]
+        w_bad = base.batch(*state._raw[0][:2])[1][-2]
         with pytest.raises(DomainError) as want:
             SiegelPoint(value, w_bad)
         with pytest.raises(type(want.value)) as got:
             advance(state, m)
         assert str(got.value) == str(want.value)
+
+
+class TestWarningHygiene:
+    """The image check runs under its caller's ``np.errstate``: every public
+    entry that maps rows holds one, so images that overflow, on more rows
+    than ``FEW_ROWS`` (the array lane of the check), give the entry's usual
+    outcome and no RuntimeWarning."""
+
+    M = make_siegel_linear(1e10, 2)  # 5e289 -> 5e299 -> inf
+
+    def _rows(self, z):
+        n = FEW_ROWS + 4
+        return np.array([z] + [2.0 + k for k in range(n - 1)], dtype=np.complex128), \
+            np.zeros((n, 1), dtype=np.complex128)
+
+    def _quietly(self, call, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                return call()
+            with pytest.raises(error, match="non-finite coordinates"):
+                call()
+
+    def test_evaluate_batch(self):
+        self._quietly(lambda: maps.evaluate_batch(self.M, *self._rows(5e299)), NonFiniteError)
+
+    def test_compute_orbit(self):
+        """An orbit is cut where its image overflows; a conjugated one maps its
+        inner rows by T in one call, checked as one batch past FEW_ROWS."""
+        start = SiegelPoint(5e200, [0.0])
+        orbit = self._quietly(lambda: compute_orbit(self.M, start, 20), None)
+        assert orbit.cutoff == "scale overflow at step 10"
+        conj = conjugate_map(self.M, CHAINS["scale(4); translate(1)"])
+        orbit = self._quietly(lambda: compute_orbit(conj, start, 20), None)
+        assert orbit.cutoff is not None and len(orbit) > FEW_ROWS
+
+    def test_run_valiron_and_advance(self):
+        z, w = self._rows(5e289)
+        grid = EvaluationGrid(SiegelBatch(z, w))
+        self._quietly(lambda: run_valiron(self.M, grid), NonFiniteError)
+        state = initial_state(self.M, grid)
+        self._quietly(lambda: advance(advance(state, self.M), self.M), NonFiniteError)
+
+    def test_sigma_at_and_residual_at(self):
+        result = run_valiron(self.M, tol=0.0)
+        assert result.n_stop > 2
+        points = SiegelBatch(*self._rows(5e289))
+        self._quietly(lambda: result.sigma_at(points), NonFiniteError)
+        self._quietly(lambda: result.residual_at(points), NonFiniteError)
+
+    def test_a_sweep_plan_probe(self):
+        m = _shift_map(lambda z, w: (1e308 * z, w))
+        plan = SweepPlan(0)
+        sweep = plan.sweep(k_families(1, (10.0, 100.0)))
+        assert len(plan._stack()) > FEW_ROWS
+        self._quietly(lambda: plan.verdict(first_coordinate_ratio_fn(m), sweep), NonFiniteError)
 
 
 class TestTransport:
