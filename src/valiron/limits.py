@@ -13,11 +13,11 @@ Every generated sequence re-classifies (dynamics.classify_sequence) as its
 declared kind; verdicts are computed from tail values with an explicit
 no-limit witness requirement.
 
-A family is generated as one array computation over its seeds and ladder
-rungs; each sequence is a ``SiegelBatch``.  A ``SweepPlan`` holds every
-sweep of a command set: one pass generates the rows of every distinct
-family, with the most sequences any sweep asks of it, and checks them once,
-and the map is evaluated once over them, with ``maps._images``.  The
+Each sequence is a ``SiegelBatch``.  A ``SweepPlan`` holds every sweep of a
+command set: one pass generates the rows of every distinct family, with the
+most sequences any sweep asks of it, as one array computation per run of
+families on one ladder, and checks them once; the map is evaluated once over them, with
+``maps._images``.  The
 probed functions of the map's images are ``MapProbe``s, each computed in
 one call over every row of the plan and shared by every sweep that reads
 it; each is one numpy expression, whose error against the same formula in
@@ -88,10 +88,18 @@ class ApproachFamily:
     def __post_init__(self):
         if self.kind not in ("koranyi", "c-special-restricted", "zero-special-restricted", "radial"):
             raise DomainError(f"unknown approach kind {self.kind!r}")
+        if not self.n_dim >= 1:
+            raise DomainError(f"an approach family needs n_dim >= 1, got {self.n_dim!r}")
         if self.kind == "koranyi" and not self.amplitude > 1.0:
             raise DomainError("koranyi amplitude must satisfy M > 1")
+        if not self.ladder:
+            raise DomainError("scale ladder needs at least one rung")
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise DomainError("scale ladder must increase")
+        for sd in self.seeds:
+            if len(sd.u) != self.n_dim - 1:
+                raise DomainError(f"seed direction u = {sd.u!r} has {len(sd.u)} entries; "
+                                  f"an N = {self.n_dim} family needs {self.n_dim - 1}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -105,6 +113,7 @@ class ApproachFamily:
 
 @functools.lru_cache(maxsize=64)
 def _unit_direction(n_dim: int, phase: float = 0.0) -> tuple:
+    # canonical seeds only: a drawn phase would evict the few canonical ones
     if n_dim == 1:
         return ()
     return (complex(np.exp(1j * phase)),) + (0j,) * (n_dim - 2)
@@ -180,48 +189,85 @@ def koranyi_family(
     )
 
 
-def _family_arrays(family: ApproachFamily, seeds: Sequence[ApproachSeed]):
-    """(z, w) of every (seed, rung) point, shapes (S, R) and (S, R, N-1).
-
-    z is ``r * complex(cos theta, sin theta)``, within 5 u of it in each
-    part (libm's cos or sin, then a product by the real r), and w is the
-    seed direction scaled by the strength of the family's kind, zero when
-    s = 0.  Each entry is computed from its own seed and rung alone, so a
-    sequence has the same rows whatever else is generated with it.
-    """
-    zero = (0j,) * (family.n_dim - 1)
-    s = np.array([sd.s for sd in seeds])
-    u = np.array([sd.u if sd.s != 0.0 else zero for sd in seeds], dtype=np.complex128)
-    turn = np.array([complex(math.cos(sd.theta), math.sin(sd.theta)) for sd in seeds])
-    z = turn[:, None] * np.array(family.ladder, dtype=np.complex128)
-    x = z.real
-    if family.kind == "koranyi":
-        margin = x - np.hypot(x + 1.0, z.imag) / family.amplitude
-        size = np.sqrt((s * s)[:, None] * np.maximum(margin, 0.0))
-    else:
-        # a rung <= 0 puts its row outside the domain, and the point check
-        # rejects it; the clamp only keeps the square root quiet
-        size = np.sqrt(np.maximum(x, 0.0))
-        if family.kind == "zero-special-restricted":
-            size *= s[:, None] / np.sqrt(np.arange(1.0, x.shape[1] + 1.0))
-        else:
-            size *= s[:, None]
-    w = size.astype(np.complex128)[:, :, None] * u.reshape(len(seeds), 1, family.n_dim - 1)
-    return z, w
+def _uniform(lo: float, hi: float, x: float) -> float:
+    """``Generator.uniform(lo, hi)`` where ``random()`` would give ``x``."""
+    return lo + (hi - lo) * x
 
 
-def _drawn_seed(family: ApproachFamily, rng: np.random.Generator) -> ApproachSeed:
-    """One drawn seed of ``family``, from the start of the stream ``rng``."""
-    if family.kind == "koranyi":
-        t_max = 0.75 * math.sqrt(family.amplitude ** 2 - 1.0)
-        s_max = 0.95
-    else:
-        t_max = family.t_param
-        s_max = math.tanh(family.c_param)
-    theta = rng.uniform(-math.atan(t_max), math.atan(t_max)) if t_max > 0 else 0.0
-    s = rng.uniform(0.0, s_max) if s_max > 0 else 0.0
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return ApproachSeed(theta, s, _unit_direction(family.n_dim, phase))
+class _Seeds:
+    """The seeds of the families of one ladder, as columns, in pass order."""
+
+    def __init__(self, ladder: tuple):
+        self.ladder = ladder
+        self.turn, self.s, self.u, self.amplitude = [], [], [], []
+        self.runs: list = []  # (kind, first seed) of each run of same-kind families
+
+    def add(self, fam: ApproachFamily, count: int, blocks: dict, seed: int) -> None:
+        """Append the canonical seeds of ``fam``, then drawn ones up to ``count``.
+
+        Drawn index i reads ``blocks[i]``, the first three uniforms of
+        ``_rng_for(seed, i)``, in the order of the ``uniform`` calls they
+        stand for: theta if T > 0, s if s_max > 0, then the phase.
+        """
+        start = len(self.s)
+        if not self.runs or self.runs[-1][0] != fam.kind:
+            self.runs.append((fam.kind, start))
+        zero = (0j,) * (fam.n_dim - 1)
+        for sd in fam.seeds[:count]:
+            self.turn.append(complex(math.cos(sd.theta), math.sin(sd.theta)))
+            self.s.append(sd.s)
+            self.u.append(sd.u if sd.s != 0.0 else zero)
+        if count > len(fam.seeds):
+            if fam.kind == "koranyi":
+                t_max, s_max = 0.75 * math.sqrt(fam.amplitude ** 2 - 1.0), 0.95
+            else:
+                t_max, s_max = fam.t_param, math.tanh(fam.c_param)
+            bound = math.atan(t_max)
+            for i in range(len(fam.seeds), count):
+                if i not in blocks:
+                    blocks[i] = _rng_for(seed, i).random(3).tolist()
+                draws = iter(blocks[i])
+                theta = _uniform(-bound, bound, next(draws)) if t_max > 0 else 0.0
+                s = _uniform(0.0, s_max, next(draws)) if s_max > 0 else 0.0
+                self.turn.append(complex(math.cos(theta), math.sin(theta)))
+                self.s.append(s)
+                if s != 0.0 and fam.n_dim > 1:
+                    phase = _uniform(0.0, 2.0 * math.pi, next(draws))
+                    self.u.append((complex(np.exp(1j * phase)),) + zero[1:])
+                else:
+                    self.u.append(zero)
+        self.amplitude += [fam.amplitude] * (len(self.s) - start)
+
+    def rows(self, n_dim: int) -> tuple:
+        """(z, w) of every (seed, rung) row, shapes (S R,) and (S R, N - 1).
+
+        z is ``r * complex(cos theta, sin theta)``, within 5 u of it in each
+        part (libm's cos or sin, then a product by the real r); w is the
+        seed direction times the strength of the family's kind, one formula
+        per run of same-kind families, zero when s = 0.  A row depends on its
+        own seed and rung alone.
+        """
+        n, rungs = len(self.s), len(self.ladder)
+        s = np.array(self.s)[:, None]
+        z = np.array(self.turn)[:, None] * np.array(self.ladder, dtype=np.complex128)
+        x = z.real
+        sizes = []
+        for (kind, a), (_, b) in zip(self.runs, self.runs[1:] + [(None, n)]):
+            if kind == "koranyi":
+                amplitude = np.array(self.amplitude[a:b])[:, None]
+                margin = x[a:b] - np.hypot(x[a:b] + 1.0, z.imag[a:b]) / amplitude
+                sizes.append(np.sqrt(s[a:b] * s[a:b] * np.maximum(margin, 0.0)))
+                continue
+            strength = s[a:b]
+            if kind == "zero-special-restricted":
+                strength = strength / np.sqrt(np.arange(1.0, rungs + 1.0))
+            # a rung <= 0 puts its row outside the domain, and the point check
+            # rejects it; the clamp only keeps the square root quiet
+            sizes.append(np.sqrt(np.maximum(x[a:b], 0.0)) * strength)
+        size = sizes[0] if len(sizes) == 1 else np.concatenate(sizes)
+        u = np.array(self.u, dtype=np.complex128).reshape(n, 1, n_dim - 1)
+        w = size.astype(np.complex128)[:, :, None] * u
+        return z.ravel(), w.reshape(n * rungs, n_dim - 1)
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -238,34 +284,32 @@ def _generate(counts: Iterable[tuple], seed: int) -> tuple:
     family.  Each family's seeds are its canonical ones, then drawn ones up
     to ``count`` (a radial family has one sequence).  The seed drawn at index
     i comes from the start of the counter-based stream ``_rng_for(seed, i)``,
-    whatever the family: one generator is built per distinct index, and its
-    state is restored for each further family that draws there.  A point
-    outside the domain raises the ``DomainError`` of the first such row.
+    whatever the family, read once per index.  The families, of one
+    dimension, are one array computation per run of them on one ladder.  A
+    point outside the domain raises the ``DomainError`` of the first such
+    row.
     """
-    counts = list(counts)
-    streams: dict = {}  # drawn index -> (generator, its state before any draw)
-    z_parts, w_parts, sizes = [], [], []
-    for k, (fam, count) in enumerate(counts):
+    blocks: dict = {}  # drawn index -> the first three uniforms of its stream
+    groups, sizes = [], []  # runs of families on one ladder; sequences per family
+    for fam, count in counts:
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if groups and fam.n_dim != n_dim:
+            raise DomainError(f"the families of one pass share a dimension: "
+                              f"N = {fam.n_dim} after N = {n_dim}")
+        n_dim = fam.n_dim
         if fam.kind == "radial":
             count = min(count, 1) or 1
-        seeds = list(fam.seeds[:count])
-        for i in range(len(seeds), count):
-            if i in streams:
-                rng, state = streams[i]
-                rng.bit_generator.state = state
-            else:
-                rng = _rng_for(seed, i)
-                if k + 1 < len(counts):  # a later family may draw at i too
-                    streams[i] = rng, rng.bit_generator.state
-            seeds.append(_drawn_seed(fam, rng))
-        z, w = _family_arrays(fam, seeds)
-        z_parts.append(z.ravel())
-        w_parts.append(w.reshape(z.size, fam.n_dim - 1))
-        sizes.append(len(seeds))
-    if len(sizes) == 1:  # one family's rows need no copy
-        z, w = z_parts[0], w_parts[0]
+        if not groups or groups[-1].ladder != fam.ladder:
+            groups.append(_Seeds(fam.ladder))
+        start = len(groups[-1].s)
+        groups[-1].add(fam, count, blocks, seed)
+        sizes.append(len(groups[-1].s) - start)
+    rows = [seeds.rows(n_dim) for seeds in groups]
+    if len(rows) == 1:  # one ladder's rows need no copy
+        (z, w), = rows
     else:
-        z, w = np.concatenate(z_parts), np.concatenate(w_parts)
+        z, w = np.concatenate([z for z, _ in rows]), np.concatenate([w for _, w in rows])
     check_siegel_arrays(z, w)
     return z, w, sizes
 
@@ -378,9 +422,9 @@ class SweepPlan:
     asked for.  That first request generates every declared family in one
     pass (``_generate``), with the most sequences any sweep asked of it, in
     declaration order, into one batch checked once.  A sequence is the same
-    rows whatever the count (``_family_arrays`` is row-wise, and each drawn
-    index has its own counter-based stream), so a sweep that reads fewer
-    sequences reads the first ones of the larger generation.
+    rows whatever else is generated (a row depends on its own seed and rung,
+    and each drawn index has its own counter-based stream), so a sweep that
+    reads fewer sequences reads the first ones of the larger generation.
 
     Each map is evaluated once, with ``maps._images``, over the whole
     batch, and each probe is computed once over it: a ``MapProbe`` in one
@@ -407,6 +451,8 @@ class SweepPlan:
         Returns the sweep that ``traces`` and ``verdict`` take.  Once the
         plan is generated, a sweep can only be declared again.
         """
+        if extra < 0:
+            raise ValueError(f"extra must be >= 0, got {extra}")
         families = tuple(families)
         for fam in families:
             count = len(fam.seeds) + extra

@@ -21,8 +21,9 @@ the exact ``x.v``.  The last sections are in doubles: the sigma of a
 conjugated map, transported from a run of the map, and its Schroder defect;
 the probe of the base orbit, stepped alone by ``compute_orbit``; the
 renormalized run as it stepped the whole stack of rows, base, grid and
-grid images, on every step; and the limit traces and their verdict, one
-sequence at a time.
+grid images, on every step; the limit traces and their verdict, one
+sequence at a time; and the generation of sequences, one family at a time,
+with a generator per drawn seed.
 """
 
 import math
@@ -46,7 +47,7 @@ from valiron.geometry import (
     apply_automorphism_arrays,
     check_siegel_arrays,
 )
-from valiron.limits import NO_LIMIT_FACTOR, TAIL_VALUES, _pairs
+from valiron.limits import NO_LIMIT_FACTOR, TAIL_VALUES, ApproachSeed, _pairs, _rng_for
 from valiron.maps import SCALE_LIMIT, make_siegel_map_from_ball
 from valiron.renorm import (
     CONSECUTIVE_CAUCHY,
@@ -782,3 +783,62 @@ def per_sequence_verdict(traces, tol: float) -> tuple:
     if witness is not None and witness[4] > NO_LIMIT_FACTOR * tol:
         return "no-limit", None, spread, witness
     return "inconclusive", None, spread, witness
+
+
+# -- sequence generation, one family at a time -----------------------------------------
+
+
+def family_arrays(family, seeds) -> tuple:
+    """(z, w) of every (seed, rung) point of one family, shapes (S, R) and (S, R, N-1),
+    as the library computed them before the families of a ladder were one pass."""
+    zero = (0j,) * (family.n_dim - 1)
+    s = np.array([sd.s for sd in seeds])
+    u = np.array([sd.u if sd.s != 0.0 else zero for sd in seeds], dtype=np.complex128)
+    turn = np.array([complex(math.cos(sd.theta), math.sin(sd.theta)) for sd in seeds])
+    z = turn[:, None] * np.array(family.ladder, dtype=np.complex128)
+    x = z.real
+    if family.kind == "koranyi":
+        margin = x - np.hypot(x + 1.0, z.imag) / family.amplitude
+        size = np.sqrt((s * s)[:, None] * np.maximum(margin, 0.0))
+    else:
+        size = np.sqrt(np.maximum(x, 0.0))
+        if family.kind == "zero-special-restricted":
+            size *= s[:, None] / np.sqrt(np.arange(1.0, x.shape[1] + 1.0))
+        else:
+            size *= s[:, None]
+    w = size.astype(np.complex128)[:, :, None] * u.reshape(len(seeds), 1, family.n_dim - 1)
+    return z, w
+
+
+def drawn_seed(family, rng) -> ApproachSeed:
+    """One drawn seed of ``family``, by three ``Generator.uniform`` calls on ``rng``."""
+    if family.kind == "koranyi":
+        t_max = 0.75 * math.sqrt(family.amplitude ** 2 - 1.0)
+        s_max = 0.95
+    else:
+        t_max = family.t_param
+        s_max = math.tanh(family.c_param)
+    theta = rng.uniform(-math.atan(t_max), math.atan(t_max)) if t_max > 0 else 0.0
+    s = rng.uniform(0.0, s_max) if s_max > 0 else 0.0
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    u = () if family.n_dim == 1 else (complex(np.exp(1j * phase)),) + (0j,) * (family.n_dim - 2)
+    return ApproachSeed(theta, s, u)
+
+
+def generate(counts, seed: int) -> tuple:
+    """``(z, w, sizes)`` of ``limits._generate``, family by family: a new generator
+    ``_rng_for(seed, i)`` for each drawn seed, one ``family_arrays`` call per family,
+    then one concatenation and one check."""
+    z_parts, w_parts, sizes = [], [], []
+    for fam, count in counts:
+        if fam.kind == "radial":
+            count = min(count, 1) or 1
+        seeds = list(fam.seeds[:count])
+        seeds += [drawn_seed(fam, _rng_for(seed, i)) for i in range(len(seeds), count)]
+        z, w = family_arrays(fam, seeds)
+        z_parts.append(z.ravel())
+        w_parts.append(w.reshape(z.size, fam.n_dim - 1))
+        sizes.append(len(seeds))
+    z, w = np.concatenate(z_parts), np.concatenate(w_parts)
+    check_siegel_arrays(z, w)
+    return z, w, sizes

@@ -28,6 +28,7 @@ from valiron.limits import (
     NO_LIMIT_FACTOR,
     TAIL_VALUES,
     ApproachFamily,
+    ApproachSeed,
     SweepPlan,
     c_special_family,
     e0_limit,
@@ -50,6 +51,42 @@ class TestFamilies:
     def test_ladder_must_increase(self):
         with pytest.raises(DomainError):
             ApproachFamily(kind="radial", n_dim=1, ladder=(10.0, 10.0))
+
+    def test_rejects_a_family_the_generator_cannot_make(self):
+        # no dimension: the rows would be points of C^0 x C^-1
+        with pytest.raises(DomainError, match=r"n_dim >= 1, got 0"):
+            ApproachFamily("radial", 0)
+        with pytest.raises(DomainError, match=r"n_dim >= 1, got 0"):
+            radial_family(0)
+        # no rung: the sweep would end in a reduction over no values
+        with pytest.raises(DomainError, match="at least one rung"):
+            k_limit(lambda q: q.z, 2, ladder=())
+        with pytest.raises(DomainError, match="at least one rung"):
+            ApproachFamily("c-special-restricted", 2, ladder=())
+        # a direction of another length than N - 1, even where s = 0 ignores it
+        for n_dim, u in ((3, (1j,)), (2, (1j, 0j)), (1, (1 + 0j,)), (2, ())):
+            seeds = (ApproachSeed(0.0, 0.5, u),)
+            want = rf"has {len(u)} entries; an N = {n_dim} family needs {n_dim - 1}"
+            with pytest.raises(DomainError, match=want):
+                ApproachFamily("c-special-restricted", n_dim, seeds=seeds)
+            with pytest.raises(DomainError, match="entries"):
+                ApproachFamily("koranyi", n_dim, seeds=(ApproachSeed(0.0, 0.0, u),))
+
+    def test_a_negative_count_is_rejected(self):
+        for fam in (koranyi_family(4.0, 2), radial_family(2), zero_special_family(1e-4, 1.0, 1)):
+            with pytest.raises(ValueError, match=r"count must be >= 0, got -1$"):
+                generate_sequences(fam, count=-1)
+            with pytest.raises(ValueError, match=r"count must be >= 0, got -3$"):
+                limits._generate([(koranyi_family(2.0, fam.n_dim), 5), (fam, -3)], 0)
+        # count 0 is legal: no sequence, and a radial family's one sequence
+        assert generate_sequences(koranyi_family(4.0, 2), count=0) == []
+        assert len(generate_sequences(radial_family(2), count=0)) == 1
+        plan = SweepPlan(1)
+        with pytest.raises(ValueError, match=r"extra must be >= 0, got -2$"):
+            plan.sweep(limits.k_families(2), -2)
+        assert plan._counts == {}
+        with pytest.raises(ValueError, match=r"extra must be >= 0, got -1$"):
+            k_limit(lambda q: q.z, 2, extra=-1)
 
     def test_generation_is_deterministic(self):
         fam = c_special_family(0.5, 1.0, 2)

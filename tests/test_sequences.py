@@ -52,6 +52,7 @@ from valiron.geometry import (
 )
 from valiron import limits
 from valiron.limits import (
+    DEFAULT_LADDER,
     ApproachFamily,
     ApproachSeed,
     SweepPlan,
@@ -303,14 +304,15 @@ def _assert_same_outcome(got, want):
         assert O.within(float(text), x), (text, x.v, x.e)
 
 
-def _families(n_dim, rng):
-    """Families of the four kinds, with parameters in the ranges of criterion 4."""
+def _families(n_dim, rng, ladder=DEFAULT_LADDER):
+    """Families of the four kinds, with parameters in the ranges of criterion 4;
+    the radial one on a ladder of its own."""
     m_amp, c, t, s, t0, scale = (float(v) for v in rng.uniform(
         [math.log(1.2), 0.05, 0.0, 1e-5, 0.0, 0.5], [math.log(64.0), 1.5, 2.0, 8e-4, 2.0, 50.0]))
     return [
-        koranyi_family(math.exp(m_amp), n_dim),
-        c_special_family(c, t, n_dim),
-        zero_special_family(s, t0, n_dim),
+        koranyi_family(math.exp(m_amp), n_dim, ladder),
+        c_special_family(c, t, n_dim, ladder),
+        zero_special_family(s, t0, n_dim, ladder),
         radial_family(n_dim, tuple(scale * 10.0 ** k for k in range(1, 8))),
     ]
 
@@ -530,6 +532,18 @@ def _plans():
         counts = [(families[k], len(families[k].seeds) + int(rng.integers(0, 4)))
                   for k in rng.permutation(len(families))]
         yield counts, int(rng.integers(0, 2**31))
+    # families of every kind on two ladders of different lengths, in random
+    # order, at N = 1, 2 and 3: the pass is one computation per run of them
+    # on one ladder
+    short = tuple(3.0 * 10.0 ** k for k in range(5))
+    for draw in range(9):
+        n_dim = 1 + draw % 3
+        families = (_families(n_dim, rng) + _families(n_dim, rng, short)
+                    + list(k_families(n_dim, short)[1:3]) + list(k_families(n_dim)[3:])
+                    + list(e_families(n_dim, short)[9:12]) + list(e0_families(n_dim)[4:7]))
+        counts = [(families[k], len(families[k].seeds) + int(rng.integers(0, 4)))
+                  for k in rng.permutation(len(families))]
+        yield counts, int(rng.integers(0, 2**31))
 
 
 def _drawn_indices(counts):
@@ -553,7 +567,7 @@ class TestPlanPass:
             assert _bits(batch.z) == _bits(z) and _bits(batch.w) == _bits(w)
             drawn = _drawn_indices(counts)
             shared += len(drawn) - len(set(drawn))
-        # families draw at the same index, from one generator restored between them
+        # families draw at the same index, from one read of its stream
         assert shared > 100
 
     def test_one_generator_per_drawn_index(self, monkeypatch):
@@ -568,6 +582,79 @@ class TestPlanPass:
             built.clear()
             _generate(counts, seed)
             assert sorted(built) == sorted(set(_drawn_indices(counts)))
+
+    def test_rows_match_the_per_family_reference(self):
+        """The pass against the generation it replaced, one family at a time
+        with a generator per drawn seed (``oracle.generate``): rows and sizes
+        bit for bit, on one ladder and on two."""
+        ladders = 0
+        for counts, seed in _plans():
+            z, w, sizes = _generate(counts, seed)
+            want_z, want_w, want_sizes = O.generate(counts, seed)
+            assert sizes == want_sizes
+            assert _bits(z) == _bits(want_z) and _bits(w) == _bits(want_w)
+            assert z.dtype == want_z.dtype and w.shape == want_w.shape
+            ladders = max(ladders, len({fam.ladder for fam, _ in counts if fam.kind != "radial"}))
+        assert ladders == 2
+
+    def test_a_uniform_draw_is_its_formula_on_the_stream(self):
+        """``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``, bit for
+        bit, on the first three draws of a stream, with the ranges the pass
+        reads them with, in the orders it reads them: the identity that lets
+        one ``random(3)`` per drawn index stand for the ``uniform`` calls of
+        every family that draws there, as Python floats and as arrays."""
+        rng = np.random.default_rng(2026)
+        for k in range(4000):
+            seed, index = int(rng.integers(0, 2**31)), int(rng.integers(0, 64))
+            m_amp, c, t = (float(v) for v in rng.uniform([1.01, 0.0, 0.0], [64.0, 40.0, 2.0]))
+            # a Koranyi family's ranges, then a special family's
+            t_max, s_max = (0.75 * math.sqrt(m_amp ** 2 - 1.0), 0.95) if k % 3 == 0 else (t, math.tanh(c))
+            bound = math.atan(t_max)
+            phase = (0.0, 2.0 * math.pi)
+            # with T = 0 no theta is drawn: s and the phase are the first two draws
+            if k % 3 < 2:
+                ranges = [(-bound, bound), (0.0, s_max), phase]
+            else:
+                ranges = [(0.0, s_max), phase, (-bound, bound)]
+            gen = _rng_for(seed, index)
+            drawn = [gen.uniform(lo, hi) for lo, hi in ranges]
+            block = _rng_for(seed, index).random(3)
+            for (lo, hi), got, x in zip(ranges, drawn, block.tolist()):
+                assert _same(got, limits._uniform(lo, hi, x)), (seed, index, lo, hi)
+            lo, hi = np.array(ranges).T
+            assert (lo + (hi - lo) * block).tobytes() == np.array(drawn).tobytes()
+
+    def test_the_pass_neither_reads_nor_sets_a_generator_state(self, monkeypatch):
+        class Watched(np.random.PCG64):
+            @property
+            def state(self):
+                raise AssertionError("the pass read a generator state")
+
+            @state.setter
+            def state(self, value):
+                raise AssertionError("the pass set a generator state")
+
+        def watched(seed, index):
+            return np.random.Generator(Watched((int(seed), int(index))))
+
+        monkeypatch.setattr(limits, "_rng_for", watched)
+        for counts, seed in _plans():
+            z, w, _ = _generate(counts, seed)
+            want_z, want_w, _ = O.generate(counts, seed)
+            assert _bits(z) == _bits(want_z) and _bits(w) == _bits(want_w)
+
+    def test_drawn_phases_leave_the_direction_cache_alone(self):
+        """Only the canonical phases go through ``_unit_direction``'s cache: a
+        pass of drawn seeds neither reads nor fills it."""
+        for counts, seed in _plans():
+            before = limits._unit_direction.cache_info()
+            _generate(counts, seed)
+            assert limits._unit_direction.cache_info() == before
+
+    def test_the_families_of_a_pass_share_a_dimension(self):
+        counts = [(koranyi_family(2.0, 2), 4), (c_special_family(0.5, 1.0, 3), 6)]
+        with pytest.raises(DomainError, match="share a dimension: N = 3 after N = 2"):
+            _generate(counts, 0)
 
     def test_the_first_row_outside_the_domain_raises_its_family_error(self):
         good = [koranyi_family(2.0, 2), c_special_family(0.5, 1.0, 2)]
